@@ -221,14 +221,17 @@ def cmd_tomography(config: RunConfig, input_path: str) -> int:
         ("iterations", str(result.iterations)),
         ("final_log_likelihood", _fmt(result.log_likelihood[-1])),
         ("floored_probabilities", str(result.floored)),
+        ("engine", "grouped" if result.grouped else "dense"),
+        ("optimality_gap", _fmt(result.gap)),
         ("wigner_normalization", _fmt(grid.normalization())),
     ]
     write_report(report_path, "tomography", config, entries)
     print(f"tomography: fidelity(sqrt) {fid_sqrt:.4f}, converged={result.converged} "
           f"-> {rho_path}, {wig_path}, {report_path}")
     if not result.converged:
-        print(f"tomography: no convergence within {config.max_iter} iterations "
-              f"(outputs retained)", file=sys.stderr)
+        print(f"tomography: optimality gap {result.gap:.3e} not certified below tol "
+              f"{config.tol:g} after {result.iterations} iterations (outputs retained)",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

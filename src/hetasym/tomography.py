@@ -3,12 +3,14 @@ samples, Wigner-function evaluation, and fidelity against coherent states.
 
 Everything here uses the internal convention: vacuum quadrature variance
 1/2, so the vacuum Wigner function peaks at 1/pi.  SNU traces are divided
-by sqrt(2) on ingestion (see :mod:`hetasym.traces`).
+by UNITS.tomography_scale = sqrt(2) on ingestion (see :mod:`hetasym.traces`).
 
-The reconstruction is the iterative fixed point rho <- N[R rho R] with
+The reconstruction solves the fixed point rho = N[R rho R] with
 R = (1/n) sum_i Pi_i / Tr(rho Pi_i), where Pi_i is the rank-1 projector
-onto the quadrature eigenstate |x_i, theta_i>.  The per-sample
-log-likelihood never decreases across accepted iterations.
+onto the quadrature eigenstate |x_i, theta_i>.  Anderson extrapolation
+accelerates the iteration, every accepted step strictly raises the
+per-sample log-likelihood, and lambda_max(R) - 1, an upper bound on the
+log-likelihood still to gain, certifies the result.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalDomainError, ValidationError
 from .phase import estimate_phase
-from .traces import QuadratureTrace
+from .traces import UNITS, QuadratureTrace
 
 #: Probabilities are floored here before the likelihood ratio to avoid
 #: division underflow; floored samples are counted as a diagnostic.
@@ -133,27 +135,39 @@ class MLEResult:
     """Reconstruction output plus convergence diagnostics."""
 
     rho: DensityMatrix
-    converged: bool
+    converged: bool             # gap <= tol was certified at rho
     iterations: int
     log_likelihood: np.ndarray  # per-sample log-likelihood after each accepted iterate
-    floored: int                # samples whose probability hit the floor
+    floored: int                # samples whose probability at rho hit the floor
     grouped: bool               # whether the grouped fast path was used
+    gap: float                  # lambda_max(R) - 1 at rho (inf if any sample is floored)
 
 
 class _DenseEngine:
-    """Per-sample complex projectors; works for arbitrary tag sets."""
+    """Per-sample complex projectors; works for arbitrary tag sets.
+
+    The reductions over samples run on the real view of the projector table
+    (real and imaginary parts interleaved), where numpy's kernels are several
+    times faster than its complex ones.
+    """
 
     def __init__(self, samples: PhaseTaggedSamples, dim: int):
         self.psi = quadrature_projector(samples.theta, samples.x, dim)
+        self.dim = dim
         self.n = samples.n
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        # Re sum_j conj(psi_ij) v_ij is the real dot product of the real views
         v = self.psi @ rho.T
-        return np.einsum("ij,ij->i", self.psi.conj(), v).real
+        return np.einsum("ij,ij->i", self.psi.view(np.float64), v.view(np.float64))
 
-    def update(self, rho: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        r = (self.psi / probs[:, None]).T @ self.psi.conj() / self.n
-        return r @ rho @ r
+    def r_operator(self, probs: np.ndarray) -> np.ndarray:
+        """R = (1/n) sum_i Pi_i / p_i."""
+        # m[j, a, k, b] = sum_i part_a(psi_ij) part_b(psi_ik) / p_i, part 0 = Re, 1 = Im
+        real = self.psi.view(np.float64)
+        m = ((real / probs[:, None]).T @ real).reshape(self.dim, 2, self.dim, 2)
+        r = (m[:, 0, :, 0] + m[:, 1, :, 1]) + 1j * (m[:, 1, :, 0] - m[:, 0, :, 1])
+        return r / self.n
 
 
 class _GroupedEngine:
@@ -161,10 +175,10 @@ class _GroupedEngine:
 
     For a tag t the projector factorizes as diag(e^{-i n t}) psi(x), so the
     quadratic forms reduce to real batched products against the rotated
-    density matrix Re(rho * e^{i t (m - n)}).  Groups are bucketed by size so
-    each bucket runs as one batched matmul; probabilities come back in
-    engine-internal (bucket-major) order, which the iteration treats as a
-    bag, so no scatter-back is needed.
+    density matrix Re(rho e^{i t (m - n)}) = Re(rho) cos - Im(rho) sin.
+    Groups are bucketed by size so each bucket runs as one batched matmul;
+    probabilities come back in engine-internal (bucket-major) order, which
+    the iteration treats as a bag, so no scatter-back is needed.
     """
 
     def __init__(self, samples: PhaseTaggedSamples, dim: int):
@@ -178,49 +192,119 @@ class _GroupedEngine:
         for size in np.unique(counts):
             group_ids = np.flatnonzero(counts == size)
             xs = np.stack([xs_sorted[offsets[g]:offsets[g] + size] for g in group_ids])
-            phase = np.exp(1j * tags[group_ids][:, None, None] * diff[None, :, :])
-            self.buckets.append((_hermite_gauss_table(xs, dim), phase))
+            angle = tags[group_ids][:, None, None] * diff[None, :, :]
+            self.buckets.append((_hermite_gauss_table(xs, dim), np.cos(angle), np.sin(angle)))
+        self.dim = dim
         self.n = samples.n
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         parts = []
-        for h, phase in self.buckets:
-            rotated = (rho[None, :, :] * phase).real
+        for h, cos, sin in self.buckets:
+            rotated = rho.real * cos - rho.imag * sin
             v = h @ rotated
             parts.append(np.einsum("tmd,tmd->tm", h, v).ravel())
         return np.concatenate(parts)
 
-    def update(self, rho: np.ndarray, probs: np.ndarray) -> np.ndarray:
-        r = np.zeros_like(rho)
+    def r_operator(self, probs: np.ndarray) -> np.ndarray:
+        """R = (1/n) sum_i Pi_i / p_i, probs in engine-internal order."""
+        r = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        inverse = 1.0 / probs
         start = 0
-        for h, phase in self.buckets:
+        for h, cos, sin in self.buckets:
             stop = start + h.shape[0] * h.shape[1]
-            weights = h / probs[start:stop].reshape(h.shape[:2])[:, :, None]
+            weights = h * inverse[start:stop].reshape(h.shape[:2])[:, :, None]
             s = np.matmul(h.transpose(0, 2, 1), weights)
-            r += (s * phase.conj()).sum(axis=0)
+            r.real += np.einsum("tmn,tmn->mn", s, cos)
+            r.imag -= np.einsum("tmn,tmn->mn", s, sin)
             start = stop
         r /= self.n
-        return r @ rho @ r
+        return r
 
 
 def _make_engine(samples: PhaseTaggedSamples, dim: int):
     # grouping pays once tags repeat enough; the cap keeps the per-group
-    # phase tables (groups x dim x dim complex) at tens of megabytes
+    # phase tables (groups x dim x dim cosines and sines) at tens of megabytes
     distinct = np.unique(samples.theta).size
     if distinct * 8 <= samples.n and distinct <= 4096:
         return _GroupedEngine(samples, dim), True
     return _DenseEngine(samples, dim), False
 
 
+class _Anderson:
+    """Anderson extrapolation of a fixed point x = g(x) over the last `depth`
+    differences of iterates and images (Walker & Ni, SIAM J. Numer. Anal.
+    49, 1715 (2011)), on the real view of complex matrices."""
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self.xs: list[np.ndarray] = []
+        self.gs: list[np.ndarray] = []
+
+    def restart(self):
+        """Drop every pair but the latest."""
+        del self.xs[:-1], self.gs[:-1]
+
+    def propose(self, x: np.ndarray, image: np.ndarray):
+        """Record the pair (x, g(x)); the extrapolated matrix, or None while
+        the history holds a single pair."""
+        self.xs.append(x.view(np.float64).ravel())
+        self.gs.append(image.view(np.float64).ravel())
+        if len(self.xs) > self.depth + 1:
+            del self.xs[0], self.gs[0]
+        if len(self.xs) < 2:
+            return None
+        xs, gs = np.array(self.xs), np.array(self.gs)
+        fs = gs - xs
+        gamma = np.linalg.lstsq(np.diff(fs, axis=0).T, fs[-1], rcond=None)[0]
+        return (gs[-1] - gamma @ np.diff(gs, axis=0)).view(np.complex128).reshape(x.shape)
+
+
+#: Differences of iterates and images kept by the Anderson extrapolation.
+_ANDERSON_DEPTH = 10
+
+
+def _log_ratio_mean(probs: np.ndarray, new_probs: np.ndarray, change: np.ndarray,
+                    growth: float) -> float:
+    """mean_i log(q_i / p_i) for q = (p + change) / (1 + growth), computed
+    from the change itself so that gains far below the rounding of the
+    log-likelihood stay resolved.  Floored samples compare floored values."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # low terms are replaced below
+        terms = np.log1p(change / np.maximum(probs, PROBABILITY_FLOOR)) - math.log1p(growth)
+    low = (probs < PROBABILITY_FLOOR) | (new_probs < PROBABILITY_FLOOR)
+    if low.any():
+        terms[low] = (np.log(np.maximum(new_probs[low], PROBABILITY_FLOOR))
+                      - np.log(np.maximum(probs[low], PROBABILITY_FLOOR)))
+    return float(terms.mean())
+
+
 def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
                     tol: float = 1e-10) -> MLEResult:
-    """Iterative maximum-likelihood reconstruction (R rho R fixed point).
+    """Certified maximum-likelihood reconstruction.
 
-    Starts from the maximally mixed state I/dim and stops when the
-    per-sample log-likelihood improves by less than tol, or after max_iter
-    iterations (returned with converged=False).  An iterate that would
-    decrease the likelihood is discarded, so the recorded log-likelihood
-    trajectory is non-decreasing.
+    Starts from the maximally mixed state I/dim.  Every iterate rho is
+    certified by R = (1/n) sum_i Pi_i / p_i: no state has a per-sample
+    log-likelihood more than log lambda_max(R) <= lambda_max(R) - 1 above
+    rho's (Glancy, Knill & Girard, NJP 14, 095017 (2012)), so the loop stops
+    with converged=True once lambda_max(R) - 1 <= tol.  Otherwise it steps to
+    the first of these candidates that strictly raises the likelihood:
+
+    1. the Anderson extrapolation of the R rho R fixed point (history
+       restarted when it is refused);
+    2. the R rho R image itself;
+    3. diluted steps (I + eps R) rho (I + eps R) / N with eps = 1, 1/2, ...
+       (Rehacek, Hradil, Knill & Lvovsky, PRA 75, 042108 (2007)).
+
+    The iterate is kept as a factor A with rho = A A^dagger / |A|^2, so
+    R rho R is A -> R A, every candidate is a density matrix, and rounding
+    in A moves the likelihood only at second order; likelihood gains are
+    computed from the change of the Born probabilities, so they stay
+    resolved near the optimum.  The recorded log-likelihood trajectory
+    therefore rises strictly.
+
+    The result has converged=False after max_iter accepted steps, or when
+    eps is too small to change I + eps R and nothing raised the likelihood.
+    A sample whose probability hits PROBABILITY_FLOOR leaves the bound
+    invalid, so such a state is never certified and reports gap = inf.
     """
     if int(dim) != dim or dim < 1:
         raise ValidationError(f"dim must be an integer >= 1, got {dim}")
@@ -231,49 +315,74 @@ def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
 
     dim = int(dim)
     engine, grouped = _make_engine(samples, dim)
-    floored = 0
 
-    def evaluate(rho):
-        nonlocal floored
-        probs = engine.probabilities(rho)
-        low = probs < PROBABILITY_FLOOR
-        if low.any():
-            floored += int(low.sum())
-            probs = np.maximum(probs, PROBABILITY_FLOOR)
-        return probs, float(np.log(probs).mean())
+    def certificate(probs):
+        """(R, lambda_max(R), gap) at the state with these Born probabilities."""
+        r = engine.r_operator(np.maximum(probs, PROBABILITY_FLOOR))
+        r = 0.5 * (r + r.conj().T)
+        lam_max = float(np.linalg.eigvalsh(r)[-1])
+        floored = bool((probs < PROBABILITY_FLOOR).any())
+        return r, lam_max, math.inf if floored else lam_max - 1.0
 
-    rho = np.eye(dim, dtype=np.complex128) / dim
-    probs, loglik = evaluate(rho)
-    history = [loglik]
-    converged = False
-    for _ in range(int(max_iter)):
-        candidate = engine.update(rho, probs)
-        candidate = 0.5 * (candidate + candidate.conj().T)
-        candidate /= np.trace(candidate).real
-        cand_probs, cand_loglik = evaluate(candidate)
-        gain = cand_loglik - loglik
-        if gain >= 0.0:
-            rho, probs, loglik = candidate, cand_probs, cand_loglik
-            history.append(loglik)
-        if gain < tol:
-            converged = True
+    def rises(step):
+        """(factor, probs, gain) of A + step, normalized, if it strictly
+        raises the likelihood, else None."""
+        new = factor + step
+        # new new^+ - A A^+; the engines read only its Hermitian part
+        change_op = step @ new.conj().T + factor @ step.conj().T
+        growth = float(np.trace(change_op).real)
+        change = engine.probabilities(change_op)
+        new_probs = (probs + change) / (1.0 + growth)
+        gain = _log_ratio_mean(probs, new_probs, change, growth)
+        if gain > 0.0:
+            return new / math.sqrt(1.0 + growth), new_probs, gain
+        return None
+
+    factor = np.eye(dim, dtype=np.complex128) / math.sqrt(dim)  # unit Frobenius norm
+    probs = engine.probabilities(factor @ factor.conj().T)
+    history = [float(np.log(np.maximum(probs, PROBABILITY_FLOOR)).mean())]
+    anderson = _Anderson(_ANDERSON_DEPTH)
+    certified = False
+    while True:
+        r, lam_max, gap = certificate(probs)
+        if gap <= tol:
+            certified = True
+            break
+        if len(history) - 1 >= max_iter or lam_max == 0.0:  # R = 0: every sample underflowed
             break
 
-    # RrhoR preserves positivity; scrub rounding noise so the result always
-    # satisfies the DensityMatrix contract.
-    eigvals, eigvecs = np.linalg.eigh(rho)
-    eigvals = np.clip(eigvals, 0.0, None)
-    eigvals /= eigvals.sum()
-    rho = (eigvecs * eigvals) @ eigvecs.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
+        image = r @ factor  # R rho R in factor form
+        unit = image / np.linalg.norm(image)
+        proposal = anderson.propose(factor, unit)
+        step = None
+        if proposal is not None:
+            step = rises(proposal / np.linalg.norm(proposal) - factor)
+        if step is None:
+            anderson.restart()
+            step = rises(unit - factor)
+        eps = 1.0
+        while step is None and 1.0 + eps * lam_max != 1.0:
+            step = rises(eps * image)
+            eps *= 0.5
+        if step is None:
+            break
+        factor, probs, gain = step
+        history.append(history[-1] + gain)
 
+    # certify the matrix actually returned, not just its factor
+    rho = factor @ factor.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    rho /= np.trace(rho).real
+    probs = engine.probabilities(rho)
+    _, _, gap = certificate(probs)
     return MLEResult(
         rho=DensityMatrix(rho),
-        converged=converged,
+        converged=certified and gap <= tol,
         iterations=len(history) - 1,
         log_likelihood=np.asarray(history),
-        floored=floored,
+        floored=int((probs < PROBABILITY_FLOOR).sum()),
         grouped=grouped,
+        gap=gap,
     )
 
 
@@ -437,8 +546,8 @@ def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = True,
     Each shot contributes its X value at the tag theta and its P value at
     theta - pi/2.  Tags come from phase_true, or from the block-averaged
     phase estimator when use_true_phase is False.  SNU traces are divided
-    by sqrt(2); amplitude_scale is an extra divisor for normalizing bright
-    references into a workable Fock cutoff (1.0 = off).
+    by UNITS.tomography_scale (sqrt(2)); amplitude_scale is an extra divisor
+    for normalizing bright references into a workable Fock cutoff (1.0 = off).
     """
     if not (amplitude_scale > 0):
         raise ValidationError(f"amplitude_scale must be positive, got {amplitude_scale}")
@@ -449,7 +558,7 @@ def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = True,
     else:
         tags = np.repeat(estimate_phase(trace, block=block), block)
 
-    scale = amplitude_scale * (math.sqrt(2.0) if trace.convention == "snu" else 1.0)
+    scale = amplitude_scale * (UNITS.tomography_scale if trace.convention == "snu" else 1.0)
     x_int = trace.x / scale
     p_int = trace.p / scale
 

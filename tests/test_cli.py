@@ -331,6 +331,16 @@ class TestTomography:
         assert report["converged"] == "false"
         assert (tmp_path / "tomo.rho.csv").exists()
 
+    @pytest.mark.parametrize("ppp, n_phases, engine", [(25, 80, "grouped"), (1, 400, "dense")])
+    def test_report_names_engine_and_gap(self, tmp_path, ppp, n_phases, engine):
+        raw = self.bright_trace(tmp_path, n_phases=n_phases, ppp=ppp)
+        cfg = self.tomo_config(tmp_path)
+        assert run("tomography", raw, "--config", cfg, "--out", tmp_path / "tomo") == 0
+        report = read_report(tmp_path / "tomo.report.txt")
+        assert report["engine"] == engine
+        assert report["converged"] == "true"
+        assert float(report["optimality_gap"]) <= 1e-9
+
     def test_fidelity_command(self, tmp_path, capsys):
         raw = self.bright_trace(tmp_path)
         cfg = self.tomo_config(tmp_path)

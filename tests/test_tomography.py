@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import eval_genlaguerre, eval_hermite, factorial
 
 from hetasym import (
@@ -39,6 +42,15 @@ def coherent_samples(rng, alpha: complex, n: int) -> PhaseTaggedSamples:
     theta = rng.uniform(0.0, TWO_PI, n)
     mean = math.sqrt(2.0) * (alpha * np.exp(1j * theta)).real
     return PhaseTaggedSamples(theta, rng.normal(mean, math.sqrt(0.5)))
+
+
+def independent_gap(samples: PhaseTaggedSamples, rho: np.ndarray) -> float:
+    """lambda_max(R) - 1 at rho, with R built from per-sample projectors
+    rather than from the reconstruction's engines."""
+    psi = quadrature_projector(samples.theta, samples.x, rho.shape[0])
+    probs = np.einsum("ij,ij->i", psi.conj(), psi @ rho.T).real
+    r = (psi / probs[:, None]).T @ psi.conj() / samples.n
+    return float(np.linalg.eigvalsh(0.5 * (r + r.conj().T)).max() - 1.0)
 
 
 class TestQuadratureProjector:
@@ -228,10 +240,11 @@ class TestMLEReconstruct:
             probs_g = engine.probabilities(rho)
             probs_d = dense.probabilities(rho)
             np.testing.assert_allclose(np.sort(probs_g), np.sort(probs_d), rtol=1e-10)
-            rho_g = engine.update(rho, probs_g)
-            rho_d = dense.update(rho, probs_d)
-            np.testing.assert_allclose(rho_g, rho_d, atol=1e-12)
-            rho = rho_d / np.trace(rho_d).real
+            r_g = engine.r_operator(probs_g)
+            r_d = dense.r_operator(probs_d)
+            np.testing.assert_allclose(r_g, r_d, atol=1e-12)
+            rho = r_d @ rho @ r_d
+            rho /= np.trace(rho).real
 
     def test_distinct_tags_use_dense_path(self):
         rng = np.random.default_rng(10)
@@ -256,6 +269,71 @@ class TestMLEReconstruct:
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
         assert np.trace(mat).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(mat).min() >= -1e-12
+
+
+class TestMLECertificate:
+    @pytest.mark.parametrize("grouped", [True, False])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_converged_means_certified_gap(self, grouped, tol):
+        rng = np.random.default_rng(31)
+        if grouped:
+            tags = np.repeat(make_phase_ramp(20, 0.0, TWO_PI), 150)
+            samples = PhaseTaggedSamples(
+                tags, rng.normal(math.sqrt(2.0) * np.cos(tags), math.sqrt(0.5)))
+        else:
+            samples = coherent_samples(rng, 1.0, 3_000)
+        result = mle_reconstruct(samples, 12, max_iter=500, tol=tol)
+        assert result.grouped == grouped
+        assert result.converged
+        gap = independent_gap(samples, result.rho.matrix)
+        assert gap <= tol
+        assert result.gap == pytest.approx(gap, abs=1e-12)
+
+    def test_unconverged_gap_reported(self):
+        rng = np.random.default_rng(6)
+        samples = coherent_samples(rng, 1.0, 2_000)
+        result = mle_reconstruct(samples, 12, max_iter=3, tol=1e-10)
+        assert not result.converged
+        assert result.gap > 1e-10
+        assert result.gap == pytest.approx(independent_gap(samples, result.rho.matrix),
+                                           abs=1e-12)
+
+    def test_flat_likelihood_is_not_converged(self):
+        # every probability underflows, so no step can raise the likelihood
+        # and the optimality bound does not hold: a stalled iteration must
+        # not be reported as convergence
+        samples = PhaseTaggedSamples(np.array([0.0, 0.0, math.pi, math.pi]),
+                                     np.array([30.0, -30.0, 31.0, -29.0]))
+        result = mle_reconstruct(samples, 3, max_iter=500, tol=1e-10)
+        assert not result.converged
+        assert result.gap == math.inf
+        assert result.iterations == 0
+        assert result.floored == samples.n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(3, 8),
+    grouped=st.booleans(),
+    xs=arrays(np.float64, st.integers(200, 400), elements=st.floats(-4.0, 4.0)),
+)
+def test_mle_result_invariants(dim, grouped, xs):
+    n = xs.size
+    if grouped:
+        tags = make_phase_ramp(16, 0.0, TWO_PI)[np.arange(n) % 16]
+    else:  # golden-angle tags never repeat
+        tags = np.mod(np.arange(n) * math.pi * (3.0 - math.sqrt(5.0)), TWO_PI)
+    samples = PhaseTaggedSamples(tags, xs)
+    tol = 1e-9
+    result = mle_reconstruct(samples, dim, max_iter=300, tol=tol)
+    assert result.grouped == grouped
+    mat = result.rho.matrix
+    assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
+    assert np.trace(mat).real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(mat).min() >= -1e-12
+    assert np.all(np.diff(result.log_likelihood) >= 0.0)
+    if result.converged:
+        assert independent_gap(samples, mat) <= tol
 
 
 class TestWigner:
