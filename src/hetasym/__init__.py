@@ -24,6 +24,7 @@ from .keyrate import (
     g_entropy,
     holevo_bound,
     key_rate,
+    key_rate_curve,
     max_distance,
     mutual_information,
     symplectic_spectrum,
@@ -79,6 +80,7 @@ __all__ = [
     "g_entropy",
     "holevo_bound",
     "key_rate",
+    "key_rate_curve",
     "max_distance",
     "mutual_information",
     "symplectic_spectrum",

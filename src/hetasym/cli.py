@@ -10,9 +10,7 @@ error).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +19,8 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .csvio import (
+    csv_rows,
+    fmt,
     header_lines,
     read_density_csv,
     read_trace_csv,
@@ -32,7 +32,7 @@ from .csvio import (
 )
 from .detector import HeterodyneModel, gains_from_percent, percent_difference, simulate_heterodyne
 from .errors import NumericalDomainError, ValidationError
-from .keyrate import KeyRateParams, key_rate, max_distance
+from .keyrate import KeyRateParams, key_rate_curve, max_distance
 from .phase import (
     detection_phase_variance,
     drift_phase_variance,
@@ -54,10 +54,6 @@ from .traces import ReferenceSignalSpec
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _detector_from_config(config: RunConfig) -> HeterodyneModel:
@@ -118,15 +114,15 @@ def cmd_scale(config: RunConfig, input_path: str) -> int:
                     extra_comments=[f"source: {Path(input_path).name}"])
     report_path = Path(config.out).with_suffix(".report.txt")
     entries = [
-        ("span_x", _fmt(span_x)),
-        ("span_p", _fmt(span_p)),
-        ("asymmetry_percent", _fmt(asym_percent)),
+        ("span_x", fmt(span_x)),
+        ("span_p", fmt(span_p)),
+        ("asymmetry_percent", fmt(asym_percent)),
         ("undefined_blocks_dropped", str(dropped)),
-        ("v_det_rad2", _fmt(v_det)),
-        ("xi_det_snu", _fmt(xi_det)),
-        ("v_drift_rad2", _fmt(v_drift)),
-        ("v_total_rad2", _fmt(v_total)),
-        ("xi_total_snu", _fmt(excess_noise_from_phase_variance(config.v_a, v_total))),
+        ("v_det_rad2", fmt(v_det)),
+        ("xi_det_snu", fmt(xi_det)),
+        ("v_drift_rad2", fmt(v_drift)),
+        ("v_total_rad2", fmt(v_total)),
+        ("xi_total_snu", fmt(excess_noise_from_phase_variance(config.v_a, v_total))),
     ]
     write_report(report_path, "scale", config, entries)
     print(f"scale: asymmetry {asym_percent:.2f}%, v_det {v_det:.6e} rad^2, "
@@ -142,8 +138,7 @@ def cmd_phase_deviation(config: RunConfig, input_path: str) -> int:
     lines = header_lines("phase-deviation", config)
     lines.append(f"# undefined_blocks_skipped: {dropped}")
     lines.append("theta_scaled,delta_theta")
-    for ts, dt in zip(theta_scaled, delta):
-        lines.append(f"{_fmt(ts)},{_fmt(dt)}")
+    lines += csv_rows(theta_scaled, delta)
     write_lines(config.out, lines)
     if dropped:
         print(f"phase-deviation: skipped {dropped} undefined blocks", file=sys.stderr)
@@ -163,27 +158,16 @@ def cmd_keyrate_sweep(config: RunConfig) -> int:
         eta=config.eta, v_elec=config.v_elec, alpha_db_per_km=config.alpha_db_per_km,
         baud=config.baud, frame_ratio=config.frame_ratio,
     )
-
-    def column(xi_det: float) -> list[float]:
-        params = replace(base, xi_det=xi_det)
-        return [key_rate(replace(params, distance_km=d)).rate_per_symbol for d in distances]
-
-    jobs = max(1, int(config.jobs))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            columns = list(pool.map(column, xi_values))
-    else:
-        columns = [column(xi) for xi in xi_values]
-    cutoffs = [max_distance(replace(base, xi_det=xi), config.max_distance_resolution_km)
-               for xi in xi_values]
-
     lines = header_lines("keyrate-sweep", config)
-    for xi, cutoff in zip(xi_values, cutoffs):
-        rendered = "inf" if math.isinf(cutoff) else _fmt(cutoff)
-        lines.append(f"# max_distance_km xi_det={_fmt(xi)}: {rendered}")
-    lines.append("distance_km," + ",".join(f"rate_xi_{_fmt(xi)}" for xi in xi_values))
-    for i, d in enumerate(distances):
-        lines.append(_fmt(d) + "," + ",".join(_fmt(col[i]) for col in columns))
+    columns = []
+    for xi in xi_values:
+        params = replace(base, xi_det=xi)
+        columns.append(key_rate_curve(params, distances))
+        # fmt renders an unbounded cutoff (math.inf) as "inf"
+        cutoff = max_distance(params, config.max_distance_resolution_km)
+        lines.append(f"# max_distance_km xi_det={fmt(xi)}: {fmt(cutoff)}")
+    lines.append("distance_km," + ",".join(f"rate_xi_{fmt(xi)}" for xi in xi_values))
+    lines += csv_rows(distances, *columns)
     write_lines(config.out, lines)
     print(f"keyrate-sweep: {len(distances)} distances x {len(xi_values)} xi_det -> {config.out}")
     return EXIT_OK
@@ -213,17 +197,17 @@ def cmd_tomography(config: RunConfig, input_path: str) -> int:
     write_density_csv(rho_path, result.rho, "tomography", config, extra_comments=diag)
     write_wigner_csv(wig_path, grid, "tomography", config, extra_comments=diag)
     entries = [
-        ("alpha_fit_re", _fmt(alpha_fit.real)),
-        ("alpha_fit_im", _fmt(alpha_fit.imag)),
-        ("fidelity_sqrt", _fmt(fid_sqrt)),
-        ("fidelity_squared", _fmt(fid_squared)),
+        ("alpha_fit_re", fmt(alpha_fit.real)),
+        ("alpha_fit_im", fmt(alpha_fit.imag)),
+        ("fidelity_sqrt", fmt(fid_sqrt)),
+        ("fidelity_squared", fmt(fid_squared)),
         ("converged", "true" if result.converged else "false"),
         ("iterations", str(result.iterations)),
-        ("final_log_likelihood", _fmt(result.log_likelihood[-1])),
+        ("final_log_likelihood", fmt(result.log_likelihood[-1])),
         ("floored_probabilities", str(result.floored)),
         ("engine", "grouped" if result.grouped else "dense"),
-        ("optimality_gap", _fmt(result.gap)),
-        ("wigner_normalization", _fmt(grid.normalization())),
+        ("optimality_gap", fmt(result.gap)),
+        ("wigner_normalization", fmt(grid.normalization())),
     ]
     write_report(report_path, "tomography", config, entries)
     print(f"tomography: fidelity(sqrt) {fid_sqrt:.4f}, converged={result.converged} "
@@ -240,7 +224,7 @@ def cmd_fidelity(config: RunConfig, rho_path: str, sigma_path: str) -> int:
     rho = read_density_csv(rho_path)
     sigma = read_density_csv(sigma_path)
     value = fidelity(rho, sigma, config.convention)
-    print(f"fidelity_{config.convention} = {_fmt(value)}")
+    print(f"fidelity_{config.convention} = {fmt(value)}")
     return EXIT_OK
 
 
@@ -256,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="flat key = value config file")
         p.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
         p.add_argument("--out", metavar="PATH", help="output path (or prefix for tomography)")
-        p.add_argument("--jobs", type=int, metavar="N", help="worker threads for sweeps")
+        p.add_argument("--jobs", type=int, metavar="N",
+                       help="accepted and ignored (kept for existing scripts)")
 
     p = sub.add_parser("simulate", help="simulate a phase-swept heterodyne trace")
     common(p)
@@ -291,8 +276,6 @@ def _apply_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         config.seed = args.seed
     if args.out is not None:
         config.out = args.out
-    if args.jobs is not None:
-        config.jobs = args.jobs
     if getattr(args, "dim", None) is not None:
         config.dim = args.dim
     if getattr(args, "convention", None) is not None:

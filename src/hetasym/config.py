@@ -29,7 +29,7 @@ class RunConfig:
 
     seed: int = 12345
     out: str = "out.csv"
-    jobs: int = 1
+    jobs: int = 1  # accepted and ignored, so existing configs still parse
 
     # reference signal
     amplitude_sq: float = 552.0

@@ -9,6 +9,8 @@ with shortest round-trip repr so identical runs are byte-identical.
 
 from __future__ import annotations
 
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +22,25 @@ from .tomography import DensityMatrix, WignerGrid
 from .traces import QuadratureTrace
 
 
-def _fmt(value: float) -> str:
+def fmt(value: float) -> str:
+    """One float in shortest round-trip repr: the format of every float cell
+    and report value."""
     return repr(float(value))
+
+
+def csv_rows(*columns) -> list[str]:
+    """Comma-joined data rows of equal-length columns, a column at a time.
+
+    Integer columns are written as integers; every other column is cast to
+    float64 and each cell is written as :func:`fmt` would write it.
+    """
+    cells = []
+    for column in columns:
+        arr = np.asarray(column)
+        if arr.dtype.kind not in "iu":
+            arr = arr.astype(np.float64, copy=False)
+        cells.append(map(repr, arr.tolist()))
+    return list(map(",".join, zip(*cells)))
 
 
 def header_lines(command: str, config: RunConfig) -> list[str]:
@@ -44,43 +63,52 @@ def write_trace_csv(path: str | Path, trace: QuadratureTrace, command: str,
     lines = header_lines(command, config)
     if extra_comments:
         lines += [f"# {comment}" for comment in extra_comments]
-    has_phase = trace.phase_true is not None
-    lines.append("index,x,p,phase_true" if has_phase else "index,x,p")
-    for i in range(trace.n):
-        row = f"{i},{_fmt(trace.x[i])},{_fmt(trace.p[i])}"
-        if has_phase:
-            row += f",{_fmt(trace.phase_true[i])}"
-        lines.append(row)
+    columns = [np.arange(trace.n), trace.x, trace.p]
+    if trace.phase_true is None:
+        lines.append("index,x,p")
+    else:
+        lines.append("index,x,p,phase_true")
+        columns.append(trace.phase_true)
+    lines += csv_rows(*columns)
     write_lines(path, lines)
 
 
-def read_trace_csv(path: str | Path) -> QuadratureTrace:
-    rows = []
+def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Header names and float rows of a CSV file.  Comment and blank lines
+    are skipped; every data row must have one number per header name."""
     header = None
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append(line.split(","))
-    if header is None or not rows:
+        try:
+            for raw in handle:
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    header = line.split(",")
+                    break
+            with warnings.catch_warnings():
+                # an empty body is reported below as a ValidationError
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed data row ({exc})") from exc
+    if header is None or data.shape[0] == 0:
         raise ValidationError(f"{path}: no data rows")
+    if data.shape[1] != len(header):
+        raise ValidationError(
+            f"{path}: rows have {data.shape[1]} columns, header has {len(header)}")
+    return header, data
+
+
+def read_trace_csv(path: str | Path) -> QuadratureTrace:
+    header, data = _read_table(path)
     columns = {name: idx for idx, name in enumerate(header)}
     for required in ("index", "x", "p"):
         if required not in columns:
             raise ValidationError(f"{path}: missing column {required!r}")
-    try:
-        x = np.array([float(row[columns["x"]]) for row in rows])
-        p = np.array([float(row[columns["p"]]) for row in rows])
-        phase = None
-        if "phase_true" in columns:
-            phase = np.array([float(row[columns["phase_true"]]) for row in rows])
-    except (ValueError, IndexError) as exc:
-        raise ValidationError(f"{path}: malformed data row") from exc
-    return QuadratureTrace(x, p, phase)
+    n = data.shape[0]
+    if not np.array_equal(data[:, columns["index"]], np.arange(n)):
+        raise ValidationError(f"{path}: index column is not 0..{n - 1} in order")
+    phase = data[:, columns["phase_true"]] if "phase_true" in columns else None
+    return QuadratureTrace(data[:, columns["x"]], data[:, columns["p"]], phase)
 
 
 def write_density_csv(path: str | Path, rho: DensityMatrix, command: str,
@@ -89,30 +117,31 @@ def write_density_csv(path: str | Path, rho: DensityMatrix, command: str,
     if extra_comments:
         lines += [f"# {comment}" for comment in extra_comments]
     lines.append("row,col,re,im")
-    mat = rho.matrix
-    for i in range(rho.dim):
-        for j in range(rho.dim):
-            lines.append(f"{i},{j},{_fmt(mat[i, j].real)},{_fmt(mat[i, j].imag)}")
+    index = np.arange(rho.dim)
+    lines += csv_rows(np.repeat(index, rho.dim), np.tile(index, rho.dim),
+                      rho.matrix.real.ravel(), rho.matrix.imag.ravel())
     write_lines(path, lines)
 
 
 def read_density_csv(path: str | Path) -> DensityMatrix:
-    entries = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("row,"):
-                continue
-            entries.append(line.split(","))
-    if not entries:
-        raise ValidationError(f"{path}: no data rows")
-    try:
-        size = max(int(entry[0]) for entry in entries) + 1
-        mat = np.zeros((size, size), dtype=np.complex128)
-        for entry in entries:
-            mat[int(entry[0]), int(entry[1])] = float(entry[2]) + 1j * float(entry[3])
-    except (ValueError, IndexError) as exc:
-        raise ValidationError(f"{path}: malformed density-matrix row") from exc
+    """Density matrix from its row,col,re,im CSV; every (row, col) of a
+    square matrix must appear exactly once."""
+    header, data = _read_table(path)
+    if header != ["row", "col", "re", "im"]:
+        raise ValidationError(f"{path}: header must be row,col,re,im, got {','.join(header)}")
+    n = data.shape[0]
+    dim = math.isqrt(n)
+    if dim * dim != n:
+        raise ValidationError(f"{path}: {n} entries do not fill a square matrix")
+    index = data[:, :2]
+    if not np.all((index >= 0) & (index < dim) & (index == np.floor(index))):
+        raise ValidationError(f"{path}: row and col must be integers in 0..{dim - 1}")
+    rows, cols = index.astype(np.intp).T
+    if np.unique(rows * dim + cols).size != n:
+        raise ValidationError(f"{path}: duplicate (row, col) entries")
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat.real[rows, cols] = data[:, 2]
+    mat.imag[rows, cols] = data[:, 3]
     return DensityMatrix(mat)
 
 
@@ -122,9 +151,8 @@ def write_wigner_csv(path: str | Path, grid: WignerGrid, command: str,
     if extra_comments:
         lines += [f"# {comment}" for comment in extra_comments]
     lines.append("x,p,w")
-    for i, x in enumerate(grid.x_axis):
-        for j, p in enumerate(grid.p_axis):
-            lines.append(f"{_fmt(x)},{_fmt(p)},{_fmt(grid.values[i, j])}")
+    lines += csv_rows(np.repeat(grid.x_axis, grid.p_axis.size),
+                      np.tile(grid.p_axis, grid.x_axis.size), grid.values.ravel())
     write_lines(path, lines)
 
 

@@ -207,6 +207,16 @@ class KeyRateBreakdown:
         return self.rate_per_symbol > 0.0
 
 
+def _rate_terms(params: KeyRateParams, distance_km: float, chi_h: float):
+    """(T, chi_line, I(A;B), symplectic spectrum, Holevo bound) at one
+    distance; chi_h is chi_het(params.eta, params.v_elec)."""
+    t = transmittance(params.alpha_db_per_km, distance_km)
+    chi_l = chi_line(t, params.xi_ex / t)
+    info = mutual_information(params.v, chi_l)
+    lams = symplectic_spectrum(params.v, t, chi_l, chi_h)
+    return t, chi_l, info, lams, holevo_bound(lams)
+
+
 def key_rate(params: KeyRateParams) -> KeyRateBreakdown:
     """Full chain: transmittance -> added noises -> I(A;B) -> symplectic
     spectrum -> Holevo -> r = beta I - chi  [bits/symbol], plus the
@@ -218,12 +228,8 @@ def key_rate(params: KeyRateParams) -> KeyRateBreakdown:
     distance and every noisy curve has a finite cutoff.  Back to back
     (T = 1) the two conventions coincide.
     """
-    t = transmittance(params.alpha_db_per_km, params.distance_km)
-    chi_l = chi_line(t, params.xi_ex / t)
     chi_h = chi_het(params.eta, params.v_elec)
-    info = mutual_information(params.v, chi_l)
-    lams = symplectic_spectrum(params.v, t, chi_l, chi_h)
-    holevo = holevo_bound(lams)
+    t, chi_l, info, lams, holevo = _rate_terms(params, params.distance_km, chi_h)
     rate = params.beta * info - holevo
     return KeyRateBreakdown(
         transmittance=t,
@@ -236,6 +242,18 @@ def key_rate(params: KeyRateParams) -> KeyRateBreakdown:
         rate_per_symbol=rate,
         rate_bits_per_sec=params.baud * params.frame_ratio * rate,
     )
+
+
+def key_rate_curve(params: KeyRateParams, distances) -> list[float]:
+    """rate_per_symbol of :func:`key_rate` at each distance, bit for bit,
+    without a params or breakdown object per point (params.distance_km is
+    ignored)."""
+    chi_h = chi_het(params.eta, params.v_elec)
+    rates = []
+    for d in distances:
+        _, _, info, _, holevo = _rate_terms(params, d, chi_h)
+        rates.append(params.beta * info - holevo)
+    return rates
 
 
 def max_distance(params: KeyRateParams, resolution_km: float = 0.01,

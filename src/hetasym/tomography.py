@@ -33,6 +33,8 @@ _HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _EIGENVALUE_TOL = 1e-10
 _WIGNER_BOUND_TOL = 1e-6
+#: Tags closer than this modulo pi (radians) count as one quadrature.
+_SAME_QUADRATURE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,18 @@ class PhaseTaggedSamples:
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(x))):
             raise ValidationError("samples contain non-finite values")
         distinct = np.unique(theta)
-        if distinct.size < 2 or distinct.max() - distinct.min() < math.pi:
+        # x at theta + pi is -x at theta, so tags that agree modulo pi all
+        # measure one quadrature
+        folded = np.mod(distinct - distinct[0], math.pi)
+        if distinct.max() - distinct.min() < math.pi:
             warnings.warn(
                 "phase tags span less than pi: reconstruction is not informationally complete",
+                stacklevel=2,
+            )
+        elif np.all(np.minimum(folded, math.pi - folded) <= _SAME_QUADRATURE_TOL):
+            warnings.warn(
+                "phase tags are all equal modulo pi, so they measure a single quadrature: "
+                "reconstruction is not informationally complete",
                 stacklevel=2,
             )
         theta.setflags(write=False)

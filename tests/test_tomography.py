@@ -302,8 +302,9 @@ class TestMLECertificate:
         # every probability underflows, so no step can raise the likelihood
         # and the optimality bound does not hold: a stalled iteration must
         # not be reported as convergence
-        samples = PhaseTaggedSamples(np.array([0.0, 0.0, math.pi, math.pi]),
-                                     np.array([30.0, -30.0, 31.0, -29.0]))
+        with pytest.warns(UserWarning, match="single quadrature"):  # 0 and pi: one quadrature
+            samples = PhaseTaggedSamples(np.array([0.0, 0.0, math.pi, math.pi]),
+                                         np.array([30.0, -30.0, 31.0, -29.0]))
         result = mle_reconstruct(samples, 3, max_iter=500, tol=1e-10)
         assert not result.converged
         assert result.gap == math.inf
