@@ -67,15 +67,19 @@ def g_entropy(x: float) -> float:
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
+# The clamps in this chain spell max(x, lo) as `lo if lo > x else x`: the
+# same value (NaN included) without a builtin call, of which a key-rate
+# sweep would make about 17 per distance.
 def _clamped_sqrt(value: float, what: str, slack: float = CLAMP_TOL) -> float:
     if value < -slack:
         raise NumericalDomainError(f"{what} = {value} is negative beyond tolerance (unphysical parameters)")
-    return math.sqrt(max(value, 0.0))
+    return math.sqrt(0.0 if 0.0 > value else value)
 
 #: Cancellation in A^2 - 4B is at machine epsilon relative to A^2, so the
 #: physicality guards must scale with the discriminant inputs; a fixed
 #: absolute tolerance rejects exactly degenerate points such as T = 1.
 _EPS = sys.float_info.epsilon
+_LAM_SLACK = 4.0 * math.sqrt(_EPS)
 
 
 def symplectic_spectrum(v: float, t: float, chi_line_value: float,
@@ -116,14 +120,14 @@ def symplectic_spectrum(v: float, t: float, chi_line_value: float,
     for big, small, tag in ((a, b, "A^2 - 4B"), (c, d, "C^2 - 4D")):
         disc_slack = CLAMP_TOL + 16.0 * _EPS * big * big
         disc = _clamped_sqrt(big * big - 4.0 * small, tag, disc_slack)
-        lam_slack = CLAMP_TOL + 4.0 * math.sqrt(_EPS) * max(1.0, big)
+        lam_slack = CLAMP_TOL + _LAM_SLACK * (big if big > 1.0 else 1.0)
         for sign in (1.0, -1.0):
             lam = _clamped_sqrt(0.5 * (big + sign * disc), "symplectic eigenvalue^2")
             if lam < 1.0 - lam_slack:
                 raise NumericalDomainError(
                     f"symplectic eigenvalue {lam} < 1 beyond tolerance (unphysical parameters)"
                 )
-            lams.append(max(lam, 1.0))
+            lams.append(1.0 if 1.0 > lam else lam)
     return lams[0], lams[1], lams[2], lams[3]
 
 
@@ -133,15 +137,13 @@ def holevo_bound(lams: tuple[float, float, float, float]) -> float:
     clamped below at 0  [bits/symbol]."""
     if len(lams) != 4:
         raise ValidationError(f"expected four symplectic eigenvalues, got {len(lams)}")
-    cleaned = []
     for lam in lams:
         if lam < 1.0 - CLAMP_TOL:
             raise NumericalDomainError(f"symplectic eigenvalue {lam} < 1 beyond tolerance")
-        cleaned.append(max(lam, 1.0))
-    l1, l2, l3, l4 = cleaned
+    l1, l2, l3, l4 = (1.0 if 1.0 > lam else lam for lam in lams)
     value = (g_entropy((l1 - 1.0) / 2.0) + g_entropy((l2 - 1.0) / 2.0)
              - g_entropy((l3 - 1.0) / 2.0) - g_entropy((l4 - 1.0) / 2.0))
-    return max(value, 0.0)
+    return 0.0 if 0.0 > value else value
 
 
 @dataclass(frozen=True)
