@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .csvio import (
-    csv_rows,
+    CsvLines,
     fmt,
     header_lines,
     read_density_csv,
@@ -34,6 +34,7 @@ from .detector import HeterodyneModel, gains_from_percent, percent_difference, s
 from .errors import NumericalDomainError, ValidationError
 from .keyrate import KeyRateParams, key_rate_curve, max_distance
 from .phase import (
+    PhaseNoiseBudget,
     detection_phase_variance,
     drift_phase_variance,
     estimate_phase,
@@ -49,7 +50,7 @@ from .tomography import (
     samples_from_trace,
     wigner,
 )
-from .traces import ReferenceSignalSpec
+from .traces import ReferenceSignalSpec, spans_full_rotation
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -87,6 +88,17 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _read_full_sweep(input_path: str):
+    """The trace at ``input_path``; when it carries ``phase_true``, the sweep
+    must cover a full rotation, because the min-max spans of a partial sweep
+    misstate the asymmetry."""
+    trace = read_trace_csv(input_path)
+    if trace.phase_true is not None and not spans_full_rotation(trace.phase_true):
+        raise ValidationError(f"{input_path}: phase_true does not cover a full rotation, "
+                              "so the quadrature spans cannot measure the asymmetry")
+    return trace
+
+
 def _paired_block_phases(trace, scaled, block):
     """Block phase estimates of the asymmetric and scaled traces with
     undefined blocks dropped pairwise; returns (scaled, asym, dropped)."""
@@ -97,7 +109,7 @@ def _paired_block_phases(trace, scaled, block):
 
 
 def cmd_scale(config: RunConfig, input_path: str) -> int:
-    trace = read_trace_csv(input_path)
+    trace = _read_full_sweep(input_path)
     scaled = min_max_scale(trace)
     span_x = float(trace.x.max() - trace.x.min())
     span_p = float(trace.p.max() - trace.p.min())
@@ -107,9 +119,11 @@ def cmd_scale(config: RunConfig, input_path: str) -> int:
         raise ValidationError("too few defined phase blocks to estimate the detection variance")
     v_det = detection_phase_variance(theta_scaled, theta_asym)
     xi_det = excess_noise_from_phase_variance(config.v_a, v_det)
-    v_drift = drift_phase_variance(config.linewidth_a, config.linewidth_b,
-                                   config.pulse_separation)
-    v_total = v_drift + v_det
+    budget = PhaseNoiseBudget(
+        v_drift=drift_phase_variance(config.linewidth_a, config.linewidth_b,
+                                     config.pulse_separation),
+        v_det=v_det,
+    )
     write_trace_csv(config.out, scaled, "scale", config,
                     extra_comments=[f"source: {Path(input_path).name}"])
     report_path = Path(config.out).with_suffix(".report.txt")
@@ -120,9 +134,9 @@ def cmd_scale(config: RunConfig, input_path: str) -> int:
         ("undefined_blocks_dropped", str(dropped)),
         ("v_det_rad2", fmt(v_det)),
         ("xi_det_snu", fmt(xi_det)),
-        ("v_drift_rad2", fmt(v_drift)),
-        ("v_total_rad2", fmt(v_total)),
-        ("xi_total_snu", fmt(excess_noise_from_phase_variance(config.v_a, v_total))),
+        ("v_drift_rad2", fmt(budget.v_drift)),
+        ("v_total_rad2", fmt(budget.v_total)),
+        ("xi_total_snu", fmt(budget.excess_noise(config.v_a))),
     ]
     write_report(report_path, "scale", config, entries)
     print(f"scale: asymmetry {asym_percent:.2f}%, v_det {v_det:.6e} rad^2, "
@@ -131,15 +145,14 @@ def cmd_scale(config: RunConfig, input_path: str) -> int:
 
 
 def cmd_phase_deviation(config: RunConfig, input_path: str) -> int:
-    trace = read_trace_csv(input_path)
+    trace = _read_full_sweep(input_path)
     scaled = min_max_scale(trace)
     theta_scaled, theta_asym, dropped = _paired_block_phases(trace, scaled, config.block)
     delta = wrap_phase(theta_asym - theta_scaled)
     lines = header_lines("phase-deviation", config)
     lines.append(f"# undefined_blocks_skipped: {dropped}")
     lines.append("theta_scaled,delta_theta")
-    lines += csv_rows(theta_scaled, delta)
-    write_lines(config.out, lines)
+    write_lines(config.out, CsvLines(lines, theta_scaled, delta))
     if dropped:
         print(f"phase-deviation: skipped {dropped} undefined blocks", file=sys.stderr)
     print(f"phase-deviation: wrote {theta_scaled.size} rows to {config.out}")
@@ -167,8 +180,7 @@ def cmd_keyrate_sweep(config: RunConfig) -> int:
         cutoff = max_distance(params, config.max_distance_resolution_km)
         lines.append(f"# max_distance_km xi_det={fmt(xi)}: {fmt(cutoff)}")
     lines.append("distance_km," + ",".join(f"rate_xi_{fmt(xi)}" for xi in xi_values))
-    lines += csv_rows(distances, *columns)
-    write_lines(config.out, lines)
+    write_lines(config.out, CsvLines(lines, distances, *columns))
     print(f"keyrate-sweep: {len(distances)} distances x {len(xi_values)} xi_det -> {config.out}")
     return EXIT_OK
 

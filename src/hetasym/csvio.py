@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import islice
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -43,6 +45,30 @@ def csv_rows(*columns) -> list[str]:
     return list(map(",".join, zip(*cells)))
 
 
+#: Rows formatted and lines written per step, so a writer holds one block of
+#: strings, never the whole file.
+_BLOCK_ROWS = 1024
+
+
+class CsvLines:
+    """The lines of a CSV file: ``head`` (comment and header lines), then one
+    row per index of the equal-length ``columns``, written as
+    :func:`csv_rows` writes them.
+
+    Rows are formatted a block at a time on each iteration, so iterating the
+    lines of a long trace never holds all of its row strings at once.
+    """
+
+    def __init__(self, head: list[str], *columns):
+        self.head = head
+        self.columns = columns
+
+    def __iter__(self) -> Iterator[str]:
+        yield from self.head
+        for start in range(0, len(self.columns[0]), _BLOCK_ROWS):
+            yield from csv_rows(*(column[start:start + _BLOCK_ROWS] for column in self.columns))
+
+
 def header_lines(command: str, config: RunConfig) -> list[str]:
     lines = [
         f"# hetasym {__version__}",
@@ -54,8 +80,12 @@ def header_lines(command: str, config: RunConfig) -> list[str]:
     return lines
 
 
-def write_lines(path: str | Path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` LF-terminated to ``path``, a block of lines at a time."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        while block := list(islice(lines, _BLOCK_ROWS)):
+            handle.write("\n".join(block) + "\n")
 
 
 def write_trace_csv(path: str | Path, trace: QuadratureTrace, command: str,
@@ -69,8 +99,7 @@ def write_trace_csv(path: str | Path, trace: QuadratureTrace, command: str,
     else:
         lines.append("index,x,p,phase_true")
         columns.append(trace.phase_true)
-    lines += csv_rows(*columns)
-    write_lines(path, lines)
+    write_lines(path, CsvLines(lines, *columns))
 
 
 def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
@@ -118,9 +147,8 @@ def write_density_csv(path: str | Path, rho: DensityMatrix, command: str,
         lines += [f"# {comment}" for comment in extra_comments]
     lines.append("row,col,re,im")
     index = np.arange(rho.dim)
-    lines += csv_rows(np.repeat(index, rho.dim), np.tile(index, rho.dim),
-                      rho.matrix.real.ravel(), rho.matrix.imag.ravel())
-    write_lines(path, lines)
+    write_lines(path, CsvLines(lines, np.repeat(index, rho.dim), np.tile(index, rho.dim),
+                               rho.matrix.real.ravel(), rho.matrix.imag.ravel()))
 
 
 def read_density_csv(path: str | Path) -> DensityMatrix:
@@ -151,9 +179,8 @@ def write_wigner_csv(path: str | Path, grid: WignerGrid, command: str,
     if extra_comments:
         lines += [f"# {comment}" for comment in extra_comments]
     lines.append("x,p,w")
-    lines += csv_rows(np.repeat(grid.x_axis, grid.p_axis.size),
-                      np.tile(grid.p_axis, grid.x_axis.size), grid.values.ravel())
-    write_lines(path, lines)
+    write_lines(path, CsvLines(lines, np.repeat(grid.x_axis, grid.p_axis.size),
+                               np.tile(grid.p_axis, grid.x_axis.size), grid.values.ravel()))
 
 
 def write_report(path: str | Path, command: str, config: RunConfig,

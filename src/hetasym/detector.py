@@ -25,8 +25,9 @@ class HeterodyneModel:
     """Detector parameters; per-quadrature gains encode the asymmetry.
 
     gain_x / gain_p are dimensionless power factors in (0, 1] applied to the
-    light reaching the X / P balanced pair.  responsivity and p_lo are kept
-    explicit but default to 1 and cancel after normalization.
+    light reaching the X / P balanced pair.  Photodiode responsivity and
+    local-oscillator power scale both quadratures alike and cancel in the
+    shot-noise normalization, so they are not parameters.
     """
 
     gain_x: float = 1.0
@@ -34,8 +35,6 @@ class HeterodyneModel:
     hybrid_phase_error: float = 0.0
     shot_noise_var: float = 1.0
     elec_noise_var: float = 0.0
-    responsivity: float = 1.0
-    p_lo: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.gain_x <= 1.0):
@@ -46,8 +45,6 @@ class HeterodyneModel:
             raise ValidationError(f"shot_noise_var must be positive, got {self.shot_noise_var}")
         if self.elec_noise_var < 0:
             raise ValidationError(f"elec_noise_var must be >= 0, got {self.elec_noise_var}")
-        if self.responsivity <= 0 or self.p_lo <= 0:
-            raise ValidationError("responsivity and p_lo must be positive")
 
     @property
     def asymmetry_percent(self) -> float:

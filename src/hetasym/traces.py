@@ -137,15 +137,23 @@ class ReferenceSignalSpec:
     def spans_full_rotation(self) -> bool:
         """True when the sweep covers one full period (required before the
         trace can be used for asymmetry estimation)."""
-        if len(self.phases) < 2:
-            return False
-        span = float(np.max(self.phases) - np.min(self.phases))
-        step = span / (len(self.phases) - 1)
-        return span + step >= TWO_PI - 1e-9
+        return spans_full_rotation(self.phases)
 
     def sample_phases(self) -> np.ndarray:
         """Per-sample true phases (each phase point repeated per pulse)."""
         return np.repeat(self.phases, self.pulses_per_phase)
+
+
+def spans_full_rotation(phases) -> bool:
+    """True when the distinct phases, read as the points of an evenly spaced
+    sweep, cover one full period: their span plus one mean step between
+    neighbouring points reaches 2 pi.  Repeats of a phase point (several
+    pulses per phase) do not count as extra points."""
+    points = np.unique(phases)
+    if points.size < 2:
+        return False
+    span = float(points[-1] - points[0])
+    return span + span / (points.size - 1) >= TWO_PI - 1e-9
 
 
 def make_phase_ramp(n: int, start: float, stop: float) -> np.ndarray:

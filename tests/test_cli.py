@@ -177,6 +177,15 @@ class TestScale:
     def test_missing_file_exit_2(self, tmp_path):
         assert run("scale", tmp_path / "nope.csv", "--out", tmp_path / "o.csv") == 2
 
+    def test_partial_sweep_exit_2(self, tmp_path):
+        # half a rotation misses an extreme of the x span; without the check
+        # this reported ~42.7% for a true 14.29% asymmetry with exit code 0
+        raw = self.simulate(tmp_path, n_phases=20000, amplitude_sq=552.0,
+                            asymmetry_percent=14.29, phase_stop=math.pi)
+        assert run("scale", raw, "--out", tmp_path / "scaled.csv") == 2
+        assert not (tmp_path / "scaled.report.txt").exists()
+        assert run("phase-deviation", raw, "--out", tmp_path / "dev.csv") == 2
+
 
 class TestPhaseDeviation:
     def deviation_rows(self, path: Path):

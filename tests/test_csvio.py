@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,17 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hetasym import csvio
 from hetasym.cli import main
 from hetasym.config import RunConfig
 from hetasym.csvio import (
+    CsvLines,
     csv_rows,
+    header_lines,
     read_density_csv,
     read_trace_csv,
     write_density_csv,
+    write_lines,
     write_trace_csv,
+    write_wigner_csv,
 )
 from hetasym.errors import ValidationError
-from hetasym.tomography import DensityMatrix
+from hetasym.tomography import DensityMatrix, WignerGrid
 from hetasym.traces import QuadratureTrace
 
 # every finite float64, including -0.0, subnormals and +-1.7976931348623157e308
@@ -79,6 +85,86 @@ def test_density_round_trip_is_bit_exact(scratch, factor):
     write_density_csv(path, rho, "tomography", RunConfig())
     back = read_density_csv(path)
     assert same_bits(back.matrix.view(np.float64), rho.matrix.view(np.float64))
+
+
+def write_side(path, writer: str, side: int) -> str:
+    """Write ``side`` squared rows with one writer; return the text that a
+    one-shot join of the header and every csv_rows row gives."""
+    rng = np.random.default_rng(side)
+    n = side * side
+    config = RunConfig()
+    comments = ["converged: true"]
+    head = header_lines("test", config) + [f"# {c}" for c in comments]
+    if writer in ("trace", "trace_no_phase"):
+        x, p, phase = rng.standard_normal((3, n)) * 30.0
+        trace = QuadratureTrace(x, p, phase if writer == "trace" else None)
+        write_trace_csv(path, trace, "test", config, extra_comments=comments)
+        columns = [np.arange(n), x, p] + ([phase] if writer == "trace" else [])
+        head.append("index,x,p,phase_true" if writer == "trace" else "index,x,p")
+    elif writer == "density":
+        a = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        gram = a @ a.conj().T
+        rho = DensityMatrix(gram / np.trace(gram).real)
+        write_density_csv(path, rho, "test", config, extra_comments=comments)
+        index = np.arange(side)
+        columns = [np.repeat(index, side), np.tile(index, side),
+                   rho.matrix.real.ravel(), rho.matrix.imag.ravel()]
+        head.append("row,col,re,im")
+    elif writer == "wigner":
+        axis = np.arange(side) * 0.5
+        grid = WignerGrid(axis, axis + 0.1, rng.uniform(-0.3, 0.3, (side, side)))
+        write_wigner_csv(path, grid, "test", config, extra_comments=comments)
+        columns = [np.repeat(grid.x_axis, side), np.tile(grid.p_axis, side),
+                   grid.values.ravel()]
+        head.append("x,p,w")
+    else:  # the phase-deviation and keyrate-sweep commands' path
+        columns = [np.linspace(0.0, 1.0, n).tolist(), rng.standard_normal(n)]
+        head.append("a,b")
+        write_lines(path, CsvLines(list(head), *columns))
+    return "\n".join(head + csv_rows(*columns)) + "\n"
+
+
+# (block size, side): 9 rows at block - 1, block, block + 1 and 2 block + 1;
+# then 1 row, which a Wigner grid (at least 2 x 2 points) cannot have
+BLOCK_EDGES = [(10, 3), (9, 3), (8, 3), (4, 3), (4, 1)]
+WRITER_CASES = [(writer, block, side)
+                for writer in ("trace", "trace_no_phase", "density", "wigner", "lines")
+                for block, side in BLOCK_EDGES if not (writer == "wigner" and side == 1)]
+
+
+@pytest.mark.parametrize("writer, block, side", WRITER_CASES)
+def test_writers_match_one_shot_join_at_block_edges(tmp_path, monkeypatch, writer, block, side):
+    monkeypatch.setattr(csvio, "_BLOCK_ROWS", block)
+    path = tmp_path / "out.csv"
+    expected = write_side(path, writer, side)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("offset", ["1", "B-1", "B", "B+1", "2B+1"])
+def test_trace_writer_matches_one_shot_join_at_block_size(tmp_path, offset):
+    block = csvio._BLOCK_ROWS
+    n = {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "2B+1": 2 * block + 1}[offset]
+    rng = np.random.default_rng(n)
+    x, p, phase = rng.standard_normal((3, n))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, QuadratureTrace(x, p, phase), "simulate", RunConfig())
+    expected = header_lines("simulate", RunConfig()) + ["index,x,p,phase_true"]
+    expected += csv_rows(np.arange(n), x, p, phase)
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+def test_trace_writer_memory_is_bounded(tmp_path):
+    n = 200_000
+    rng = np.random.default_rng(3)
+    trace = QuadratureTrace(*rng.standard_normal((3, n)) * 30.0)
+    tracemalloc.start()
+    try:
+        write_trace_csv(tmp_path / "big.csv", trace, "simulate", RunConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file is ~14 MiB; a writer that joins every row holds several times that
+    assert peak < 8 * 2**20
 
 
 def write_text(path, text):

@@ -12,6 +12,7 @@ from hetasym import (
     to_external_quadratures,
     to_internal_quadratures,
 )
+from hetasym.traces import spans_full_rotation
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,6 +133,13 @@ class TestReferenceSignalSpec:
     def test_partial_sweep_flagged(self):
         spec = ReferenceSignalSpec(16.0, make_phase_ramp(100, 0.0, math.pi))
         assert not spec.spans_full_rotation
+
+    def test_rotation_rule_counts_distinct_phases(self):
+        # per-sample phases repeat each sweep point; the rule sees the points
+        spec = ReferenceSignalSpec.ramp(16.0, 90, 1.0, 1.0 + TWO_PI, pulses_per_phase=4)
+        assert spans_full_rotation(spec.sample_phases()[::-1])
+        assert not spans_full_rotation(spec.sample_phases()[:-8])
+        assert not spans_full_rotation(np.full(10, 0.5))
 
     def test_rejects_bad_amplitude(self):
         with pytest.raises(ValidationError):
