@@ -58,11 +58,7 @@ from .tomography import (
 from .traces import (
     QuadratureTrace,
     ReferenceSignalSpec,
-    UnitConvention,
-    UNITS,
     make_phase_ramp,
-    to_external_quadratures,
-    to_internal_quadratures,
 )
 
 __all__ = [
@@ -108,9 +104,5 @@ __all__ = [
     "wigner",
     "QuadratureTrace",
     "ReferenceSignalSpec",
-    "UnitConvention",
-    "UNITS",
     "make_phase_ramp",
-    "to_external_quadratures",
-    "to_internal_quadratures",
 ]

@@ -252,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="flat key = value config file")
         p.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
         p.add_argument("--out", metavar="PATH", help="output path (or prefix for tomography)")
-        p.add_argument("--jobs", type=int, metavar="N",
-                       help="accepted and ignored (kept for existing scripts)")
 
     p = sub.add_parser("simulate", help="simulate a phase-swept heterodyne trace")
     common(p)

@@ -29,7 +29,6 @@ class RunConfig:
 
     seed: int = 12345
     out: str = "out.csv"
-    jobs: int = 1  # accepted and ignored, so existing configs still parse
 
     # reference signal
     amplitude_sq: float = 552.0
@@ -90,8 +89,8 @@ class RunConfig:
 
     #: Execution details that do not influence computed data; they are kept
     #: out of output headers and the config hash so results are byte-identical
-    #: across output paths and worker counts.
-    _non_semantic = ("out", "jobs")
+    #: across output paths.
+    _non_semantic = ("out",)
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """Stable (key, rendered value) listing used for output headers."""
@@ -103,6 +102,10 @@ class RunConfig:
         for key, value in self.resolved_items():
             digest.update(f"{key} = {value}\n".encode("utf-8"))
         return digest.hexdigest()[:16]
+
+
+#: The type of every config key, taken from its default.
+_KINDS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _render(value) -> str:
@@ -139,7 +142,6 @@ def _coerce(name: str, kind, text: str):
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse ``key = value`` lines over the defaults; unknown keys raise."""
     config = RunConfig() if base is None else base
-    kinds = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -147,9 +149,9 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in line:
             raise ValidationError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in kinds:
+        if key not in _KINDS:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
-        setattr(config, key, _coerce(key, kinds[key], value))
+        setattr(config, key, _coerce(key, _KINDS[key], value))
     return config
 
 
@@ -161,9 +163,8 @@ def load_config(path: str | None, env: dict | None = None) -> RunConfig:
         with open(path, "r", encoding="utf-8") as handle:
             config = parse_config_text(handle.read(), config)
     env = os.environ if env is None else env
-    kinds = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
-    for key in sorted(kinds):
+    for key in sorted(_KINDS):
         env_key = ENV_PREFIX + key.upper()
         if env_key in env:
-            setattr(config, key, _coerce(key, kinds[key], env[env_key]))
+            setattr(config, key, _coerce(key, _KINDS[key], env[env_key]))
     return config

@@ -66,7 +66,7 @@ def min_max_scale(trace: QuadratureTrace) -> QuadratureTrace:
     scaled = (trace.x - x_min) / (x_max - x_min) * (p_max - p_min) + p_min
     scaled[trace.x == x_min] = p_min
     scaled[trace.x == x_max] = p_max
-    return QuadratureTrace(scaled, trace.p, trace.phase_true, trace.convention)
+    return QuadratureTrace(scaled, trace.p, trace.phase_true)
 
 
 def drift_phase_variance(linewidth_a: float, linewidth_b: float, dt: float) -> float:
@@ -132,22 +132,16 @@ def phase_variance_from_excess_noise(v_a: float, xi: float) -> float:
 
 @dataclass(frozen=True)
 class PhaseNoiseBudget:
-    """The three independent phase-misalignment contributions [rad^2] plus
-    the laser/timing inputs that produced the drift term."""
+    """The three independent phase-misalignment contributions [rad^2]."""
 
     v_drift: float = 0.0
     v_path: float = 0.0
     v_det: float = 0.0
-    linewidth_a: float = 0.0
-    linewidth_b: float = 0.0
-    pulse_separation: float = 0.0
 
     def __post_init__(self):
         for name in ("v_drift", "v_path", "v_det"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.linewidth_a < 0 or self.linewidth_b < 0 or self.pulse_separation < 0:
-            raise ValidationError("linewidths and pulse separation must be >= 0")
 
     @property
     def v_total(self) -> float:

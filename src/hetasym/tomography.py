@@ -2,8 +2,9 @@
 samples, Wigner-function evaluation, and fidelity against coherent states.
 
 Everything here uses the internal convention: vacuum quadrature variance
-1/2, so the vacuum Wigner function peaks at 1/pi.  SNU traces are divided
-by UNITS.tomography_scale = sqrt(2) on ingestion (see :mod:`hetasym.traces`).
+1/2, so the vacuum Wigner function peaks at 1/pi.  Traces are in SNU
+(vacuum variance 1); samples_from_trace divides them by SNU_TO_INTERNAL =
+sqrt(2) on ingestion, the only place the two conventions meet.
 
 The reconstruction solves the fixed point rho = N[R rho R] with
 R = (1/n) sum_i Pi_i / Tr(rho Pi_i), where Pi_i is the rank-1 projector
@@ -23,7 +24,11 @@ import numpy as np
 
 from .errors import NumericalDomainError, ValidationError
 from .phase import estimate_phase
-from .traces import UNITS, QuadratureTrace
+from .traces import QuadratureTrace
+
+#: Divisor taking SNU quadratures (vacuum variance 1) to the internal
+#: convention (vacuum variance 1/2).
+SNU_TO_INTERNAL = math.sqrt(2.0)
 
 #: Probabilities are floored here before the likelihood ratio to avoid
 #: division underflow; floored samples are counted as a diagnostic.
@@ -108,6 +113,13 @@ class PhaseTaggedSamples:
         return self.theta.size
 
 
+def _check_dim(dim) -> int:
+    """dim as an int; raises unless it is an integer >= 1."""
+    if int(dim) != dim or dim < 1:
+        raise ValidationError(f"dim must be an integer >= 1, got {dim}")
+    return int(dim)
+
+
 def _hermite_gauss_table(x: np.ndarray, dim: int) -> np.ndarray:
     """psi_n(x) for n < dim, vacuum variance 1/2.
 
@@ -132,12 +144,11 @@ def quadrature_projector(theta, x, dim: int) -> np.ndarray:
 
     Scalars give a (dim,) vector; equal-length arrays give (len, dim).
     """
-    if int(dim) != dim or dim < 1:
-        raise ValidationError(f"dim must be an integer >= 1, got {dim}")
+    dim = _check_dim(dim)
     theta_arr = np.asarray(theta, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
-    table = _hermite_gauss_table(x_arr, int(dim)).astype(np.complex128)
-    table *= np.exp(-1j * np.multiply.outer(theta_arr, np.arange(int(dim))))
+    table = _hermite_gauss_table(x_arr, dim).astype(np.complex128)
+    table *= np.exp(-1j * np.multiply.outer(theta_arr, np.arange(dim)))
     return table
 
 
@@ -233,10 +244,17 @@ class _GroupedEngine:
 
 
 def _make_engine(samples: PhaseTaggedSamples, dim: int):
-    # grouping pays once tags repeat enough; the cap keeps the per-group
-    # phase tables (groups x dim x dim cosines and sines) at tens of megabytes
+    # Grouping pays once tags repeat enough.  Grouped / dense time per MLE
+    # iteration, range over two passes of 5 and 7 runs on a 2-core host:
+    #   n = 2e4, repeats per tag    8          12         16         32
+    #   dim 15                  1.17-1.18  0.95-1.04  0.69-0.80     0.62
+    #   dim 20                  1.24-1.31  0.90-0.98  0.77-0.87  0.57-0.63
+    #   dim 25                  1.59-2.30  1.29-1.50  0.97-1.09  0.63-0.68
+    # and 0.58-0.75 at n = 1e5, 32 repeats, dims 15-25.  The two tie near 12
+    # repeats at dims 15-20 (near 16 at dim 25).  The cap keeps the per-group
+    # phase tables (groups x dim x dim cosines and sines) at tens of megabytes.
     distinct = np.unique(samples.theta).size
-    if distinct * 8 <= samples.n and distinct <= 4096:
+    if distinct * 12 <= samples.n and distinct <= 4096:
         return _GroupedEngine(samples, dim), True
     return _DenseEngine(samples, dim), False
 
@@ -317,14 +335,12 @@ def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
     A sample whose probability hits PROBABILITY_FLOOR leaves the bound
     invalid, so such a state is never certified and reports gap = inf.
     """
-    if int(dim) != dim or dim < 1:
-        raise ValidationError(f"dim must be an integer >= 1, got {dim}")
+    dim = _check_dim(dim)
     if max_iter < 0:
         raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
     if not (tol > 0):
         raise ValidationError(f"tol must be positive, got {tol}")
 
-    dim = int(dim)
     engine, grouped = _make_engine(samples, dim)
 
     def certificate(probs):
@@ -406,12 +422,11 @@ def required_coherent_dim(alpha: complex) -> int:
 def ideal_coherent_state(alpha: complex, dim: int) -> DensityMatrix:
     """Pure coherent state |alpha><alpha| truncated to dim Fock levels and
     renormalized.  Rejects cutoffs that drop more than 1e-8 of the norm."""
-    if int(dim) != dim or dim < 1:
-        raise ValidationError(f"dim must be an integer >= 1, got {dim}")
+    dim = _check_dim(dim)
     alpha = complex(alpha)
-    amps = np.empty(int(dim), dtype=np.complex128)
+    amps = np.empty(dim, dtype=np.complex128)
     amps[0] = 1.0
-    for k in range(1, int(dim)):
+    for k in range(1, dim):
         amps[k] = amps[k - 1] * alpha / math.sqrt(k)
     amps *= math.exp(-abs(alpha) ** 2 / 2.0)
     norm_sq = float(np.vdot(amps, amps).real)
@@ -556,9 +571,9 @@ def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = True,
 
     Each shot contributes its X value at the tag theta and its P value at
     theta - pi/2.  Tags come from phase_true, or from the block-averaged
-    phase estimator when use_true_phase is False.  SNU traces are divided
-    by UNITS.tomography_scale (sqrt(2)); amplitude_scale is an extra divisor
-    for normalizing bright references into a workable Fock cutoff (1.0 = off).
+    phase estimator when use_true_phase is False.  Quadratures are divided
+    by SNU_TO_INTERNAL (sqrt(2)); amplitude_scale is an extra divisor for
+    normalizing bright references into a workable Fock cutoff (1.0 = off).
     """
     if not (amplitude_scale > 0):
         raise ValidationError(f"amplitude_scale must be positive, got {amplitude_scale}")
@@ -569,7 +584,7 @@ def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = True,
     else:
         tags = np.repeat(estimate_phase(trace, block=block), block)
 
-    scale = amplitude_scale * (UNITS.tomography_scale if trace.convention == "snu" else 1.0)
+    scale = amplitude_scale * SNU_TO_INTERNAL
     x_int = trace.x / scale
     p_int = trace.p / scale
 

@@ -1,10 +1,9 @@
-"""Core quadrature data types and unit conventions.
+"""Core quadrature data types.
 
-All quadrature values are dimensionless shot-noise units (SNU): the vacuum
+Every trace is in dimensionless shot-noise units (SNU): the vacuum
 quadrature variance is 1 at the detector output after normalization.
-Tomography uses a second convention internally (vacuum variance 1/2); the
-bridge between the two is a division by sqrt(2) on ingestion and is exposed
-here so every module shares a single definition.
+Tomography alone works in another convention (vacuum variance 1/2) and
+converts on ingestion (see :func:`hetasym.tomography.samples_from_trace`).
 
 Phases are radians everywhere; degrees appear only in CLI presentation.
 """
@@ -20,10 +19,6 @@ from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
 
-#: Conversion factor between external (SNU, vacuum variance 1) and internal
-#: tomography quadratures (vacuum variance 1/2).
-INTERNAL_SCALE = math.sqrt(2.0)
-
 
 def _readonly_float_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True)
@@ -36,35 +31,17 @@ def _readonly_float_array(values, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class UnitConvention:
-    """Quadrature normalization contract.
-
-    vacuum_variance is the SNU definition (vacuum quadrature variance seen
-    externally); tomography_scale is the factor dividing external values on
-    ingestion into the internal vacuum-variance-1/2 convention.
-    """
-
-    vacuum_variance: float = 1.0
-    tomography_scale: float = INTERNAL_SCALE
-
-
-#: The single convention used across the package.
-UNITS = UnitConvention()
-
-
-@dataclass(frozen=True)
 class QuadratureTrace:
-    """Paired X/P quadrature samples, optionally tagged with the true phase.
+    """Paired X/P quadrature samples in SNU, optionally tagged with the true
+    phase.
 
     The universal data currency: every module accepts any trace that this
-    constructor accepts.  ``convention`` is "snu" (vacuum variance 1) or
-    "internal" (vacuum variance 1/2, used by tomography).
+    constructor accepts.
     """
 
     x: np.ndarray
     p: np.ndarray
     phase_true: np.ndarray | None = None
-    convention: str = "snu"
 
     def __post_init__(self):
         object.__setattr__(self, "x", _readonly_float_array(self.x, "x"))
@@ -82,8 +59,6 @@ class QuadratureTrace:
                     f"phase_true length {len(phases)} does not match sample count {len(self.x)}"
                 )
             object.__setattr__(self, "phase_true", phases)
-        if self.convention not in ("snu", "internal"):
-            raise ValidationError(f"unknown convention {self.convention!r}")
 
     @property
     def n(self) -> int:
@@ -163,28 +138,3 @@ def make_phase_ramp(n: int, start: float, stop: float) -> np.ndarray:
     if not stop > start:
         raise ValidationError(f"phase ramp needs stop > start, got [{start}, {stop}]")
     return start + (stop - start) * np.arange(int(n)) / int(n)
-
-
-def to_internal_quadratures(trace: QuadratureTrace) -> QuadratureTrace:
-    """Convert an SNU trace to the internal tomography convention
-    (vacuum variance 1/2): x and p divided by sqrt(2)."""
-    if trace.convention != "snu":
-        raise ValidationError("trace is already in the internal convention")
-    return QuadratureTrace(
-        trace.x / UNITS.tomography_scale,
-        trace.p / UNITS.tomography_scale,
-        trace.phase_true,
-        convention="internal",
-    )
-
-
-def to_external_quadratures(trace: QuadratureTrace) -> QuadratureTrace:
-    """Inverse of :func:`to_internal_quadratures`."""
-    if trace.convention != "internal":
-        raise ValidationError("trace is already in the external SNU convention")
-    return QuadratureTrace(
-        trace.x * UNITS.tomography_scale,
-        trace.p * UNITS.tomography_scale,
-        trace.phase_true,
-        convention="snu",
-    )

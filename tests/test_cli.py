@@ -1,9 +1,12 @@
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hetasym import wrap_phase
 from hetasym.cli import main
@@ -63,6 +66,31 @@ class TestConfig:
     def test_xi_det_list(self):
         values = RunConfig().xi_det_list()
         assert values == [0.1091, 0.0318, 0.0140, 0.0032, 0.0016, 0.0]
+
+
+# one value strategy per config key type; strings avoid "#" (a comment),
+# line breaks and surrounding whitespace, which a config line cannot carry
+_CONFIG_VALUES = {
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(st.characters(exclude_characters="#",
+                               exclude_categories=("Cc", "Cs", "Zl", "Zp")))
+    .filter(lambda text: text == text.strip()),
+}
+_SEMANTIC_FIELDS = [f for f in fields(RunConfig) if f.name != "out"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fixed_dictionaries({f.name: _CONFIG_VALUES[type(f.default)]
+                              for f in _SEMANTIC_FIELDS}))
+@example({**{f.name: f.default for f in _SEMANTIC_FIELDS}, "v_a": -0.0, "seed": -1})
+def test_config_render_parse_round_trip(values):
+    config = RunConfig(**values)
+    text = "".join(f"{key} = {value}\n" for key, value in config.resolved_items())
+    parsed = parse_config_text(text)
+    assert parsed.resolved_items() == config.resolved_items()
+    assert parsed.config_hash() == config.config_hash()
 
 
 class TestSimulate:
@@ -273,12 +301,6 @@ class TestKeyrateSweep:
         # max distances strictly ordered against xi
         ordered = [cutoffs[key] for key in sorted(cutoffs, key=float)]
         assert all(a > b for a, b in zip(ordered, ordered[1:]))
-
-    def test_jobs_do_not_change_output(self, tmp_path):
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run("keyrate-sweep", "--out", out_a) == 0
-        assert run("keyrate-sweep", "--out", out_b, "--jobs", 4) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_custom_grid(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", distance_min_km=0.0,

@@ -22,7 +22,6 @@ from hetasym import (
     quadrature_projector,
     required_coherent_dim,
     samples_from_trace,
-    to_internal_quadratures,
     wigner,
 )
 from hetasym.tomography import _DenseEngine, _GroupedEngine, _make_engine
@@ -252,6 +251,13 @@ class TestMLEReconstruct:
         _, grouped = _make_engine(samples, 6)
         assert not grouped
 
+    def test_ten_repeats_per_tag_use_dense_path(self):
+        # below the measured crossover of 12 repeats the dense engine is faster
+        tags = np.repeat(make_phase_ramp(16, 0.0, TWO_PI), 10)
+        samples = PhaseTaggedSamples(tags, np.zeros(tags.size))
+        _, grouped = _make_engine(samples, 6)
+        assert not grouped
+
     def test_probability_floor_diagnostic(self):
         # samples far outside the Fock window underflow and hit the floor
         tags = np.array([0.0, 0.0])
@@ -475,11 +481,6 @@ class TestSamplesFromTrace:
         np.testing.assert_allclose(samples.theta[tr.n:], tr.phase_true - math.pi / 2)
         np.testing.assert_allclose(samples.x[:tr.n], tr.x / math.sqrt(2.0))
         np.testing.assert_allclose(samples.x[tr.n:], tr.p / math.sqrt(2.0))
-
-    def test_internal_trace_not_rescaled(self):
-        tr = to_internal_quadratures(self.trace())
-        samples = samples_from_trace(tr)
-        np.testing.assert_allclose(samples.x[:tr.n], tr.x)
 
     def test_amplitude_scale(self):
         tr = self.trace()

@@ -6,11 +6,8 @@ import pytest
 from hetasym import (
     QuadratureTrace,
     ReferenceSignalSpec,
-    UNITS,
     ValidationError,
     make_phase_ramp,
-    to_external_quadratures,
-    to_internal_quadratures,
 )
 from hetasym.traces import spans_full_rotation
 
@@ -46,7 +43,6 @@ class TestQuadratureTrace:
     def test_basic_construction(self):
         tr = QuadratureTrace([1.0, 2.0], [3.0, 4.0], [0.1, 0.2])
         assert tr.n == 2
-        assert tr.convention == "snu"
 
     def test_arrays_are_read_only(self):
         tr = QuadratureTrace([1.0], [2.0])
@@ -73,47 +69,6 @@ class TestQuadratureTrace:
         tr = QuadratureTrace([1.0], [2.0])
         with pytest.raises(ValidationError):
             tr.require_samples(2, "variance")
-
-
-class TestConventionBridge:
-    def test_sqrt_two_division(self):
-        tr = QuadratureTrace([math.sqrt(2.0)], [0.0])
-        internal = to_internal_quadratures(tr)
-        assert internal.x[0] == pytest.approx(1.0, abs=1e-15)
-        assert internal.p[0] == 0.0
-        assert internal.convention == "internal"
-
-    def test_zero_fixed_point(self):
-        internal = to_internal_quadratures(QuadratureTrace([0.0], [0.0]))
-        assert internal.x[0] == 0.0 and internal.p[0] == 0.0
-
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(3)
-        x, p = rng.normal(size=50), rng.normal(size=50)
-        tr = QuadratureTrace(x, p)
-        back = to_external_quadratures(to_internal_quadratures(tr))
-        np.testing.assert_allclose(back.x, x, rtol=1e-12)
-        np.testing.assert_allclose(back.p, p, rtol=1e-12)
-        assert back.convention == "snu"
-
-    def test_double_conversion_rejected(self):
-        internal = to_internal_quadratures(QuadratureTrace([1.0], [1.0]))
-        with pytest.raises(ValidationError):
-            to_internal_quadratures(internal)
-        with pytest.raises(ValidationError):
-            to_external_quadratures(QuadratureTrace([1.0], [1.0]))
-
-    def test_ratio_preserved(self):
-        tr = QuadratureTrace([3.0, 5.0], [7.0, 11.0])
-        internal = to_internal_quadratures(tr)
-        for i in range(2):
-            for j in range(2):
-                assert internal.x[i] / internal.p[j] == pytest.approx(
-                    tr.x[i] / tr.p[j], rel=1e-14)
-
-    def test_units_constant(self):
-        assert UNITS.vacuum_variance == 1.0
-        assert UNITS.tomography_scale == pytest.approx(math.sqrt(2.0))
 
 
 class TestReferenceSignalSpec:
