@@ -10,8 +10,8 @@ error).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -163,18 +163,18 @@ def cmd_keyrate_sweep(config: RunConfig) -> int:
     if not (config.distance_step_km > 0) or config.distance_max_km < config.distance_min_km:
         raise ValidationError("bad distance grid")
     xi_values = config.xi_det_list()
-    steps = int(round((config.distance_max_km - config.distance_min_km)
-                      / config.distance_step_km))
+    # floor, with slack for 0.3 / 0.1 = 2.999..., so no row passes distance_max_km
+    steps = math.floor((config.distance_max_km - config.distance_min_km)
+                       / config.distance_step_km + 1e-9)
     distances = [config.distance_min_km + i * config.distance_step_km for i in range(steps + 1)]
-    base = KeyRateParams(
-        v_a=config.v_a, beta=config.beta, xi_line=config.xi_line, xi_det=0.0,
-        eta=config.eta, v_elec=config.v_elec, alpha_db_per_km=config.alpha_db_per_km,
-        baud=config.baud, frame_ratio=config.frame_ratio,
-    )
     lines = header_lines("keyrate-sweep", config)
     columns = []
     for xi in xi_values:
-        params = replace(base, xi_det=xi)
+        params = KeyRateParams(
+            v_a=config.v_a, beta=config.beta, xi_line=config.xi_line, xi_det=xi,
+            eta=config.eta, v_elec=config.v_elec, alpha_db_per_km=config.alpha_db_per_km,
+            baud=config.baud, frame_ratio=config.frame_ratio,
+        )
         columns.append(key_rate_curve(params, distances))
         # fmt renders an unbounded cutoff (math.inf) as "inf"
         cutoff = max_distance(params, config.max_distance_resolution_km)

@@ -55,11 +55,9 @@ class RunConfig:
     # key rate
     beta: float = 0.93
     xi_line: float = 0.02
-    xi_det: float = 0.0
     eta: float = 0.68
     v_elec: float = 0.1
     alpha_db_per_km: float = 0.2
-    distance_km: float = 50.0
     baud: float = 1.0
     frame_ratio: float = 1.0
     distance_min_km: float = 0.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NumericalDomainError, ValidationError
 
@@ -107,7 +107,8 @@ def symplectic_spectrum(v: float, t: float, chi_line_value: float,
         raise ValidationError("added-noise terms must be >= 0")
 
     chi_total = chi_line_value + chi_het_value / t
-    a = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + chi_line_value)) ** 2
+    t_v_chi_sq = (t * (v + chi_line_value)) ** 2
+    a = v * v * (1.0 - 2.0 * t) + 2.0 * t + t_v_chi_sq
     b = (t * (1.0 + v * chi_line_value)) ** 2
     sqrt_b = math.sqrt(b)
     denom = (t * (v + chi_total)) ** 2
@@ -116,11 +117,14 @@ def symplectic_spectrum(v: float, t: float, chi_line_value: float,
          + 2.0 * t * (v * v - 1.0)) / denom
     d = (v + chi_het_value * sqrt_b) ** 2 / denom
 
+    # A sums terms of size v^2 + T^2 (v + chi_line)^2 that cancel near T = 1,
+    # so its rounding error scales with that size; C sums non-negative terms
     lams = []
-    for big, small, tag in ((a, b, "A^2 - 4B"), (c, d, "C^2 - 4D")):
-        disc_slack = CLAMP_TOL + 16.0 * _EPS * big * big
+    for big, size, small, tag in ((a, v * v + t_v_chi_sq, b, "A^2 - 4B"),
+                                  (c, c, d, "C^2 - 4D")):
+        disc_slack = CLAMP_TOL + 16.0 * _EPS * big * size
         disc = _clamped_sqrt(big * big - 4.0 * small, tag, disc_slack)
-        lam_slack = CLAMP_TOL + _LAM_SLACK * (big if big > 1.0 else 1.0)
+        lam_slack = CLAMP_TOL + _LAM_SLACK * math.sqrt(big * size)
         for sign in (1.0, -1.0):
             lam = _clamped_sqrt(0.5 * (big + sign * disc), "symplectic eigenvalue^2")
             if lam < 1.0 - lam_slack:
@@ -148,7 +152,7 @@ def holevo_bound(lams: tuple[float, float, float, float]) -> float:
 
 @dataclass(frozen=True)
 class KeyRateParams:
-    """All inputs of the asymptotic key-rate chain."""
+    """All inputs of the asymptotic key-rate chain but the distance."""
 
     v_a: float = 10.0
     beta: float = 0.93
@@ -157,7 +161,6 @@ class KeyRateParams:
     eta: float = 0.68
     v_elec: float = 0.1
     alpha_db_per_km: float = 0.2
-    distance_km: float = 0.0
     baud: float = 1.0
     frame_ratio: float = 1.0
 
@@ -172,8 +175,8 @@ class KeyRateParams:
             raise ValidationError(f"eta must be in (0, 1], got {self.eta}")
         if self.v_elec < 0:
             raise ValidationError(f"v_elec must be >= 0, got {self.v_elec}")
-        if self.alpha_db_per_km < 0 or self.distance_km < 0:
-            raise ValidationError("loss coefficient and distance must be >= 0")
+        if self.alpha_db_per_km < 0:
+            raise ValidationError(f"loss coefficient must be >= 0, got {self.alpha_db_per_km}")
         if not (self.baud > 0):
             raise ValidationError(f"baud must be positive, got {self.baud}")
         if not (0.0 < self.frame_ratio <= 1.0):
@@ -210,19 +213,25 @@ class KeyRateBreakdown:
 
 
 def _rate_terms(params: KeyRateParams, distance_km: float, chi_h: float):
-    """(T, chi_line, I(A;B), symplectic spectrum, Holevo bound) at one
+    """(T, chi_line, I(A;B), symplectic spectrum, Holevo bound, rate) at one
     distance; chi_h is chi_het(params.eta, params.v_elec)."""
     t = transmittance(params.alpha_db_per_km, distance_km)
-    chi_l = chi_line(t, params.xi_ex / t)
-    info = mutual_information(params.v, chi_l)
-    lams = symplectic_spectrum(params.v, t, chi_l, chi_h)
-    return t, chi_l, info, lams, holevo_bound(lams)
+    v, xi_ex = params.v, params.xi_ex
+    # v chi_line and chi_total stay below (v (1 + xi_ex) + chi_het) / T; past
+    # the float range they turn into inf, NaN or a division by zero
+    if not t * sys.float_info.max > v * (1.0 + xi_ex) + chi_h:
+        raise NumericalDomainError(f"T = {t!r} at {distance_km} km is too small for the key-rate chain")
+    chi_l = chi_line(t, xi_ex / t)
+    info = mutual_information(v, chi_l)
+    lams = symplectic_spectrum(v, t, chi_l, chi_h)
+    holevo = holevo_bound(lams)
+    return t, chi_l, info, lams, holevo, params.beta * info - holevo
 
 
-def key_rate(params: KeyRateParams) -> KeyRateBreakdown:
-    """Full chain: transmittance -> added noises -> I(A;B) -> symplectic
-    spectrum -> Holevo -> r = beta I - chi  [bits/symbol], plus the
-    throughput-scaled rate in bits/s.
+def key_rate(params: KeyRateParams, distance_km: float) -> KeyRateBreakdown:
+    """Full chain at distance_km: transmittance -> added noises -> I(A;B) ->
+    symplectic spectrum -> Holevo -> r = beta I - chi  [bits/symbol], plus
+    the throughput-scaled rate in bits/s.
 
     xi_line and xi_det are quoted at the receiver, where both are measured;
     composing them into chi_line refers them back to the channel input
@@ -231,8 +240,7 @@ def key_rate(params: KeyRateParams) -> KeyRateBreakdown:
     (T = 1) the two conventions coincide.
     """
     chi_h = chi_het(params.eta, params.v_elec)
-    t, chi_l, info, lams, holevo = _rate_terms(params, params.distance_km, chi_h)
-    rate = params.beta * info - holevo
+    t, chi_l, info, lams, holevo, rate = _rate_terms(params, distance_km, chi_h)
     return KeyRateBreakdown(
         transmittance=t,
         chi_line=chi_l,
@@ -248,48 +256,39 @@ def key_rate(params: KeyRateParams) -> KeyRateBreakdown:
 
 def key_rate_curve(params: KeyRateParams, distances) -> list[float]:
     """rate_per_symbol of :func:`key_rate` at each distance, bit for bit,
-    without a params or breakdown object per point (params.distance_km is
-    ignored)."""
+    without a breakdown object per point."""
     chi_h = chi_het(params.eta, params.v_elec)
-    rates = []
-    for d in distances:
-        _, _, info, _, holevo = _rate_terms(params, d, chi_h)
-        rates.append(params.beta * info - holevo)
-    return rates
+    return [_rate_terms(params, d, chi_h)[-1] for d in distances]
 
 
 def max_distance(params: KeyRateParams, resolution_km: float = 0.01,
                  max_search_km: float = 1000.0) -> float:
     """Largest distance with a positive key rate, bisection-refined to
     resolution_km.  Returns 0.0 when no key is possible even back to back,
-    and math.inf when the rate is still positive at max_search_km (no
-    cutoff within the search grid).  params.distance_km is ignored.
+    and math.inf when the rate stays positive at every probe up to
+    max_search_km (no cutoff within the search grid).
     """
     if not (resolution_km > 0):
         raise ValidationError(f"resolution must be positive, got {resolution_km}")
-
-    def rate_at(d: float) -> float:
-        return key_rate(replace(params, distance_km=d)).rate_per_symbol
-
-    if rate_at(0.0) <= 0.0:
+    chi_h = chi_het(params.eta, params.v_elec)
+    if _rate_terms(params, 0.0, chi_h)[-1] <= 0.0:
         return 0.0
-    if rate_at(max_search_km) > 0.0:
-        return math.inf
 
     # march to bracket the FIRST sign change (the achievable range is the
     # contiguous interval from zero; near-threshold parameters can produce
-    # re-entrant positive windows farther out, which do not count)
+    # re-entrant positive windows farther out, which do not count); stopping
+    # there keeps lossy fibre clear of distances where T underflows
     steps = min(4096, max(64, int(math.ceil(max_search_km / resolution_km))))
-    lo, hi = 0.0, max_search_km
     for i in range(1, steps + 1):
         d = max_search_km * i / steps
-        if rate_at(d) <= 0.0:
-            hi = d
-            lo = max_search_km * (i - 1) / steps
+        if _rate_terms(params, d, chi_h)[-1] <= 0.0:
+            lo, hi = max_search_km * (i - 1) / steps, d
             break
+    else:
+        return math.inf
     while hi - lo > resolution_km:
         mid = 0.5 * (lo + hi)
-        if rate_at(mid) > 0.0:
+        if _rate_terms(params, mid, chi_h)[-1] > 0.0:
             lo = mid
         else:
             hi = mid

@@ -96,8 +96,7 @@ def test_criterion_3_keyrate_figure_properties():
     base = KeyRateParams(**FIG_PARAMS)
     columns = []
     for xi in xi_values:
-        breakdowns = [key_rate(replace(base, xi_det=xi, distance_km=d))
-                      for d in distances]
+        breakdowns = [key_rate(replace(base, xi_det=xi), d) for d in distances]
         # (d) physicality across the whole sweep
         for b in breakdowns:
             assert all(lam >= 1.0 - 1e-9 for lam in b.lambdas)
@@ -125,9 +124,8 @@ def test_criterion_4_pure_state_holevo():
             lams = symplectic_spectrum(11.0, 1.0, 0.0, chi_het(eta, v_elec))
             assert holevo_bound(lams) < 1e-9
     params = KeyRateParams(v_a=10.0, beta=0.93, xi_line=0.0, xi_det=0.0,
-                           eta=1.0, v_elec=0.0, alpha_db_per_km=0.0,
-                           distance_km=0.0)
-    rate = key_rate(params).rate_per_symbol
+                           eta=1.0, v_elec=0.0, alpha_db_per_km=0.0)
+    rate = key_rate(params, 0.0).rate_per_symbol
     expected = 0.93 * 0.5 * math.log2(11.0)
     assert abs(rate - expected) < 1e-9
     report(4, f"chi(B;E) < 1e-9 at T=1; r = {rate:.6f} vs {expected:.6f} bits/symbol")

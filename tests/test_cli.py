@@ -311,6 +311,33 @@ class TestKeyrateSweep:
         header, rows, _ = self.parse(out)
         assert rows.shape == (5, 3)
 
+    @pytest.mark.parametrize("distance_max, step, expected", [
+        (1.0, 0.6, [0.0, 0.6]),
+        (0.3, 0.1, [0.0, 0.1, 0.2, 0.30000000000000004]),
+    ])
+    def test_grid_stops_at_max(self, tmp_path, distance_max, step, expected):
+        cfg = write_config(tmp_path / "c.cfg", distance_max_km=distance_max,
+                           distance_step_km=step, xi_det_values="0.0")
+        out = tmp_path / "rates.csv"
+        assert run("keyrate-sweep", "--config", cfg, "--out", out) == 0
+        _, rows, _ = self.parse(out)
+        assert rows[:, 0].tolist() == expected
+
+    def test_lossy_fibre(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", alpha_db_per_km=5.0, distance_max_km=10.0)
+        out = tmp_path / "rates.csv"
+        assert run("keyrate-sweep", "--config", cfg, "--out", out) == 0
+        _, rows, cutoffs = self.parse(out)
+        assert np.all(np.isfinite(rows))
+        assert abs(cutoffs["0.0"] - 3.302) <= 0.02
+
+    @pytest.mark.parametrize("distance", [15380.0, 15420.0, 16000.0, 16200.0])
+    def test_underflowing_transmittance_exit_3(self, tmp_path, capsys, distance):
+        cfg = write_config(tmp_path / "c.cfg", distance_min_km=distance,
+                           distance_max_km=distance)
+        assert run("keyrate-sweep", "--config", cfg, "--out", tmp_path / "rates.csv") == 3
+        assert f"at {distance} km" in capsys.readouterr().err
+
 
 class TestTomography:
     def bright_trace(self, tmp_path, pct=0.0, n_phases=80, ppp=25) -> Path:
@@ -408,6 +435,12 @@ class TestErrorPaths:
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "bad.cfg", no_such_key=1)
         assert run("simulate", "--config", cfg, "--out", tmp_path / "o.csv") == 2
+
+    @pytest.mark.parametrize("key", ["xi_det", "distance_km"])
+    def test_removed_key_exit_2(self, tmp_path, key):
+        # the sweep takes xi_det from xi_det_values and distances from its grid
+        cfg = write_config(tmp_path / "bad.cfg", **{key: 0.01})
+        assert run("keyrate-sweep", "--config", cfg, "--out", tmp_path / "o.csv") == 2
 
     def test_density_round_trip(self, tmp_path):
         raw_cfg = write_config(tmp_path / "c.cfg", n_phases=40, pulses_per_phase=5,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetasym import (
     HeterodyneModel,
@@ -60,6 +62,11 @@ class TestGainsFromPercent:
         for pct in np.linspace(0.01, 199.9, 97):
             g, one = gains_from_percent(pct)
             assert percent_difference(g, one) == pytest.approx(pct, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 200.0, exclude_max=True))
+    def test_inverts_percent_difference(self, pct):
+        assert abs(percent_difference(*gains_from_percent(pct)) - pct) <= 1e-12
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):

@@ -23,22 +23,22 @@ from hetasym.tomography import DensityMatrix, WignerGrid
 
 PIPELINE_SHA256 = {
     "raw.csv":
-        "9056c6ee6cb4ac6389111dab6522a45bfd17441eab29d7c4727f06d67220f16f",
+        "032584bb3bd73ca6fe37397d7040cecb1fe4749ed2ab92ba05c8dea7099a0ec0",
     "scaled.csv":
-        "49d2c1f1c235d6de7290b2d1f539ac0eb955e148c8c256920244c645bedbe293",
+        "82cc12d96249e457e9d6d09c541d59ede36b6a271c2151ae6640b02af14ae483",
     "scaled.report.txt":
-        "92733171e4ea9e851205317c038c178ecea2ffaaac41dd35c0b9ad70d52ce8a9",
+        "dea8be07c4d38defba53c73e51f3c8998fbdf2b25c229e29e3df80c996bf7096",
     "deviation.csv":
-        "4c76112306c8ac14a731ad0adef85d4a23028b005fc89813fcc4d678af70a5eb",
+        "3f4b030febff5593dffb8b5b5545e86fd98f20eb9124c9e9407365bb900e0593",
     "rates.csv":
-        "6431bf2814ba9f6c79d3005f046b4876222d18564569acc7f7df6d382b1bcf45",
+        "76c66993e3984195b872631c73fee98a96c5fe4f03dc3b2110bbdad9567f19a0",
 }
 
 WRITER_SHA256 = {
     "rho.csv":
-        "258c81970515353aaeb88ff8f507007b67d715c4604c70b06226a84305d4d182",
+        "9665f5b332b6066fc7ee6bea63e29a1f3ee6f7ee38446933e67ae184976edfa0",
     "wigner.csv":
-        "9a09ba67caf7ea5f1c73f0a5b59e073d713e93f3fe7b28694d501042c44fc790",
+        "b8f304bcd0986c4ace7c010e5019153ea0c3c2e0bd98f02fe80b85456e898ff1",
 }
 
 

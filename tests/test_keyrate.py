@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hetasym import (
     KeyRateParams,
@@ -13,6 +15,7 @@ from hetasym import (
     g_entropy,
     holevo_bound,
     key_rate,
+    key_rate_curve,
     max_distance,
     mutual_information,
     symplectic_spectrum,
@@ -250,34 +253,32 @@ class TestKeyRate:
         # independent oracle: with T = 1, xi = 0 Eve learns nothing and
         # r = beta * (1/2) log2(V_A + 1)
         params = KeyRateParams(v_a=10.0, beta=0.93, xi_line=0.0, xi_det=0.0,
-                               eta=1.0, v_elec=0.0, alpha_db_per_km=0.0,
-                               distance_km=0.0)
+                               eta=1.0, v_elec=0.0, alpha_db_per_km=0.0)
         expected = 0.93 * 0.5 * math.log2(11.0)
-        result = key_rate(params)
+        result = key_rate(params, 0.0)
         assert result.rate_per_symbol == pytest.approx(expected, abs=1e-9)
         assert result.rate_per_symbol == pytest.approx(1.6086, abs=1e-4)
 
     def test_rate_ordering_in_xi_det(self):
-        base = KeyRateParams(**FIG_PARAMS, distance_km=10.0)
-        low = key_rate(replace(base, xi_det=0.0016))
-        high = key_rate(replace(base, xi_det=0.1091))
+        base = KeyRateParams(**FIG_PARAMS)
+        low = key_rate(replace(base, xi_det=0.0016), 10.0)
+        high = key_rate(replace(base, xi_det=0.1091), 10.0)
         assert high.rate_per_symbol < low.rate_per_symbol
 
     def test_no_reconciliation_no_key(self):
-        params = KeyRateParams(**FIG_PARAMS, distance_km=10.0, xi_det=0.0)
-        result = key_rate(replace(params, beta=1e-12))
+        params = KeyRateParams(**FIG_PARAMS, xi_det=0.0)
+        result = key_rate(replace(params, beta=1e-12), 10.0)
         assert result.rate_per_symbol <= 0.0
         assert not result.has_key
 
     def test_throughput_scaling_exact(self):
-        params = KeyRateParams(**FIG_PARAMS, distance_km=15.0, xi_det=0.0032,
-                               baud=5e8, frame_ratio=0.5)
-        result = key_rate(params)
+        params = KeyRateParams(**FIG_PARAMS, xi_det=0.0032, baud=5e8, frame_ratio=0.5)
+        result = key_rate(params, 15.0)
         assert result.rate_bits_per_sec == params.baud * params.frame_ratio * result.rate_per_symbol
 
     def test_breakdown_recomposition(self):
-        params = KeyRateParams(**FIG_PARAMS, distance_km=30.0, xi_det=0.0140)
-        result = key_rate(params)
+        params = KeyRateParams(**FIG_PARAMS, xi_det=0.0140)
+        result = key_rate(params, 30.0)
         recomposed = params.beta * result.mutual_info - result.holevo
         assert result.rate_per_symbol == pytest.approx(recomposed, abs=1e-12)
         assert result.chi_total == pytest.approx(
@@ -295,14 +296,12 @@ class TestKeyRate:
         base = KeyRateParams(**FIG_PARAMS)
         for d in distances:
             for beta in betas[::3]:
-                rates = [key_rate(replace(base, beta=beta, xi_det=xi,
-                                          distance_km=d)).rate_per_symbol
+                rates = [key_rate(replace(base, beta=beta, xi_det=xi), d).rate_per_symbol
                          for xi in xis]
                 assert all(a > b for a, b in zip(rates, rates[1:]))
         for d in distances[::3]:
             for xi in xis:
-                rates = [key_rate(replace(base, beta=beta, xi_det=xi,
-                                          distance_km=d)).rate_per_symbol
+                rates = [key_rate(replace(base, beta=beta, xi_det=xi), d).rate_per_symbol
                          for beta in betas]
                 assert all(a < b for a, b in zip(rates, rates[1:]))
 
@@ -316,26 +315,80 @@ class TestKeyRate:
         for beta in (0.6, 0.88, 0.93):
             for xi in (0.0, 0.0140, 0.1091):
                 rates = np.array([
-                    key_rate(replace(base, beta=beta, xi_det=xi,
-                                     distance_km=d)).rate_per_symbol
+                    key_rate(replace(base, beta=beta, xi_det=xi), d).rate_per_symbol
                     for d in grid])
                 if rates[0] > 0.0:
                     assert np.argmax(rates) == 0
         for xi in [0.0] + MEASURED_XI_DET:
             rates = np.array([
-                key_rate(replace(base, xi_det=xi, distance_km=d)).rate_per_symbol
+                key_rate(replace(base, xi_det=xi), d).rate_per_symbol
                 for d in grid])
             assert rates[0] > 0.0 > rates[-1]
             first_zero = grid[int(np.where(np.diff(np.sign(rates)) != 0)[0][0])]
             cutoff = max_distance(replace(base, xi_det=xi), resolution_km=0.01)
             assert abs(cutoff - first_zero) <= float(grid[1] - grid[0])
 
+    @pytest.mark.parametrize("v_a, distance", [(25.0, 1e-9), (100.0, 1e-12)])
+    def test_pure_loss_just_past_back_to_back(self, v_a, distance):
+        # near T = 1 the terms of A cancel at size v^2; a guard scaled by A
+        # alone called this physical point unphysical.  The cancellation
+        # costs about sqrt(eps) v in lambda_2, hence the loose tolerance.
+        params = KeyRateParams(v_a=v_a, xi_line=0.0, eta=1.0, v_elec=0.0,
+                               alpha_db_per_km=0.5)
+        result = key_rate(params, distance)
+        assert result.rate_per_symbol == pytest.approx(
+            key_rate(params, 0.0).rate_per_symbol, abs=1e-4)
+
     def test_physicality_over_figure_sweep(self):
         base = KeyRateParams(**FIG_PARAMS)
         for xi in [0.0] + MEASURED_XI_DET:
             for d in np.linspace(0.0, 60.0, 61):
-                lams = key_rate(replace(base, xi_det=xi, distance_km=d)).lambdas
+                lams = key_rate(replace(base, xi_det=xi), d).lambdas
                 assert all(lam >= 1.0 - 1e-9 for lam in lams)
+
+
+# random operating points around the reference one
+operating_points = st.builds(
+    KeyRateParams, v_a=st.floats(1.5, 40.0), beta=st.floats(0.85, 0.99),
+    xi_line=st.floats(0.0, 0.05), xi_det=st.floats(0.0, 0.15), eta=st.floats(0.5, 1.0),
+    v_elec=st.floats(0.0, 0.2), alpha_db_per_km=st.floats(0.15, 0.5))
+
+# Rounding noise of a computed rate.  Near T = 1 with a noiseless detector
+# the terms of A cancel at size v^2, which leaves about sqrt(eps) v in
+# lambda_2 and a few 1e-6 bits/symbol in the rate (see
+# test_pure_loss_just_past_back_to_back); elsewhere the noise is ~1e-14.
+RATE_NOISE = 1e-5
+
+
+@settings(max_examples=300, deadline=None)
+@given(operating_points, st.floats(0.0, 0.15), st.floats(0.0, 0.15), st.floats(0.0, 100.0))
+def test_rate_does_not_increase_with_xi_det(params, xi_a, xi_b, distance):
+    low, high = sorted((xi_a, xi_b))
+    (rate_low,) = key_rate_curve(replace(params, xi_det=low), [distance])
+    (rate_high,) = key_rate_curve(replace(params, xi_det=high), [distance])
+    assert rate_high <= rate_low + RATE_NOISE
+
+
+# Not claimed: that the rate is non-increasing in distance up to the cutoff.
+# Random operating points break it (the Holevo term can fall faster than
+# I(A;B) at short range), so only the back-to-back maximum is a property.
+@settings(max_examples=300, deadline=None)
+@given(operating_points)
+def test_back_to_back_rate_is_the_maximum_up_to_the_cutoff(params):
+    cutoff = max_distance(params)
+    assume(math.isfinite(cutoff))
+    rates = key_rate_curve(params, np.linspace(0.0, cutoff, 101))
+    assert max(rates) <= rates[0] + RATE_NOISE
+
+
+class TestTransmittanceUnderflow:
+    # at 0.2 dB/km: v chi_line overflows at 15,380 km although T is normal,
+    # T is subnormal at 15,420 and 16,000 km, and T == 0 from 16,200 km
+    @pytest.mark.parametrize("distance", [15380.0, 15420.0, 16000.0, 16200.0])
+    def test_fails_loudly(self, distance):
+        for evaluate in (key_rate, lambda params, d: key_rate_curve(params, [d])):
+            with pytest.raises(NumericalDomainError, match=f"T = .* at {distance} km"):
+                evaluate(KeyRateParams(), distance)
 
 
 class TestMaxDistance:
@@ -364,9 +417,18 @@ class TestMaxDistance:
     def test_cutoff_brackets_rate_sign(self):
         params = KeyRateParams(**FIG_PARAMS, xi_det=0.1091)
         cutoff = max_distance(params, resolution_km=0.01)
-        below = key_rate(replace(params, distance_km=cutoff - 0.02)).rate_per_symbol
-        above = key_rate(replace(params, distance_km=cutoff + 0.02)).rate_per_symbol
+        below = key_rate(params, cutoff - 0.02).rate_per_symbol
+        above = key_rate(params, cutoff + 0.02).rate_per_symbol
         assert below > 0.0 > above
+
+    def test_lossy_fibre(self):
+        # at 5 dB/km T underflows to 0 long before max_search_km = 1000; the
+        # cutoff found with max_search_km = 50 is 3.302 km
+        params = KeyRateParams(alpha_db_per_km=5.0)
+        cutoff = max_distance(params, resolution_km=0.01)
+        assert abs(cutoff - 3.302) <= 0.02
+        below, above = key_rate_curve(params, [cutoff, cutoff + 0.01])
+        assert below > 0.0 >= above
 
 
 class TestValidation:
