@@ -58,12 +58,8 @@ EXIT_NUMERICAL = 3
 
 
 def _detector_from_config(config: RunConfig) -> HeterodyneModel:
-    gain_x, gain_p = config.gain_x, config.gain_p
-    if config.asymmetry_percent >= 0.0:
-        gain_x, gain_p = gains_from_percent(config.asymmetry_percent)
     return HeterodyneModel(
-        gain_x=gain_x,
-        gain_p=gain_p,
+        *gains_from_percent(config.asymmetry_percent),
         hybrid_phase_error=config.hybrid_phase_error,
         shot_noise_var=config.shot_noise_var,
         elec_noise_var=config.elec_noise_var,
@@ -173,7 +169,6 @@ def cmd_keyrate_sweep(config: RunConfig) -> int:
         params = KeyRateParams(
             v_a=config.v_a, beta=config.beta, xi_line=config.xi_line, xi_det=xi,
             eta=config.eta, v_elec=config.v_elec, alpha_db_per_km=config.alpha_db_per_km,
-            baud=config.baud, frame_ratio=config.frame_ratio,
         )
         columns.append(key_rate_curve(params, distances))
         # fmt renders an unbounded cutoff (math.inf) as "inf"
@@ -271,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("input", help="trace CSV")
     p.add_argument("--dim", type=int, metavar="N", help="Fock cutoff + 1")
-    p.add_argument("--convention", choices=("sqrt", "squared"), help="fidelity convention")
 
     p = sub.add_parser("fidelity", help="fidelity between two stored density matrices")
     common(p)

@@ -3,7 +3,8 @@
 Format: one ``key = value`` per line, ``#`` comments, nothing nested.
 Unknown keys are hard errors so typos cannot be silently absorbed.  Any key
 can be overridden through the environment with the ``HETASYM_`` prefix
-(e.g. ``HETASYM_V_A=12``); command-line flags override both.
+(e.g. ``HETASYM_V_A=12``), and a ``HETASYM_`` name that is not a key is an
+error too; command-line flags override both.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ class RunConfig:
     phase_stop: float = TWO_PI
 
     # detector
-    gain_x: float = 1.0
-    gain_p: float = 1.0
-    asymmetry_percent: float = -1.0  # >= 0 overrides gain_x/gain_p via gains_from_percent
+    asymmetry_percent: float = 0.0
     hybrid_phase_error: float = 0.0
     shot_noise_var: float = 1.0
     elec_noise_var: float = 0.0
@@ -58,8 +57,6 @@ class RunConfig:
     eta: float = 0.68
     v_elec: float = 0.1
     alpha_db_per_km: float = 0.2
-    baud: float = 1.0
-    frame_ratio: float = 1.0
     distance_min_km: float = 0.0
     distance_max_km: float = 60.0
     distance_step_km: float = 1.0
@@ -77,10 +74,8 @@ class RunConfig:
     convention: str = "sqrt"
 
     def xi_det_list(self) -> list[float]:
-        try:
-            values = [float(tok) for tok in self.xi_det_values.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ValidationError(f"bad xi_det_values list: {self.xi_det_values!r}") from exc
+        values = [_coerce("xi_det_values", float, tok)
+                  for tok in self.xi_det_values.split(",") if tok.strip()]
         if not values:
             raise ValidationError("xi_det_values is empty")
         return values
@@ -104,6 +99,8 @@ class RunConfig:
 
 #: The type of every config key, taken from its default.
 _KINDS = {f.name: type(f.default) for f in fields(RunConfig)}
+#: The config key of every environment name.
+_ENV_KEYS = {ENV_PREFIX + key.upper(): key for key in _KINDS}
 
 
 def _render(value) -> str:
@@ -155,14 +152,15 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
 
 def load_config(path: str | None, env: dict | None = None) -> RunConfig:
     """Defaults, then the config file (if any), then HETASYM_* environment
-    overrides."""
+    overrides; a HETASYM_* name that is not a config key raises."""
     config = RunConfig()
     if path is not None:
         with open(path, "r", encoding="utf-8") as handle:
             config = parse_config_text(handle.read(), config)
     env = os.environ if env is None else env
-    for key in sorted(_KINDS):
-        env_key = ENV_PREFIX + key.upper()
-        if env_key in env:
-            setattr(config, key, _coerce(key, _KINDS[key], env[env_key]))
+    for env_key in sorted(name for name in env if name.startswith(ENV_PREFIX)):
+        if env_key not in _ENV_KEYS:
+            raise ValidationError(f"environment variable {env_key}: unknown config key")
+        key = _ENV_KEYS[env_key]
+        setattr(config, key, _coerce(key, _KINDS[key], env[env_key]))
     return config

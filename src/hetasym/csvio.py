@@ -33,12 +33,16 @@ def fmt(value: float) -> str:
 def csv_rows(*columns) -> list[str]:
     """Comma-joined data rows of equal-length columns, a column at a time.
 
-    Integer columns are written as integers; every other column is cast to
-    float64 and each cell is written as :func:`fmt` would write it.
+    Integer columns are written as integers, string columns (cells formatted
+    beforehand) as they are; every other column is cast to float64 and each
+    cell is written as :func:`fmt` would write it.
     """
     cells = []
     for column in columns:
         arr = np.asarray(column)
+        if arr.dtype.kind == "U":
+            cells.append(arr.tolist())
+            continue
         if arr.dtype.kind not in "iu":
             arr = arr.astype(np.float64, copy=False)
         cells.append(map(repr, arr.tolist()))
@@ -179,8 +183,10 @@ def write_wigner_csv(path: str | Path, grid: WignerGrid, command: str,
     if extra_comments:
         lines += [f"# {comment}" for comment in extra_comments]
     lines.append("x,p,w")
-    write_lines(path, CsvLines(lines, np.repeat(grid.x_axis, grid.p_axis.size),
-                               np.tile(grid.p_axis, grid.x_axis.size), grid.values.ravel()))
+    # each axis value is formatted once and its string repeated over the grid
+    x_cells, p_cells = (np.array([fmt(v) for v in axis]) for axis in (grid.x_axis, grid.p_axis))
+    write_lines(path, CsvLines(lines, np.repeat(x_cells, p_cells.size),
+                               np.tile(p_cells, x_cells.size), grid.values.ravel()))
 
 
 def write_report(path: str | Path, command: str, config: RunConfig,

@@ -84,8 +84,11 @@ def simulate_heterodyne(signal: ReferenceSignalSpec, det: HeterodyneModel,
 
     with A = sqrt(amplitude_sq) and n_x, n_p independent zero-mean Gaussians
     of variance shot_noise_var + elec_noise_var.  Identical (signal, det,
-    seed) produce bit-identical traces.
+    seed) produce bit-identical traces; the seed must be a non-negative
+    integer.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     theta = signal.sample_phases()
     amp = signal.amplitude

@@ -2,7 +2,7 @@
 reconciliation, for Gaussian-modulated coherent states read out by
 heterodyne detection with trusted detector noise.
 
-The rate is r = (B n/N) (beta I(A;B) - chi(B;E)) per symbol; Eve's Holevo
+The rate is r = beta I(A;B) - chi(B;E) per symbol; Eve's Holevo
 information chi(B;E) comes from the symplectic spectrum of the shared
 two-mode covariance matrix before and after Bob's measurement.  Detection
 efficiency eta and electronic noise v_elec enter only through chi_het
@@ -161,26 +161,19 @@ class KeyRateParams:
     eta: float = 0.68
     v_elec: float = 0.1
     alpha_db_per_km: float = 0.2
-    baud: float = 1.0
-    frame_ratio: float = 1.0
 
     def __post_init__(self):
-        if not (self.v_a > 0):
-            raise ValidationError(f"v_a must be positive, got {self.v_a}")
+        # written so that NaN fails every check
+        if not (0.0 < self.v_a < math.inf):
+            raise ValidationError(f"v_a must be positive and finite, got {self.v_a}")
         if not (0.0 < self.beta <= 1.0):
             raise ValidationError(f"beta must be in (0, 1], got {self.beta}")
-        if self.xi_line < 0 or self.xi_det < 0:
-            raise ValidationError("excess-noise terms must be >= 0")
         if not (0.0 < self.eta <= 1.0):
             raise ValidationError(f"eta must be in (0, 1], got {self.eta}")
-        if self.v_elec < 0:
-            raise ValidationError(f"v_elec must be >= 0, got {self.v_elec}")
-        if self.alpha_db_per_km < 0:
-            raise ValidationError(f"loss coefficient must be >= 0, got {self.alpha_db_per_km}")
-        if not (self.baud > 0):
-            raise ValidationError(f"baud must be positive, got {self.baud}")
-        if not (0.0 < self.frame_ratio <= 1.0):
-            raise ValidationError(f"frame_ratio must be in (0, 1], got {self.frame_ratio}")
+        for name in ("xi_line", "xi_det", "v_elec", "alpha_db_per_km"):
+            value = getattr(self, name)
+            if not (0.0 <= value < math.inf):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
     @property
     def v(self) -> float:
@@ -204,7 +197,6 @@ class KeyRateBreakdown:
     lambdas: tuple[float, float, float, float]
     holevo: float
     rate_per_symbol: float
-    rate_bits_per_sec: float
 
     @property
     def has_key(self) -> bool:
@@ -230,8 +222,7 @@ def _rate_terms(params: KeyRateParams, distance_km: float, chi_h: float):
 
 def key_rate(params: KeyRateParams, distance_km: float) -> KeyRateBreakdown:
     """Full chain at distance_km: transmittance -> added noises -> I(A;B) ->
-    symplectic spectrum -> Holevo -> r = beta I - chi  [bits/symbol], plus
-    the throughput-scaled rate in bits/s.
+    symplectic spectrum -> Holevo -> r = beta I - chi  [bits/symbol].
 
     xi_line and xi_det are quoted at the receiver, where both are measured;
     composing them into chi_line refers them back to the channel input
@@ -250,7 +241,6 @@ def key_rate(params: KeyRateParams, distance_km: float) -> KeyRateBreakdown:
         lambdas=lams,
         holevo=holevo,
         rate_per_symbol=rate,
-        rate_bits_per_sec=params.baud * params.frame_ratio * rate,
     )
 
 

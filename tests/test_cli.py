@@ -132,6 +132,18 @@ class TestSimulate:
         trace = read_trace_csv(out)
         assert np.var(trace.x) / np.var(trace.p) == pytest.approx(1.0, rel=0.02)
 
+    @pytest.mark.parametrize("source", ["flag", "file", "environment"])
+    def test_negative_seed_exit_2(self, tmp_path, monkeypatch, capsys, source):
+        cfg = write_config(tmp_path / "c.cfg", n_phases=100,
+                           **({"seed": -3} if source == "file" else {}))
+        argv = ["simulate", "--config", cfg, "--out", tmp_path / "t.csv"]
+        if source == "flag":
+            argv += ["--seed", -3]
+        if source == "environment":
+            monkeypatch.setenv("HETASYM_SEED", "-1")
+        assert run(*argv) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_header_embeds_metadata(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_phases=100)
         out = tmp_path / "t.csv"
@@ -331,6 +343,14 @@ class TestKeyrateSweep:
         assert np.all(np.isfinite(rows))
         assert abs(cutoffs["0.0"] - 3.302) <= 0.02
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_xi_det_exit_2(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path / "c.cfg", xi_det_values=f"0.01,{bad}")
+        out = tmp_path / "rates.csv"
+        assert run("keyrate-sweep", "--config", cfg, "--out", out) == 2
+        assert "xi_det_values" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("distance", [15380.0, 15420.0, 16000.0, 16200.0])
     def test_underflowing_transmittance_exit_3(self, tmp_path, capsys, distance):
         cfg = write_config(tmp_path / "c.cfg", distance_min_km=distance,
@@ -409,6 +429,13 @@ class TestTomography:
         assert run("fidelity", rho_path, rho_path, "--convention", "squared") == 0
         assert "fidelity_squared = 1.0" in capsys.readouterr().out
 
+    def test_convention_flag_removed(self, tmp_path, capsys):
+        # tomography writes both fidelity conventions; only fidelity takes the flag
+        with pytest.raises(SystemExit) as exc:
+            run("tomography", tmp_path / "t.csv", "--convention", "squared")
+        assert exc.value.code == 2
+        assert "--convention" in capsys.readouterr().err
+
     def test_dim_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_phases=40, pulses_per_phase=5,
                            amplitude_sq=1.0)
@@ -431,16 +458,27 @@ class TestTomography:
                 == (tmp_path / "r2.wigner.csv").read_bytes())
 
 
+# keys that once existed: the sweep takes xi_det from xi_det_values and
+# distances from its grid, asymmetry_percent sets the gains, and the
+# throughput keys changed no output
+REMOVED_KEYS = ["xi_det", "distance_km", "jobs", "baud", "frame_ratio", "gain_x", "gain_p"]
+
+
 class TestErrorPaths:
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "bad.cfg", no_such_key=1)
         assert run("simulate", "--config", cfg, "--out", tmp_path / "o.csv") == 2
 
-    @pytest.mark.parametrize("key", ["xi_det", "distance_km"])
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_key_exit_2(self, tmp_path, key):
-        # the sweep takes xi_det from xi_det_values and distances from its grid
         cfg = write_config(tmp_path / "bad.cfg", **{key: 0.01})
         assert run("keyrate-sweep", "--config", cfg, "--out", tmp_path / "o.csv") == 2
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_in_environment_exit_2(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.setenv(f"HETASYM_{key.upper()}", "0.01")
+        assert run("keyrate-sweep", "--out", tmp_path / "o.csv") == 2
+        assert f"HETASYM_{key.upper()}" in capsys.readouterr().err
 
     def test_density_round_trip(self, tmp_path):
         raw_cfg = write_config(tmp_path / "c.cfg", n_phases=40, pulses_per_phase=5,

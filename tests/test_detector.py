@@ -91,6 +91,12 @@ class TestHeterodyneModel:
 
 
 class TestSimulateHeterodyne:
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7"])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        spec = ReferenceSignalSpec(100.0, phases=[0.0, 1.0])
+        with pytest.raises(ValidationError, match="seed"):
+            simulate_heterodyne(spec, HeterodyneModel(), seed)
+
     def test_noiseless_on_axis(self):
         spec = ReferenceSignalSpec(100.0, phases=[0.0, 0.0])
         det = HeterodyneModel(shot_noise_var=1e-30)

@@ -23,22 +23,22 @@ from hetasym.tomography import DensityMatrix, WignerGrid
 
 PIPELINE_SHA256 = {
     "raw.csv":
-        "032584bb3bd73ca6fe37397d7040cecb1fe4749ed2ab92ba05c8dea7099a0ec0",
+        "ef2a4060b05953682e061e7bec1b28a0489dcc256a9a05beacab3d9cc4b08222",
     "scaled.csv":
-        "82cc12d96249e457e9d6d09c541d59ede36b6a271c2151ae6640b02af14ae483",
+        "e18624c34d2ee3a694d97019f435809603209e22cdf98c0a7739ac43c90806c8",
     "scaled.report.txt":
-        "dea8be07c4d38defba53c73e51f3c8998fbdf2b25c229e29e3df80c996bf7096",
+        "4856d97ea2f4dccd50afce2a169d4ace329dfcfc4e12057b5ab7d065c26dd810",
     "deviation.csv":
-        "3f4b030febff5593dffb8b5b5545e86fd98f20eb9124c9e9407365bb900e0593",
+        "81643f2e9d4381fec216e83dda0fce393c59346a0bb8e5d918301f05e4cdd9d7",
     "rates.csv":
-        "76c66993e3984195b872631c73fee98a96c5fe4f03dc3b2110bbdad9567f19a0",
+        "8aa2e1e0507445b196eb46790fdccee1bd3ccf47afc49953f52f6405415f9769",
 }
 
 WRITER_SHA256 = {
     "rho.csv":
-        "9665f5b332b6066fc7ee6bea63e29a1f3ee6f7ee38446933e67ae184976edfa0",
+        "ef31d7fafb60fd774d650b7cbdc47c41ffd467a6a5ef0016cdea3bdec08071fd",
     "wigner.csv":
-        "b8f304bcd0986c4ace7c010e5019153ea0c3c2e0bd98f02fe80b85456e898ff1",
+        "a394960d75abd7f9e5af540d968ba7a0dad6faf9c248508103226f9b48aab216",
 }
 
 

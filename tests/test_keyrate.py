@@ -271,11 +271,6 @@ class TestKeyRate:
         assert result.rate_per_symbol <= 0.0
         assert not result.has_key
 
-    def test_throughput_scaling_exact(self):
-        params = KeyRateParams(**FIG_PARAMS, xi_det=0.0032, baud=5e8, frame_ratio=0.5)
-        result = key_rate(params, 15.0)
-        assert result.rate_bits_per_sec == params.baud * params.frame_ratio * result.rate_per_symbol
-
     def test_breakdown_recomposition(self):
         params = KeyRateParams(**FIG_PARAMS, xi_det=0.0140)
         result = key_rate(params, 30.0)
@@ -434,7 +429,9 @@ class TestMaxDistance:
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"v_a": 0.0}, {"beta": 0.0}, {"beta": 1.1}, {"xi_line": -0.1},
-        {"eta": 0.0}, {"v_elec": -0.1}, {"frame_ratio": 0.0},
+        {"eta": 0.0}, {"v_elec": -0.1}, {"xi_det": math.nan}, {"xi_det": math.inf},
+        {"xi_line": math.nan}, {"v_elec": math.inf}, {"alpha_db_per_km": math.nan},
+        {"alpha_db_per_km": math.inf}, {"v_a": math.inf},
     ])
     def test_params_rejected(self, kwargs):
         with pytest.raises(ValidationError):
