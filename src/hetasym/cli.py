@@ -212,7 +212,9 @@ def cmd_tomography(config: RunConfig, input_path: str) -> int:
         ("iterations", str(result.iterations)),
         ("final_log_likelihood", fmt(result.log_likelihood[-1])),
         ("floored_probabilities", str(result.floored)),
+        ("samples_dropped", str(2 * trace.n - samples.n)),
         ("engine", "grouped" if result.grouped else "dense"),
+        ("rank_one_steps", str(result.rank_one_steps)),
         ("optimality_gap", fmt(result.gap)),
         ("wigner_normalization", fmt(grid.normalization())),
     ]

@@ -41,10 +41,16 @@ class HeterodyneModel:
             raise ValidationError(f"gain_x must be in (0, 1], got {self.gain_x}")
         if not (0.0 < self.gain_p <= 1.0):
             raise ValidationError(f"gain_p must be in (0, 1], got {self.gain_p}")
-        if not (self.shot_noise_var > 0):
-            raise ValidationError(f"shot_noise_var must be positive, got {self.shot_noise_var}")
-        if self.elec_noise_var < 0:
-            raise ValidationError(f"elec_noise_var must be >= 0, got {self.elec_noise_var}")
+        # written so that NaN fails every check
+        if not (0.0 < self.shot_noise_var < math.inf):
+            raise ValidationError(
+                f"shot_noise_var must be positive and finite, got {self.shot_noise_var}")
+        if not (0.0 <= self.elec_noise_var < math.inf):
+            raise ValidationError(
+                f"elec_noise_var must be finite and >= 0, got {self.elec_noise_var}")
+        if not math.isfinite(self.hybrid_phase_error):
+            raise ValidationError(
+                f"hybrid_phase_error must be finite, got {self.hybrid_phase_error}")
 
     @property
     def asymmetry_percent(self) -> float:

@@ -24,7 +24,7 @@ CLAMP_TOL = 1e-9
 
 def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
     """Fiber power transmittance T = 10^(-alpha d / 10)."""
-    if alpha_db_per_km < 0 or distance_km < 0:
+    if not (alpha_db_per_km >= 0 and distance_km >= 0):  # NaN fails too
         raise ValidationError("loss coefficient and distance must be >= 0")
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
@@ -33,7 +33,7 @@ def chi_line(t: float, xi_ex: float) -> float:
     """Channel-referred added noise: chi_line = 1/T - 1 + xi_ex  [SNU]."""
     if not (0.0 < t <= 1.0):
         raise ValidationError(f"transmittance must be in (0, 1], got {t}")
-    if xi_ex < 0:
+    if not (xi_ex >= 0):
         raise ValidationError(f"excess noise must be >= 0, got {xi_ex}")
     return 1.0 / t - 1.0 + xi_ex
 
@@ -42,7 +42,7 @@ def chi_het(eta: float, v_elec: float) -> float:
     """Heterodyne detection added noise: (2 - eta + 2 v_elec) / eta  [SNU]."""
     if not (0.0 < eta <= 1.0):
         raise ValidationError(f"detection efficiency must be in (0, 1], got {eta}")
-    if v_elec < 0:
+    if not (v_elec >= 0):
         raise ValidationError(f"electronic noise must be >= 0, got {v_elec}")
     return (2.0 - eta + 2.0 * v_elec) / eta
 
@@ -53,14 +53,14 @@ def mutual_information(v: float, chi_line_value: float) -> float:
     with v = V_A + 1."""
     if not (v > 1.0):
         raise ValidationError(f"v = V_A + 1 must exceed 1, got {v}")
-    if chi_line_value < 0:
+    if not (chi_line_value >= 0):
         raise ValidationError(f"chi_line must be >= 0, got {chi_line_value}")
     return 0.5 * math.log2((v + chi_line_value) / (1.0 + chi_line_value))
 
 
 def g_entropy(x: float) -> float:
     """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2 x, with g(0) = 0."""
-    if x < 0:
+    if not (x >= 0):
         raise ValidationError(f"g(x) needs x >= 0, got {x}")
     if x == 0.0:
         return 0.0
@@ -103,7 +103,7 @@ def symplectic_spectrum(v: float, t: float, chi_line_value: float,
         raise ValidationError(f"v = V_A + 1 must exceed 1, got {v}")
     if not (0.0 < t <= 1.0):
         raise ValidationError(f"transmittance must be in (0, 1], got {t}")
-    if chi_line_value < 0 or chi_het_value < 0:
+    if not (chi_line_value >= 0 and chi_het_value >= 0):
         raise ValidationError("added-noise terms must be >= 0")
 
     chi_total = chi_line_value + chi_het_value / t

@@ -148,7 +148,13 @@ def quadrature_projector(theta, x, dim: int) -> np.ndarray:
     theta_arr = np.asarray(theta, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
     table = _hermite_gauss_table(x_arr, dim).astype(np.complex128)
-    table *= np.exp(-1j * np.multiply.outer(theta_arr, np.arange(dim)))
+    # e^{-i n theta} as powers of e^{-i theta}: one complex exp per sample
+    # instead of dim, at a rounding error that grows only like n * eps
+    step = np.exp(-1j * theta_arr)
+    phase = step.copy()
+    for n in range(1, dim):
+        table[..., n] *= phase
+        phase *= step
     return table
 
 
@@ -163,6 +169,7 @@ class MLEResult:
     floored: int                # samples whose probability at rho hit the floor
     grouped: bool               # whether the grouped fast path was used
     gap: float                  # lambda_max(R) - 1 at rho (inf if any sample is floored)
+    rank_one_steps: int         # accepted steps toward the top eigenvector of R
 
 
 class _DenseEngine:
@@ -190,6 +197,11 @@ class _DenseEngine:
         m = ((real / probs[:, None]).T @ real).reshape(self.dim, 2, self.dim, 2)
         r = (m[:, 0, :, 0] + m[:, 1, :, 1]) + 1j * (m[:, 1, :, 0] - m[:, 0, :, 1])
         return r / self.n
+
+    def rank_one(self, vec: np.ndarray) -> np.ndarray:
+        """Born probabilities of the pure state vec vec^dagger."""
+        amp = self.psi @ vec.conj()
+        return amp.real * amp.real + amp.imag * amp.imag
 
 
 class _GroupedEngine:
@@ -241,6 +253,19 @@ class _GroupedEngine:
             start = stop
         r /= self.n
         return r
+
+    def rank_one(self, vec: np.ndarray) -> np.ndarray:
+        """Born probabilities of the pure state vec vec^dagger, engine order."""
+        parts = []
+        for h, cos, sin in self.buckets:
+            # <x, t|vec> = sum_n psi_n(x) e^{i n t} vec_n; column 0 of the
+            # tables holds cos(n t) and sin(n t)
+            cos0, sin0 = cos[:, :, 0], sin[:, :, 0]
+            rotated = np.stack([cos0 * vec.real - sin0 * vec.imag,
+                                cos0 * vec.imag + sin0 * vec.real], axis=2)
+            amp = np.square(h @ rotated)
+            parts.append((amp[:, :, 0] + amp[:, :, 1]).ravel())
+        return np.concatenate(parts)
 
 
 def _make_engine(samples: PhaseTaggedSamples, dim: int):
@@ -306,6 +331,64 @@ def _log_ratio_mean(probs: np.ndarray, new_probs: np.ndarray, change: np.ndarray
     return float(terms.mean())
 
 
+#: Likelihood ratios q / p above this are capped in the rank-one search,
+#: so that no power of them overflows.
+_RATIO_CAP = 1e100
+
+#: Newton passes allowed to the rank-one line search; it needs a handful.
+_SEARCH_PASSES = 40
+
+
+def _rank_one_search(d: np.ndarray, bar: float):
+    """argmax over [0, 1] of the concave f(t) = mean log1p(t d), d >= -1,
+    or None when f cannot exceed `bar`.
+
+    Newton steps on f', kept inside the bracket [lo, hi] of its sign change,
+    converge in a few O(n) passes; a step that leaves the bracket or grows
+    is replaced by bisection.  Newton from t = 0 tends to undershoot the
+    maximizer of such an f, so the first pass probes t0 = twice that step,
+    which usually lands past the maximizer.  There the concavity bound
+    f(t0) + max(f'(t0) (1 - t0), -f'(t0) t0) is within a small factor of
+    max f, and the search stops when it is <= bar.  t = 1 is tried once,
+    and only when every d > -1, where f(1) is finite.
+    """
+    n = d.size
+    lo, hi, t = 0.0, 1.0, 0.0
+    # f'(t) and -f''(t); einsum rather than a BLAS dot, whose threads cost
+    # far more than these O(n) sums on a busy host
+    slope, curv = float(d.sum()) / n, float(np.einsum("i,i->", d, d)) / n
+    last_step = math.inf
+    tried_end = False
+    for k in range(_SEARCH_PASSES):
+        if slope == 0.0:
+            return t
+        if slope > 0.0:
+            lo = t
+        else:
+            hi = t
+        if curv:  # curv >= slope^2 > 0 unless it underflows
+            step = (2.0 if k == 0 else 1.0) * slope / curv
+        else:
+            step = math.copysign(math.inf, slope)
+        new = t + step
+        if not lo < new < hi or abs(step) > last_step:
+            if new >= hi == 1.0 and not tried_end:
+                tried_end = True
+                new = 1.0 if d.min() > -1.0 else 0.5 * (lo + hi)
+            else:
+                new = 0.5 * (lo + hi)
+        if abs(new - t) <= 1e-10 * t:
+            return new
+        last_step = abs(new - t)
+        t = new
+        td = t * d
+        w = d / (1.0 + td)
+        slope, curv = float(w.sum()) / n, float(np.einsum("i,i->", w, w)) / n
+        if k == 0 and np.log1p(td).sum() / n + max(slope * (1.0 - t), -slope * t) <= bar:
+            return None
+    return t
+
+
 def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
                     tol: float = 1e-10) -> MLEResult:
     """Certified maximum-likelihood reconstruction.
@@ -315,23 +398,30 @@ def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
     log-likelihood more than log lambda_max(R) <= lambda_max(R) - 1 above
     rho's (Glancy, Knill & Girard, NJP 14, 095017 (2012)), so the loop stops
     with converged=True once lambda_max(R) - 1 <= tol.  Otherwise it steps to
-    the first of these candidates that strictly raises the likelihood:
+    the candidate that raises the likelihood most, of:
 
-    1. the Anderson extrapolation of the R rho R fixed point (history
-       restarted when it is refused);
-    2. the R rho R image itself;
-    3. diluted steps (I + eps R) rho (I + eps R) / N with eps = 1, 1/2, ...
-       (Rehacek, Hradil, Knill & Lvovsky, PRA 75, 042108 (2007)).
+    1. the Anderson extrapolation of the R rho R fixed point, or, when that
+       does not strictly raise the likelihood, the R rho R image itself
+       (history restarted);
+    2. the rank-one (Frank-Wolfe) step (1 - t) rho + t v v^dagger toward the
+       top eigenvector v of R, with t from an exact line search (Frank &
+       Wolfe, Naval Res. Logist. Q. 3, 95 (1956)).  Its slope at t = 0 is
+       lambda_max(R) - 1, so it raises the likelihood whenever rho is not
+       yet certified.  It is offered whenever candidate 1 fails, and
+       otherwise at every iteration while it wins; after its j-th loss in a
+       row it waits j iterations.
 
     The iterate is kept as a factor A with rho = A A^dagger / |A|^2, so
     R rho R is A -> R A, every candidate is a density matrix, and rounding
     in A moves the likelihood only at second order; likelihood gains are
     computed from the change of the Born probabilities, so they stay
     resolved near the optimum.  The recorded log-likelihood trajectory
-    therefore rises strictly.
+    therefore rises strictly.  After a rank-one step A is a square root of
+    the mixture turned toward the old A, so the Anderson history stays
+    usable; a step with t >= 1/2 replaces most of the state and clears it.
 
     The result has converged=False after max_iter accepted steps, or when
-    eps is too small to change I + eps R and nothing raised the likelihood.
+    no candidate raised the likelihood.
     A sample whose probability hits PROBABILITY_FLOOR leaves the bound
     invalid, so such a state is never certified and reports gap = inf.
     """
@@ -344,12 +434,14 @@ def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
     engine, grouped = _make_engine(samples, dim)
 
     def certificate(probs):
-        """(R, lambda_max(R), gap) at the state with these Born probabilities."""
+        """(R, lambda_max(R), gap, top eigenvector of R) at the state with
+        these Born probabilities."""
         r = engine.r_operator(np.maximum(probs, PROBABILITY_FLOOR))
         r = 0.5 * (r + r.conj().T)
-        lam_max = float(np.linalg.eigvalsh(r)[-1])
+        lams, vecs = np.linalg.eigh(r)
+        lam_max = float(lams[-1])
         floored = bool((probs < PROBABILITY_FLOOR).any())
-        return r, lam_max, math.inf if floored else lam_max - 1.0
+        return r, lam_max, math.inf if floored else lam_max - 1.0, vecs[:, -1]
 
     def rises(step):
         """(factor, probs, gain) of A + step, normalized, if it strictly
@@ -365,17 +457,44 @@ def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
             return new / math.sqrt(1.0 + growth), new_probs, gain
         return None
 
+    def rank_one(vec, bar):
+        """(factor, probs, gain, t) of (1 - t) rho + t vec vec^+ at the best
+        t, if it raises the likelihood by more than bar, else None."""
+        q = engine.rank_one(vec)
+        # where the cap bites (a sample the state all but excludes) the
+        # search maximizes a lower bound of f; the gain below is exact
+        d = np.minimum(q / np.maximum(probs, PROBABILITY_FLOOR), _RATIO_CAP) - 1.0
+        t = _rank_one_search(d, bar)
+        if t is None:
+            return None
+        change = t * (q - probs)
+        new_probs = probs + change
+        gain = _log_ratio_mean(probs, new_probs, change, 0.0)
+        if not gain > bar:
+            return None
+        # the QR of B^+ = [sqrt(1 - t) A, sqrt(t) vec]^+ gives R^+ R = B B^+,
+        # the mixture; the unitary nearest to R^+ A then turns R^+ toward A
+        # (orthogonal Procrustes)
+        stacked = np.hstack([math.sqrt(1.0 - t) * factor, math.sqrt(t) * vec[:, None]])
+        new = np.linalg.qr(stacked.conj().T, mode="r").conj().T
+        u, _, vh = np.linalg.svd(new.conj().T @ factor)
+        return new @ (u @ vh), new_probs, gain, t
+
     factor = np.eye(dim, dtype=np.complex128) / math.sqrt(dim)  # unit Frobenius norm
     probs = engine.probabilities(factor @ factor.conj().T)
     history = [float(np.log(np.maximum(probs, PROBABILITY_FLOOR)).mean())]
     anderson = _Anderson(_ANDERSON_DEPTH)
     certified = False
+    rank_one_steps = 0
+    losses = 0  # rank-one candidates in a row that did not win
+    next_offer = 0
     while True:
-        r, lam_max, gap = certificate(probs)
+        r, lam_max, gap, top = certificate(probs)
         if gap <= tol:
             certified = True
             break
-        if len(history) - 1 >= max_iter or lam_max == 0.0:  # R = 0: every sample underflowed
+        iteration = len(history) - 1
+        if iteration >= max_iter or lam_max == 0.0:  # R = 0: every sample underflowed
             break
 
         image = r @ factor  # R rho R in factor form
@@ -387,10 +506,15 @@ def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
         if step is None:
             anderson.restart()
             step = rises(unit - factor)
-        eps = 1.0
-        while step is None and 1.0 + eps * lam_max != 1.0:
-            step = rises(eps * image)
-            eps *= 0.5
+        if step is None or iteration >= next_offer:
+            mixed = rank_one(top, 0.0 if step is None else step[2])
+            losses = 0 if mixed is not None else losses + 1
+            next_offer = iteration + losses
+            if mixed is not None:
+                step, t = mixed[:3], mixed[3]
+                rank_one_steps += 1
+                if t >= 0.5:
+                    anderson = _Anderson(_ANDERSON_DEPTH)
         if step is None:
             break
         factor, probs, gain = step
@@ -401,7 +525,7 @@ def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     probs = engine.probabilities(rho)
-    _, _, gap = certificate(probs)
+    gap = certificate(probs)[2]
     return MLEResult(
         rho=DensityMatrix(rho),
         converged=certified and gap <= tol,
@@ -410,6 +534,7 @@ def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
         floored=int((probs < PROBABILITY_FLOOR).sum()),
         grouped=grouped,
         gap=gap,
+        rank_one_steps=rank_one_steps,
     )
 
 
@@ -591,7 +716,8 @@ def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = True,
     keep = np.isfinite(tags)
     dropped = int(tags.size - keep.sum())
     if dropped:
-        warnings.warn(f"dropping {dropped} samples with undefined phase", stacklevel=2)
+        warnings.warn(f"dropping {dropped} shots ({2 * dropped} quadrature samples) "
+                      "with undefined phase", stacklevel=2)
         tags, x_int, p_int = tags[keep], x_int[keep], p_int[keep]
     theta_all = np.concatenate([tags, tags - math.pi / 2.0])
     x_all = np.concatenate([x_int, p_int])

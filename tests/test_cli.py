@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hetasym import wrap_phase
+from hetasym import QuadratureTrace, wrap_phase
 from hetasym.cli import main
 from hetasym.config import RunConfig, load_config, parse_config_text
-from hetasym.csvio import read_density_csv, read_trace_csv
+from hetasym.csvio import read_density_csv, read_trace_csv, write_trace_csv
 from hetasym.errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -418,6 +418,22 @@ class TestTomography:
         assert report["engine"] == engine
         assert report["converged"] == "true"
         assert float(report["optimality_gap"]) <= 1e-9
+
+    def test_report_counts_rank_one_steps_and_dropped_samples(self, tmp_path):
+        # shots at exactly x = p = 0 have no estimated phase; both of their
+        # quadrature samples are dropped, and the report counts them
+        raw = self.bright_trace(tmp_path, n_phases=400, ppp=1)
+        trace = read_trace_csv(raw)
+        x, p = trace.x.copy(), trace.p.copy()
+        x[:3] = p[:3] = 0.0
+        holed = tmp_path / "holed.csv"
+        write_trace_csv(holed, QuadratureTrace(x, p), "simulate", RunConfig())
+        cfg = self.tomo_config(tmp_path, use_true_phase="false")
+        with pytest.warns(UserWarning, match=r"dropping 3 shots \(6 quadrature"):
+            run("tomography", holed, "--config", cfg, "--out", tmp_path / "tomo")
+        report = read_report(tmp_path / "tomo.report.txt")
+        assert report["samples_dropped"] == "6"
+        assert int(report["rank_one_steps"]) >= 1
 
     def test_fidelity_command(self, tmp_path, capsys):
         raw = self.bright_trace(tmp_path)

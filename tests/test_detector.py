@@ -84,6 +84,9 @@ class TestHeterodyneModel:
     @pytest.mark.parametrize("kwargs", [
         {"gain_x": 0.0}, {"gain_x": 1.2}, {"gain_p": -0.1},
         {"shot_noise_var": 0.0}, {"elec_noise_var": -1.0},
+        {"shot_noise_var": math.nan}, {"shot_noise_var": math.inf},
+        {"elec_noise_var": math.nan}, {"elec_noise_var": math.inf},
+        {"hybrid_phase_error": math.nan}, {"hybrid_phase_error": -math.inf},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValidationError):

@@ -40,6 +40,11 @@ class TestTransmittance:
         with pytest.raises(ValidationError):
             transmittance(-0.1, 10.0)
 
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (0.2, math.nan)])
+    def test_rejects_nan(self, args):
+        with pytest.raises(ValidationError):
+            transmittance(*args)
+
 
 class TestChiLine:
     def test_lossless_noiseless(self):
@@ -57,6 +62,10 @@ class TestChiLine:
         with pytest.raises(ValidationError):
             chi_line(1.5, 0.0)
 
+    def test_rejects_nan_excess_noise(self):
+        with pytest.raises(ValidationError):
+            chi_line(0.5, math.nan)
+
 
 class TestChiHet:
     def test_ideal(self):
@@ -72,6 +81,10 @@ class TestChiHet:
     def test_rejects_bad_eta(self):
         with pytest.raises(ValidationError):
             chi_het(0.0, 0.0)
+
+    def test_rejects_nan_electronic_noise(self):
+        with pytest.raises(ValidationError):
+            chi_het(0.5, math.nan)
 
 
 class TestMutualInformation:

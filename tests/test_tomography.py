@@ -24,7 +24,7 @@ from hetasym import (
     samples_from_trace,
     wigner,
 )
-from hetasym.tomography import _DenseEngine, _GroupedEngine, _make_engine
+from hetasym.tomography import _DenseEngine, _GroupedEngine, _make_engine, _rank_one_search
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,6 +74,16 @@ class TestQuadratureProjector:
         vec = quadrature_projector(theta, 1.1, 6)
         bare = quadrature_projector(0.0, 1.1, 6)
         np.testing.assert_allclose(vec, bare * np.exp(-1j * theta * np.arange(6)), atol=1e-14)
+
+    def test_phase_factors_match_direct_exponential(self):
+        # the phase factors are built as powers of e^{-i theta}; their
+        # rounding must stay far below any tolerance the MLE relies on
+        rng = np.random.default_rng(3)
+        thetas = rng.uniform(-TWO_PI, TWO_PI, 2_000)
+        xs = rng.normal(0.0, 1.5, thetas.size)
+        bare = quadrature_projector(np.zeros_like(xs), xs, 40)
+        direct = bare * np.exp(-1j * np.multiply.outer(thetas, np.arange(40)))
+        assert np.abs(quadrature_projector(thetas, xs, 40) - direct).max() <= 1e-13
 
     def test_array_broadcast(self):
         thetas = np.array([0.0, 0.5, 1.0])
@@ -275,6 +285,62 @@ class TestMLEReconstruct:
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
         assert np.trace(mat).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(mat).min() >= -1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grouped=st.booleans(),
+    dim=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_one_kernel_matches_probabilities(grouped, dim, seed):
+    rng = np.random.default_rng(seed)
+    if grouped:
+        ramp = make_phase_ramp(7, 0.0, TWO_PI) + rng.uniform(-math.pi, math.pi)
+        tags = np.repeat(ramp, rng.integers(20, 40, 7))  # several bucket sizes
+        engine = _GroupedEngine(PhaseTaggedSamples(tags, rng.normal(0.0, 1.5, tags.size)), dim)
+    else:
+        tags = rng.uniform(-math.pi, TWO_PI, 200)
+        engine = _DenseEngine(PhaseTaggedSamples(tags, rng.normal(0.0, 1.5, tags.size)), dim)
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    vec /= np.linalg.norm(vec)
+    expected = engine.probabilities(np.outer(vec, vec.conj()))
+    assert np.abs(engine.rank_one(vec) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _mean_log1p(t, d):
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at t = 1
+        return np.log1p(np.multiply.outer(t, d)).mean(axis=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=arrays(np.float64, st.integers(1, 60),
+                elements=st.one_of(st.floats(-1.0, 40.0), st.sampled_from([-1.0, 1e6, 1e100]))))
+def test_rank_one_search_matches_grid_argmax(d):
+    grid = np.linspace(0.0, 1.0, 20_001)
+    values = _mean_log1p(grid, d)
+    best = values.max()
+    t = _rank_one_search(d, -math.inf)
+    assert 0.0 <= t <= 1.0
+    assert _mean_log1p(t, d) >= best - 1e-12 * (1.0 + abs(best))
+    bar = best * (1.0 - 1e-6)
+    if 0.0 < bar < best:
+        # the concavity bound never discards a step that beats the bar
+        t = _rank_one_search(d, bar)
+        assert t is not None and _mean_log1p(t, d) > bar
+
+
+def test_near_pure_dense_case_takes_rank_one_steps():
+    # the ML state of these samples is pure to four digits; the
+    # reconstruction without the rank-one candidate needed 68 iterations
+    rng = np.random.default_rng(41)
+    samples = coherent_samples(rng, 1.0, 4_000)
+    result = mle_reconstruct(samples, 12, max_iter=500, tol=1e-10)
+    assert not result.grouped and result.converged
+    assert result.iterations == 7
+    assert result.iterations <= 68 // 2
+    assert result.rank_one_steps == 1
+    assert independent_gap(samples, result.rho.matrix) <= 1e-10
 
 
 class TestMLECertificate:
