@@ -31,7 +31,7 @@ from .csvio import (
     write_wigner_csv,
 )
 from .detector import HeterodyneModel, gains_from_percent, percent_difference, simulate_heterodyne
-from .errors import NumericalDomainError, ValidationError
+from .errors import NumericalDomainError, ValidationError, integer_at_least, positive
 from .keyrate import KeyRateParams, key_rate_curve, max_distance
 from .phase import (
     PhaseNoiseBudget,
@@ -145,8 +145,7 @@ def cmd_phase_deviation(config: RunConfig, input_path: str) -> int:
     scaled = min_max_scale(trace)
     theta_scaled, theta_asym, dropped = _paired_block_phases(trace, scaled, config.block)
     delta = wrap_phase(theta_asym - theta_scaled)
-    lines = header_lines("phase-deviation", config)
-    lines.append(f"# undefined_blocks_skipped: {dropped}")
+    lines = header_lines("phase-deviation", config, [f"undefined_blocks_skipped: {dropped}"])
     lines.append("theta_scaled,delta_theta")
     write_lines(config.out, CsvLines(lines, theta_scaled, delta))
     if dropped:
@@ -156,8 +155,10 @@ def cmd_phase_deviation(config: RunConfig, input_path: str) -> int:
 
 
 def cmd_keyrate_sweep(config: RunConfig) -> int:
-    if not (config.distance_step_km > 0) or config.distance_max_km < config.distance_min_km:
-        raise ValidationError("bad distance grid")
+    positive("distance_step_km", config.distance_step_km)
+    if config.distance_max_km < config.distance_min_km:
+        raise ValidationError(f"distance_max_km must be >= distance_min_km, got "
+                              f"{config.distance_max_km} < {config.distance_min_km}")
     xi_values = config.xi_det_list()
     # floor, with slack for 0.3 / 0.1 = 2.999..., so no row passes distance_max_km
     steps = math.floor((config.distance_max_km - config.distance_min_km)
@@ -181,6 +182,8 @@ def cmd_keyrate_sweep(config: RunConfig) -> int:
 
 
 def cmd_tomography(config: RunConfig, input_path: str) -> int:
+    wigner_points = integer_at_least("wigner_points", config.wigner_points, 2)
+    positive("wigner_extent", config.wigner_extent)
     trace = read_trace_csv(input_path)
     samples = samples_from_trace(
         trace,
@@ -193,7 +196,7 @@ def cmd_tomography(config: RunConfig, input_path: str) -> int:
     reference = ideal_coherent_state(alpha_fit, config.dim)
     fid_sqrt = fidelity(result.rho, reference, "sqrt")
     fid_squared = fidelity(result.rho, reference, "squared")
-    axis = np.linspace(-config.wigner_extent, config.wigner_extent, config.wigner_points)
+    axis = np.linspace(-config.wigner_extent, config.wigner_extent, wigner_points)
     grid = wigner(result.rho, axis, axis)
 
     out_base = Path(config.out)

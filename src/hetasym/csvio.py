@@ -73,7 +73,10 @@ class CsvLines:
             yield from csv_rows(*(column[start:start + _BLOCK_ROWS] for column in self.columns))
 
 
-def header_lines(command: str, config: RunConfig) -> list[str]:
+def header_lines(command: str, config: RunConfig,
+                 extra_comments: list[str] | None = None) -> list[str]:
+    """The comment header of every output file; each of ``extra_comments``
+    becomes one more ``# `` line after the resolved config."""
     lines = [
         f"# hetasym {__version__}",
         f"# command: {command}",
@@ -81,6 +84,7 @@ def header_lines(command: str, config: RunConfig) -> list[str]:
         f"# seed: {config.seed}",
     ]
     lines += [f"# config: {key} = {value}" for key, value in config.resolved_items()]
+    lines += [f"# {comment}" for comment in extra_comments or ()]
     return lines
 
 
@@ -94,9 +98,7 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 
 def write_trace_csv(path: str | Path, trace: QuadratureTrace, command: str,
                     config: RunConfig, extra_comments: list[str] | None = None) -> None:
-    lines = header_lines(command, config)
-    if extra_comments:
-        lines += [f"# {comment}" for comment in extra_comments]
+    lines = header_lines(command, config, extra_comments)
     columns = [np.arange(trace.n), trace.x, trace.p]
     if trace.phase_true is None:
         lines.append("index,x,p")
@@ -146,9 +148,7 @@ def read_trace_csv(path: str | Path) -> QuadratureTrace:
 
 def write_density_csv(path: str | Path, rho: DensityMatrix, command: str,
                       config: RunConfig, extra_comments: list[str] | None = None) -> None:
-    lines = header_lines(command, config)
-    if extra_comments:
-        lines += [f"# {comment}" for comment in extra_comments]
+    lines = header_lines(command, config, extra_comments)
     lines.append("row,col,re,im")
     index = np.arange(rho.dim)
     write_lines(path, CsvLines(lines, np.repeat(index, rho.dim), np.tile(index, rho.dim),
@@ -179,9 +179,7 @@ def read_density_csv(path: str | Path) -> DensityMatrix:
 
 def write_wigner_csv(path: str | Path, grid: WignerGrid, command: str,
                      config: RunConfig, extra_comments: list[str] | None = None) -> None:
-    lines = header_lines(command, config)
-    if extra_comments:
-        lines += [f"# {comment}" for comment in extra_comments]
+    lines = header_lines(command, config, extra_comments)
     lines.append("x,p,w")
     # each axis value is formatted once and its string repeated over the grid
     x_cells, p_cells = (np.array([fmt(v) for v in axis]) for axis in (grid.x_axis, grid.p_axis))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, non_negative, positive, unit_interval
 from .traces import QuadratureTrace, ReferenceSignalSpec
 
 
@@ -37,17 +37,10 @@ class HeterodyneModel:
     elec_noise_var: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.gain_x <= 1.0):
-            raise ValidationError(f"gain_x must be in (0, 1], got {self.gain_x}")
-        if not (0.0 < self.gain_p <= 1.0):
-            raise ValidationError(f"gain_p must be in (0, 1], got {self.gain_p}")
-        # written so that NaN fails every check
-        if not (0.0 < self.shot_noise_var < math.inf):
-            raise ValidationError(
-                f"shot_noise_var must be positive and finite, got {self.shot_noise_var}")
-        if not (0.0 <= self.elec_noise_var < math.inf):
-            raise ValidationError(
-                f"elec_noise_var must be finite and >= 0, got {self.elec_noise_var}")
+        unit_interval("gain_x", self.gain_x)
+        unit_interval("gain_p", self.gain_p)
+        positive("shot_noise_var", self.shot_noise_var)
+        non_negative("elec_noise_var", self.elec_noise_var)
         if not math.isfinite(self.hybrid_phase_error):
             raise ValidationError(
                 f"hybrid_phase_error must be finite, got {self.hybrid_phase_error}")
@@ -63,8 +56,8 @@ def percent_difference(p1: float, p2: float) -> float:
 
     Symmetric in its arguments and scale invariant; range [0, 200).
     """
-    if p1 <= 0 or p2 <= 0:
-        raise ValidationError(f"powers must be positive, got ({p1}, {p2})")
+    positive("p1", p1)
+    positive("p2", p2)
     return abs(p1 - p2) / ((p1 + p2) / 2.0) * 100.0
 
 

@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import NumericalDomainError, ValidationError
+from .errors import NumericalDomainError, ValidationError, non_negative, positive, unit_interval
 
 #: Tolerated numerical undershoot on discriminants and symplectic
 #: eigenvalues before parameters are declared unphysical.
@@ -24,26 +24,22 @@ CLAMP_TOL = 1e-9
 
 def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
     """Fiber power transmittance T = 10^(-alpha d / 10)."""
-    if not (alpha_db_per_km >= 0 and distance_km >= 0):  # NaN fails too
-        raise ValidationError("loss coefficient and distance must be >= 0")
+    non_negative("alpha_db_per_km", alpha_db_per_km)
+    non_negative("distance_km", distance_km)
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
 def chi_line(t: float, xi_ex: float) -> float:
     """Channel-referred added noise: chi_line = 1/T - 1 + xi_ex  [SNU]."""
-    if not (0.0 < t <= 1.0):
-        raise ValidationError(f"transmittance must be in (0, 1], got {t}")
-    if not (xi_ex >= 0):
-        raise ValidationError(f"excess noise must be >= 0, got {xi_ex}")
+    unit_interval("t", t)
+    non_negative("xi_ex", xi_ex)
     return 1.0 / t - 1.0 + xi_ex
 
 
 def chi_het(eta: float, v_elec: float) -> float:
     """Heterodyne detection added noise: (2 - eta + 2 v_elec) / eta  [SNU]."""
-    if not (0.0 < eta <= 1.0):
-        raise ValidationError(f"detection efficiency must be in (0, 1], got {eta}")
-    if not (v_elec >= 0):
-        raise ValidationError(f"electronic noise must be >= 0, got {v_elec}")
+    unit_interval("eta", eta)
+    non_negative("v_elec", v_elec)
     return (2.0 - eta + 2.0 * v_elec) / eta
 
 
@@ -51,17 +47,14 @@ def mutual_information(v: float, chi_line_value: float) -> float:
     """Alice-Bob mutual information for heterodyne readout:
     I(A;B) = 1/2 log2((v + chi_line) / (1 + chi_line))  [bits/symbol],
     with v = V_A + 1."""
-    if not (v > 1.0):
-        raise ValidationError(f"v = V_A + 1 must exceed 1, got {v}")
-    if not (chi_line_value >= 0):
-        raise ValidationError(f"chi_line must be >= 0, got {chi_line_value}")
+    positive("v - 1", v - 1.0)
+    non_negative("chi_line_value", chi_line_value)
     return 0.5 * math.log2((v + chi_line_value) / (1.0 + chi_line_value))
 
 
 def g_entropy(x: float) -> float:
     """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2 x, with g(0) = 0."""
-    if not (x >= 0):
-        raise ValidationError(f"g(x) needs x >= 0, got {x}")
+    non_negative("x", x)
     if x == 0.0:
         return 0.0
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
@@ -99,12 +92,10 @@ def symplectic_spectrum(v: float, t: float, chi_line_value: float,
     Eigenvalues are >= 1 up to a clamped undershoot of CLAMP_TOL; larger
     violations raise NumericalDomainError.
     """
-    if not (v > 1.0):
-        raise ValidationError(f"v = V_A + 1 must exceed 1, got {v}")
-    if not (0.0 < t <= 1.0):
-        raise ValidationError(f"transmittance must be in (0, 1], got {t}")
-    if not (chi_line_value >= 0 and chi_het_value >= 0):
-        raise ValidationError("added-noise terms must be >= 0")
+    positive("v - 1", v - 1.0)
+    unit_interval("t", t)
+    non_negative("chi_line_value", chi_line_value)
+    non_negative("chi_het_value", chi_het_value)
 
     chi_total = chi_line_value + chi_het_value / t
     t_v_chi_sq = (t * (v + chi_line_value)) ** 2
@@ -163,17 +154,11 @@ class KeyRateParams:
     alpha_db_per_km: float = 0.2
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not (0.0 < self.v_a < math.inf):
-            raise ValidationError(f"v_a must be positive and finite, got {self.v_a}")
-        if not (0.0 < self.beta <= 1.0):
-            raise ValidationError(f"beta must be in (0, 1], got {self.beta}")
-        if not (0.0 < self.eta <= 1.0):
-            raise ValidationError(f"eta must be in (0, 1], got {self.eta}")
+        positive("v_a", self.v_a)
+        unit_interval("beta", self.beta)
+        unit_interval("eta", self.eta)
         for name in ("xi_line", "xi_det", "v_elec", "alpha_db_per_km"):
-            value = getattr(self, name)
-            if not (0.0 <= value < math.inf):
-                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+            non_negative(name, getattr(self, name))
 
     @property
     def v(self) -> float:
@@ -258,8 +243,8 @@ def max_distance(params: KeyRateParams, resolution_km: float = 0.01,
     and math.inf when the rate stays positive at every probe up to
     max_search_km (no cutoff within the search grid).
     """
-    if not (resolution_km > 0):
-        raise ValidationError(f"resolution must be positive, got {resolution_km}")
+    positive("resolution_km", resolution_km)
+    positive("max_search_km", max_search_km)
     chi_h = chi_het(params.eta, params.v_elec)
     if _rate_terms(params, 0.0, chi_h)[-1] <= 0.0:
         return 0.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalDomainError, ValidationError
+from .errors import NumericalDomainError, ValidationError, integer_at_least, non_negative, positive
 from .traces import TWO_PI, QuadratureTrace
 
 
@@ -32,12 +32,11 @@ def estimate_phase(trace: QuadratureTrace, block: int = 1) -> np.ndarray:
     exactly zero have no defined phase and are returned as NaN rather than a
     silent 0; callers count and skip them.
     """
-    if int(block) != block or block < 1:
-        raise ValidationError(f"block must be an integer >= 1, got {block}")
+    block = integer_at_least("block", block, 1)
     if trace.n % block != 0:
         raise ValidationError(f"sample count {trace.n} is not divisible by block {block}")
-    x_mean = trace.x.reshape(-1, int(block)).mean(axis=1)
-    p_mean = trace.p.reshape(-1, int(block)).mean(axis=1)
+    x_mean = trace.x.reshape(-1, block).mean(axis=1)
+    p_mean = trace.p.reshape(-1, block).mean(axis=1)
     theta = np.arctan2(p_mean, x_mean)
     theta[theta == -math.pi] = math.pi
     undefined = (x_mean == 0.0) & (p_mean == 0.0)
@@ -69,12 +68,13 @@ def min_max_scale(trace: QuadratureTrace) -> QuadratureTrace:
     return QuadratureTrace(scaled, trace.p, trace.phase_true)
 
 
-def drift_phase_variance(linewidth_a: float, linewidth_b: float, dt: float) -> float:
+def drift_phase_variance(linewidth_a: float, linewidth_b: float, pulse_separation: float) -> float:
     """Inherent phase drift between the two free-running lasers:
     2 pi (dv_A + dv_B) |t_R - t_S|  [rad^2]."""
-    if linewidth_a < 0 or linewidth_b < 0 or dt < 0:
-        raise ValidationError("linewidths and pulse separation must be >= 0")
-    return TWO_PI * (linewidth_a + linewidth_b) * dt
+    non_negative("linewidth_a", linewidth_a)
+    non_negative("linewidth_b", linewidth_b)
+    non_negative("pulse_separation", pulse_separation)
+    return TWO_PI * (linewidth_a + linewidth_b) * pulse_separation
 
 
 def _wrapped_difference_variance(a, b, what: str) -> float:
@@ -109,20 +109,16 @@ def excess_noise_from_phase_variance(v_a: float, v: float) -> float:
 
     For small v this is approximately v_a * v.
     """
-    if not (v_a > 0):
-        raise ValidationError(f"modulation variance must be positive, got {v_a}")
-    if v < 0:
-        raise ValidationError(f"phase variance must be >= 0, got {v}")
+    positive("v_a", v_a)
+    non_negative("v", v)
     return 2.0 * v_a * -math.expm1(-v / 2.0)
 
 
 def phase_variance_from_excess_noise(v_a: float, xi: float) -> float:
     """Inverse of :func:`excess_noise_from_phase_variance`:
     v = -2 ln(1 - xi / (2 v_A))."""
-    if not (v_a > 0):
-        raise ValidationError(f"modulation variance must be positive, got {v_a}")
-    if xi < 0:
-        raise ValidationError(f"excess noise must be >= 0, got {xi}")
+    positive("v_a", v_a)
+    non_negative("xi", xi)
     if xi >= 2.0 * v_a:
         raise NumericalDomainError(
             f"xi = {xi} is unreachable: the phase-noise model saturates at 2 v_A = {2 * v_a}"
@@ -140,8 +136,7 @@ class PhaseNoiseBudget:
 
     def __post_init__(self):
         for name in ("v_drift", "v_path", "v_det"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+            non_negative(name, getattr(self, name))
 
     @property
     def v_total(self) -> float:

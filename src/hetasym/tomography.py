@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalDomainError, ValidationError
+from .errors import NumericalDomainError, ValidationError, integer_at_least, positive
 from .phase import estimate_phase
-from .traces import QuadratureTrace
+from .traces import QuadratureTrace, readonly_float_array
 
 #: Divisor taking SNU quadratures (vacuum variance 1) to the internal
 #: convention (vacuum variance 1/2).
@@ -80,14 +80,12 @@ class PhaseTaggedSamples:
     x: np.ndarray
 
     def __post_init__(self):
-        theta = np.array(self.theta, dtype=np.float64, copy=True)
-        x = np.array(self.x, dtype=np.float64, copy=True)
-        if theta.ndim != 1 or x.ndim != 1 or theta.size != x.size:
-            raise ValidationError("theta and x must be equal-length 1-D sequences")
+        theta = readonly_float_array(self.theta, "theta")
+        x = readonly_float_array(self.x, "x")
+        if theta.size != x.size:
+            raise ValidationError(f"theta and x differ in length ({theta.size} vs {x.size})")
         if theta.size == 0:
             raise ValidationError("samples are empty")
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(x))):
-            raise ValidationError("samples contain non-finite values")
         distinct = np.unique(theta)
         # x at theta + pi is -x at theta, so tags that agree modulo pi all
         # measure one quadrature
@@ -103,21 +101,12 @@ class PhaseTaggedSamples:
                 "reconstruction is not informationally complete",
                 stacklevel=2,
             )
-        theta.setflags(write=False)
-        x.setflags(write=False)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "x", x)
 
     @property
     def n(self) -> int:
         return self.theta.size
-
-
-def _check_dim(dim) -> int:
-    """dim as an int; raises unless it is an integer >= 1."""
-    if int(dim) != dim or dim < 1:
-        raise ValidationError(f"dim must be an integer >= 1, got {dim}")
-    return int(dim)
 
 
 def _hermite_gauss_table(x: np.ndarray, dim: int) -> np.ndarray:
@@ -144,7 +133,7 @@ def quadrature_projector(theta, x, dim: int) -> np.ndarray:
 
     Scalars give a (dim,) vector; equal-length arrays give (len, dim).
     """
-    dim = _check_dim(dim)
+    dim = integer_at_least("dim", dim, 1)
     theta_arr = np.asarray(theta, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
     table = _hermite_gauss_table(x_arr, dim).astype(np.complex128)
@@ -425,11 +414,9 @@ def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
     A sample whose probability hits PROBABILITY_FLOOR leaves the bound
     invalid, so such a state is never certified and reports gap = inf.
     """
-    dim = _check_dim(dim)
-    if max_iter < 0:
-        raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
-    if not (tol > 0):
-        raise ValidationError(f"tol must be positive, got {tol}")
+    dim = integer_at_least("dim", dim, 1)
+    max_iter = integer_at_least("max_iter", max_iter, 0)
+    positive("tol", tol)
 
     engine, grouped = _make_engine(samples, dim)
 
@@ -547,7 +534,7 @@ def required_coherent_dim(alpha: complex) -> int:
 def ideal_coherent_state(alpha: complex, dim: int) -> DensityMatrix:
     """Pure coherent state |alpha><alpha| truncated to dim Fock levels and
     renormalized.  Rejects cutoffs that drop more than 1e-8 of the norm."""
-    dim = _check_dim(dim)
+    dim = integer_at_least("dim", dim, 1)
     alpha = complex(alpha)
     amps = np.empty(dim, dtype=np.complex128)
     amps[0] = 1.0
@@ -606,14 +593,12 @@ class WignerGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        x_axis = np.array(self.x_axis, dtype=np.float64, copy=True)
-        p_axis = np.array(self.p_axis, dtype=np.float64, copy=True)
+        x_axis = readonly_float_array(self.x_axis, "x_axis")
+        p_axis = readonly_float_array(self.p_axis, "p_axis")
         values = np.array(self.values, dtype=np.float64, copy=True)
         for axis, name in ((x_axis, "x_axis"), (p_axis, "p_axis")):
-            if axis.ndim != 1 or axis.size < 2:
-                raise ValidationError(f"{name} must be 1-D with at least 2 points")
-            if not np.all(np.isfinite(axis)) or not np.all(np.diff(axis) > 0):
-                raise ValidationError(f"{name} must be finite and strictly increasing")
+            if axis.size < 2 or not np.all(np.diff(axis) > 0):
+                raise ValidationError(f"{name} must have at least 2 points, strictly increasing")
         if values.shape != (x_axis.size, p_axis.size):
             raise ValidationError(
                 f"values shape {values.shape} does not match axes "
@@ -623,8 +608,7 @@ class WignerGrid:
             raise ValidationError("Wigner values contain non-finite entries")
         if np.abs(values).max() > 1.0 / math.pi + _WIGNER_BOUND_TOL:
             raise ValidationError("Wigner values exceed the 1/pi bound beyond tolerance")
-        for arr in (x_axis, p_axis, values):
-            arr.setflags(write=False)
+        values.setflags(write=False)
         object.__setattr__(self, "x_axis", x_axis)
         object.__setattr__(self, "p_axis", p_axis)
         object.__setattr__(self, "values", values)
@@ -700,8 +684,8 @@ def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = True,
     by SNU_TO_INTERNAL (sqrt(2)); amplitude_scale is an extra divisor for
     normalizing bright references into a workable Fock cutoff (1.0 = off).
     """
-    if not (amplitude_scale > 0):
-        raise ValidationError(f"amplitude_scale must be positive, got {amplitude_scale}")
+    positive("amplitude_scale", amplitude_scale)
+    block = integer_at_least("block", block, 1)
     if use_true_phase:
         if trace.phase_true is None:
             raise ValidationError("trace carries no phase_true column; estimate phases instead")

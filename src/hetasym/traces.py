@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer_at_least, positive
 
 TWO_PI = 2.0 * math.pi
 
 
-def _readonly_float_array(values, name: str) -> np.ndarray:
+def readonly_float_array(values, name: str) -> np.ndarray:
+    """values as a read-only float64 copy; raises unless it is 1-D and
+    finite."""
     arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
@@ -44,8 +46,8 @@ class QuadratureTrace:
     phase_true: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _readonly_float_array(self.x, "x"))
-        object.__setattr__(self, "p", _readonly_float_array(self.p, "p"))
+        object.__setattr__(self, "x", readonly_float_array(self.x, "x"))
+        object.__setattr__(self, "p", readonly_float_array(self.p, "p"))
         if len(self.x) != len(self.p):
             raise ValidationError(
                 f"x and p must have equal length, got {len(self.x)} and {len(self.p)}"
@@ -53,7 +55,7 @@ class QuadratureTrace:
         if len(self.x) == 0:
             raise ValidationError("trace must contain at least one sample")
         if self.phase_true is not None:
-            phases = _readonly_float_array(self.phase_true, "phase_true")
+            phases = readonly_float_array(self.phase_true, "phase_true")
             if len(phases) != len(self.x):
                 raise ValidationError(
                     f"phase_true length {len(phases)} does not match sample count {len(self.x)}"
@@ -84,16 +86,15 @@ class ReferenceSignalSpec:
     pulses_per_phase: int = 1
 
     def __post_init__(self):
-        if not (self.amplitude_sq > 0):
-            raise ValidationError(f"amplitude_sq must be positive, got {self.amplitude_sq}")
+        positive("amplitude_sq", self.amplitude_sq)
         if self.phases is None:
             object.__setattr__(self, "phases", make_phase_ramp(360, 0.0, TWO_PI))
         else:
-            object.__setattr__(self, "phases", _readonly_float_array(self.phases, "phases"))
+            object.__setattr__(self, "phases", readonly_float_array(self.phases, "phases"))
         if len(self.phases) == 0:
             raise ValidationError("phase sweep must contain at least one point")
-        if int(self.pulses_per_phase) != self.pulses_per_phase or self.pulses_per_phase < 1:
-            raise ValidationError(f"pulses_per_phase must be an integer >= 1, got {self.pulses_per_phase}")
+        object.__setattr__(self, "pulses_per_phase",
+                           integer_at_least("pulses_per_phase", self.pulses_per_phase, 1))
 
     @classmethod
     def ramp(cls, amplitude_sq: float, n_phases: int, start: float = 0.0,
@@ -131,10 +132,8 @@ def spans_full_rotation(phases) -> bool:
     return span + span / (points.size - 1) >= TWO_PI - 1e-9
 
 
-def make_phase_ramp(n: int, start: float, stop: float) -> np.ndarray:
-    """n equally spaced phases covering [start, stop), first element == start."""
-    if int(n) != n or n < 2:
-        raise ValidationError(f"phase ramp needs n >= 2, got {n}")
-    if not stop > start:
-        raise ValidationError(f"phase ramp needs stop > start, got [{start}, {stop}]")
-    return start + (stop - start) * np.arange(int(n)) / int(n)
+def make_phase_ramp(n_phases: int, start: float, stop: float) -> np.ndarray:
+    """n_phases equally spaced phases covering [start, stop), the first at start."""
+    n = integer_at_least("n_phases", n_phases, 2)
+    span = positive("stop - start", stop - start)
+    return start + span * np.arange(n) / n

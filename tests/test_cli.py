@@ -351,6 +351,16 @@ class TestKeyrateSweep:
         assert "xi_det_values" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("distance_step_km", 0.0), ("distance_step_km", -1.0), ("distance_max_km", -1.0),
+    ])
+    def test_bad_distance_grid_exit_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.cfg", **{key: value})
+        out = tmp_path / "rates.csv"
+        assert run("keyrate-sweep", "--config", cfg, "--out", out) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("distance", [15380.0, 15420.0, 16000.0, 16200.0])
     def test_underflowing_transmittance_exit_3(self, tmp_path, capsys, distance):
         cfg = write_config(tmp_path / "c.cfg", distance_min_km=distance,
@@ -434,6 +444,17 @@ class TestTomography:
         report = read_report(tmp_path / "tomo.report.txt")
         assert report["samples_dropped"] == "6"
         assert int(report["rank_one_steps"]) >= 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("wigner_points", -5), ("wigner_points", 1), ("wigner_extent", 0.0),
+    ])
+    def test_bad_wigner_grid_exit_2(self, tmp_path, monkeypatch, capsys, key, value):
+        raw = self.bright_trace(tmp_path, n_phases=40, ppp=1)
+        monkeypatch.setenv(f"HETASYM_{key.upper()}", str(value))
+        assert run("tomography", raw, "--config", self.tomo_config(tmp_path),
+                   "--out", tmp_path / "tomo") == 2
+        assert f"{key} must" in capsys.readouterr().err
+        assert not (tmp_path / "tomo.report.txt").exists()
 
     def test_fidelity_command(self, tmp_path, capsys):
         raw = self.bright_trace(tmp_path)

@@ -44,6 +44,14 @@ class TestPercentDifference:
         with pytest.raises(ValidationError):
             percent_difference(1.0, -0.1)
 
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 1.0), "p1"), ((1.0, math.nan), "p2"),
+        ((math.inf, 1.0), "p1"), ((1.0, math.inf), "p2"),
+    ])
+    def test_rejects_non_finite(self, args, name):
+        with pytest.raises(ValidationError, match=f"^{name} must"):
+            percent_difference(*args)
+
 
 class TestGainsFromPercent:
     def test_identity(self):

@@ -447,8 +447,16 @@ class TestValidation:
         {"alpha_db_per_km": math.inf}, {"v_a": math.inf},
     ])
     def test_params_rejected(self, kwargs):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
             KeyRateParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"resolution_km": 0.0}, {"resolution_km": math.nan}, {"resolution_km": math.inf},
+        {"max_search_km": -1.0}, {"max_search_km": math.nan},
+    ])
+    def test_max_distance_arguments_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
+            max_distance(KeyRateParams(), **kwargs)
 
     def test_xi_ex_composition(self):
         params = KeyRateParams(xi_line=0.02, xi_det=0.0140)

@@ -79,6 +79,11 @@ class TestEstimatePhase:
         with pytest.raises(ValidationError):
             estimate_phase(tr, block=0)
 
+    @pytest.mark.parametrize("block", [1.5, math.nan, math.inf])
+    def test_rejects_non_integer_block(self, block):
+        with pytest.raises(ValidationError, match="^block must"):
+            estimate_phase(QuadratureTrace([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), block=block)
+
     def test_range_half_open(self):
         est = estimate_phase(QuadratureTrace([-1.0], [0.0]))
         assert est[0] == pytest.approx(math.pi)
@@ -133,6 +138,14 @@ class TestDriftVariance:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             drift_phase_variance(-1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 0.0, 1.0), "linewidth_a"), ((0.0, math.inf, 1.0), "linewidth_b"),
+        ((1.0, 0.0, math.nan), "pulse_separation"), ((1.0, 0.0, math.inf), "pulse_separation"),
+    ])
+    def test_rejects_non_finite(self, args, name):
+        with pytest.raises(ValidationError, match=f"^{name} must"):
+            drift_phase_variance(*args)
 
 
 class TestPathVariance:
@@ -227,6 +240,21 @@ class TestExcessNoiseConversion:
                 10.0, phase_variance_from_excess_noise(10.0, xi))
             assert back == pytest.approx(xi, rel=1e-12)
 
+    @pytest.mark.parametrize("convert, args, name", [
+        (excess_noise_from_phase_variance, (0.0, 0.1), "v_a"),
+        (excess_noise_from_phase_variance, (math.inf, 0.1), "v_a"),
+        (excess_noise_from_phase_variance, (10.0, -0.1), "v"),
+        (excess_noise_from_phase_variance, (10.0, math.nan), "v"),
+        (excess_noise_from_phase_variance, (10.0, math.inf), "v"),
+        (phase_variance_from_excess_noise, (math.nan, 0.1), "v_a"),
+        (phase_variance_from_excess_noise, (10.0, -0.1), "xi"),
+        (phase_variance_from_excess_noise, (10.0, math.nan), "xi"),
+        (phase_variance_from_excess_noise, (10.0, math.inf), "xi"),
+    ])
+    def test_rejected(self, convert, args, name):
+        with pytest.raises(ValidationError, match=f"^{name} must"):
+            convert(*args)
+
     def test_saturation_rejected(self):
         with pytest.raises(NumericalDomainError):
             phase_variance_from_excess_noise(10.0, 20.0)
@@ -251,6 +279,13 @@ class TestPhaseNoiseBudget:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             PhaseNoiseBudget(v_drift=-1e-3)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"v_drift": math.inf}, {"v_path": math.nan}, {"v_det": math.nan}, {"v_det": math.inf},
+    ])
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
+            PhaseNoiseBudget(**kwargs)
 
 
 class TestDeviationStructure:

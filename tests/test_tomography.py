@@ -111,6 +111,11 @@ class TestQuadratureProjector:
         with pytest.raises(ValidationError):
             quadrature_projector(0.0, 0.0, 0)
 
+    @pytest.mark.parametrize("dim", [2.5, math.nan, math.inf])
+    def test_rejects_non_integer_dim(self, dim):
+        with pytest.raises(ValidationError, match="^dim must"):
+            quadrature_projector(0.0, 0.0, dim)
+
 
 class TestIdealCoherentState:
     def test_vacuum(self):
@@ -183,6 +188,15 @@ class TestMLEReconstruct:
         np.testing.assert_allclose(result.rho.matrix, np.eye(8) / 8.0, atol=1e-12)
         assert not result.converged
         assert result.iterations == 0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"dim": 0}, {"dim": math.nan}, {"max_iter": -1}, {"max_iter": 2.5},
+        {"tol": 0.0}, {"tol": math.nan}, {"tol": math.inf},
+    ])
+    def test_rejects_bad_arguments(self, kwargs):
+        samples = coherent_samples(np.random.default_rng(0), 1.0, 50)
+        with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
+            mle_reconstruct(samples, **{"dim": 4, **kwargs})
 
     def test_vacuum_reconstruction(self):
         rng = np.random.default_rng(101)
@@ -557,6 +571,15 @@ class TestSamplesFromTrace:
         tr = self.trace()
         samples = samples_from_trace(tr, use_true_phase=False)
         np.testing.assert_allclose(samples.theta[:tr.n], np.arctan2(tr.p, tr.x), atol=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"amplitude_scale": 0.0}, {"amplitude_scale": -1.0}, {"amplitude_scale": math.nan},
+        {"amplitude_scale": math.inf}, {"block": 0}, {"block": math.nan},
+    ])
+    def test_rejects_bad_arguments(self, kwargs):
+        # block is checked even when the true phases make it unused
+        with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
+            samples_from_trace(self.trace(), **kwargs)
 
     def test_requires_phase_column(self):
         tr = QuadratureTrace([1.0, 0.0], [0.0, 1.0])

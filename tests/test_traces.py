@@ -33,7 +33,9 @@ class TestMakePhaseRamp:
         assert np.all(np.diff(ramp) > 0)
         assert np.unique(ramp).size == ramp.size
 
-    @pytest.mark.parametrize("n,start,stop", [(1, 0, 1), (0, 0, 1), (5, 1.0, 1.0), (5, 2.0, 1.0)])
+    @pytest.mark.parametrize("n,start,stop", [(1, 0, 1), (0, 0, 1), (5, 1.0, 1.0), (5, 2.0, 1.0),
+                                              (math.nan, 0, 1), (math.inf, 0, 1), (2.5, 0, 1),
+                                              (5, 0.0, math.inf), (5, math.nan, 1.0)])
     def test_rejects_bad_arguments(self, n, start, stop):
         with pytest.raises(ValidationError):
             make_phase_ramp(n, start, stop)
@@ -105,3 +107,16 @@ class TestReferenceSignalSpec:
     def test_rejects_bad_pulses(self):
         with pytest.raises(ValidationError):
             ReferenceSignalSpec(1.0, pulses_per_phase=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"amplitude_sq": math.nan}, {"amplitude_sq": math.inf},
+        {"pulses_per_phase": 1.5}, {"pulses_per_phase": math.nan},
+    ])
+    def test_rejects_non_finite_or_fractional(self, kwargs):
+        with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
+            ReferenceSignalSpec(**{"amplitude_sq": 1.0, **kwargs})
+
+    def test_integral_pulses_stored_as_int(self):
+        spec = ReferenceSignalSpec(1.0, phases=[0.0, 1.0], pulses_per_phase=2.0)
+        assert type(spec.pulses_per_phase) is int
+        np.testing.assert_array_equal(spec.sample_phases(), [0.0, 0.0, 1.0, 1.0])
