@@ -42,6 +42,13 @@ _WIGNER_BOUND_TOL = 1e-6
 _SAME_QUADRATURE_TOL = 1e-9
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values.  np.unique without return_counts checks for a
+    masked array first, which imports numpy.ma: about 10 ms of every
+    tomography command."""
+    return np.unique(values, return_counts=True)[0]
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Fock-truncated density matrix: Hermitian, unit trace, PSD (all up to
@@ -86,7 +93,7 @@ class PhaseTaggedSamples:
             raise ValidationError(f"theta and x differ in length ({theta.size} vs {x.size})")
         if theta.size == 0:
             raise ValidationError("samples are empty")
-        distinct = np.unique(theta)
+        distinct = _distinct(theta)
         # x at theta + pi is -x at theta, so tags that agree modulo pi all
         # measure one quadrature
         folded = np.mod(distinct - distinct[0], math.pi)
@@ -110,20 +117,20 @@ class PhaseTaggedSamples:
 
 
 def _hermite_gauss_table(x: np.ndarray, dim: int) -> np.ndarray:
-    """psi_n(x) for n < dim, vacuum variance 1/2.
+    """psi_n(x) for n < dim, vacuum variance 1/2, order first: shape
+    (dim,) + x.shape, so every step of the recurrence writes contiguously.
 
     Upward recurrence psi_{n} = sqrt(2/n) x psi_{n-1} - sqrt((n-1)/n) psi_{n-2}
     starting from the Gaussian ground state keeps every value bounded, so no
     renormalization is needed at any order.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty(x.shape + (dim,))
-    out[..., 0] = math.pi ** -0.25 * np.exp(-x * x / 2.0)
+    out = np.empty((dim,) + x.shape)
+    out[0] = math.pi ** -0.25 * np.exp(-x * x / 2.0)
     if dim > 1:
-        out[..., 1] = math.sqrt(2.0) * x * out[..., 0]
+        out[1] = math.sqrt(2.0) * x * out[0]
     for n in range(2, dim):
-        out[..., n] = (math.sqrt(2.0 / n) * x * out[..., n - 1]
-                       - math.sqrt((n - 1) / n) * out[..., n - 2])
+        out[n] = math.sqrt(2.0 / n) * x * out[n - 1] - math.sqrt((n - 1) / n) * out[n - 2]
     return out
 
 
@@ -136,15 +143,18 @@ def quadrature_projector(theta, x, dim: int) -> np.ndarray:
     dim = integer_at_least("dim", dim, 1)
     theta_arr = np.asarray(theta, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
+    for arr, name in ((theta_arr, "theta"), (x_arr, "x")):
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{name} contains non-finite values")
     table = _hermite_gauss_table(x_arr, dim).astype(np.complex128)
     # e^{-i n theta} as powers of e^{-i theta}: one complex exp per sample
     # instead of dim, at a rounding error that grows only like n * eps
     step = np.exp(-1j * theta_arr)
     phase = step.copy()
     for n in range(1, dim):
-        table[..., n] *= phase
+        table[n] *= phase
         phase *= step
-    return table
+    return np.ascontiguousarray(np.moveaxis(table, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -193,13 +203,40 @@ class _DenseEngine:
         return amp.real * amp.real + amp.imag * amp.imag
 
 
-class _GroupedEngine:
-    """Real-arithmetic path for samples sharing repeated phase tags.
+def _product_coefficients(dim: int) -> np.ndarray:
+    """a[m, n, j] with psi_m(x) psi_n(x) = sum_j a[m, n, j] chi_j(x) exactly,
+    for m, n < dim and j < 2 dim - 1, where chi_j(x) = 2^{1/4} psi_j(sqrt(2) x)
+    are orthonormal.  Each product is e^{-x^2} times a polynomial of degree
+    <= 2 dim - 2, which the chi_j span.
 
-    For a tag t the projector factorizes as diag(e^{-i n t}) psi(x), so the
-    quadratic forms reduce to real batched products against the rotated
-    density matrix Re(rho e^{i t (m - n)}) = Re(rho) cos - Im(rho) sin.
-    Groups are bucketed by size so each bucket runs as one batched matmul;
+    a[m, n, j] is the overlap integral of psi_m psi_n chi_j, e^{-2 x^2} times
+    a polynomial of degree <= 4 dim - 4, so the (2 dim - 1)-node Gauss-Hermite
+    rule in u = sqrt(2) x gives it exactly.  The nodes are the eigenvalues of
+    the Jacobi matrix of the Hermite recurrence (Golub & Welsch, Math. Comp.
+    23, 221 (1969)); each weight times e^{u^2} is 1 / sum_j psi_j(u)^2, which
+    the bounded Hermite-Gauss table gives without overflow.
+    """
+    nodes = 2 * dim - 1
+    off = np.sqrt(np.arange(1, nodes) / 2.0)
+    u = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    chi = _hermite_gauss_table(u, nodes)
+    weights = 1.0 / np.einsum("jk,jk->k", chi, chi)
+    psi = _hermite_gauss_table(u / math.sqrt(2.0), dim)
+    pairs = (psi[:, None, :] * psi[None, :, :]).reshape(dim * dim, nodes)
+    return 2.0 ** -0.25 * (pairs @ (weights * chi).T).reshape(dim, dim, nodes)
+
+
+class _GroupedEngine:
+    """Product-basis path for samples sharing repeated phase tags.
+
+    For a tag t the Born probability of a sample x is
+    sum_mn psi_m(x) psi_n(x) Re(rho_mn e^{i t (m - n)}).  Writing each
+    product psi_m psi_n in the 2 dim - 1 functions chi_j (see
+    _product_coefficients) turns it into p = sum_j chi_j(x) c_t[j], and the
+    per-tag sums of R into mu_t[j] = sum_i chi_j(x_i) / p_i, so the work per
+    sample is O(dim), not O(dim^2).  Both c_t and R come from the diagonals
+    k = m - n of rho, rotated by the tables cos(k t) and sin(k t).  Groups
+    are bucketed by size so each bucket runs as one batched matmul;
     probabilities come back in engine-internal (bucket-major) order, which
     the iteration treats as a bag, so no scatter-back is needed.
     """
@@ -210,65 +247,85 @@ class _GroupedEngine:
         order = np.argsort(inverse, kind="stable")
         xs_sorted = samples.x[order]
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        diff = np.arange(dim)[:, None] - np.arange(dim)[None, :]
         self.buckets = []
-        for size in np.unique(counts):
+        for size in _distinct(counts):
             group_ids = np.flatnonzero(counts == size)
             xs = np.stack([xs_sorted[offsets[g]:offsets[g] + size] for g in group_ids])
-            angle = tags[group_ids][:, None, None] * diff[None, :, :]
-            self.buckets.append((_hermite_gauss_table(xs, dim), np.cos(angle), np.sin(angle)))
+            chi = _hermite_gauss_table(math.sqrt(2.0) * xs, 2 * dim - 1)
+            chi *= 2.0 ** 0.25  # chi_j(x) = 2^{1/4} psi_j(sqrt(2) x)
+            # a (groups, 2 dim - 1, size) view, one BLAS-ready matrix per group
+            self.buckets.append((group_ids, chi.transpose(1, 0, 2)))
+        angle = np.multiply.outer(tags, np.arange(dim))
+        self.rotation = np.hstack([np.cos(angle), -np.sin(angle)])  # Re and Im weights
+        # element [k, n] of diagonal k is (n + k, n); entries past the corner
+        # are masked out
+        rows = np.arange(dim)[None, :] + np.arange(dim)[:, None]
+        self.valid = rows < dim
+        cols = np.broadcast_to(np.arange(dim), (dim, dim))[self.valid]
+        self.lower = rows[self.valid] * dim + cols
+        self.upper = cols * dim + rows[self.valid]
+        coef = np.zeros((dim, dim, 2 * dim - 1))
+        coef[self.valid] = _product_coefficients(dim)[rows[self.valid], cols]
+        self.coef = coef
         self.dim = dim
         self.n = samples.n
 
+    def _tag_coefficients(self, rho: np.ndarray) -> np.ndarray:
+        """c_t[j] for every tag, from the Hermitian part of rho."""
+        # diagonal k of rho plus the conjugate of diagonal -k, the main
+        # diagonal counted once
+        flat = rho.ravel()
+        diags = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        diags[self.valid] = flat[self.lower] + flat[self.upper].conj()
+        diags[0] *= 0.5
+        parts = np.matmul(np.stack([diags.real, diags.imag], axis=1), self.coef)
+        return self.rotation @ parts.transpose(1, 0, 2).reshape(2 * self.dim, -1)
+
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        parts = []
-        for h, cos, sin in self.buckets:
-            rotated = rho.real * cos - rho.imag * sin
-            v = h @ rotated
-            parts.append(np.einsum("tmd,tmd->tm", h, v).ravel())
-        return np.concatenate(parts)
+        coefs = self._tag_coefficients(rho)
+        return np.concatenate([np.matmul(coefs[ids, None, :], chi).ravel()
+                               for ids, chi in self.buckets])
 
     def r_operator(self, probs: np.ndarray) -> np.ndarray:
         """R = (1/n) sum_i Pi_i / p_i, probs in engine-internal order."""
-        r = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        mu = np.empty((self.rotation.shape[0], 2 * self.dim - 1))
         inverse = 1.0 / probs
         start = 0
-        for h, cos, sin in self.buckets:
-            stop = start + h.shape[0] * h.shape[1]
-            weights = h * inverse[start:stop].reshape(h.shape[:2])[:, :, None]
-            s = np.matmul(h.transpose(0, 2, 1), weights)
-            r.real += np.einsum("tmn,tmn->mn", s, cos)
-            r.imag -= np.einsum("tmn,tmn->mn", s, sin)
+        for ids, chi in self.buckets:
+            stop = start + chi.shape[0] * chi.shape[2]
+            weights = inverse[start:stop].reshape(chi.shape[0], chi.shape[2], 1)
+            mu[ids] = np.matmul(chi, weights)[:, :, 0]
             start = stop
-        r /= self.n
-        return r
+        # diagonal k of R is sum_t e^{-i k t} mu_t through coef
+        nu = (self.rotation.T @ mu).reshape(2, self.dim, -1).transpose(1, 2, 0)
+        diags = np.matmul(self.coef, nu)[self.valid] / self.n
+        r = np.empty(self.dim * self.dim, dtype=np.complex128)
+        r[self.lower] = diags[:, 0] + 1j * diags[:, 1]
+        r[self.upper] = diags[:, 0] - 1j * diags[:, 1]
+        return r.reshape(self.dim, self.dim)
 
     def rank_one(self, vec: np.ndarray) -> np.ndarray:
-        """Born probabilities of the pure state vec vec^dagger, engine order."""
-        parts = []
-        for h, cos, sin in self.buckets:
-            # <x, t|vec> = sum_n psi_n(x) e^{i n t} vec_n; column 0 of the
-            # tables holds cos(n t) and sin(n t)
-            cos0, sin0 = cos[:, :, 0], sin[:, :, 0]
-            rotated = np.stack([cos0 * vec.real - sin0 * vec.imag,
-                                cos0 * vec.imag + sin0 * vec.real], axis=2)
-            amp = np.square(h @ rotated)
-            parts.append((amp[:, :, 0] + amp[:, :, 1]).ravel())
-        return np.concatenate(parts)
+        """Born probabilities of the pure state vec vec^dagger, engine order;
+        clipped at 0, which rounding in the product basis can undercut."""
+        return np.maximum(self.probabilities(np.outer(vec, vec.conj())), 0.0)
 
 
 def _make_engine(samples: PhaseTaggedSamples, dim: int):
-    # Grouping pays once tags repeat enough.  Grouped / dense time per MLE
-    # iteration, range over two passes of 5 and 7 runs on a 2-core host:
-    #   n = 2e4, repeats per tag    8          12         16         32
-    #   dim 15                  1.17-1.18  0.95-1.04  0.69-0.80     0.62
-    #   dim 20                  1.24-1.31  0.90-0.98  0.77-0.87  0.57-0.63
-    #   dim 25                  1.59-2.30  1.29-1.50  0.97-1.09  0.63-0.68
-    # and 0.58-0.75 at n = 1e5, 32 repeats, dims 15-25.  The two tie near 12
-    # repeats at dims 15-20 (near 16 at dim 25).  The cap keeps the per-group
-    # phase tables (groups x dim x dim cosines and sines) at tens of megabytes.
-    distinct = np.unique(samples.theta).size
-    if distinct * 12 <= samples.n and distinct <= 4096:
+    # Grouping pays once tags repeat a few times.  Grouped / dense time of
+    # the whole reconstruction (engine build included, tol 1e-10, both
+    # engines taking the same 5-267 iterations), range over two passes on a
+    # 2-core host, tags repeated uniformly:
+    #   repeats per tag           2          3          4          8         32
+    #   n = 2e4, dim 15       0.34-3.06  0.72-0.91  0.62-0.72  0.53-0.55  0.35-0.43
+    #            dim 20       1.10-1.18  0.68-0.77  0.36-0.60  0.40-0.46  0.27-0.30
+    #            dim 25       0.88-1.04  0.70-0.78  0.58-0.61  0.39-0.45  0.32-0.33
+    #   n = 1e5, dim 15       1.26-1.45  0.70-0.79  0.68-0.71  0.32-0.43  0.28-0.29
+    #            dim 20       1.01-1.03  0.71-0.80  0.57-0.68  0.29-0.39  0.21-0.23
+    #            dim 25       0.92-0.98  0.55-0.72  0.49-0.51  0.34-0.35  0.17-0.17
+    # The grouped engine wins from 3 repeats at every dim, up to the 33,333
+    # tags of n = 1e5, so the tag count needs no cap: its tables grow like
+    # tags x dim, below the samples x (2 dim - 1) table.
+    if _distinct(samples.theta).size * 3 <= samples.n:
         return _GroupedEngine(samples, dim), True
     return _DenseEngine(samples, dim), False
 
@@ -628,50 +685,68 @@ def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
         W_{m n}(x, p) = (1/pi) e^{-r^2} (-1)^n (x - i p)^{m-n}
                         sqrt(2^{m-n} n! / m!) L_n^{m-n}(2 r^2),   m >= n
 
-    with the generalized-Laguerre three-term recurrence carried over the
-    grid for every diagonal, which stays stable for desk-scale cutoffs.
-    The complex accumulation cancels to a real result; any imaginary
-    residue above 1e-10 is a hard error.
+    (W_{n m} is its conjugate) as W = Re sum_k s_k(r^2) z^k, z = x - i p,
+    where s_k gathers diagonal k = m - n of the Hermitian part of rho.  The
+    s_k depend on r^2 alone, so the generalized-Laguerre three-term
+    recurrence (carried upward in n for every k at once, stable for
+    desk-scale cutoffs) runs once per distinct r^2, and Horner's rule in z
+    combines the diagonals over the grid.  The anti-Hermitian part of rho
+    adds the imaginary residue i Im sum_k d_k z^k, built the same way when
+    it is not zero; a residue above 1e-10 is a hard error.
     """
     x_axis = np.asarray(x_axis, dtype=np.float64)
     p_axis = np.asarray(p_axis, dtype=np.float64)
     mat = rho.matrix
     dim = rho.dim
     grid_x, grid_p = np.meshgrid(x_axis, p_axis, indexing="ij")
-    r_sq = grid_x * grid_x + grid_p * grid_p
-    envelope = np.exp(-r_sq) / math.pi
+    r_sq, inverse = np.unique(grid_x * grid_x + grid_p * grid_p, return_inverse=True)
     z = grid_x - 1j * grid_p
-    y = 2.0 * r_sq
 
-    total = np.zeros_like(z)
-    z_pow = np.ones_like(z)
-    for k in range(dim):  # k = m - n, the diagonal offset
-        lag_prev2 = None
-        lag_prev = None
-        for j in range(dim - k):
-            if j == 0:
-                lag = np.ones_like(y)
-            elif j == 1:
-                lag = 1.0 + k - y
-            else:
-                lag = ((2.0 * j - 1.0 + k - y) * lag_prev - (j - 1.0 + k) * lag_prev2) / j
-            lag_prev2, lag_prev = lag_prev, lag
-            sign = -1.0 if j % 2 else 1.0
-            coef = sign * math.exp(0.5 * (k * math.log(2.0)
-                                          + math.lgamma(j + 1) - math.lgamma(j + k + 1)))
-            term = (coef * z_pow) * lag
-            if k == 0:
-                total += mat[j, j].real * term
-            else:
-                contrib = mat[j + k, j] * term
-                total += contrib + (mat[j, j + k] * term.conj())
-        z_pow = z_pow * z
+    # weights[k, n] = (-1)^n sqrt(2^k n! / (n + k)!) times diagonal k of rho
+    # (rho[n + k, n], n + k < dim), and of its Hermitian conjugate
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, 2 * dim)))])
+    offset, level = np.arange(dim)[:, None], np.arange(dim)[None, :]
+    inside = offset + level < dim
+    rows = np.where(inside, offset + level, 0)
+    coef = np.where(inside, np.exp(0.5 * (offset * math.log(2.0) + log_fact[level]
+                                          - log_fact[rows])), 0.0)
+    coef[:, 1::2] *= -1.0
+    below, above = coef * mat[rows, level], coef * mat[level, rows].conj()
+    herm, anti = below + above, below - above
+    herm[0], anti[0] = below[0].real, 0.0
+    parts = [herm.real, herm.imag]
+    if anti.any():
+        parts += [anti.real, anti.imag]
+    weights = np.stack(parts)
 
-    values = envelope * total
-    residue = np.abs(values.imag).max() if values.size else 0.0
+    # sums[c, k] = sum_n weights[c, k, n] L_n^k(2 r^2) over the distinct r^2;
+    # L_n^k is needed for k < dim - n only
+    k_minus_y = offset - 2.0 * r_sq
+    sums = np.zeros(weights.shape[:2] + r_sq.shape)
+    lag_prev = np.zeros((dim, r_sq.size))
+    lag = np.ones((dim, r_sq.size))
+    for n in range(dim):
+        top = dim - n
+        if n:
+            lag, lag_prev = ((2.0 * n - 1.0 + k_minus_y[:top]) * lag[:top]
+                             - (n - 1.0 + offset[:top]) * lag_prev[:top]) / n, lag[:top]
+        sums[:, :top] += weights[:, :top, n, None] * lag
+    sums *= np.exp(-r_sq) / math.pi
+
+    def horner(real, imag):
+        coefs = real + 1j * imag
+        total = coefs[dim - 1, inverse]
+        for k in range(dim - 2, -1, -1):
+            total = total * z + coefs[k, inverse]
+        return total
+
+    values = horner(sums[0], sums[1]).real
+    residue = 0.0
+    if len(sums) > 2 and values.size:
+        residue = np.abs(horner(sums[2], sums[3]).imag).max()
     if residue > 1e-10:
         raise NumericalDomainError(f"Wigner imaginary residue {residue} exceeds 1e-10")
-    return WignerGrid(x_axis, p_axis, values.real)
+    return WignerGrid(x_axis, p_axis, values)
 
 
 def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = True,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import eval_genlaguerre, eval_hermite, factorial
@@ -24,7 +24,13 @@ from hetasym import (
     samples_from_trace,
     wigner,
 )
-from hetasym.tomography import _DenseEngine, _GroupedEngine, _make_engine, _rank_one_search
+from hetasym.tomography import (
+    _DenseEngine,
+    _GroupedEngine,
+    _make_engine,
+    _product_coefficients,
+    _rank_one_search,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,6 +121,15 @@ class TestQuadratureProjector:
     def test_rejects_non_integer_dim(self, dim):
         with pytest.raises(ValidationError, match="^dim must"):
             quadrature_projector(0.0, 0.0, dim)
+
+    @pytest.mark.parametrize("theta, x, name", [
+        (math.nan, 0.0, "theta"), (0.0, math.inf, "x"),
+        (np.array([0.0, -math.inf]), np.array([0.1, 0.2]), "theta"),
+        (np.array([0.0, 0.5]), np.array([0.1, math.nan]), "x"),
+    ])
+    def test_rejects_non_finite_samples(self, theta, x, name):
+        with pytest.raises(ValidationError, match=f"^{name} contains non-finite"):
+            quadrature_projector(theta, x, 3)
 
 
 class TestIdealCoherentState:
@@ -255,19 +270,20 @@ class TestMLEReconstruct:
             tags = np.concatenate([np.repeat(ramp, 48), np.repeat(ramp[::2], 64)])
         xs = rng.normal(np.sqrt(2.0) * np.cos(tags), math.sqrt(0.5))
         samples = PhaseTaggedSamples(tags, xs)
-        engine, grouped = _make_engine(samples, 10)
-        assert grouped and isinstance(engine, _GroupedEngine)
-        dense = _DenseEngine(samples, 10)
-        rho = np.eye(10, dtype=complex) / 10.0
-        for _ in range(3):
-            probs_g = engine.probabilities(rho)
-            probs_d = dense.probabilities(rho)
-            np.testing.assert_allclose(np.sort(probs_g), np.sort(probs_d), rtol=1e-10)
-            r_g = engine.r_operator(probs_g)
-            r_d = dense.r_operator(probs_d)
-            np.testing.assert_allclose(r_g, r_d, atol=1e-12)
-            rho = r_d @ rho @ r_d
-            rho /= np.trace(rho).real
+        for dim in (10, 25):
+            engine, grouped = _make_engine(samples, dim)
+            assert grouped and isinstance(engine, _GroupedEngine)
+            dense = _DenseEngine(samples, dim)
+            rho = np.eye(dim, dtype=complex) / dim
+            for _ in range(3):
+                probs_g = engine.probabilities(rho)
+                probs_d = dense.probabilities(rho)
+                np.testing.assert_allclose(np.sort(probs_g), np.sort(probs_d), rtol=1e-10)
+                r_g = engine.r_operator(probs_g)
+                r_d = dense.r_operator(probs_d)
+                np.testing.assert_allclose(r_g, r_d, atol=1e-12)
+                rho = r_d @ rho @ r_d
+                rho /= np.trace(rho).real
 
     def test_distinct_tags_use_dense_path(self):
         rng = np.random.default_rng(10)
@@ -275,12 +291,15 @@ class TestMLEReconstruct:
         _, grouped = _make_engine(samples, 6)
         assert not grouped
 
-    def test_ten_repeats_per_tag_use_dense_path(self):
-        # below the measured crossover of 12 repeats the dense engine is faster
-        tags = np.repeat(make_phase_ramp(16, 0.0, TWO_PI), 10)
+    def test_two_repeats_per_tag_use_dense_path(self):
+        # below the measured crossover of 3 repeats the dense engine is faster
+        tags = np.repeat(make_phase_ramp(16, 0.0, TWO_PI), 2)
         samples = PhaseTaggedSamples(tags, np.zeros(tags.size))
         _, grouped = _make_engine(samples, 6)
         assert not grouped
+        samples = PhaseTaggedSamples(np.repeat(tags[::2], 3), np.zeros(48))
+        _, grouped = _make_engine(samples, 6)
+        assert grouped
 
     def test_probability_floor_diagnostic(self):
         # samples far outside the Fock window underflow and hit the floor
@@ -304,9 +323,11 @@ class TestMLEReconstruct:
 @settings(max_examples=40, deadline=None)
 @given(
     grouped=st.booleans(),
-    dim=st.integers(1, 12),
+    dim=st.one_of(st.integers(1, 12), st.just(25)),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(grouped=True, dim=25, seed=0)
+@example(grouped=False, dim=25, seed=0)
 def test_rank_one_kernel_matches_probabilities(grouped, dim, seed):
     rng = np.random.default_rng(seed)
     if grouped:
@@ -319,7 +340,29 @@ def test_rank_one_kernel_matches_probabilities(grouped, dim, seed):
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     vec /= np.linalg.norm(vec)
     expected = engine.probabilities(np.outer(vec, vec.conj()))
-    assert np.abs(engine.rank_one(vec) - expected).max() <= 1e-12 * np.abs(expected).max()
+    q = engine.rank_one(vec)
+    # q / p - 1 >= -1 in the rank-one search needs q >= 0
+    assert q.min() >= 0.0
+    assert np.abs(q - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_product_basis_reproduces_hermite_products():
+    # psi_m psi_n = sum_j a[m, n, j] chi_j, chi_j(x) = 2^{1/4} psi_j(sqrt(2) x),
+    # with both tables from scipy's Hermite polynomials
+    x = np.linspace(-8.0, 8.0, 801)
+
+    def table(u, count):
+        norms = [math.sqrt(2.0 ** n * factorial(n, exact=True) * math.sqrt(math.pi))
+                 for n in range(count)]
+        return np.stack([eval_hermite(n, u) * np.exp(-u * u / 2.0) / norms[n]
+                         for n in range(count)], axis=1)
+
+    for dim in range(1, 31):
+        psi = table(x, dim)
+        chi = 2.0 ** 0.25 * table(math.sqrt(2.0) * x, 2 * dim - 1)
+        products = np.einsum("im,in->imn", psi, psi)
+        rebuilt = np.einsum("mnj,ij->imn", _product_coefficients(dim), chi)
+        assert np.abs(rebuilt - products).max() <= 1e-13, dim
 
 
 def _mean_log1p(t, d):
