@@ -21,7 +21,7 @@ from . import __version__
 from .config import RunConfig
 from .errors import ValidationError
 from .tomography import DensityMatrix, WignerGrid
-from .traces import QuadratureTrace
+from .traces import QuadratureTrace, _distinct
 
 
 def fmt(value: float) -> str:
@@ -169,7 +169,7 @@ def read_density_csv(path: str | Path) -> DensityMatrix:
     if not np.all((index >= 0) & (index < dim) & (index == np.floor(index))):
         raise ValidationError(f"{path}: row and col must be integers in 0..{dim - 1}")
     rows, cols = index.astype(np.intp).T
-    if np.unique(rows * dim + cols).size != n:
+    if _distinct(rows * dim + cols).size != n:
         raise ValidationError(f"{path}: duplicate (row, col) entries")
     mat = np.zeros((dim, dim), dtype=np.complex128)
     mat.real[rows, cols] = data[:, 2]

@@ -15,7 +15,7 @@ class ValidationError(ValueError):
 
 class NumericalDomainError(ArithmeticError):
     """A computation left its numerical domain (unphysical parameters,
-    discriminant violations beyond tolerance, impossible inversions)."""
+    eigenvalues out of range beyond tolerance, impossible inversions)."""
 
 
 # Each rule is written so that NaN fails it, and returns the value it checked.

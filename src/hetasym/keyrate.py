@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import NumericalDomainError, ValidationError, non_negative, positive, unit_interval
 
-#: Tolerated numerical undershoot on discriminants and symplectic
+#: Tolerated numerical undershoot on the excess noise and the symplectic
 #: eigenvalues before parameters are declared unphysical.
 CLAMP_TOL = 1e-9
 
@@ -60,69 +60,59 @@ def g_entropy(x: float) -> float:
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
-# The clamps in this chain spell max(x, lo) as `lo if lo > x else x`: the
-# same value (NaN included) without a builtin call, of which a key-rate
-# sweep would make about 17 per distance.
-def _clamped_sqrt(value: float, what: str, slack: float = CLAMP_TOL) -> float:
-    if value < -slack:
-        raise NumericalDomainError(f"{what} = {value} is negative beyond tolerance (unphysical parameters)")
-    return math.sqrt(0.0 if 0.0 > value else value)
-
-#: Cancellation in A^2 - 4B is at machine epsilon relative to A^2, so the
-#: physicality guards must scale with the discriminant inputs; a fixed
-#: absolute tolerance rejects exactly degenerate points such as T = 1.
-_EPS = sys.float_info.epsilon
-_LAM_SLACK = 4.0 * math.sqrt(_EPS)
-
-
 def symplectic_spectrum(v: float, t: float, chi_line_value: float,
                         chi_het_value: float) -> tuple[float, float, float, float]:
     """Symplectic eigenvalues (lambda1..4) of the shared state before and
     after Bob's heterodyne measurement.
 
-    With chi_total = chi_line + chi_het / T:
+    With chi_total = chi_line + chi_het / T, the textbook form is
 
         A = v^2 (1 - 2T) + 2T + T^2 (v + chi_line)^2
         B = T^2 (1 + v chi_line)^2
         C = (A chi_het^2 + B + 1 + 2 chi_het [v sqrt(B) + T (v + chi_line)]
              + 2T (v^2 - 1)) / (T (v + chi_total))^2
         D = (v + chi_het sqrt(B))^2 / (T (v + chi_total))^2
-        lambda_{1,2} = sqrt((A +/- sqrt(A^2 - 4B)) / 2), likewise for C, D.
+        lambda_{1,2} = sqrt((A +/- sqrt(A^2 - 4B)) / 2), likewise for C, D,
 
-    Eigenvalues are >= 1 up to a clamped undershoot of CLAMP_TOL; larger
-    violations raise NumericalDomainError.
+    whose discriminants cancel near T = 1.  With u = 1 - T, the
+    receiver-referred excess noise xi = T chi_line - u and
+    g = T (v + chi_total) = 1 + T (v - 1) + xi + chi_het, each pair is
+    (sqrt(d^2 + 4p) +/- |d|) / 2 for its product p and difference d:
+
+        p12 = sqrt(B) = T + u v + v xi,      d12 = u (v - 1) - xi,
+        p34 = sqrt(D) = (v + chi_het sqrt(B)) / g,
+        d34 = (chi_het (xi - u (v - 1)) - u (v - 1) - v xi) / g,
+
+    as A - 2 sqrt(B) = d12^2 and C - 2 sqrt(D) = d34^2; the smaller one is
+    taken as p over the larger.  lambda2 >= 1 holds exactly when xi >= 0.  An xi or an eigenvalue more than CLAMP_TOL below
+    its bound raises NumericalDomainError; rounding is clamped at 1.
     """
     positive("v - 1", v - 1.0)
     unit_interval("t", t)
     non_negative("chi_line_value", chi_line_value)
     non_negative("chi_het_value", chi_het_value)
 
-    chi_total = chi_line_value + chi_het_value / t
-    t_v_chi_sq = (t * (v + chi_line_value)) ** 2
-    a = v * v * (1.0 - 2.0 * t) + 2.0 * t + t_v_chi_sq
-    b = (t * (1.0 + v * chi_line_value)) ** 2
-    sqrt_b = math.sqrt(b)
-    denom = (t * (v + chi_total)) ** 2
-    c = (a * chi_het_value ** 2 + b + 1.0
-         + 2.0 * chi_het_value * (v * sqrt_b + t * (v + chi_line_value))
-         + 2.0 * t * (v * v - 1.0)) / denom
-    d = (v + chi_het_value * sqrt_b) ** 2 / denom
-
-    # A sums terms of size v^2 + T^2 (v + chi_line)^2 that cancel near T = 1,
-    # so its rounding error scales with that size; C sums non-negative terms
+    u = 1.0 - t
+    xi = t * chi_line_value - u
+    if xi < -CLAMP_TOL:
+        raise NumericalDomainError(
+            f"excess noise T chi_line - (1 - T) = {xi} is negative (unphysical parameters)")
+    loss = u * (v - 1.0)
+    sqrt_b = t + u * v + v * xi
+    g = 1.0 + t * (v - 1.0) + xi + chi_het_value
     lams = []
-    for big, size, small, tag in ((a, v * v + t_v_chi_sq, b, "A^2 - 4B"),
-                                  (c, c, d, "C^2 - 4D")):
-        disc_slack = CLAMP_TOL + 16.0 * _EPS * big * size
-        disc = _clamped_sqrt(big * big - 4.0 * small, tag, disc_slack)
-        lam_slack = CLAMP_TOL + _LAM_SLACK * math.sqrt(big * size)
-        for sign in (1.0, -1.0):
-            lam = _clamped_sqrt(0.5 * (big + sign * disc), "symplectic eigenvalue^2")
-            if lam < 1.0 - lam_slack:
-                raise NumericalDomainError(
-                    f"symplectic eigenvalue {lam} < 1 beyond tolerance (unphysical parameters)"
-                )
-            lams.append(1.0 if 1.0 > lam else lam)
+    for prod, diff in ((sqrt_b, loss - xi),
+                       ((v + chi_het_value * sqrt_b) / g,
+                        (chi_het_value * (xi - loss) - loss - v * xi) / g)):
+        big = 0.5 * (math.sqrt(diff * diff + 4.0 * prod) + abs(diff))
+        small = prod / big
+        if small < 1.0 - CLAMP_TOL:
+            raise NumericalDomainError(
+                f"symplectic eigenvalue {small} < 1 beyond tolerance (unphysical parameters)")
+        # clamp rounding: both at 1, and small at big, which the quotient
+        # can pass by an ulp when the pair is degenerate
+        big = max(big, 1.0)
+        lams += [big, min(max(small, 1.0), big)]
     return lams[0], lams[1], lams[2], lams[3]
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalDomainError, ValidationError, integer_at_least, positive
 from .phase import estimate_phase
-from .traces import QuadratureTrace, readonly_float_array
+from .traces import QuadratureTrace, _distinct, readonly_float_array
 
 #: Divisor taking SNU quadratures (vacuum variance 1) to the internal
 #: convention (vacuum variance 1/2).
@@ -40,13 +40,6 @@ _EIGENVALUE_TOL = 1e-10
 _WIGNER_BOUND_TOL = 1e-6
 #: Tags closer than this modulo pi (radians) count as one quadrature.
 _SAME_QUADRATURE_TOL = 1e-9
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values.  np.unique without return_counts checks for a
-    masked array first, which imports numpy.ma: about 10 ms of every
-    tomography command."""
-    return np.unique(values, return_counts=True)[0]
 
 
 @dataclass(frozen=True)

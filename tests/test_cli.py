@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,11 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hetasym
 from hetasym import QuadratureTrace, wrap_phase
 from hetasym.cli import main
 from hetasym.config import RunConfig, load_config, parse_config_text
-from hetasym.csvio import read_density_csv, read_trace_csv, write_trace_csv
+from hetasym.csvio import read_density_csv, read_trace_csv, write_density_csv, write_trace_csv
 from hetasym.errors import ValidationError
+from hetasym.tomography import DensityMatrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -528,3 +532,28 @@ class TestErrorPaths:
                    "--out", tmp_path / "t2") in (0, 3)
         rho = read_density_csv(tmp_path / "t2.rho.csv")
         assert rho.dim == 16
+
+
+def test_csv_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique without return_counts imports numpy.ma (10-16 ms a command);
+    # a fresh interpreter shows whether any of these commands still does
+    cfg = write_config(tmp_path / "run.cfg", n_phases=200, amplitude_sq=552.0,
+                       asymmetry_percent=14.29)
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "raw.csv") == 0
+    rho = DensityMatrix(np.diag([0.75, 0.25]).astype(np.complex128))
+    write_density_csv(tmp_path / "rho.csv", rho, "tomography", RunConfig())
+    script = """
+import sys
+from hetasym.cli import main
+for argv in (["scale", "raw.csv", "--config", "run.cfg", "--out", "scaled.csv"],
+             ["phase-deviation", "raw.csv", "--config", "run.cfg", "--out", "dev.csv"],
+             ["fidelity", "rho.csv", "rho.csv"]):
+    assert main(argv) == 0, argv
+sys.exit("numpy.ma" in sys.modules)
+"""
+    src = str(Path(hetasym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -31,7 +31,7 @@ PIPELINE_SHA256 = {
     "deviation.csv":
         "81643f2e9d4381fec216e83dda0fce393c59346a0bb8e5d918301f05e4cdd9d7",
     "rates.csv":
-        "8aa2e1e0507445b196eb46790fdccee1bd3ccf47afc49953f52f6405415f9769",
+        "9c14ccaebc73548cab4d1d63e696a8c521b4069b4d1b11893702ab05a2fa7ef6",
 }
 
 WRITER_SHA256 = {

@@ -1,6 +1,8 @@
 import math
+import random
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +23,7 @@ from hetasym import (
     symplectic_spectrum,
     transmittance,
 )
+from hetasym.config import RunConfig
 
 # Reference operating point used for the rate-vs-distance figure
 FIG_PARAMS = dict(v_a=10.0, beta=0.93, xi_line=0.02, eta=0.68, v_elec=0.1,
@@ -244,6 +247,27 @@ class TestSymplecticSpectrum:
         with pytest.raises(ValidationError):
             symplectic_spectrum(0.5, 1.0, 0.0, 1.0)
 
+    def test_chi_line_below_loss_rejected(self):
+        # chi_line = 0.5 < 1/T - 1 = 1: a negative excess noise
+        with pytest.raises(NumericalDomainError, match="excess noise"):
+            symplectic_spectrum(11.0, 0.5, 0.5, 1.0)
+
+    def test_sub_unit_lambda4_not_clamped_away(self):
+        # chi_het < 1 is no detector's noise; here lambda4 = 1 - 1.04e-3
+        with pytest.raises(NumericalDomainError, match="symplectic eigenvalue 0.998"):
+            symplectic_spectrum(1001.0, 0.01, chi_line(0.01, 2.0), 0.9)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(1e-3, 1e4), st.floats(1e-6, 1.0),
+       st.just(0.0) | st.floats(1e-12, 1.0), st.floats(1.0, 1e3))
+def test_physical_spectrum_is_ordered_and_factors(v_minus_1, t, xi, chi_h):
+    # xi is the receiver-referred excess noise; lambda1 lambda2 = sqrt(B)
+    v = 1.0 + v_minus_1
+    l1, l2, l3, l4 = symplectic_spectrum(v, t, chi_line(t, xi / t), chi_h)
+    assert l1 >= l2 >= 1.0 and l3 >= l4 >= 1.0
+    assert l1 * l2 == pytest.approx(t + (1.0 - t) * v + v * xi, rel=1e-11)
+
 
 class TestHolevoBound:
     def test_pure_state(self):
@@ -338,14 +362,13 @@ class TestKeyRate:
 
     @pytest.mark.parametrize("v_a, distance", [(25.0, 1e-9), (100.0, 1e-12)])
     def test_pure_loss_just_past_back_to_back(self, v_a, distance):
-        # near T = 1 the terms of A cancel at size v^2; a guard scaled by A
-        # alone called this physical point unphysical.  The cancellation
-        # costs about sqrt(eps) v in lambda_2, hence the loose tolerance.
+        # a physical point next to T = 1; at 60 digits the rate lies
+        # 4.07e-8 (v_a = 25) and 2.2e-10 (v_a = 100) below the back-to-back one
         params = KeyRateParams(v_a=v_a, xi_line=0.0, eta=1.0, v_elec=0.0,
                                alpha_db_per_km=0.5)
         result = key_rate(params, distance)
         assert result.rate_per_symbol == pytest.approx(
-            key_rate(params, 0.0).rate_per_symbol, abs=1e-4)
+            key_rate(params, 0.0).rate_per_symbol, abs=5e-8)
 
     def test_physicality_over_figure_sweep(self):
         base = KeyRateParams(**FIG_PARAMS)
@@ -361,11 +384,89 @@ operating_points = st.builds(
     xi_line=st.floats(0.0, 0.05), xi_det=st.floats(0.0, 0.15), eta=st.floats(0.5, 1.0),
     v_elec=st.floats(0.0, 0.2), alpha_db_per_km=st.floats(0.15, 0.5))
 
-# Rounding noise of a computed rate.  Near T = 1 with a noiseless detector
-# the terms of A cancel at size v^2, which leaves about sqrt(eps) v in
-# lambda_2 and a few 1e-6 bits/symbol in the rate (see
-# test_pure_loss_just_past_back_to_back); elsewhere the noise is ~1e-14.
-RATE_NOISE = 1e-5
+def _g_mp(x):
+    # an eigenvalue that is exactly 1 (xi = 0) comes out 1 -/+ 1e-55 or so
+    return mp.mpf(0) if x <= 0 else (x + 1) * mp.log(x + 1, 2) - x * mp.log(x, 2)
+
+
+def rate_oracle(params: KeyRateParams, distance_km: float) -> mp.mpf:
+    """The rate at distance_km from the textbook A, B, C, D formulas of
+    symplectic_spectrum, with every step (T included) at 60 digits."""
+    with mp.workdps(60):
+        t = mp.power(10, -mp.mpf(params.alpha_db_per_km) * mp.mpf(distance_km) / 10)
+        v = mp.mpf(params.v_a) + 1
+        chi_l = 1 / t - 1 + (mp.mpf(params.xi_line) + mp.mpf(params.xi_det)) / t
+        chi_h = (2 - mp.mpf(params.eta) + 2 * mp.mpf(params.v_elec)) / mp.mpf(params.eta)
+        a = v * v * (1 - 2 * t) + 2 * t + (t * (v + chi_l)) ** 2
+        b = (t * (1 + v * chi_l)) ** 2
+        denom = (t * (v + chi_l + chi_h / t)) ** 2
+        c = (a * chi_h ** 2 + b + 1 + 2 * chi_h * (v * mp.sqrt(b) + t * (v + chi_l))
+             + 2 * t * (v * v - 1)) / denom
+        d = (v + chi_h * mp.sqrt(b)) ** 2 / denom
+        holevo = 0
+        for big, small, sign in ((a, b, 1), (c, d, -1)):
+            disc = mp.sqrt(big * big - 4 * small)
+            for lam in (mp.sqrt((big + disc) / 2), mp.sqrt((big - disc) / 2)):
+                holevo += sign * _g_mp((lam - 1) / 2)
+        info = mp.log((v + chi_l) / (1 + chi_l), 2) / 2
+        return mp.mpf(params.beta) * info - holevo
+
+
+def _worst_oracle_error(params: KeyRateParams, distances) -> float:
+    return max(abs(float(rate - rate_oracle(params, d)))
+               for d, rate in zip(distances, key_rate_curve(params, distances)))
+
+
+# Worst |rate - rate_oracle| next to T = 1 (measured: 2.4e-11 bits/symbol,
+# set by the rounding of T and chi_line at v_a = 1e4) and elsewhere
+# (measured: 6.1e-15)
+NEAR_T1_ERROR = 5e-11
+RATE_ERROR = 2e-14
+
+
+class TestOracle:
+    @pytest.mark.parametrize("eta, v_elec", [(1.0, 0.0), (0.6, 0.1)])
+    def test_near_back_to_back(self, eta, v_elec):
+        distances = [10.0 ** k for k in range(-12, -2)]
+        for v_a in (2.0, 10.0, 100.0, 1e3, 1e4):
+            params = KeyRateParams(v_a=v_a, xi_line=0.0, eta=eta, v_elec=v_elec)
+            assert _worst_oracle_error(params, distances) <= NEAR_T1_ERROR
+
+    def test_random_operating_points_with_a_key(self):
+        rng = random.Random(2)
+        drawn = 0
+        while drawn < 60:
+            params = KeyRateParams(
+                v_a=rng.uniform(1.5, 40.0), beta=rng.uniform(0.85, 0.99),
+                xi_line=rng.uniform(0.0, 0.05), xi_det=rng.uniform(0.0, 0.05),
+                eta=rng.uniform(0.5, 1.0), v_elec=rng.uniform(0.0, 0.2),
+                alpha_db_per_km=rng.uniform(0.15, 0.5))
+            cutoff = max_distance(params)
+            if not 0.0 < cutoff < math.inf:
+                continue
+            drawn += 1
+            distances = [cutoff * i / 20 for i in range(21)]
+            assert _worst_oracle_error(params, distances) <= RATE_ERROR
+
+    @pytest.mark.parametrize("xi_det", RunConfig().xi_det_list())
+    def test_cutoff_below_first_oracle_sign_change(self, xi_det):
+        config = RunConfig()
+        params = KeyRateParams(
+            v_a=config.v_a, beta=config.beta, xi_line=config.xi_line, xi_det=xi_det,
+            eta=config.eta, v_elec=config.v_elec, alpha_db_per_km=config.alpha_db_per_km)
+        lo, hi = 0.0, 1.0
+        while rate_oracle(params, hi) > 0:
+            lo, hi = hi, hi + 1.0
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if rate_oracle(params, mid) > 0 else (lo, mid)
+        resolution = config.max_distance_resolution_km
+        cutoff = max_distance(params, resolution)
+        assert hi - resolution <= cutoff <= lo
+
+
+# Two computed rates in a property can each be off by NEAR_T1_ERROR
+RATE_NOISE = 2 * NEAR_T1_ERROR
 
 
 @settings(max_examples=300, deadline=None)
