@@ -20,7 +20,6 @@ from .keyrate import (
     KeyRateBreakdown,
     KeyRateParams,
     chi_het,
-    chi_line,
     g_entropy,
     holevo_bound,
     key_rate,
@@ -72,7 +71,6 @@ __all__ = [
     "KeyRateBreakdown",
     "KeyRateParams",
     "chi_het",
-    "chi_line",
     "g_entropy",
     "holevo_bound",
     "key_rate",

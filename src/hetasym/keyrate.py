@@ -12,13 +12,12 @@ efficiency eta and electronic noise v_elec enter only through chi_het
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import NumericalDomainError, ValidationError, non_negative, positive, unit_interval
 
-#: Tolerated numerical undershoot on the excess noise and the symplectic
-#: eigenvalues before parameters are declared unphysical.
+#: Tolerated numerical undershoot of the symplectic eigenvalues below 1
+#: before parameters are declared unphysical.
 CLAMP_TOL = 1e-9
 
 
@@ -29,13 +28,6 @@ def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
-def chi_line(t: float, xi_ex: float) -> float:
-    """Channel-referred added noise: chi_line = 1/T - 1 + xi_ex  [SNU]."""
-    unit_interval("t", t)
-    non_negative("xi_ex", xi_ex)
-    return 1.0 / t - 1.0 + xi_ex
-
-
 def chi_het(eta: float, v_elec: float) -> float:
     """Heterodyne detection added noise: (2 - eta + 2 v_elec) / eta  [SNU]."""
     unit_interval("eta", eta)
@@ -43,13 +35,16 @@ def chi_het(eta: float, v_elec: float) -> float:
     return (2.0 - eta + 2.0 * v_elec) / eta
 
 
-def mutual_information(v: float, chi_line_value: float) -> float:
-    """Alice-Bob mutual information for heterodyne readout:
-    I(A;B) = 1/2 log2((v + chi_line) / (1 + chi_line))  [bits/symbol],
-    with v = V_A + 1."""
+def mutual_information(v: float, t: float, xi: float) -> float:
+    """Alice-Bob mutual information for heterodyne readout through a channel
+    of transmittance t with receiver-referred excess noise xi:
+    I(A;B) = 1/2 log2(1 + T (v - 1) / (1 + xi))  [bits/symbol], with
+    v = V_A + 1.  This is 1/2 log2((v + chi_line) / (1 + chi_line)) for the
+    channel-referred noise chi_line = (1 - T + xi) / T, never formed here."""
     positive("v - 1", v - 1.0)
-    non_negative("chi_line_value", chi_line_value)
-    return 0.5 * math.log2((v + chi_line_value) / (1.0 + chi_line_value))
+    unit_interval("t", t)
+    non_negative("xi", xi)
+    return 0.5 * math.log2(1.0 + t * (v - 1.0) / (1.0 + xi))
 
 
 def g_entropy(x: float) -> float:
@@ -60,12 +55,14 @@ def g_entropy(x: float) -> float:
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
-def symplectic_spectrum(v: float, t: float, chi_line_value: float,
+def symplectic_spectrum(v: float, t: float, xi: float,
                         chi_het_value: float) -> tuple[float, float, float, float]:
     """Symplectic eigenvalues (lambda1..4) of the shared state before and
-    after Bob's heterodyne measurement.
+    after Bob's heterodyne measurement, for a channel of transmittance t
+    with receiver-referred excess noise xi.
 
-    With chi_total = chi_line + chi_het / T, the textbook form is
+    With u = 1 - T, the channel-referred noise chi_line = (u + xi) / T and
+    chi_total = chi_line + chi_het / T, the textbook form is
 
         A = v^2 (1 - 2T) + 2T + T^2 (v + chi_line)^2
         B = T^2 (1 + v chi_line)^2
@@ -74,29 +71,27 @@ def symplectic_spectrum(v: float, t: float, chi_line_value: float,
         D = (v + chi_het sqrt(B))^2 / (T (v + chi_total))^2
         lambda_{1,2} = sqrt((A +/- sqrt(A^2 - 4B)) / 2), likewise for C, D,
 
-    whose discriminants cancel near T = 1.  With u = 1 - T, the
-    receiver-referred excess noise xi = T chi_line - u and
-    g = T (v + chi_total) = 1 + T (v - 1) + xi + chi_het, each pair is
-    (sqrt(d^2 + 4p) +/- |d|) / 2 for its product p and difference d:
+    whose discriminants cancel near T = 1 and whose 1/T terms overflow as
+    T -> 0.  Written in xi, with g = T (v + chi_total) =
+    1 + T (v - 1) + xi + chi_het, each pair is (sqrt(d^2 + 4p) +/- |d|) / 2
+    for its product p and difference d:
 
         p12 = sqrt(B) = T + u v + v xi,      d12 = u (v - 1) - xi,
         p34 = sqrt(D) = (v + chi_het sqrt(B)) / g,
         d34 = (chi_het (xi - u (v - 1)) - u (v - 1) - v xi) / g,
 
     as A - 2 sqrt(B) = d12^2 and C - 2 sqrt(D) = d34^2; the smaller one is
-    taken as p over the larger.  lambda2 >= 1 holds exactly when xi >= 0.  An xi or an eigenvalue more than CLAMP_TOL below
-    its bound raises NumericalDomainError; rounding is clamped at 1.
+    taken as p over the larger, and no 1/T is formed.  lambda2 >= 1 holds
+    exactly as xi >= 0; lambda4 can fall below 1 when chi_het < 1.  An
+    eigenvalue more than CLAMP_TOL below 1 raises NumericalDomainError;
+    rounding is clamped at 1.
     """
     positive("v - 1", v - 1.0)
     unit_interval("t", t)
-    non_negative("chi_line_value", chi_line_value)
+    non_negative("xi", xi)
     non_negative("chi_het_value", chi_het_value)
 
     u = 1.0 - t
-    xi = t * chi_line_value - u
-    if xi < -CLAMP_TOL:
-        raise NumericalDomainError(
-            f"excess noise T chi_line - (1 - T) = {xi} is negative (unphysical parameters)")
     loss = u * (v - 1.0)
     sqrt_b = t + u * v + v * xi
     g = 1.0 + t * (v - 1.0) + xi + chi_het_value
@@ -165,9 +160,7 @@ class KeyRateBreakdown:
     """Every intermediate of one key-rate evaluation."""
 
     transmittance: float
-    chi_line: float
     chi_het: float
-    chi_total: float
     mutual_info: float
     lambdas: tuple[float, float, float, float]
     holevo: float
@@ -180,38 +173,34 @@ class KeyRateBreakdown:
 
 
 def _rate_terms(params: KeyRateParams, distance_km: float, chi_h: float):
-    """(T, chi_line, I(A;B), symplectic spectrum, Holevo bound, rate) at one
-    distance; chi_h is chi_het(params.eta, params.v_elec)."""
+    """(T, I(A;B), symplectic spectrum, Holevo bound, rate) at one distance;
+    chi_h is chi_het(params.eta, params.v_elec)."""
     t = transmittance(params.alpha_db_per_km, distance_km)
-    v, xi_ex = params.v, params.xi_ex
-    # v chi_line and chi_total stay below (v (1 + xi_ex) + chi_het) / T; past
-    # the float range they turn into inf, NaN or a division by zero
-    if not t * sys.float_info.max > v * (1.0 + xi_ex) + chi_h:
-        raise NumericalDomainError(f"T = {t!r} at {distance_km} km is too small for the key-rate chain")
-    chi_l = chi_line(t, xi_ex / t)
-    info = mutual_information(v, chi_l)
-    lams = symplectic_spectrum(v, t, chi_l, chi_h)
+    if t == 0.0:
+        raise NumericalDomainError(
+            f"T = {t!r} at {distance_km} km underflows; the key-rate chain needs T > 0")
+    v, xi = params.v, params.xi_ex
+    info = mutual_information(v, t, xi)
+    lams = symplectic_spectrum(v, t, xi, chi_h)
     holevo = holevo_bound(lams)
-    return t, chi_l, info, lams, holevo, params.beta * info - holevo
+    return t, info, lams, holevo, params.beta * info - holevo
 
 
 def key_rate(params: KeyRateParams, distance_km: float) -> KeyRateBreakdown:
     """Full chain at distance_km: transmittance -> added noises -> I(A;B) ->
     symplectic spectrum -> Holevo -> r = beta I - chi  [bits/symbol].
 
-    xi_line and xi_det are quoted at the receiver, where both are measured;
-    composing them into chi_line refers them back to the channel input
-    through the transmittance (xi_ex / T), so their penalty grows with
-    distance and every noisy curve has a finite cutoff.  Back to back
-    (T = 1) the two conventions coincide.
+    xi_line and xi_det are quoted at the receiver, where both are measured,
+    and the chain takes their sum xi_ex there at every distance; no noise is
+    referred back to the channel input through 1/T.  Against the signal
+    T (v - 1) that reaches Bob a fixed xi_ex weighs more as T falls, so
+    every noisy curve has a finite cutoff.
     """
     chi_h = chi_het(params.eta, params.v_elec)
-    t, chi_l, info, lams, holevo, rate = _rate_terms(params, distance_km, chi_h)
+    t, info, lams, holevo, rate = _rate_terms(params, distance_km, chi_h)
     return KeyRateBreakdown(
         transmittance=t,
-        chi_line=chi_l,
         chi_het=chi_h,
-        chi_total=chi_l + chi_h / t,
         mutual_info=info,
         lambdas=lams,
         holevo=holevo,

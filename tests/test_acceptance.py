@@ -19,7 +19,6 @@ from hetasym import (
     KeyRateParams,
     ReferenceSignalSpec,
     chi_het,
-    chi_line,
     detection_phase_variance,
     estimate_phase,
     excess_noise_from_phase_variance,

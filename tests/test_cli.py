@@ -365,7 +365,22 @@ class TestKeyrateSweep:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("distance", [15380.0, 15420.0, 16000.0, 16200.0])
+    # at 0.2 dB/km T is normal at 15,380 km and subnormal at 15,420 and
+    # 16,000 km; the sweep to 16,000 km runs in 1,000 km steps
+    @pytest.mark.parametrize("distance_min, distance_max", [
+        (15380.0, 15380.0), (15420.0, 15420.0), (0.0, 16000.0),
+    ])
+    def test_far_distance_exit_0(self, tmp_path, distance_min, distance_max):
+        cfg = write_config(tmp_path / "c.cfg", distance_min_km=distance_min,
+                           distance_max_km=distance_max, distance_step_km=1000.0)
+        out = tmp_path / "rates.csv"
+        assert run("keyrate-sweep", "--config", cfg, "--out", out) == 0
+        _, rows, _ = self.parse(out)
+        assert rows[-1, 0] == distance_max
+        assert np.all(np.isfinite(rows))
+
+    # T == 0 from 16,200 km
+    @pytest.mark.parametrize("distance", [16200.0])
     def test_underflowing_transmittance_exit_3(self, tmp_path, capsys, distance):
         cfg = write_config(tmp_path / "c.cfg", distance_min_km=distance,
                            distance_max_km=distance)

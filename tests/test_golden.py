@@ -31,7 +31,7 @@ PIPELINE_SHA256 = {
     "deviation.csv":
         "81643f2e9d4381fec216e83dda0fce393c59346a0bb8e5d918301f05e4cdd9d7",
     "rates.csv":
-        "9c14ccaebc73548cab4d1d63e696a8c521b4069b4d1b11893702ab05a2fa7ef6",
+        "40599b6495c0d3fce887527f461eeb2e45bf02674f8fdd75d29f3d1b34ab61f7",
 }
 
 WRITER_SHA256 = {

@@ -13,7 +13,6 @@ from hetasym import (
     NumericalDomainError,
     ValidationError,
     chi_het,
-    chi_line,
     g_entropy,
     holevo_bound,
     key_rate,
@@ -49,27 +48,6 @@ class TestTransmittance:
             transmittance(*args)
 
 
-class TestChiLine:
-    def test_lossless_noiseless(self):
-        assert chi_line(1.0, 0.0) == 0.0
-
-    def test_direct_evaluation(self):
-        assert chi_line(0.1, 0.02) == pytest.approx(9.02, rel=1e-12)
-
-    def test_half_transmission(self):
-        assert chi_line(0.5, 0.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_rejects_bad_t(self):
-        with pytest.raises(ValidationError):
-            chi_line(0.0, 0.0)
-        with pytest.raises(ValidationError):
-            chi_line(1.5, 0.0)
-
-    def test_rejects_nan_excess_noise(self):
-        with pytest.raises(ValidationError):
-            chi_line(0.5, math.nan)
-
-
 class TestChiHet:
     def test_ideal(self):
         assert chi_het(1.0, 0.0) == 1.0
@@ -92,14 +70,27 @@ class TestChiHet:
 
 class TestMutualInformation:
     def test_clean_channel(self):
-        assert mutual_information(11.0, 0.0) == pytest.approx(0.5 * math.log2(11.0), rel=1e-12)
+        assert mutual_information(11.0, 1.0, 0.0) == pytest.approx(0.5 * math.log2(11.0), rel=1e-12)
 
     def test_vanishes_without_modulation(self):
-        assert mutual_information(1.0 + 1e-12, 5.0) == pytest.approx(0.0, abs=1e-12)
+        assert mutual_information(1.0 + 1e-12, 0.2, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_decreasing_in_chi_line(self):
-        values = [mutual_information(11.0, chi) for chi in np.linspace(0.0, 20.0, 30)]
+        # chi_line = (1 - T + xi) / T grows with xi and as T falls
+        values = [mutual_information(11.0, 0.3, xi) for xi in np.linspace(0.0, 20.0, 30)]
         assert all(a > b for a, b in zip(values, values[1:]))
+        values = [mutual_information(11.0, t, 0.02) for t in np.linspace(1.0, 1e-6, 30)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("v, t, xi", [(11.0, 0.1, 0.02), (1e4 + 1.0, 1.0 - 1e-12, 0.0),
+                                          (2.5, 1e-6, 0.1091)])
+    def test_channel_referred_form(self, v, t, xi):
+        # 1/2 log2((v + chi) / (1 + chi)) with chi = (1 - T + xi) / T, at 60
+        # digits; measured worst 8.9e-16 bits (one ulp at v = 1e4 + 1)
+        with mp.workdps(60):
+            chi = (1 - mp.mpf(t) + mp.mpf(xi)) / mp.mpf(t)
+            expected = mp.log((v + chi) / (1 + chi), 2) / 2
+        assert abs(mutual_information(v, t, xi) - float(expected)) <= 2e-15
 
 
 class TestGEntropy:
@@ -201,19 +192,18 @@ class TestSymplecticSpectrum:
 
     def test_reference_point_physical(self):
         t = transmittance(0.2, 20.0)
-        lams = symplectic_spectrum(11.0, t, chi_line(t, 0.02), chi_het(0.68, 0.1))
+        lams = symplectic_spectrum(11.0, t, 0.02, chi_het(0.68, 0.1))
         assert all(lam >= 1.0 - 1e-9 for lam in lams)
 
     def test_lambda12_against_covariance_oracle(self):
         # lambda_{1,2} are the symplectic eigenvalues of the covariance matrix
-        # with a = v, b = T(v + chi_line), c = sqrt(T (v^2 - 1))
+        # with a = v, b = T(v + chi_line) = T v + 1 - T + xi, c = sqrt(T (v^2 - 1))
         for distance in (5.0, 20.0, 45.0):
-            for xi in (0.0, 0.0140, 0.1091):
-                v = 11.0
+            for xi_det in (0.0, 0.0140, 0.1091):
+                v, xi = 11.0, 0.02 + xi_det
                 t = transmittance(0.2, distance)
-                chi_l = chi_line(t, 0.02 + xi)
-                lams = symplectic_spectrum(v, t, chi_l, chi_het(0.68, 0.1))
-                a, b = v, t * (v + chi_l)
+                lams = symplectic_spectrum(v, t, xi, chi_het(0.68, 0.1))
+                a, b = v, t * v + 1.0 - t + xi
                 c = math.sqrt(t * (v * v - 1.0))
                 big, small = symplectic_pair_oracle(a, b, c)
                 assert lams[0] == pytest.approx(big, rel=1e-10)
@@ -226,8 +216,7 @@ class TestSymplecticSpectrum:
             for xi_out in (0.02, 0.0216, 0.034, 0.1491):
                 v, eta, v_elec = 11.0, 0.68, 0.1
                 t = transmittance(0.2, distance)
-                lams = symplectic_spectrum(v, t, chi_line(t, xi_out / t),
-                                           chi_het(eta, v_elec))
+                lams = symplectic_spectrum(v, t, xi_out, chi_het(eta, v_elec))
                 closed = (g_entropy((lams[2] - 1.0) / 2.0)
                           + g_entropy((lams[3] - 1.0) / 2.0))
                 oracle = conditional_entropy_oracle(v, t, xi_out, eta, v_elec)
@@ -236,9 +225,7 @@ class TestSymplecticSpectrum:
     def test_large_detector_noise_decouples_eve(self):
         # chi_het -> infinity: Bob's measurement reveals nothing, so the
         # conditional spectrum approaches the unconditional one
-        t = transmittance(0.2, 25.0)
-        chi_l = chi_line(t, 0.05)
-        lams = symplectic_spectrum(11.0, t, chi_l, 1e8)
+        lams = symplectic_spectrum(11.0, transmittance(0.2, 25.0), 0.05, 1e8)
         assert lams[2] == pytest.approx(lams[0], rel=1e-6)
         assert lams[3] == pytest.approx(lams[1], rel=1e-6)
         assert holevo_bound(lams) == pytest.approx(0.0, abs=1e-5)
@@ -248,23 +235,24 @@ class TestSymplecticSpectrum:
             symplectic_spectrum(0.5, 1.0, 0.0, 1.0)
 
     def test_chi_line_below_loss_rejected(self):
-        # chi_line = 0.5 < 1/T - 1 = 1: a negative excess noise
-        with pytest.raises(NumericalDomainError, match="excess noise"):
-            symplectic_spectrum(11.0, 0.5, 0.5, 1.0)
+        # chi_line = (1 - T + xi) / T below its loss floor 1/T - 1 is a
+        # negative xi: an input error, not a numerical one
+        with pytest.raises(ValidationError, match="^xi must"):
+            symplectic_spectrum(11.0, 0.5, -0.25, 1.0)
 
     def test_sub_unit_lambda4_not_clamped_away(self):
         # chi_het < 1 is no detector's noise; here lambda4 = 1 - 1.04e-3
         with pytest.raises(NumericalDomainError, match="symplectic eigenvalue 0.998"):
-            symplectic_spectrum(1001.0, 0.01, chi_line(0.01, 2.0), 0.9)
+            symplectic_spectrum(1001.0, 0.01, 0.02, 0.9)
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.floats(1e-3, 1e4), st.floats(1e-6, 1.0),
        st.just(0.0) | st.floats(1e-12, 1.0), st.floats(1.0, 1e3))
 def test_physical_spectrum_is_ordered_and_factors(v_minus_1, t, xi, chi_h):
-    # xi is the receiver-referred excess noise; lambda1 lambda2 = sqrt(B)
+    # lambda1 lambda2 = sqrt(B)
     v = 1.0 + v_minus_1
-    l1, l2, l3, l4 = symplectic_spectrum(v, t, chi_line(t, xi / t), chi_h)
+    l1, l2, l3, l4 = symplectic_spectrum(v, t, xi, chi_h)
     assert l1 >= l2 >= 1.0 and l3 >= l4 >= 1.0
     assert l1 * l2 == pytest.approx(t + (1.0 - t) * v + v * xi, rel=1e-11)
 
@@ -313,8 +301,6 @@ class TestKeyRate:
         result = key_rate(params, 30.0)
         recomposed = params.beta * result.mutual_info - result.holevo
         assert result.rate_per_symbol == pytest.approx(recomposed, abs=1e-12)
-        assert result.chi_total == pytest.approx(
-            result.chi_line + result.chi_het / result.transmittance, rel=1e-12)
 
     def test_monotonicity_grid(self):
         # strictly decreasing in xi_det and increasing in beta at every grid
@@ -417,10 +403,9 @@ def _worst_oracle_error(params: KeyRateParams, distances) -> float:
                for d, rate in zip(distances, key_rate_curve(params, distances)))
 
 
-# Worst |rate - rate_oracle| next to T = 1 (measured: 2.4e-11 bits/symbol,
-# set by the rounding of T and chi_line at v_a = 1e4) and elsewhere
-# (measured: 6.1e-15)
-NEAR_T1_ERROR = 5e-11
+# Worst |rate - rate_oracle| next to T = 1 (measured: 4.7e-12 bits/symbol,
+# set by the rounding of T alone at v_a = 1e4) and elsewhere (measured: 6.0e-15)
+NEAR_T1_ERROR = 1e-11
 RATE_ERROR = 2e-14
 
 
@@ -491,9 +476,16 @@ def test_back_to_back_rate_is_the_maximum_up_to_the_cutoff(params):
 
 
 class TestTransmittanceUnderflow:
-    # at 0.2 dB/km: v chi_line overflows at 15,380 km although T is normal,
-    # T is subnormal at 15,420 and 16,000 km, and T == 0 from 16,200 km
-    @pytest.mark.parametrize("distance", [15380.0, 15420.0, 16000.0, 16200.0])
+    # at 0.2 dB/km: T is normal at 15,380 km, subnormal at 15,420 and
+    # 16,000 km, and T == 0 from 16,200 km
+    @pytest.mark.parametrize("distance", [15380.0, 15420.0, 16000.0])
+    def test_matches_oracle_while_t_is_positive(self, distance):
+        params = KeyRateParams()
+        (rate,) = key_rate_curve(params, [distance])
+        assert rate == key_rate(params, distance).rate_per_symbol
+        assert abs(rate - float(rate_oracle(params, distance))) <= RATE_ERROR
+
+    @pytest.mark.parametrize("distance", [16200.0])
     def test_fails_loudly(self, distance):
         for evaluate in (key_rate, lambda params, d: key_rate_curve(params, [d])):
             with pytest.raises(NumericalDomainError, match=f"T = .* at {distance} km"):
