@@ -86,12 +86,13 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def _read_full_sweep(input_path: str):
     """The trace at ``input_path``; when it carries ``phase_true``, the sweep
-    must cover a full rotation, because the min-max spans of a partial sweep
-    misstate the asymmetry."""
+    must cover a full rotation densely, because the min-max spans of a
+    partial or coarse sweep misstate the asymmetry."""
     trace = read_trace_csv(input_path)
     if trace.phase_true is not None and not spans_full_rotation(trace.phase_true):
-        raise ValidationError(f"{input_path}: phase_true does not cover a full rotation, "
-                              "so the quadrature spans cannot measure the asymmetry")
+        raise ValidationError(f"{input_path}: phase_true does not cover a full rotation "
+                              "densely enough for the quadrature spans to measure the "
+                              "asymmetry")
     return trace
 
 
@@ -194,8 +195,8 @@ def cmd_tomography(config: RunConfig, input_path: str) -> int:
     result = mle_reconstruct(samples, config.dim, max_iter=config.max_iter, tol=config.tol)
     alpha_fit = fit_coherent(result.rho)
     reference = ideal_coherent_state(alpha_fit, config.dim)
-    fid_sqrt = fidelity(result.rho, reference, "sqrt")
-    fid_squared = fidelity(result.rho, reference, "squared")
+    fid_sqrt = fidelity(result.rho, reference)
+    fid_squared = fid_sqrt * fid_sqrt
     axis = np.linspace(-config.wigner_extent, config.wigner_extent, wigner_points)
     grid = wigner(result.rho, axis, axis)
 
@@ -235,8 +236,9 @@ def cmd_tomography(config: RunConfig, input_path: str) -> int:
 def cmd_fidelity(config: RunConfig, rho_path: str, sigma_path: str) -> int:
     rho = read_density_csv(rho_path)
     sigma = read_density_csv(sigma_path)
-    value = fidelity(rho, sigma, config.convention)
-    print(f"fidelity_{config.convention} = {fmt(value)}")
+    value = fidelity(rho, sigma)
+    print(f"fidelity_sqrt = {fmt(value)}")
+    print(f"fidelity_squared = {fmt(value * value)}")
     return EXIT_OK
 
 
@@ -276,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("rho", help="density-matrix CSV")
     p.add_argument("sigma", help="density-matrix CSV")
-    p.add_argument("--convention", choices=("sqrt", "squared"), help="fidelity convention")
     return parser
 
 
@@ -287,8 +288,6 @@ def _apply_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         config.out = args.out
     if getattr(args, "dim", None) is not None:
         config.dim = args.dim
-    if getattr(args, "convention", None) is not None:
-        config.convention = args.convention
     return config
 
 
@@ -306,9 +305,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_keyrate_sweep(config)
         if args.command == "tomography":
             return cmd_tomography(config, args.input)
-        if args.command == "fidelity":
-            return cmd_fidelity(config, args.rho, args.sigma)
-        raise ValidationError(f"unknown command {args.command!r}")
+        # argparse has already rejected any command not named above
+        return cmd_fidelity(config, args.rho, args.sigma)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

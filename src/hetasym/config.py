@@ -71,7 +71,6 @@ class RunConfig:
     amplitude_scale: float = 1.0
     wigner_extent: float = 6.0
     wigner_points: int = 121
-    convention: str = "sqrt"
 
     def xi_det_list(self) -> list[float]:
         values = [_coerce("xi_det_values", float, tok)
@@ -156,7 +155,11 @@ def load_config(path: str | None, env: dict | None = None) -> RunConfig:
     config = RunConfig()
     if path is not None:
         with open(path, "r", encoding="utf-8") as handle:
-            config = parse_config_text(handle.read(), config)
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{path}: config file is not UTF-8 ({exc})") from exc
+        config = parse_config_text(text, config)
     env = os.environ if env is None else env
     for env_key in sorted(name for name in env if name.startswith(ENV_PREFIX)):
         if env_key not in _ENV_KEYS:

@@ -608,16 +608,13 @@ def fit_coherent(rho: DensityMatrix) -> complex:
     return complex((np.sqrt(k) * np.diag(mat, -1)).sum())
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix, convention: str = "sqrt") -> float:
-    """State fidelity from the eigenvalues lam_i of sqrt(rho) sigma sqrt(rho).
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Root fidelity sum_i sqrt(lam_i) over the eigenvalues lam_i of
+    sqrt(rho) sigma sqrt(rho), clamped at 1; its square is the Uhlmann form.
 
     Small negative eigenvalues are truncated to zero before the square
-    roots.  convention="sqrt" returns sum_i sqrt(lam_i) (the default,
-    matching common library output); convention="squared" returns its
-    square (the Uhlmann form).
+    roots.
     """
-    if convention not in ("sqrt", "squared"):
-        raise ValidationError(f"unknown fidelity convention {convention!r}")
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     w, v = np.linalg.eigh(rho.matrix)
@@ -628,8 +625,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix, convention: str = "sqrt")
     value = float(np.sqrt(np.clip(lams, 0.0, None)).sum())
     if value > 1.0 + 1e-6:
         raise NumericalDomainError(f"fidelity {value} exceeds 1 beyond numerical tolerance")
-    value = min(value, 1.0)
-    return value * value if convention == "squared" else value
+    return min(value, 1.0)
 
 
 @dataclass(frozen=True)

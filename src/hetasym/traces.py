@@ -11,7 +11,7 @@ Phases are radians everywhere; degrees appear only in CLI presentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,15 +82,12 @@ class ReferenceSignalSpec:
     """
 
     amplitude_sq: float
-    phases: np.ndarray = field(default=None)  # type: ignore[assignment]
+    phases: np.ndarray
     pulses_per_phase: int = 1
 
     def __post_init__(self):
         positive("amplitude_sq", self.amplitude_sq)
-        if self.phases is None:
-            object.__setattr__(self, "phases", make_phase_ramp(360, 0.0, TWO_PI))
-        else:
-            object.__setattr__(self, "phases", readonly_float_array(self.phases, "phases"))
+        object.__setattr__(self, "phases", readonly_float_array(self.phases, "phases"))
         if len(self.phases) == 0:
             raise ValidationError("phase sweep must contain at least one point")
         object.__setattr__(self, "pulses_per_phase",
@@ -109,12 +106,6 @@ class ReferenceSignalSpec:
     def n_samples(self) -> int:
         return len(self.phases) * self.pulses_per_phase
 
-    @property
-    def spans_full_rotation(self) -> bool:
-        """True when the sweep covers one full period (required before the
-        trace can be used for asymmetry estimation)."""
-        return spans_full_rotation(self.phases)
-
     def sample_phases(self) -> np.ndarray:
         """Per-sample true phases (each phase point repeated per pulse)."""
         return np.repeat(self.phases, self.pulses_per_phase)
@@ -127,16 +118,23 @@ def _distinct(values) -> np.ndarray:
     return np.unique(values, return_counts=True)[0]
 
 
+#: Widest circular gap between neighbouring sweep points that min-max can
+#: use.  Every phase lies within g/2 of a sweep point, so each quadrature
+#: extreme A cos(theta - theta_max) is reached to within A (1 - cos(g/2)).
+#: cos(g/2) >= 0.999 misses at most 1e-3 of each span, which moves the span
+#: asymmetry by at most 0.1 pp, about a tenth of min-max's noise sd:
+#: g <= 2 acos(0.999) = 0.0894 rad, at least 71 evenly spaced points.
+_MAX_SWEEP_GAP = 2.0 * math.acos(0.999)
+
+
 def spans_full_rotation(phases) -> bool:
-    """True when the distinct phases, read as the points of an evenly spaced
-    sweep, cover one full period: their span plus one mean step between
-    neighbouring points reaches 2 pi.  Repeats of a phase point (several
-    pulses per phase) do not count as extra points."""
-    points = _distinct(phases)
-    if points.size < 2:
-        return False
-    span = float(points[-1] - points[0])
-    return span + span / (points.size - 1) >= TWO_PI - 1e-9
+    """True when the distinct phases, wrapped into one period, leave no
+    circular gap between neighbours wider than ``_MAX_SWEEP_GAP``.  Repeats
+    of a phase point (several pulses per phase) do not count as extra
+    points."""
+    points = _distinct(np.mod(phases, TWO_PI))
+    gaps = np.diff(points, append=points[0] + TWO_PI)
+    return float(gaps.max()) <= _MAX_SWEEP_GAP
 
 
 def make_phase_ramp(n_phases: int, start: float, stop: float) -> np.ndarray:

@@ -230,6 +230,17 @@ class TestScale:
         assert not (tmp_path / "scaled.report.txt").exists()
         assert run("phase-deviation", raw, "--out", tmp_path / "dev.csv") == 2
 
+    @pytest.mark.parametrize("n_phases", [2, 3, 5])
+    def test_coarse_sweep_exit_2(self, tmp_path, capsys, n_phases):
+        # few phase points miss the quadrature extremes; without the gap rule
+        # these symmetric traces reported 151.6, 10.99 and 3.82 % with exit 0
+        raw = self.simulate(tmp_path, n_phases=n_phases, pulses_per_phase=2000,
+                            amplitude_sq=552.0, seed=3)
+        assert run("scale", raw, "--out", tmp_path / "scaled.csv") == 2
+        assert "densely" in capsys.readouterr().err
+        assert not (tmp_path / "scaled.report.txt").exists()
+        assert run("phase-deviation", raw, "--out", tmp_path / "dev.csv") == 2
+
 
 class TestPhaseDeviation:
     def deviation_rows(self, path: Path):
@@ -480,17 +491,18 @@ class TestTomography:
         cfg = self.tomo_config(tmp_path)
         assert run("tomography", raw, "--config", cfg, "--out", tmp_path / "t") == 0
         rho_path = tmp_path / "t.rho.csv"
+        capsys.readouterr()
         assert run("fidelity", rho_path, rho_path) == 0
-        assert "fidelity_sqrt = 1.0" in capsys.readouterr().out
-        assert run("fidelity", rho_path, rho_path, "--convention", "squared") == 0
-        assert "fidelity_squared = 1.0" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == ["fidelity_sqrt = 1.0",
+                                                         "fidelity_squared = 1.0"]
 
     def test_convention_flag_removed(self, tmp_path, capsys):
-        # tomography writes both fidelity conventions; only fidelity takes the flag
-        with pytest.raises(SystemExit) as exc:
-            run("tomography", tmp_path / "t.csv", "--convention", "squared")
-        assert exc.value.code == 2
-        assert "--convention" in capsys.readouterr().err
+        # tomography and fidelity both print both fidelity conventions
+        for argv in (["tomography", "t.csv"], ["fidelity", "a.csv", "b.csv"]):
+            with pytest.raises(SystemExit) as exc:
+                run(*argv, "--convention", "squared")
+            assert exc.value.code == 2
+            assert "--convention" in capsys.readouterr().err
 
     def test_dim_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_phases=40, pulses_per_phase=5,
@@ -517,7 +529,8 @@ class TestTomography:
 # keys that once existed: the sweep takes xi_det from xi_det_values and
 # distances from its grid, asymmetry_percent sets the gains, and the
 # throughput keys changed no output
-REMOVED_KEYS = ["xi_det", "distance_km", "jobs", "baud", "frame_ratio", "gain_x", "gain_p"]
+REMOVED_KEYS = ["xi_det", "distance_km", "jobs", "baud", "frame_ratio", "gain_x", "gain_p",
+                "convention"]
 
 
 class TestErrorPaths:
@@ -535,6 +548,12 @@ class TestErrorPaths:
         monkeypatch.setenv(f"HETASYM_{key.upper()}", "0.01")
         assert run("keyrate-sweep", "--out", tmp_path / "o.csv") == 2
         assert f"HETASYM_{key.upper()}" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"v_a = 1\xff0\n")
+        assert run("keyrate-sweep", "--config", cfg, "--out", tmp_path / "o.csv") == 2
+        assert str(cfg) in capsys.readouterr().err
 
     def test_density_round_trip(self, tmp_path):
         raw_cfg = write_config(tmp_path / "c.cfg", n_phases=40, pulses_per_phase=5,

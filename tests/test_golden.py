@@ -23,22 +23,22 @@ from hetasym.tomography import DensityMatrix, WignerGrid
 
 PIPELINE_SHA256 = {
     "raw.csv":
-        "ef2a4060b05953682e061e7bec1b28a0489dcc256a9a05beacab3d9cc4b08222",
+        "885538287449870890c5f4e54cf380fc62698988822a5b4c2ba473951a112513",
     "scaled.csv":
-        "e18624c34d2ee3a694d97019f435809603209e22cdf98c0a7739ac43c90806c8",
+        "202dc1cc634b4177c53ddb22a3a27e7b73ab62a306b9c20b347ed0fed62c7b50",
     "scaled.report.txt":
-        "4856d97ea2f4dccd50afce2a169d4ace329dfcfc4e12057b5ab7d065c26dd810",
+        "1857005dfe80631ed5e804e53628d6fe1a06fc1a5bc68892873f283894799b9c",
     "deviation.csv":
-        "81643f2e9d4381fec216e83dda0fce393c59346a0bb8e5d918301f05e4cdd9d7",
+        "3a3c26b514bb0b6e910fa8a81f73eb430b317f4ae8ad354a99ba2ae51cdab3d3",
     "rates.csv":
-        "40599b6495c0d3fce887527f461eeb2e45bf02674f8fdd75d29f3d1b34ab61f7",
+        "bfc04463c97aac96020e38e5aa504029a8cc35695c93573ca5a5192e32b3036b",
 }
 
 WRITER_SHA256 = {
     "rho.csv":
-        "ef31d7fafb60fd774d650b7cbdc47c41ffd467a6a5ef0016cdea3bdec08071fd",
+        "15904300a372d39d96827731664036a50aa8c20b96e7efeb3b9715fa56a8a40d",
     "wigner.csv":
-        "a394960d75abd7f9e5af540d968ba7a0dad6faf9c248508103226f9b48aab216",
+        "61f9dc0630c85d7dff9afd35cb91ea34ffdf25dd3b96c16ee11751dfdba69b08",
 }
 
 

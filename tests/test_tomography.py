@@ -557,15 +557,6 @@ class TestFidelity:
         f = fidelity(ideal_coherent_state(0.0, 20), ideal_coherent_state(1.0, 20))
         assert f == pytest.approx(math.exp(-0.5), abs=1e-6)
 
-    def test_squared_equals_square_of_sqrt(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            rho = self.random_density(rng, 8)
-            sigma = self.random_density(rng, 8)
-            f_sqrt = fidelity(rho, sigma, "sqrt")
-            f_squared = fidelity(rho, sigma, "squared")
-            assert f_squared == pytest.approx(f_sqrt ** 2, abs=1e-12)
-
     def test_symmetry(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
@@ -574,7 +565,7 @@ class TestFidelity:
             assert abs(fidelity(rho, sigma) - fidelity(sigma, rho)) < 1e-8
 
     def test_pure_state_overlap(self):
-        # for pure states the sqrt convention is |<a|b>|
+        # for pure states the root fidelity is |<a|b>|
         a, b = 0.8, 1.3 + 0.4j
         overlap = math.exp(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2
                            + (np.conj(a) * b).real)
@@ -584,11 +575,6 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             fidelity(ideal_coherent_state(0.0, 4), ideal_coherent_state(0.0, 5))
-
-    def test_unknown_convention(self):
-        rho = ideal_coherent_state(0.0, 4)
-        with pytest.raises(ValidationError):
-            fidelity(rho, rho, "uhlmann")
 
 
 class TestSamplesFromTrace:

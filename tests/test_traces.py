@@ -78,7 +78,7 @@ class TestReferenceSignalSpec:
         spec = ReferenceSignalSpec.ramp(552.0, 360)
         assert spec.amplitude == pytest.approx(math.sqrt(552.0))
         assert spec.n_samples == 360
-        assert spec.spans_full_rotation
+        assert spans_full_rotation(spec.phases)
 
     def test_pulses_per_phase(self):
         spec = ReferenceSignalSpec.ramp(16.0, 10, pulses_per_phase=3)
@@ -89,7 +89,7 @@ class TestReferenceSignalSpec:
 
     def test_partial_sweep_flagged(self):
         spec = ReferenceSignalSpec(16.0, make_phase_ramp(100, 0.0, math.pi))
-        assert not spec.spans_full_rotation
+        assert not spans_full_rotation(spec.phases)
 
     def test_rotation_rule_counts_distinct_phases(self):
         # per-sample phases repeat each sweep point; the rule sees the points
@@ -98,15 +98,28 @@ class TestReferenceSignalSpec:
         assert not spans_full_rotation(spec.sample_phases()[:-8])
         assert not spans_full_rotation(np.full(10, 0.5))
 
+    @pytest.mark.parametrize("n, start, passes", [
+        # 2 acos(0.999) = 0.0894 rad: 71 evenly spaced points pass, 70 do not
+        (71, 0.0, True), (70, 0.0, False), (71, -5.0, True), (70, 3.0, False),
+        (80, 0.0, True), (200, 0.0, True), (360, 0.0, True), (2000, 0.0, True),
+        (25, 0.0, False), (5, 0.0, False), (3, 0.0, False), (2, 0.0, False),
+    ])
+    def test_largest_circular_gap_rule(self, n, start, passes):
+        assert spans_full_rotation(make_phase_ramp(n, start, start + TWO_PI)) is passes
+
+    def test_phases_required(self):
+        with pytest.raises(TypeError, match="phases"):
+            ReferenceSignalSpec(1.0)
+
     def test_rejects_bad_amplitude(self):
         with pytest.raises(ValidationError):
-            ReferenceSignalSpec(-1.0)
+            ReferenceSignalSpec(-1.0, [0.0, 1.0])
         with pytest.raises(ValidationError):
-            ReferenceSignalSpec(0.0)
+            ReferenceSignalSpec(0.0, [0.0, 1.0])
 
     def test_rejects_bad_pulses(self):
         with pytest.raises(ValidationError):
-            ReferenceSignalSpec(1.0, pulses_per_phase=0)
+            ReferenceSignalSpec(1.0, [0.0, 1.0], pulses_per_phase=0)
 
     @pytest.mark.parametrize("kwargs", [
         {"amplitude_sq": math.nan}, {"amplitude_sq": math.inf},
@@ -114,7 +127,7 @@ class TestReferenceSignalSpec:
     ])
     def test_rejects_non_finite_or_fractional(self, kwargs):
         with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
-            ReferenceSignalSpec(**{"amplitude_sq": 1.0, **kwargs})
+            ReferenceSignalSpec(**{"amplitude_sq": 1.0, "phases": [0.0, 1.0], **kwargs})
 
     def test_integral_pulses_stored_as_int(self):
         spec = ReferenceSignalSpec(1.0, phases=[0.0, 1.0], pulses_per_phase=2.0)
