@@ -19,14 +19,12 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .csvio import (
-    CsvLines,
     fmt,
-    header_lines,
     read_density_csv,
     read_trace_csv,
     write_density_csv,
-    write_lines,
     write_report,
+    write_table,
     write_trace_csv,
     write_wigner_csv,
 )
@@ -84,15 +82,21 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _read_full_sweep(input_path: str):
-    """The trace at ``input_path``; when it carries ``phase_true``, the sweep
-    must cover a full rotation densely, because the min-max spans of a
-    partial or coarse sweep misstate the asymmetry."""
+def _read_full_sweep(input_path: str, block: int):
+    """The trace at ``input_path``, whose sweep must cover a full rotation
+    densely, because the min-max spans of a partial or coarse sweep misstate
+    the asymmetry.  The sweep is ``phase_true`` when the trace carries it,
+    and otherwise the defined phase estimates of its ``block``-sample
+    blocks."""
     trace = read_trace_csv(input_path)
-    if trace.phase_true is not None and not spans_full_rotation(trace.phase_true):
-        raise ValidationError(f"{input_path}: phase_true does not cover a full rotation "
-                              "densely enough for the quadrature spans to measure the "
-                              "asymmetry")
+    if trace.phase_true is not None:
+        phases, what = trace.phase_true, "phase_true does"
+    else:
+        phases = estimate_phase(trace, block)
+        phases, what = phases[np.isfinite(phases)], "the estimated block phases do"
+    if not spans_full_rotation(phases):
+        raise ValidationError(f"{input_path}: {what} not cover a full rotation densely "
+                              "enough for the quadrature spans to measure the asymmetry")
     return trace
 
 
@@ -106,7 +110,7 @@ def _paired_block_phases(trace, scaled, block):
 
 
 def cmd_scale(config: RunConfig, input_path: str) -> int:
-    trace = _read_full_sweep(input_path)
+    trace = _read_full_sweep(input_path, config.block)
     scaled = min_max_scale(trace)
     span_x = float(trace.x.max() - trace.x.min())
     span_p = float(trace.p.max() - trace.p.min())
@@ -142,13 +146,12 @@ def cmd_scale(config: RunConfig, input_path: str) -> int:
 
 
 def cmd_phase_deviation(config: RunConfig, input_path: str) -> int:
-    trace = _read_full_sweep(input_path)
+    trace = _read_full_sweep(input_path, config.block)
     scaled = min_max_scale(trace)
     theta_scaled, theta_asym, dropped = _paired_block_phases(trace, scaled, config.block)
     delta = wrap_phase(theta_asym - theta_scaled)
-    lines = header_lines("phase-deviation", config, [f"undefined_blocks_skipped: {dropped}"])
-    lines.append("theta_scaled,delta_theta")
-    write_lines(config.out, CsvLines(lines, theta_scaled, delta))
+    write_table(config.out, "phase-deviation", config, ["theta_scaled", "delta_theta"],
+                theta_scaled, delta, comments=[f"undefined_blocks_skipped: {dropped}"])
     if dropped:
         print(f"phase-deviation: skipped {dropped} undefined blocks", file=sys.stderr)
     print(f"phase-deviation: wrote {theta_scaled.size} rows to {config.out}")
@@ -165,8 +168,7 @@ def cmd_keyrate_sweep(config: RunConfig) -> int:
     steps = math.floor((config.distance_max_km - config.distance_min_km)
                        / config.distance_step_km + 1e-9)
     distances = [config.distance_min_km + i * config.distance_step_km for i in range(steps + 1)]
-    lines = header_lines("keyrate-sweep", config)
-    columns = []
+    columns, comments = [], []
     for xi in xi_values:
         params = KeyRateParams(
             v_a=config.v_a, beta=config.beta, xi_line=config.xi_line, xi_det=xi,
@@ -175,9 +177,10 @@ def cmd_keyrate_sweep(config: RunConfig) -> int:
         columns.append(key_rate_curve(params, distances))
         # fmt renders an unbounded cutoff (math.inf) as "inf"
         cutoff = max_distance(params, config.max_distance_resolution_km)
-        lines.append(f"# max_distance_km xi_det={fmt(xi)}: {fmt(cutoff)}")
-    lines.append("distance_km," + ",".join(f"rate_xi_{fmt(xi)}" for xi in xi_values))
-    write_lines(config.out, CsvLines(lines, distances, *columns))
+        comments.append(f"max_distance_km xi_det={fmt(xi)}: {fmt(cutoff)}")
+    names = ["distance_km"] + [f"rate_xi_{fmt(xi)}" for xi in xi_values]
+    write_table(config.out, "keyrate-sweep", config, names, distances, *columns,
+                comments=comments)
     print(f"keyrate-sweep: {len(distances)} distances x {len(xi_values)} xi_det -> {config.out}")
     return EXIT_OK
 

@@ -5,15 +5,15 @@ Schema: comment header block (tool version, command, resolved config hash,
 seed, resolved config), then a header row, then data rows.  Comma
 separator, decimal point, LF line endings, UTF-8.  Floats are rendered
 with shortest round-trip repr so identical runs are byte-identical.
+:func:`write_table` is the one writer of this layout: every output CSV,
+the phase-deviation and key-rate tables included, is one call to it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -49,34 +49,15 @@ def csv_rows(*columns) -> list[str]:
     return list(map(",".join, zip(*cells)))
 
 
-#: Rows formatted and lines written per step, so a writer holds one block of
+#: Rows formatted and written per step, so a writer holds one block of
 #: strings, never the whole file.
 _BLOCK_ROWS = 1024
 
 
-class CsvLines:
-    """The lines of a CSV file: ``head`` (comment and header lines), then one
-    row per index of the equal-length ``columns``, written as
-    :func:`csv_rows` writes them.
-
-    Rows are formatted a block at a time on each iteration, so iterating the
-    lines of a long trace never holds all of its row strings at once.
-    """
-
-    def __init__(self, head: list[str], *columns):
-        self.head = head
-        self.columns = columns
-
-    def __iter__(self) -> Iterator[str]:
-        yield from self.head
-        for start in range(0, len(self.columns[0]), _BLOCK_ROWS):
-            yield from csv_rows(*(column[start:start + _BLOCK_ROWS] for column in self.columns))
-
-
 def header_lines(command: str, config: RunConfig,
-                 extra_comments: list[str] | None = None) -> list[str]:
-    """The comment header of every output file; each of ``extra_comments``
-    becomes one more ``# `` line after the resolved config."""
+                 comments: list[str] | None = None) -> list[str]:
+    """The comment header of every output file; each of ``comments`` becomes
+    one more ``# `` line after the resolved config."""
     lines = [
         f"# hetasym {__version__}",
         f"# command: {command}",
@@ -84,28 +65,34 @@ def header_lines(command: str, config: RunConfig,
         f"# seed: {config.seed}",
     ]
     lines += [f"# config: {key} = {value}" for key, value in config.resolved_items()]
-    lines += [f"# {comment}" for comment in extra_comments or ()]
+    lines += [f"# {comment}" for comment in comments or ()]
     return lines
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write ``lines`` LF-terminated to ``path``, a block of lines at a time."""
-    lines = iter(lines)
+def write_table(path: str | Path, command: str, config: RunConfig, names: list[str],
+                *columns, comments: list[str] | None = None) -> None:
+    """Write one output CSV to ``path``: the :func:`header_lines` block, the
+    ``names`` header row, then one row per index of the equal-length
+    ``columns`` as :func:`csv_rows` writes it, LF-terminated.
+
+    Rows are formatted and written ``_BLOCK_ROWS`` at a time, so a long trace
+    never has all of its row strings in memory at once.
+    """
+    head = header_lines(command, config, comments) + [",".join(names)]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        while block := list(islice(lines, _BLOCK_ROWS)):
-            handle.write("\n".join(block) + "\n")
+        handle.write("\n".join(head) + "\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            rows = csv_rows(*(column[start:start + _BLOCK_ROWS] for column in columns))
+            handle.write("\n".join(rows) + "\n")
 
 
 def write_trace_csv(path: str | Path, trace: QuadratureTrace, command: str,
                     config: RunConfig, extra_comments: list[str] | None = None) -> None:
-    lines = header_lines(command, config, extra_comments)
-    columns = [np.arange(trace.n), trace.x, trace.p]
-    if trace.phase_true is None:
-        lines.append("index,x,p")
-    else:
-        lines.append("index,x,p,phase_true")
+    names, columns = ["index", "x", "p"], [np.arange(trace.n), trace.x, trace.p]
+    if trace.phase_true is not None:
+        names.append("phase_true")
         columns.append(trace.phase_true)
-    write_lines(path, CsvLines(lines, *columns))
+    write_table(path, command, config, names, *columns, comments=extra_comments)
 
 
 def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
@@ -136,6 +123,9 @@ def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
 def read_trace_csv(path: str | Path) -> QuadratureTrace:
     header, data = _read_table(path)
     columns = {name: idx for idx, name in enumerate(header)}
+    if len(columns) < len(header):
+        duplicate = next(name for i, name in enumerate(header) if name in header[:i])
+        raise ValidationError(f"{path}: duplicate column {duplicate!r}")
     for required in ("index", "x", "p"):
         if required not in columns:
             raise ValidationError(f"{path}: missing column {required!r}")
@@ -148,11 +138,10 @@ def read_trace_csv(path: str | Path) -> QuadratureTrace:
 
 def write_density_csv(path: str | Path, rho: DensityMatrix, command: str,
                       config: RunConfig, extra_comments: list[str] | None = None) -> None:
-    lines = header_lines(command, config, extra_comments)
-    lines.append("row,col,re,im")
     index = np.arange(rho.dim)
-    write_lines(path, CsvLines(lines, np.repeat(index, rho.dim), np.tile(index, rho.dim),
-                               rho.matrix.real.ravel(), rho.matrix.imag.ravel()))
+    write_table(path, command, config, ["row", "col", "re", "im"],
+                np.repeat(index, rho.dim), np.tile(index, rho.dim),
+                rho.matrix.real.ravel(), rho.matrix.imag.ravel(), comments=extra_comments)
 
 
 def read_density_csv(path: str | Path) -> DensityMatrix:
@@ -179,17 +168,14 @@ def read_density_csv(path: str | Path) -> DensityMatrix:
 
 def write_wigner_csv(path: str | Path, grid: WignerGrid, command: str,
                      config: RunConfig, extra_comments: list[str] | None = None) -> None:
-    lines = header_lines(command, config, extra_comments)
-    lines.append("x,p,w")
     # each axis value is formatted once and its string repeated over the grid
     x_cells, p_cells = (np.array([fmt(v) for v in axis]) for axis in (grid.x_axis, grid.p_axis))
-    write_lines(path, CsvLines(lines, np.repeat(x_cells, p_cells.size),
-                               np.tile(p_cells, x_cells.size), grid.values.ravel()))
+    write_table(path, command, config, ["x", "p", "w"], np.repeat(x_cells, p_cells.size),
+                np.tile(p_cells, x_cells.size), grid.values.ravel(), comments=extra_comments)
 
 
 def write_report(path: str | Path, command: str, config: RunConfig,
                  entries: list[tuple[str, str]]) -> None:
     """Small deterministic key = value report with the standard header."""
-    lines = header_lines(command, config)
-    lines += [f"{key} = {value}" for key, value in entries]
-    write_lines(path, lines)
+    lines = header_lines(command, config) + [f"{key} = {value}" for key, value in entries]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

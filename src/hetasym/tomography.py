@@ -398,6 +398,7 @@ def _rank_one_search(d: np.ndarray, bar: float):
     slope, curv = float(d.sum()) / n, float(np.einsum("i,i->", d, d)) / n
     last_step = math.inf
     tried_end = False
+    from_newton = False  # t was reached by a Newton step (not the first pass's)
     for k in range(_SEARCH_PASSES):
         if slope == 0.0:
             return t
@@ -410,14 +411,19 @@ def _rank_one_search(d: np.ndarray, bar: float):
         else:
             step = math.copysign(math.inf, slope)
         new = t + step
-        if not lo < new < hi or abs(step) > last_step:
+        newton = lo < new < hi and abs(step) <= last_step
+        if not newton:
             if new >= hi == 1.0 and not tried_end:
                 tried_end = True
                 new = 1.0 if d.min() > -1.0 else 0.5 * (lo + hi)
             else:
                 new = 0.5 * (lo + hi)
-        if abs(new - t) <= 1e-10 * t:
+        # a small Newton step shows convergence only once Newton led to t: at
+        # the probe t = 1, or a bisection point, next to the pole of f' that a
+        # d near -1 puts at t = 1, it is tiny however far the maximizer is
+        if abs(new - t) <= 1e-10 * t and (from_newton or not newton):
             return new
+        from_newton = newton and k > 0
         last_step = abs(new - t)
         t = new
         td = t * d

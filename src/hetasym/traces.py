@@ -131,8 +131,10 @@ def spans_full_rotation(phases) -> bool:
     """True when the distinct phases, wrapped into one period, leave no
     circular gap between neighbours wider than ``_MAX_SWEEP_GAP``.  Repeats
     of a phase point (several pulses per phase) do not count as extra
-    points."""
+    points, and no phases cover nothing."""
     points = _distinct(np.mod(phases, TWO_PI))
+    if points.size == 0:
+        return False
     gaps = np.diff(points, append=points[0] + TWO_PI)
     return float(gaps.max()) <= _MAX_SWEEP_GAP
 

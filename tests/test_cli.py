@@ -209,9 +209,10 @@ class TestScale:
         np.testing.assert_allclose(after.x, before.x, atol=1e-12)
 
     def test_two_row_minimal_file(self, tmp_path):
+        # two estimated phases (-1.107 and 0.588 rad) cannot cover a rotation
         path = tmp_path / "two.csv"
         path.write_text("index,x,p\n0,1.0,-2.0\n1,3.0,2.0\n", encoding="utf-8")
-        assert run("scale", path, "--out", tmp_path / "out.csv") == 0
+        assert run("scale", path, "--out", tmp_path / "out.csv") == 2
 
     def test_degenerate_range_exit_2(self, tmp_path):
         path = tmp_path / "flat.csv"
@@ -240,6 +241,36 @@ class TestScale:
         assert "densely" in capsys.readouterr().err
         assert not (tmp_path / "scaled.report.txt").exists()
         assert run("phase-deviation", raw, "--out", tmp_path / "dev.csv") == 2
+
+    def without_phase_true(self, raw: Path) -> Path:
+        trace = read_trace_csv(raw)
+        write_trace_csv(raw, QuadratureTrace(trace.x, trace.p), "simulate", RunConfig())
+        return raw
+
+    @pytest.mark.parametrize("n_phases", [2, 3, 5])
+    def test_coarse_sweep_without_phase_true_exit_2(self, tmp_path, capsys, n_phases):
+        # the gap rule on the estimated phases; these traces used to pass
+        # unchecked and read the same 151.6, 10.99 and 3.82 % with exit 0
+        raw = self.without_phase_true(self.simulate(
+            tmp_path, n_phases=n_phases, pulses_per_phase=2000, amplitude_sq=552.0, seed=3))
+        assert run("scale", raw, "--out", tmp_path / "scaled.csv") == 2
+        assert "estimated block phases" in capsys.readouterr().err
+        assert not (tmp_path / "scaled.report.txt").exists()
+        assert run("phase-deviation", raw, "--out", tmp_path / "dev.csv") == 2
+
+    def test_no_defined_block_phase_exit_2(self, tmp_path):
+        # both 2-sample blocks average to the origin, so no phase is defined
+        path = tmp_path / "zero_blocks.csv"
+        path.write_text("index,x,p\n0,1.0,1.0\n1,-1.0,-1.0\n2,2.0,2.0\n3,-2.0,-2.0\n",
+                        encoding="utf-8")
+        cfg = write_config(tmp_path / "block.cfg", block=2)
+        assert run("scale", path, "--config", cfg, "--out", tmp_path / "out.csv") == 2
+        assert run("phase-deviation", path, "--config", cfg, "--out", tmp_path / "dev.csv") == 2
+
+    def test_default_sweep_without_phase_true_passes(self, tmp_path):
+        raw = self.without_phase_true(self.simulate(tmp_path))
+        assert run("scale", raw, "--out", tmp_path / "scaled.csv") == 0
+        assert run("phase-deviation", raw, "--out", tmp_path / "dev.csv") == 0
 
 
 class TestPhaseDeviation:
@@ -283,9 +314,13 @@ class TestPhaseDeviation:
         assert peaks[1] > peaks[0]
 
     def test_undefined_blocks_skipped_with_count(self, tmp_path):
+        # a 100-point sweep, dense enough for the coverage check, plus one
+        # sample at the origin, whose phase is undefined
+        theta = np.arange(100) * TWO_PI / 100
         path = tmp_path / "zeros.csv"
-        path.write_text("index,x,p\n0,0.0,0.0\n1,1.0,-1.0\n2,-1.0,1.0\n3,2.0,2.0\n",
-                        encoding="utf-8")
+        write_trace_csv(path, QuadratureTrace(np.append(0.0, np.cos(theta)),
+                                              np.append(0.0, np.sin(theta))),
+                        "simulate", RunConfig())
         out = tmp_path / "dev.csv"
         assert run("phase-deviation", path, "--out", out) == 0
         text = out.read_text()

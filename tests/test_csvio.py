@@ -11,13 +11,12 @@ from hetasym import csvio
 from hetasym.cli import main
 from hetasym.config import RunConfig
 from hetasym.csvio import (
-    CsvLines,
     csv_rows,
     header_lines,
     read_density_csv,
     read_trace_csv,
     write_density_csv,
-    write_lines,
+    write_table,
     write_trace_csv,
     write_wigner_csv,
 )
@@ -117,10 +116,10 @@ def write_side(path, writer: str, side: int) -> str:
         columns = [np.repeat(grid.x_axis, side), np.tile(grid.p_axis, side),
                    grid.values.ravel()]
         head.append("x,p,w")
-    else:  # the phase-deviation and keyrate-sweep commands' path
+    else:  # write_table called directly, as the phase-deviation and keyrate-sweep commands do
         columns = [np.linspace(0.0, 1.0, n).tolist(), rng.standard_normal(n)]
         head.append("a,b")
-        write_lines(path, CsvLines(list(head), *columns))
+        write_table(path, "test", config, ["a", "b"], *columns, comments=comments)
     return "\n".join(head + csv_rows(*columns)) + "\n"
 
 
@@ -182,6 +181,7 @@ class TestStrictTraceReader:
         ("index,x,p\n0,1.0,2.0,9.0\n1,3.0,4.0,9.0\n", "columns"),            # extra column
         ("index,x,p\n0,1.0,oops\n", "malformed"),                            # not a number
         ("index,x\n0,1.0\n", "missing column 'p'"),
+        ("index,x,p,x\n0,1.0,2.0,9.0\n1,3.0,4.0,8.0\n", "duplicate column 'x'"),
         ("# comment only\n", "no data rows"),
         ("index,x,p\n", "no data rows"),
         ("index,x,p\n# no samples\n\n", "no data rows"),

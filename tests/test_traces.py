@@ -97,6 +97,7 @@ class TestReferenceSignalSpec:
         assert spans_full_rotation(spec.sample_phases()[::-1])
         assert not spans_full_rotation(spec.sample_phases()[:-8])
         assert not spans_full_rotation(np.full(10, 0.5))
+        assert not spans_full_rotation(np.empty(0))
 
     @pytest.mark.parametrize("n, start, passes", [
         # 2 acos(0.999) = 0.0894 rad: 71 evenly spaced points pass, 70 do not
