@@ -82,42 +82,41 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _read_full_sweep(input_path: str, block: int):
-    """The trace at ``input_path``, whose sweep must cover a full rotation
-    densely, because the min-max spans of a partial or coarse sweep misstate
-    the asymmetry.  The sweep is ``phase_true`` when the trace carries it,
-    and otherwise the defined phase estimates of its ``block``-sample
-    blocks."""
+def _sweep_phases(config: RunConfig, input_path: str):
+    """The trace at ``input_path``, its min-max scaled copy, and the phases
+    of their ``config.block``-sample blocks with undefined blocks dropped
+    pairwise: (trace, scaled, theta_scaled, theta_asym, dropped).
+
+    The sweep must cover a full rotation densely, because the min-max spans
+    of a partial or coarse sweep misstate the asymmetry.  The sweep is
+    ``phase_true`` when the trace carries it, and otherwise the defined
+    asymmetric block phases.  At least two blocks must have a phase in both
+    traces, so the deviation has a variance."""
     trace = read_trace_csv(input_path)
+    theta_asym = estimate_phase(trace, config.block)
     if trace.phase_true is not None:
         phases, what = trace.phase_true, "phase_true does"
     else:
-        phases = estimate_phase(trace, block)
-        phases, what = phases[np.isfinite(phases)], "the estimated block phases do"
+        phases, what = theta_asym[np.isfinite(theta_asym)], "the estimated block phases do"
     if not spans_full_rotation(phases):
         raise ValidationError(f"{input_path}: {what} not cover a full rotation densely "
                               "enough for the quadrature spans to measure the asymmetry")
-    return trace
-
-
-def _paired_block_phases(trace, scaled, block):
-    """Block phase estimates of the asymmetric and scaled traces with
-    undefined blocks dropped pairwise; returns (scaled, asym, dropped)."""
-    est_asym = estimate_phase(trace, block=block)
-    est_scaled = estimate_phase(scaled, block=block)
-    keep = np.isfinite(est_asym) & np.isfinite(est_scaled)
-    return est_scaled[keep], est_asym[keep], int((~keep).sum())
+    scaled = min_max_scale(trace)
+    theta_scaled = estimate_phase(scaled, config.block)
+    keep = np.isfinite(theta_asym) & np.isfinite(theta_scaled)
+    defined = int(keep.sum())
+    if defined < 2:
+        raise ValidationError(f"{input_path}: too few defined phase blocks: {defined} of "
+                              f"{keep.size} have a phase before and after scaling, and the "
+                              "phase deviation needs at least 2")
+    return trace, scaled, theta_scaled[keep], theta_asym[keep], keep.size - defined
 
 
 def cmd_scale(config: RunConfig, input_path: str) -> int:
-    trace = _read_full_sweep(input_path, config.block)
-    scaled = min_max_scale(trace)
+    trace, scaled, theta_scaled, theta_asym, dropped = _sweep_phases(config, input_path)
     span_x = float(trace.x.max() - trace.x.min())
     span_p = float(trace.p.max() - trace.p.min())
     asym_percent = percent_difference(span_x, span_p)
-    theta_scaled, theta_asym, dropped = _paired_block_phases(trace, scaled, config.block)
-    if theta_scaled.size < 2:
-        raise ValidationError("too few defined phase blocks to estimate the detection variance")
     v_det = detection_phase_variance(theta_scaled, theta_asym)
     xi_det = excess_noise_from_phase_variance(config.v_a, v_det)
     budget = PhaseNoiseBudget(
@@ -146,9 +145,7 @@ def cmd_scale(config: RunConfig, input_path: str) -> int:
 
 
 def cmd_phase_deviation(config: RunConfig, input_path: str) -> int:
-    trace = _read_full_sweep(input_path, config.block)
-    scaled = min_max_scale(trace)
-    theta_scaled, theta_asym, dropped = _paired_block_phases(trace, scaled, config.block)
+    _, _, theta_scaled, theta_asym, dropped = _sweep_phases(config, input_path)
     delta = wrap_phase(theta_asym - theta_scaled)
     write_table(config.out, "phase-deviation", config, ["theta_scaled", "delta_theta"],
                 theta_scaled, delta, comments=[f"undefined_blocks_skipped: {dropped}"])

@@ -133,9 +133,9 @@ def _coerce(name: str, kind, text: str):
     return value
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config_text(text: str) -> RunConfig:
     """Parse ``key = value`` lines over the defaults; unknown keys raise."""
-    config = RunConfig() if base is None else base
+    config = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -152,14 +152,14 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
 def load_config(path: str | None, env: dict | None = None) -> RunConfig:
     """Defaults, then the config file (if any), then HETASYM_* environment
     overrides; a HETASYM_* name that is not a config key raises."""
-    config = RunConfig()
+    text = ""
     if path is not None:
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 text = handle.read()
             except UnicodeDecodeError as exc:
                 raise ValidationError(f"{path}: config file is not UTF-8 ({exc})") from exc
-        config = parse_config_text(text, config)
+    config = parse_config_text(text)
     env = os.environ if env is None else env
     for env_key in sorted(name for name in env if name.startswith(ENV_PREFIX)):
         if env_key not in _ENV_KEYS:

@@ -39,10 +39,7 @@ def estimate_phase(trace: QuadratureTrace, block: int = 1) -> np.ndarray:
     p_mean = trace.p.reshape(-1, block).mean(axis=1)
     theta = np.arctan2(p_mean, x_mean)
     theta[theta == -math.pi] = math.pi
-    undefined = (x_mean == 0.0) & (p_mean == 0.0)
-    if undefined.any():
-        theta = theta.copy()
-        theta[undefined] = np.nan
+    theta[(x_mean == 0.0) & (p_mean == 0.0)] = np.nan
     return theta
 
 

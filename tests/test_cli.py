@@ -267,6 +267,41 @@ class TestScale:
         assert run("scale", path, "--config", cfg, "--out", tmp_path / "out.csv") == 2
         assert run("phase-deviation", path, "--config", cfg, "--out", tmp_path / "dev.csv") == 2
 
+    def cancelling_pairs(self, tmp_path, defined_blocks: int) -> Path:
+        # a dense 200-phase sweep with phase_true and two pulses per phase,
+        # (x, p) then (-x, -p), so each 2-sample block averages to the origin;
+        # the first defined_blocks blocks repeat (x, p) and keep a phase
+        theta = np.arange(200) * TWO_PI / 200
+        sign = np.tile([1.0, -1.0], 200)
+        sign[1:2 * defined_blocks:2] = 1.0
+        x, p = sign * np.repeat(np.cos(theta), 2), sign * np.repeat(np.sin(theta), 2)
+        path = tmp_path / "pairs.csv"
+        write_trace_csv(path, QuadratureTrace(x, p, np.repeat(theta, 2)), "simulate", RunConfig())
+        return path
+
+    @pytest.mark.parametrize("defined_blocks", [0, 1])
+    def test_too_few_defined_block_phases_exit_2(self, tmp_path, capsys, defined_blocks):
+        # phase_true passes the coverage rule, but fewer than two blocks have
+        # a phase, so neither command has a deviation to report
+        raw = self.cancelling_pairs(tmp_path, defined_blocks)
+        cfg = write_config(tmp_path / "block.cfg", block=2)
+        scaled, dev = tmp_path / "scaled.csv", tmp_path / "deviation.csv"
+        assert run("scale", raw, "--config", cfg, "--out", scaled) == 2
+        assert f"{defined_blocks} of 200 have a phase" in capsys.readouterr().err
+        assert not scaled.exists() and not (tmp_path / "scaled.report.txt").exists()
+        assert run("phase-deviation", raw, "--config", cfg, "--out", dev) == 2
+        assert "too few defined phase blocks" in capsys.readouterr().err
+        assert not dev.exists()
+
+    def test_two_defined_block_phases_pass(self, tmp_path):
+        raw = self.cancelling_pairs(tmp_path, 2)
+        cfg = write_config(tmp_path / "block.cfg", block=2)
+        assert run("scale", raw, "--config", cfg, "--out", tmp_path / "scaled.csv") == 0
+        assert read_report(tmp_path / "scaled.report.txt")["undefined_blocks_dropped"] == "198"
+        dev = tmp_path / "deviation.csv"
+        assert run("phase-deviation", raw, "--config", cfg, "--out", dev) == 0
+        assert "# undefined_blocks_skipped: 198" in dev.read_text()
+
     def test_default_sweep_without_phase_true_passes(self, tmp_path):
         raw = self.without_phase_true(self.simulate(tmp_path))
         assert run("scale", raw, "--out", tmp_path / "scaled.csv") == 0
@@ -583,6 +618,19 @@ class TestErrorPaths:
         monkeypatch.setenv(f"HETASYM_{key.upper()}", "0.01")
         assert run("keyrate-sweep", "--out", tmp_path / "o.csv") == 2
         assert f"HETASYM_{key.upper()}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("xi_det_values = ,", "xi_det_values is empty"),
+        ("use_true_phase = maybe", "cannot parse 'maybe' as bool"),
+        ("v_a 12", "expected 'key = value'"),
+    ])
+    def test_bad_config_line_exit_2(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert run("keyrate-sweep", "--config", cfg, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

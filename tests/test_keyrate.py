@@ -272,6 +272,10 @@ class TestHolevoBound:
         with pytest.raises(NumericalDomainError):
             holevo_bound((0.9, 1.0, 1.0, 1.0))
 
+    def test_rejects_three_eigenvalues(self):
+        with pytest.raises(ValidationError, match="four symplectic eigenvalues, got 3"):
+            holevo_bound((1.0, 1.0, 1.0))
+
 
 class TestKeyRate:
     def test_clean_channel_oracle(self):

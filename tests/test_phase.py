@@ -193,6 +193,14 @@ class TestDetectionVariance:
         v_det = detection_phase_variance(tr.phase_true, est_asym)
         assert v_det == pytest.approx(oracle, rel=1e-6)
 
+    @pytest.mark.parametrize("theta_scaled, theta_asym, message", [
+        ([0.1], [0.2], "need at least 2 samples, got 1"),
+        ([0.1, math.nan], [0.2, 0.3], "non-finite phase values"),
+    ])
+    def test_rejects_unusable_phases(self, theta_scaled, theta_asym, message):
+        with pytest.raises(ValidationError, match=f"^detection variance: {message}"):
+            detection_phase_variance(theta_scaled, theta_asym)
+
     def test_strictly_ordered_in_asymmetry(self):
         values = []
         for pct in (2.25, 4.55, 14.29, 19.51, 33.77):

@@ -188,6 +188,14 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             DensityMatrix(mat)
 
+    @pytest.mark.parametrize("mat, message", [
+        (np.full((2, 3), 1.0 / 3.0), r"must be square, got shape \(2, 3\)"),
+        (np.array([[0.5, math.nan], [math.nan, 0.5]]), "non-finite entries"),
+    ])
+    def test_rejects_malformed(self, mat, message):
+        with pytest.raises(ValidationError, match=message):
+            DensityMatrix(mat.astype(complex))
+
     def test_tolerates_numerical_noise(self):
         mat = np.diag([0.7, 0.3]).astype(complex)
         mat[0, 1] = 1e-12
@@ -537,6 +545,14 @@ class TestWigner:
         with pytest.raises(ValidationError):
             WignerGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "non-finite entries"), (1.0 / math.pi + 2e-6, "1/pi bound"),
+    ])
+    def test_rejects_bad_values(self, value, message):
+        axis = np.array([0.0, 1.0])
+        with pytest.raises(ValidationError, match=message):
+            WignerGrid(axis, axis, np.full((2, 2), value))
+
 
 class TestFidelity:
     def random_density(self, rng, dim):
@@ -619,6 +635,13 @@ class TestSamplesFromTrace:
         tr = QuadratureTrace([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValidationError):
             samples_from_trace(tr)
+
+    @pytest.mark.parametrize("theta, x, message", [
+        ([0.0, 1.0], [0.5], r"differ in length \(2 vs 1\)"), ([], [], "samples are empty"),
+    ])
+    def test_rejects_malformed_samples(self, theta, x, message):
+        with pytest.raises(ValidationError, match=message):
+            PhaseTaggedSamples(np.array(theta), np.array(x))
 
     def test_narrow_span_warns(self):
         with pytest.warns(UserWarning):

@@ -9,7 +9,7 @@ from hetasym import (
     ValidationError,
     make_phase_ramp,
 )
-from hetasym.traces import spans_full_rotation
+from hetasym.traces import readonly_float_array, spans_full_rotation
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,6 +67,10 @@ class TestQuadratureTrace:
         with pytest.raises(ValidationError):
             QuadratureTrace([], [])
 
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValidationError, match=r"^x must be one-dimensional, got shape \(1, 2\)"):
+            readonly_float_array([[1.0, 2.0]], "x")
+
     def test_require_samples_guard(self):
         tr = QuadratureTrace([1.0], [2.0])
         with pytest.raises(ValidationError):
@@ -117,6 +121,10 @@ class TestReferenceSignalSpec:
             ReferenceSignalSpec(-1.0, [0.0, 1.0])
         with pytest.raises(ValidationError):
             ReferenceSignalSpec(0.0, [0.0, 1.0])
+
+    def test_rejects_empty_sweep(self):
+        with pytest.raises(ValidationError, match="at least one point"):
+            ReferenceSignalSpec(552.0, [])
 
     def test_rejects_bad_pulses(self):
         with pytest.raises(ValidationError):
