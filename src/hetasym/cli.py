@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: simulate, scale, phase-deviation, keyrate-sweep, tomography,
-fidelity.  Every command is deterministic under a fixed config and seed;
-re-runs produce byte-identical files.  Exit codes: 0 success, 2 invalid
+fidelity.  The command line names files only: the inputs, ``--config`` and
+``--out``; every value comes from the config file or ``HETASYM_<KEY>``.
+Every command is deterministic under a fixed config and seed; re-runs
+produce byte-identical files.  Exit codes: 0 success, 2 invalid
 input or configuration, 3 numerical failure (non-convergence or domain
 error).
 """
@@ -74,11 +76,11 @@ def _signal_from_config(config: RunConfig) -> ReferenceSignalSpec:
     )
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: RunConfig, out: str) -> int:
     trace = simulate_heterodyne(_signal_from_config(config), _detector_from_config(config),
                                 config.seed)
-    write_trace_csv(config.out, trace, "simulate", config)
-    print(f"simulate: wrote {trace.n} samples to {config.out}")
+    write_trace_csv(out, trace, "simulate", config)
+    print(f"simulate: wrote {trace.n} samples to {out}")
     return EXIT_OK
 
 
@@ -112,7 +114,7 @@ def _sweep_phases(config: RunConfig, input_path: str):
     return trace, scaled, theta_scaled[keep], theta_asym[keep], keep.size - defined
 
 
-def cmd_scale(config: RunConfig, input_path: str) -> int:
+def cmd_scale(config: RunConfig, input_path: str, out: str) -> int:
     trace, scaled, theta_scaled, theta_asym, dropped = _sweep_phases(config, input_path)
     span_x = float(trace.x.max() - trace.x.min())
     span_p = float(trace.p.max() - trace.p.min())
@@ -124,9 +126,9 @@ def cmd_scale(config: RunConfig, input_path: str) -> int:
                                      config.pulse_separation),
         v_det=v_det,
     )
-    write_trace_csv(config.out, scaled, "scale", config,
+    write_trace_csv(out, scaled, "scale", config,
                     extra_comments=[f"source: {Path(input_path).name}"])
-    report_path = Path(config.out).with_suffix(".report.txt")
+    report_path = Path(out).with_suffix(".report.txt")
     entries = [
         ("span_x", fmt(span_x)),
         ("span_p", fmt(span_p)),
@@ -140,22 +142,22 @@ def cmd_scale(config: RunConfig, input_path: str) -> int:
     ]
     write_report(report_path, "scale", config, entries)
     print(f"scale: asymmetry {asym_percent:.2f}%, v_det {v_det:.6e} rad^2, "
-          f"xi_det {xi_det:.6f} SNU -> {config.out}, {report_path}")
+          f"xi_det {xi_det:.6f} SNU -> {out}, {report_path}")
     return EXIT_OK
 
 
-def cmd_phase_deviation(config: RunConfig, input_path: str) -> int:
+def cmd_phase_deviation(config: RunConfig, input_path: str, out: str) -> int:
     _, _, theta_scaled, theta_asym, dropped = _sweep_phases(config, input_path)
     delta = wrap_phase(theta_asym - theta_scaled)
-    write_table(config.out, "phase-deviation", config, ["theta_scaled", "delta_theta"],
+    write_table(out, "phase-deviation", config, ["theta_scaled", "delta_theta"],
                 theta_scaled, delta, comments=[f"undefined_blocks_skipped: {dropped}"])
     if dropped:
         print(f"phase-deviation: skipped {dropped} undefined blocks", file=sys.stderr)
-    print(f"phase-deviation: wrote {theta_scaled.size} rows to {config.out}")
+    print(f"phase-deviation: wrote {theta_scaled.size} rows to {out}")
     return EXIT_OK
 
 
-def cmd_keyrate_sweep(config: RunConfig) -> int:
+def cmd_keyrate_sweep(config: RunConfig, out: str) -> int:
     positive("distance_step_km", config.distance_step_km)
     if config.distance_max_km < config.distance_min_km:
         raise ValidationError(f"distance_max_km must be >= distance_min_km, got "
@@ -176,13 +178,13 @@ def cmd_keyrate_sweep(config: RunConfig) -> int:
         cutoff = max_distance(params, config.max_distance_resolution_km)
         comments.append(f"max_distance_km xi_det={fmt(xi)}: {fmt(cutoff)}")
     names = ["distance_km"] + [f"rate_xi_{fmt(xi)}" for xi in xi_values]
-    write_table(config.out, "keyrate-sweep", config, names, distances, *columns,
+    write_table(out, "keyrate-sweep", config, names, distances, *columns,
                 comments=comments)
-    print(f"keyrate-sweep: {len(distances)} distances x {len(xi_values)} xi_det -> {config.out}")
+    print(f"keyrate-sweep: {len(distances)} distances x {len(xi_values)} xi_det -> {out}")
     return EXIT_OK
 
 
-def cmd_tomography(config: RunConfig, input_path: str) -> int:
+def cmd_tomography(config: RunConfig, input_path: str, out: str) -> int:
     wigner_points = integer_at_least("wigner_points", config.wigner_points, 2)
     positive("wigner_extent", config.wigner_extent)
     trace = read_trace_csv(input_path)
@@ -200,7 +202,7 @@ def cmd_tomography(config: RunConfig, input_path: str) -> int:
     axis = np.linspace(-config.wigner_extent, config.wigner_extent, wigner_points)
     grid = wigner(result.rho, axis, axis)
 
-    out_base = Path(config.out)
+    out_base = Path(out)
     rho_path = out_base.with_suffix(".rho.csv")
     wig_path = out_base.with_suffix(".wigner.csv")
     report_path = out_base.with_suffix(".report.txt")
@@ -233,7 +235,7 @@ def cmd_tomography(config: RunConfig, input_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_fidelity(config: RunConfig, rho_path: str, sigma_path: str) -> int:
+def cmd_fidelity(rho_path: str, sigma_path: str) -> int:
     rho = read_density_csv(rho_path)
     sigma = read_density_csv(sigma_path)
     value = fidelity(rho, sigma)
@@ -250,63 +252,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hetasym {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="flat key = value config file")
-        p.add_argument("--seed", type=int, metavar="U64", help="override the config seed")
-        p.add_argument("--out", metavar="PATH", help="output path (or prefix for tomography)")
+        p.add_argument("--out", metavar="PATH", default="out.csv",
+                       help="output path (or prefix for tomography)")
+        return p
 
-    p = sub.add_parser("simulate", help="simulate a phase-swept heterodyne trace")
-    common(p)
-
-    p = sub.add_parser("scale", help="symmetrize a trace and report the asymmetry budget")
-    common(p)
-    p.add_argument("input", help="trace CSV")
-
-    p = sub.add_parser("phase-deviation", help="asymmetric-vs-scaled phase deviation rows")
-    common(p)
-    p.add_argument("input", help="trace CSV")
-
-    p = sub.add_parser("keyrate-sweep", help="rate vs distance for a set of xi_det values")
-    common(p)
-
-    p = sub.add_parser("tomography", help="MLE reconstruction, Wigner grid and fidelity report")
-    common(p)
-    p.add_argument("input", help="trace CSV")
-    p.add_argument("--dim", type=int, metavar="N", help="Fock cutoff + 1")
+    command("simulate", "simulate a phase-swept heterodyne trace")
+    command("scale", "symmetrize a trace and report the asymmetry budget").add_argument(
+        "input", help="trace CSV")
+    command("phase-deviation", "asymmetric-vs-scaled phase deviation rows").add_argument(
+        "input", help="trace CSV")
+    command("keyrate-sweep", "rate vs distance for a set of xi_det values")
+    command("tomography", "MLE reconstruction, Wigner grid and fidelity report").add_argument(
+        "input", help="trace CSV")
 
     p = sub.add_parser("fidelity", help="fidelity between two stored density matrices")
-    common(p)
     p.add_argument("rho", help="density-matrix CSV")
     p.add_argument("sigma", help="density-matrix CSV")
     return parser
 
 
-def _apply_flags(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out = args.out
-    if getattr(args, "dim", None) is not None:
-        config.dim = args.dim
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _apply_flags(load_config(args.config), args)
+        if args.command == "fidelity":
+            return cmd_fidelity(args.rho, args.sigma)
+        config = load_config(args.config)
         if args.command == "simulate":
-            return cmd_simulate(config)
+            return cmd_simulate(config, args.out)
         if args.command == "scale":
-            return cmd_scale(config, args.input)
+            return cmd_scale(config, args.input, args.out)
         if args.command == "phase-deviation":
-            return cmd_phase_deviation(config, args.input)
+            return cmd_phase_deviation(config, args.input, args.out)
         if args.command == "keyrate-sweep":
-            return cmd_keyrate_sweep(config)
-        if args.command == "tomography":
-            return cmd_tomography(config, args.input)
+            return cmd_keyrate_sweep(config, args.out)
         # argparse has already rejected any command not named above
-        return cmd_fidelity(config, args.rho, args.sigma)
+        return cmd_tomography(config, args.input, args.out)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

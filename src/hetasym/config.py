@@ -1,10 +1,10 @@
 """Flat key/value run configuration.
 
 Format: one ``key = value`` per line, ``#`` comments, nothing nested.
-Unknown keys are hard errors so typos cannot be silently absorbed.  Any key
-can be overridden through the environment with the ``HETASYM_`` prefix
-(e.g. ``HETASYM_V_A=12``), and a ``HETASYM_`` name that is not a key is an
-error too; command-line flags override both.
+Unknown and repeated keys are hard errors so typos cannot be silently
+absorbed.  Any key can be overridden through the environment with the
+``HETASYM_`` prefix (e.g. ``HETASYM_V_A=12``), and a ``HETASYM_`` name that
+is not a key is an error too.  The command line sets no values.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class RunConfig:
     """
 
     seed: int = 12345
-    out: str = "out.csv"
 
     # reference signal
     amplitude_sq: float = 552.0
@@ -77,17 +76,16 @@ class RunConfig:
                   for tok in self.xi_det_values.split(",") if tok.strip()]
         if not values:
             raise ValidationError("xi_det_values is empty")
+        # == on floats, so 0.01 and 0.010, or 0.0 and -0.0, are one value
+        repeated = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeated:
+            raise ValidationError(f"xi_det_values repeats {repeated[0]!r}; each value "
+                                  "is one column of the sweep")
         return values
-
-    #: Execution details that do not influence computed data; they are kept
-    #: out of output headers and the config hash so results are byte-identical
-    #: across output paths.
-    _non_semantic = ("out",)
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """Stable (key, rendered value) listing used for output headers."""
-        return [(f.name, _render(getattr(self, f.name))) for f in fields(self)
-                if f.name not in self._non_semantic]
+        return [(f.name, _render(getattr(self, f.name))) for f in fields(self)]
 
     def config_hash(self) -> str:
         digest = hashlib.sha256()
@@ -134,8 +132,10 @@ def _coerce(name: str, kind, text: str):
 
 
 def parse_config_text(text: str) -> RunConfig:
-    """Parse ``key = value`` lines over the defaults; unknown keys raise."""
+    """Parse ``key = value`` lines over the defaults; unknown and repeated
+    keys raise."""
     config = RunConfig()
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -145,6 +145,10 @@ def parse_config_text(text: str) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KINDS:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ValidationError(f"config line {lineno}: key {key!r} is already set "
+                                  f"on line {first_line[key]}")
+        first_line[key] = lineno
         setattr(config, key, _coerce(key, _KINDS[key], value))
     return config
 

@@ -82,13 +82,12 @@ _CONFIG_VALUES = {
                                exclude_categories=("Cc", "Cs", "Zl", "Zp")))
     .filter(lambda text: text == text.strip()),
 }
-_SEMANTIC_FIELDS = [f for f in fields(RunConfig) if f.name != "out"]
+_FIELDS = fields(RunConfig)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.fixed_dictionaries({f.name: _CONFIG_VALUES[type(f.default)]
-                              for f in _SEMANTIC_FIELDS}))
-@example({**{f.name: f.default for f in _SEMANTIC_FIELDS}, "v_a": -0.0, "seed": -1})
+@given(st.fixed_dictionaries({f.name: _CONFIG_VALUES[type(f.default)] for f in _FIELDS}))
+@example({**{f.name: f.default for f in _FIELDS}, "v_a": -0.0, "seed": -1})
 def test_config_render_parse_round_trip(values):
     config = RunConfig(**values)
     text = "".join(f"{key} = {value}\n" for key, value in config.resolved_items())
@@ -107,51 +106,49 @@ class TestSimulate:
         assert trace.phase_true is not None
 
     def test_byte_identical_reruns(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg", n_phases=500, asymmetry_percent=14.29)
+        cfg = write_config(tmp_path / "c.cfg", n_phases=500, asymmetry_percent=14.29, seed=42)
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run("simulate", "--config", cfg, "--seed", 42, "--out", out_a) == 0
-        assert run("simulate", "--config", cfg, "--seed", 42, "--out", out_b) == 0
+        assert run("simulate", "--config", cfg, "--out", out_a) == 0
+        assert run("simulate", "--config", cfg, "--out", out_b) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_seed_changes_output(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg", n_phases=100)
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run("simulate", "--config", cfg, "--seed", 1, "--out", out_a)
-        run("simulate", "--config", cfg, "--seed", 2, "--out", out_b)
+        run("simulate", "--config", write_config(tmp_path / "a.cfg", n_phases=100, seed=1),
+            "--out", out_a)
+        run("simulate", "--config", write_config(tmp_path / "b.cfg", n_phases=100, seed=2),
+            "--out", out_b)
         assert out_a.read_bytes() != out_b.read_bytes()
 
     def test_variance_ratio_tracks_gains(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_phases=100_000,
-                           asymmetry_percent=14.29, amplitude_sq=552.0)
+                           asymmetry_percent=14.29, amplitude_sq=552.0, seed=11)
         out = tmp_path / "t.csv"
-        assert run("simulate", "--config", cfg, "--seed", 11, "--out", out) == 0
+        assert run("simulate", "--config", cfg, "--out", out) == 0
         trace = read_trace_csv(out)
         gain = (200.0 - 14.29) / (200.0 + 14.29)
         assert np.var(trace.x) / np.var(trace.p) == pytest.approx(gain ** 2, rel=0.02)
 
     def test_symmetric_variances_agree(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg", n_phases=100_000, amplitude_sq=552.0)
+        cfg = write_config(tmp_path / "c.cfg", n_phases=100_000, amplitude_sq=552.0, seed=12)
         out = tmp_path / "t.csv"
-        run("simulate", "--config", cfg, "--seed", 12, "--out", out)
+        run("simulate", "--config", cfg, "--out", out)
         trace = read_trace_csv(out)
         assert np.var(trace.x) / np.var(trace.p) == pytest.approx(1.0, rel=0.02)
 
-    @pytest.mark.parametrize("source", ["flag", "file", "environment"])
+    @pytest.mark.parametrize("source", ["file", "environment"])
     def test_negative_seed_exit_2(self, tmp_path, monkeypatch, capsys, source):
         cfg = write_config(tmp_path / "c.cfg", n_phases=100,
                            **({"seed": -3} if source == "file" else {}))
-        argv = ["simulate", "--config", cfg, "--out", tmp_path / "t.csv"]
-        if source == "flag":
-            argv += ["--seed", -3]
         if source == "environment":
             monkeypatch.setenv("HETASYM_SEED", "-1")
-        assert run(*argv) == 2
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "t.csv") == 2
         assert "seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_header_embeds_metadata(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg", n_phases=100)
+        cfg = write_config(tmp_path / "c.cfg", n_phases=100, seed=5)
         out = tmp_path / "t.csv"
-        run("simulate", "--config", cfg, "--seed", 5, "--out", out)
+        run("simulate", "--config", cfg, "--out", out)
         text = out.read_text()
         assert "# seed: 5" in text
         assert "# config_sha256: " in text
@@ -436,6 +433,15 @@ class TestKeyrateSweep:
         assert "xi_det_values" in capsys.readouterr().err
         assert not out.exists()
 
+    # a repeat used to give two identical rate columns and cutoff lines
+    @pytest.mark.parametrize("values", ["0.01,0.01", "0.01,0.010", "0.0,-0.0"])
+    def test_repeated_xi_det_exit_2(self, tmp_path, capsys, values):
+        cfg = write_config(tmp_path / "c.cfg", xi_det_values=values)
+        out = tmp_path / "rates.csv"
+        assert run("keyrate-sweep", "--config", cfg, "--out", out) == 2
+        assert "xi_det_values repeats" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("distance_step_km", 0.0), ("distance_step_km", -1.0), ("distance_max_km", -1.0),
     ])
@@ -473,9 +479,9 @@ class TestTomography:
     def bright_trace(self, tmp_path, pct=0.0, n_phases=80, ppp=25) -> Path:
         cfg = write_config(tmp_path / "sim.cfg", n_phases=n_phases,
                            pulses_per_phase=ppp, amplitude_sq=552.0,
-                           asymmetry_percent=pct)
+                           asymmetry_percent=pct, seed=21)
         out = tmp_path / f"trace{pct}.csv"
-        assert run("simulate", "--config", cfg, "--seed", 21, "--out", out) == 0
+        assert run("simulate", "--config", cfg, "--out", out) == 0
         return out
 
     def tomo_config(self, tmp_path, **extra) -> Path:
@@ -574,17 +580,6 @@ class TestTomography:
             assert exc.value.code == 2
             assert "--convention" in capsys.readouterr().err
 
-    def test_dim_flag_overrides_config(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg", n_phases=40, pulses_per_phase=5,
-                           amplitude_sq=1.0)
-        trace_path = tmp_path / "t.csv"
-        run("simulate", "--config", cfg, "--out", trace_path)
-        tomo_cfg = write_config(tmp_path / "t.cfg", dim=25, max_iter=40,
-                                tol="1e-6", wigner_points=11)
-        assert run("tomography", trace_path, "--config", tomo_cfg,
-                   "--out", tmp_path / "o", "--dim", 14) in (0, 3)
-        assert read_density_csv(tmp_path / "o.rho.csv").dim == 14
-
     def test_tomography_deterministic(self, tmp_path):
         raw = self.bright_trace(tmp_path)
         cfg = self.tomo_config(tmp_path, wigner_points=21)
@@ -618,6 +613,38 @@ class TestErrorPaths:
         monkeypatch.setenv(f"HETASYM_{key.upper()}", "0.01")
         assert run("keyrate-sweep", "--out", tmp_path / "o.csv") == 2
         assert f"HETASYM_{key.upper()}" in capsys.readouterr().err
+
+    # the command line names files only: seed and dim are config keys, and
+    # the output path is --out alone
+    @pytest.mark.parametrize("argv, env, message", [
+        (["simulate", "--seed", "1"], {}, "unrecognized arguments: --seed 1"),
+        (["tomography", "t.csv", "--dim", "14"], {}, "unrecognized arguments: --dim 14"),
+        (["fidelity", "a.csv", "b.csv", "--config", "c.cfg"], {},
+         "unrecognized arguments: --config c.cfg"),
+        (["keyrate-sweep", "--config", "out.cfg"], {}, "unknown key 'out'"),
+        (["keyrate-sweep"], {"HETASYM_OUT": "x.csv"}, "HETASYM_OUT: unknown config key"),
+    ], ids=["--seed", "--dim", "fidelity --config", "out = x", "HETASYM_OUT"])
+    def test_removed_option_exit_2(self, tmp_path, monkeypatch, capsys, argv, env, message):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "out.cfg", out="x.csv")
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        try:
+            code = run(*argv, "--out", "o.csv")
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists() and not (tmp_path / "x.csv").exists()
+
+    def test_repeated_config_key_exit_2(self, tmp_path, capsys):
+        # the second line used to win silently
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("seed = 1\nv_a = 12\nseed = 2\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert run("simulate", "--config", cfg, "--out", out) == 2
+        assert "config line 3: key 'seed' is already set on line 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("xi_det_values = ,", "xi_det_values is empty"),

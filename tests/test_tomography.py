@@ -400,6 +400,12 @@ def test_rank_one_search_matches_grid_argmax(d):
         assert t is not None and _mean_log1p(t, d) > bar
 
 
+def test_rank_one_search_underflowing_curvature():
+    # d * d underflows to 0, so the Newton step is replaced by an infinite one
+    # toward the rising side; f increases on [0, 1], whose argmax is t = 1
+    assert _rank_one_search(np.full(8, 1e-170), 0.0) == 1.0
+
+
 def test_near_pure_dense_case_takes_rank_one_steps():
     # the ML state of these samples is pure to four digits; the
     # reconstruction without the rank-one candidate needed 68 iterations
