@@ -61,8 +61,7 @@ def _detector_from_config(config: RunConfig) -> HeterodyneModel:
     return HeterodyneModel(
         *gains_from_percent(config.asymmetry_percent),
         hybrid_phase_error=config.hybrid_phase_error,
-        shot_noise_var=config.shot_noise_var,
-        elec_noise_var=config.elec_noise_var,
+        noise_var=config.noise_var,
     )
 
 
@@ -150,9 +149,9 @@ def cmd_phase_deviation(config: RunConfig, input_path: str, out: str) -> int:
     _, _, theta_scaled, theta_asym, dropped = _sweep_phases(config, input_path)
     delta = wrap_phase(theta_asym - theta_scaled)
     write_table(out, "phase-deviation", config, ["theta_scaled", "delta_theta"],
-                theta_scaled, delta, comments=[f"undefined_blocks_skipped: {dropped}"])
+                theta_scaled, delta, comments=[f"undefined_blocks_dropped: {dropped}"])
     if dropped:
-        print(f"phase-deviation: skipped {dropped} undefined blocks", file=sys.stderr)
+        print(f"phase-deviation: dropped {dropped} undefined blocks", file=sys.stderr)
     print(f"phase-deviation: wrote {theta_scaled.size} rows to {out}")
     return EXIT_OK
 
@@ -163,9 +162,12 @@ def cmd_keyrate_sweep(config: RunConfig, out: str) -> int:
         raise ValidationError(f"distance_max_km must be >= distance_min_km, got "
                               f"{config.distance_max_km} < {config.distance_min_km}")
     xi_values = config.xi_det_list()
+    span = (config.distance_max_km - config.distance_min_km) / config.distance_step_km
+    if not math.isfinite(span):
+        raise ValidationError(f"distance_step_km = {config.distance_step_km} is too small: "
+                              "the number of distances overflows")
     # floor, with slack for 0.3 / 0.1 = 2.999..., so no row passes distance_max_km
-    steps = math.floor((config.distance_max_km - config.distance_min_km)
-                       / config.distance_step_km + 1e-9)
+    steps = math.floor(span + 1e-9)
     distances = [config.distance_min_km + i * config.distance_step_km for i in range(steps + 1)]
     columns, comments = [], []
     for xi in xi_values:
@@ -206,9 +208,8 @@ def cmd_tomography(config: RunConfig, input_path: str, out: str) -> int:
     rho_path = out_base.with_suffix(".rho.csv")
     wig_path = out_base.with_suffix(".wigner.csv")
     report_path = out_base.with_suffix(".report.txt")
-    diag = [f"converged: {str(result.converged).lower()}", f"iterations: {result.iterations}"]
-    write_density_csv(rho_path, result.rho, "tomography", config, extra_comments=diag)
-    write_wigner_csv(wig_path, grid, "tomography", config, extra_comments=diag)
+    write_density_csv(rho_path, result.rho, "tomography", config)
+    write_wigner_csv(wig_path, grid, "tomography", config)
     entries = [
         ("alpha_fit_re", fmt(alpha_fit.real)),
         ("alpha_fit_im", fmt(alpha_fit.imag)),

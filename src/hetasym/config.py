@@ -40,8 +40,7 @@ class RunConfig:
     # detector
     asymmetry_percent: float = 0.0
     hybrid_phase_error: float = 0.0
-    shot_noise_var: float = 1.0
-    elec_noise_var: float = 0.0
+    noise_var: float = 1.0
 
     # phase alignment / noise budget
     v_a: float = 10.0

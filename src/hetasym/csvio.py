@@ -2,7 +2,7 @@
 grids.
 
 Schema: comment header block (tool version, command, resolved config hash,
-seed, resolved config), then a header row, then data rows.  Comma
+resolved config), then a header row, then data rows.  Comma
 separator, decimal point, LF line endings, UTF-8.  Floats are rendered
 with shortest round-trip repr so identical runs are byte-identical.
 :func:`write_table` is the one writer of this layout: every output CSV,
@@ -62,7 +62,6 @@ def header_lines(command: str, config: RunConfig,
         f"# hetasym {__version__}",
         f"# command: {command}",
         f"# config_sha256: {config.config_hash()}",
-        f"# seed: {config.seed}",
     ]
     lines += [f"# config: {key} = {value}" for key, value in config.resolved_items()]
     lines += [f"# {comment}" for comment in comments or ()]
@@ -137,11 +136,11 @@ def read_trace_csv(path: str | Path) -> QuadratureTrace:
 
 
 def write_density_csv(path: str | Path, rho: DensityMatrix, command: str,
-                      config: RunConfig, extra_comments: list[str] | None = None) -> None:
+                      config: RunConfig) -> None:
     index = np.arange(rho.dim)
     write_table(path, command, config, ["row", "col", "re", "im"],
                 np.repeat(index, rho.dim), np.tile(index, rho.dim),
-                rho.matrix.real.ravel(), rho.matrix.imag.ravel(), comments=extra_comments)
+                rho.matrix.real.ravel(), rho.matrix.imag.ravel())
 
 
 def read_density_csv(path: str | Path) -> DensityMatrix:
@@ -166,12 +165,11 @@ def read_density_csv(path: str | Path) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def write_wigner_csv(path: str | Path, grid: WignerGrid, command: str,
-                     config: RunConfig, extra_comments: list[str] | None = None) -> None:
+def write_wigner_csv(path: str | Path, grid: WignerGrid, command: str, config: RunConfig) -> None:
     # each axis value is formatted once and its string repeated over the grid
     x_cells, p_cells = (np.array([fmt(v) for v in axis]) for axis in (grid.x_axis, grid.p_axis))
     write_table(path, command, config, ["x", "p", "w"], np.repeat(x_cells, p_cells.size),
-                np.tile(p_cells, x_cells.size), grid.values.ravel(), comments=extra_comments)
+                np.tile(p_cells, x_cells.size), grid.values.ravel())
 
 
 def write_report(path: str | Path, command: str, config: RunConfig,

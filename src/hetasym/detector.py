@@ -4,9 +4,9 @@ A 90-degree-hybrid heterodyne receiver feeds two balanced photodiode pairs,
 one per quadrature.  Unequal optical power reaching the pairs (splitter
 ratio, responsivity mismatch, coupling loss, ...) scales the difference
 photocurrents unequally; all causes are absorbed into one multiplicative
-power gain per quadrature.  Shot noise is injected before the gain, so
-asymmetry scales signal and noise together, matching attenuation of the
-combined field after the hybrid.
+power gain per quadrature.  Noise (shot plus electronic) is injected before
+the gain, so asymmetry scales signal and noise together, matching
+attenuation of the combined field after the hybrid.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, non_negative, positive, unit_interval
+from .errors import ValidationError, positive, unit_interval
 from .traces import QuadratureTrace, ReferenceSignalSpec
 
 
@@ -27,23 +27,24 @@ class HeterodyneModel:
     gain_x / gain_p are dimensionless power factors in (0, 1] applied to the
     light reaching the X / P balanced pair.  Photodiode responsivity and
     local-oscillator power scale both quadratures alike and cancel in the
-    shot-noise normalization, so they are not parameters.
+    shot-noise normalization, so they are not parameters.  noise_var is the
+    variance of the noise on each quadrature before the gain: shot noise
+    (1 in SNU) plus electronic noise.  hybrid_phase_error lies in
+    (-pi/2, pi/2); at +-pi/2 both pairs measure one quadrature.
     """
 
     gain_x: float = 1.0
     gain_p: float = 1.0
     hybrid_phase_error: float = 0.0
-    shot_noise_var: float = 1.0
-    elec_noise_var: float = 0.0
+    noise_var: float = 1.0
 
     def __post_init__(self):
         unit_interval("gain_x", self.gain_x)
         unit_interval("gain_p", self.gain_p)
-        positive("shot_noise_var", self.shot_noise_var)
-        non_negative("elec_noise_var", self.elec_noise_var)
-        if not math.isfinite(self.hybrid_phase_error):
+        positive("noise_var", self.noise_var)
+        if not abs(self.hybrid_phase_error) < math.pi / 2.0:
             raise ValidationError(
-                f"hybrid_phase_error must be finite, got {self.hybrid_phase_error}")
+                f"hybrid_phase_error must be in (-pi/2, pi/2), got {self.hybrid_phase_error}")
 
     @property
     def asymmetry_percent(self) -> float:
@@ -82,16 +83,15 @@ def simulate_heterodyne(signal: ReferenceSignalSpec, det: HeterodyneModel,
         p = gain_p * (A sin(theta + hybrid_phase_error) + n_p)
 
     with A = sqrt(amplitude_sq) and n_x, n_p independent zero-mean Gaussians
-    of variance shot_noise_var + elec_noise_var.  Identical (signal, det,
-    seed) produce bit-identical traces; the seed must be a non-negative
-    integer.
+    of variance noise_var.  Identical (signal, det, seed) produce
+    bit-identical traces; the seed must be a non-negative integer.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     theta = signal.sample_phases()
     amp = signal.amplitude
-    noise_std = math.sqrt(det.shot_noise_var + det.elec_noise_var)
+    noise_std = math.sqrt(det.noise_var)
     n_x = noise_std * rng.standard_normal(theta.size)
     n_p = noise_std * rng.standard_normal(theta.size)
     x = det.gain_x * (amp * np.cos(theta) + n_x)

@@ -45,7 +45,8 @@ _SAME_QUADRATURE_TOL = 1e-9
 @dataclass(frozen=True)
 class DensityMatrix:
     """Fock-truncated density matrix: Hermitian, unit trace, PSD (all up to
-    small numerical tolerances checked at construction)."""
+    small numerical tolerances checked at construction).  The stored matrix
+    is the Hermitian part of the input."""
 
     matrix: np.ndarray
 
@@ -61,6 +62,8 @@ class DensityMatrix:
             raise ValidationError("density matrix trace differs from 1 beyond tolerance")
         if np.linalg.eigvalsh(mat).min() < -_EIGENVALUE_TOL:
             raise ValidationError("density matrix has a negative eigenvalue beyond tolerance")
+        # entries that already equal their conjugate partner keep their bits
+        mat = np.where(mat == mat.conj().T, mat, 0.5 * (mat + mat.conj().T))
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -681,13 +684,11 @@ def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
                         sqrt(2^{m-n} n! / m!) L_n^{m-n}(2 r^2),   m >= n
 
     (W_{n m} is its conjugate) as W = Re sum_k s_k(r^2) z^k, z = x - i p,
-    where s_k gathers diagonal k = m - n of the Hermitian part of rho.  The
-    s_k depend on r^2 alone, so the generalized-Laguerre three-term
-    recurrence (carried upward in n for every k at once, stable for
-    desk-scale cutoffs) runs once per distinct r^2, and Horner's rule in z
-    combines the diagonals over the grid.  The anti-Hermitian part of rho
-    adds the imaginary residue i Im sum_k d_k z^k, built the same way when
-    it is not zero; a residue above 1e-10 is a hard error.
+    where s_k gathers diagonal k = m - n of rho, doubled for k > 0 to count
+    its conjugate (rho is Hermitian).  The s_k depend on r^2 alone, so the
+    generalized-Laguerre three-term recurrence (carried upward in n for
+    every k at once, stable for desk-scale cutoffs) runs once per distinct
+    r^2, and Horner's rule in z combines the diagonals over the grid.
     """
     x_axis = np.asarray(x_axis, dtype=np.float64)
     p_axis = np.asarray(p_axis, dtype=np.float64)
@@ -698,7 +699,7 @@ def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
     z = grid_x - 1j * grid_p
 
     # weights[k, n] = (-1)^n sqrt(2^k n! / (n + k)!) times diagonal k of rho
-    # (rho[n + k, n], n + k < dim), and of its Hermitian conjugate
+    # (rho[n + k, n], n + k < dim), doubled for k > 0
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, 2 * dim)))])
     offset, level = np.arange(dim)[:, None], np.arange(dim)[None, :]
     inside = offset + level < dim
@@ -706,13 +707,9 @@ def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
     coef = np.where(inside, np.exp(0.5 * (offset * math.log(2.0) + log_fact[level]
                                           - log_fact[rows])), 0.0)
     coef[:, 1::2] *= -1.0
-    below, above = coef * mat[rows, level], coef * mat[level, rows].conj()
-    herm, anti = below + above, below - above
-    herm[0], anti[0] = below[0].real, 0.0
-    parts = [herm.real, herm.imag]
-    if anti.any():
-        parts += [anti.real, anti.imag]
-    weights = np.stack(parts)
+    coef[1:] *= 2.0
+    diagonals = coef * mat[rows, level]
+    weights = np.stack([diagonals.real, diagonals.imag])
 
     # sums[c, k] = sum_n weights[c, k, n] L_n^k(2 r^2) over the distinct r^2;
     # L_n^k is needed for k < dim - n only
@@ -728,20 +725,11 @@ def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
         sums[:, :top] += weights[:, :top, n, None] * lag
     sums *= np.exp(-r_sq) / math.pi
 
-    def horner(real, imag):
-        coefs = real + 1j * imag
-        total = coefs[dim - 1, inverse]
-        for k in range(dim - 2, -1, -1):
-            total = total * z + coefs[k, inverse]
-        return total
-
-    values = horner(sums[0], sums[1]).real
-    residue = 0.0
-    if len(sums) > 2 and values.size:
-        residue = np.abs(horner(sums[2], sums[3]).imag).max()
-    if residue > 1e-10:
-        raise NumericalDomainError(f"Wigner imaginary residue {residue} exceeds 1e-10")
-    return WignerGrid(x_axis, p_axis, values)
+    coefs = sums[0] + 1j * sums[1]
+    total = coefs[dim - 1, inverse]
+    for k in range(dim - 2, -1, -1):
+        total = total * z + coefs[k, inverse]
+    return WignerGrid(x_axis, p_axis, total.real)
 
 
 def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = True,

@@ -57,7 +57,7 @@ def report(criterion: int, detail: str) -> None:
 def noiseless_sweep(percent: float, n: int = 7200) -> "QuadratureTrace":
     gain, _ = gains_from_percent(percent)
     spec = ReferenceSignalSpec.ramp(100.0, n)
-    det = HeterodyneModel(gain_x=gain, shot_noise_var=1e-30)
+    det = HeterodyneModel(gain_x=gain, noise_var=1e-30)
     return simulate_heterodyne(spec, det, 1)
 
 

@@ -145,12 +145,21 @@ class TestSimulate:
         assert run("simulate", "--config", cfg, "--out", tmp_path / "t.csv") == 2
         assert "seed must be a non-negative integer" in capsys.readouterr().err
 
+    def test_hybrid_phase_error_of_a_quarter_turn_exit_2(self, tmp_path, capsys):
+        # the X and P pairs then measure one quadrature, and scale printed a
+        # plausible asymmetry with exit 0
+        cfg = write_config(tmp_path / "c.cfg", n_phases=100, hybrid_phase_error=repr(math.pi / 2))
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--config", cfg, "--out", out) == 2
+        assert "hybrid_phase_error must be in (-pi/2, pi/2)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_header_embeds_metadata(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_phases=100, seed=5)
         out = tmp_path / "t.csv"
         run("simulate", "--config", cfg, "--out", out)
         text = out.read_text()
-        assert "# seed: 5" in text
+        assert [line for line in text.splitlines() if "seed" in line] == ["# config: seed = 5"]
         assert "# config_sha256: " in text
         assert "# config: amplitude_sq = 552.0" in text
 
@@ -199,7 +208,7 @@ class TestScale:
         # a noiseless full sweep hits +-A exactly on both quadratures, so
         # scaling is the identity to rounding
         raw = self.simulate(tmp_path, n_phases=360, amplitude_sq=552.0,
-                            shot_noise_var=1e-30)
+                            noise_var=1e-30)
         out = tmp_path / "scaled.csv"
         assert run("scale", raw, "--out", out) == 0
         before, after = read_trace_csv(raw), read_trace_csv(out)
@@ -297,7 +306,9 @@ class TestScale:
         assert read_report(tmp_path / "scaled.report.txt")["undefined_blocks_dropped"] == "198"
         dev = tmp_path / "deviation.csv"
         assert run("phase-deviation", raw, "--config", cfg, "--out", dev) == 0
-        assert "# undefined_blocks_skipped: 198" in dev.read_text()
+        # the file's last comment line names the count as the report does
+        comments = [line for line in dev.read_text().splitlines() if line.startswith("#")]
+        assert comments[-1] == "# undefined_blocks_dropped: 198"
 
     def test_default_sweep_without_phase_true_passes(self, tmp_path):
         raw = self.without_phase_true(self.simulate(tmp_path))
@@ -315,7 +326,7 @@ class TestPhaseDeviation:
     def simulate(self, tmp_path, pct, noiseless=True) -> Path:
         cfg = write_config(tmp_path / f"sim{pct}.cfg", n_phases=7200,
                            amplitude_sq=552.0, asymmetry_percent=pct,
-                           shot_noise_var=(1e-30 if noiseless else 1.0))
+                           noise_var=(1e-30 if noiseless else 1.0))
         out = tmp_path / f"raw{pct}.csv"
         assert run("simulate", "--config", cfg, "--out", out) == 0
         return out
@@ -345,7 +356,7 @@ class TestPhaseDeviation:
             peaks.append(np.abs(delta).max())
         assert peaks[1] > peaks[0]
 
-    def test_undefined_blocks_skipped_with_count(self, tmp_path):
+    def test_undefined_blocks_dropped_with_count(self, tmp_path, capsys):
         # a 100-point sweep, dense enough for the coverage check, plus one
         # sample at the origin, whose phase is undefined
         theta = np.arange(100) * TWO_PI / 100
@@ -355,8 +366,8 @@ class TestPhaseDeviation:
                         "simulate", RunConfig())
         out = tmp_path / "dev.csv"
         assert run("phase-deviation", path, "--out", out) == 0
-        text = out.read_text()
-        assert "# undefined_blocks_skipped: 1" in text
+        assert "# undefined_blocks_dropped: 1" in out.read_text()
+        assert "phase-deviation: dropped 1 undefined blocks" in capsys.readouterr().err
 
 
 class TestKeyrateSweep:
@@ -444,6 +455,8 @@ class TestKeyrateSweep:
 
     @pytest.mark.parametrize("key, value", [
         ("distance_step_km", 0.0), ("distance_step_km", -1.0), ("distance_max_km", -1.0),
+        # 60 / 1e-320 overflows to inf, which math.floor used to raise on
+        ("distance_step_km", 1e-320),
     ])
     def test_bad_distance_grid_exit_2(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "c.cfg", **{key: value})
@@ -592,10 +605,10 @@ class TestTomography:
 
 
 # keys that once existed: the sweep takes xi_det from xi_det_values and
-# distances from its grid, asymmetry_percent sets the gains, and the
-# throughput keys changed no output
+# distances from its grid, asymmetry_percent sets the gains, noise_var is
+# the sum of the two noise variances, and the throughput keys changed no output
 REMOVED_KEYS = ["xi_det", "distance_km", "jobs", "baud", "frame_ratio", "gain_x", "gain_p",
-                "convention"]
+                "convention", "shot_noise_var", "elec_noise_var"]
 
 
 class TestErrorPaths:

@@ -88,12 +88,16 @@ def test_density_round_trip_is_bit_exact(scratch, factor):
 
 def write_side(path, writer: str, side: int) -> str:
     """Write ``side`` squared rows with one writer; return the text that a
-    one-shot join of the header and every csv_rows row gives."""
+    one-shot join of the header and every csv_rows row gives.  The trace
+    writer and write_table take comment lines; the density and Wigner
+    writers take none."""
     rng = np.random.default_rng(side)
     n = side * side
     config = RunConfig()
-    comments = ["converged: true"]
-    head = header_lines("test", config) + [f"# {c}" for c in comments]
+    comments = ["source: raw.csv"]
+    head = header_lines("test", config)
+    if writer not in ("density", "wigner"):
+        head += [f"# {c}" for c in comments]
     if writer in ("trace", "trace_no_phase"):
         x, p, phase = rng.standard_normal((3, n)) * 30.0
         trace = QuadratureTrace(x, p, phase if writer == "trace" else None)
@@ -104,7 +108,7 @@ def write_side(path, writer: str, side: int) -> str:
         a = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
         gram = a @ a.conj().T
         rho = DensityMatrix(gram / np.trace(gram).real)
-        write_density_csv(path, rho, "test", config, extra_comments=comments)
+        write_density_csv(path, rho, "test", config)
         index = np.arange(side)
         columns = [np.repeat(index, side), np.tile(index, side),
                    rho.matrix.real.ravel(), rho.matrix.imag.ravel()]
@@ -112,7 +116,7 @@ def write_side(path, writer: str, side: int) -> str:
     elif writer == "wigner":
         axis = np.arange(side) * 0.5
         grid = WignerGrid(axis, axis + 0.1, rng.uniform(-0.3, 0.3, (side, side)))
-        write_wigner_csv(path, grid, "test", config, extra_comments=comments)
+        write_wigner_csv(path, grid, "test", config)
         columns = [np.repeat(grid.x_axis, side), np.tile(grid.p_axis, side),
                    grid.values.ravel()]
         head.append("x,p,w")

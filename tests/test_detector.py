@@ -91,10 +91,11 @@ class TestHeterodyneModel:
 
     @pytest.mark.parametrize("kwargs", [
         {"gain_x": 0.0}, {"gain_x": 1.2}, {"gain_p": -0.1},
-        {"shot_noise_var": 0.0}, {"elec_noise_var": -1.0},
-        {"shot_noise_var": math.nan}, {"shot_noise_var": math.inf},
-        {"elec_noise_var": math.nan}, {"elec_noise_var": math.inf},
+        {"noise_var": 0.0}, {"noise_var": -1.0},
+        {"noise_var": math.nan}, {"noise_var": math.inf},
         {"hybrid_phase_error": math.nan}, {"hybrid_phase_error": -math.inf},
+        # at pi/2 the X and P pairs measure one quadrature
+        {"hybrid_phase_error": math.pi / 2}, {"hybrid_phase_error": 1e308},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValidationError):
@@ -110,14 +111,14 @@ class TestSimulateHeterodyne:
 
     def test_noiseless_on_axis(self):
         spec = ReferenceSignalSpec(100.0, phases=[0.0, 0.0])
-        det = HeterodyneModel(shot_noise_var=1e-30)
+        det = HeterodyneModel(noise_var=1e-30)
         tr = simulate_heterodyne(spec, det, 0)
         np.testing.assert_allclose(tr.x, 10.0, atol=1e-12)
         np.testing.assert_allclose(tr.p, 0.0, atol=1e-12)
 
     def test_noiseless_asymmetric_scaling(self):
         spec = ReferenceSignalSpec(100.0, phases=[math.pi / 4, math.pi / 4])
-        det = HeterodyneModel(gain_x=0.8667, shot_noise_var=1e-30)
+        det = HeterodyneModel(gain_x=0.8667, noise_var=1e-30)
         tr = simulate_heterodyne(spec, det, 0)
         np.testing.assert_allclose(tr.x, 0.8667 * 10.0 / math.sqrt(2.0), atol=1e-12)
         np.testing.assert_allclose(tr.p, 10.0 / math.sqrt(2.0), atol=1e-12)
@@ -128,7 +129,7 @@ class TestSimulateHeterodyne:
         det = HeterodyneModel()
         tr = simulate_heterodyne(spec, det, 7)
         residual = tr.x - spec.amplitude * np.cos(tr.phase_true)
-        assert np.var(residual) == pytest.approx(det.shot_noise_var, rel=0.05)
+        assert np.var(residual) == pytest.approx(det.noise_var, rel=0.05)
 
     def test_determinism(self):
         spec = ReferenceSignalSpec.ramp(552.0, 500, pulses_per_phase=2)
@@ -141,7 +142,7 @@ class TestSimulateHeterodyne:
 
     def test_noiseless_limit_recovers_sinusoid(self):
         spec = ReferenceSignalSpec.ramp(552.0, 360)
-        det = HeterodyneModel(gain_x=0.7, gain_p=0.95, shot_noise_var=1e-30)
+        det = HeterodyneModel(gain_x=0.7, gain_p=0.95, noise_var=1e-30)
         tr = simulate_heterodyne(spec, det, 5)
         radius = (tr.x / det.gain_x) ** 2 + (tr.p / det.gain_p) ** 2
         np.testing.assert_allclose(radius, spec.amplitude_sq, rtol=1e-10)
@@ -149,7 +150,7 @@ class TestSimulateHeterodyne:
     def test_hybrid_phase_error_shifts_p(self):
         eps = 0.05
         spec = ReferenceSignalSpec(100.0, phases=[0.3, 1.1])
-        det = HeterodyneModel(hybrid_phase_error=eps, shot_noise_var=1e-30)
+        det = HeterodyneModel(hybrid_phase_error=eps, noise_var=1e-30)
         tr = simulate_heterodyne(spec, det, 0)
         np.testing.assert_allclose(tr.p, 10.0 * np.sin(tr.phase_true + eps), atol=1e-12)
 

@@ -23,22 +23,22 @@ from hetasym.tomography import DensityMatrix, WignerGrid
 
 PIPELINE_SHA256 = {
     "raw.csv":
-        "885538287449870890c5f4e54cf380fc62698988822a5b4c2ba473951a112513",
+        "3c93931f6c193b9e755d110e107c8ea3339b324741949a67926ae190270b3020",
     "scaled.csv":
-        "202dc1cc634b4177c53ddb22a3a27e7b73ab62a306b9c20b347ed0fed62c7b50",
+        "68fe21f432f718344482cb83ec5a3377854d1b5b8ba5f0aa91c3c1a4b3bd7cd8",
     "scaled.report.txt":
-        "1857005dfe80631ed5e804e53628d6fe1a06fc1a5bc68892873f283894799b9c",
+        "6f8d465693322dadf32e38bf1eb2d20e53e4c8b2aee116fa71fbd1b0aec0ac0f",
     "deviation.csv":
-        "3a3c26b514bb0b6e910fa8a81f73eb430b317f4ae8ad354a99ba2ae51cdab3d3",
+        "4b44301fc595ff82927a1eee96c3e9c2a72c4e6fe2f68d5122e5d4410145ad9b",
     "rates.csv":
-        "bfc04463c97aac96020e38e5aa504029a8cc35695c93573ca5a5192e32b3036b",
+        "509ba26d380752b1e9098415a682a5ff0f57e129f0e1c0ad3686fd4c059e01ad",
 }
 
 WRITER_SHA256 = {
     "rho.csv":
-        "15904300a372d39d96827731664036a50aa8c20b96e7efeb3b9715fa56a8a40d",
+        "c40634fa9bd142c0f27d3e61554621fc74557d5ccefee51f12fa2cd01dd7647b",
     "wigner.csv":
-        "61f9dc0630c85d7dff9afd35cb91ea34ffdf25dd3b96c16ee11751dfdba69b08",
+        "f4f4a4794287dc47b88b68abad251d8207b162d5477b9c55f0b02a13e41fc7c4",
 }
 
 
@@ -76,8 +76,6 @@ def test_density_and_wigner_writers_pinned(tmp_path):
     xx, pp = np.meshgrid(x_axis, p_axis, indexing="ij")
     grid = WignerGrid(x_axis, p_axis, 0.25 * (1.0 - xx * xx) / (1.0 + xx * xx + pp * pp))
     config = RunConfig()
-    comments = ["converged: true", "iterations: 3"]
-    write_density_csv(tmp_path / "rho.csv", rho, "tomography", config, extra_comments=comments)
-    write_wigner_csv(tmp_path / "wigner.csv", grid, "tomography", config,
-                     extra_comments=comments)
+    write_density_csv(tmp_path / "rho.csv", rho, "tomography", config)
+    write_wigner_csv(tmp_path / "wigner.csv", grid, "tomography", config)
     assert sha256_of(tmp_path / name for name in WRITER_SHA256) == WRITER_SHA256

@@ -202,6 +202,20 @@ class TestDensityMatrix:
         mat[1, 0] = 1e-12
         DensityMatrix(mat)
 
+    def test_stores_hermitian_part(self):
+        mat = np.diag([0.7 + 1e-12j, 0.3]).astype(complex)
+        mat[0, 1] = 1e-12 + 2e-12j
+        mat[1, 0] = 3e-12
+        stored = DensityMatrix(mat).matrix
+        assert np.array_equal(stored, stored.conj().T)
+        assert stored[0, 1] == 2e-12 + 1e-12j and stored[0, 0] == 0.7
+
+    def test_hermitian_input_keeps_its_bits(self):
+        # -0.0 equals its partner's 0.0, so it is not averaged into 0.0
+        mat = np.array([[0.5, complex(-0.0, -0.1)], [0.1j, 0.5]])
+        stored = DensityMatrix(mat).matrix
+        assert np.array_equal(stored.view(np.int64), mat.view(np.int64))
+
 
 class TestMLEReconstruct:
     def test_zero_iterations_returns_maximally_mixed(self):
