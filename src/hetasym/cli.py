@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, render
 from .csvio import (
-    fmt,
     read_density_csv,
     read_trace_csv,
     write_density_csv,
@@ -55,6 +54,8 @@ from .traces import ReferenceSignalSpec, spans_full_rotation
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+#: Most distances in one sweep: 10**6 by 6 xi_det values take about 50 s and 300 MiB.
+_MAX_DISTANCES = 10**6
 
 
 def _detector_from_config(config: RunConfig) -> HeterodyneModel:
@@ -125,19 +126,18 @@ def cmd_scale(config: RunConfig, input_path: str, out: str) -> int:
                                      config.pulse_separation),
         v_det=v_det,
     )
-    write_trace_csv(out, scaled, "scale", config,
-                    extra_comments=[f"source: {Path(input_path).name}"])
+    write_trace_csv(out, scaled, "scale", config, comments=[("source", Path(input_path).name)])
     report_path = Path(out).with_suffix(".report.txt")
     entries = [
-        ("span_x", fmt(span_x)),
-        ("span_p", fmt(span_p)),
-        ("asymmetry_percent", fmt(asym_percent)),
-        ("undefined_blocks_dropped", str(dropped)),
-        ("v_det_rad2", fmt(v_det)),
-        ("xi_det_snu", fmt(xi_det)),
-        ("v_drift_rad2", fmt(budget.v_drift)),
-        ("v_total_rad2", fmt(budget.v_total)),
-        ("xi_total_snu", fmt(budget.excess_noise(config.v_a))),
+        ("span_x", span_x),
+        ("span_p", span_p),
+        ("asymmetry_percent", asym_percent),
+        ("undefined_blocks_dropped", dropped),
+        ("v_det_rad2", v_det),
+        ("xi_det_snu", xi_det),
+        ("v_drift_rad2", budget.v_drift),
+        ("v_total_rad2", budget.v_total),
+        ("xi_total_snu", budget.excess_noise(config.v_a)),
     ]
     write_report(report_path, "scale", config, entries)
     print(f"scale: asymmetry {asym_percent:.2f}%, v_det {v_det:.6e} rad^2, "
@@ -149,7 +149,7 @@ def cmd_phase_deviation(config: RunConfig, input_path: str, out: str) -> int:
     _, _, theta_scaled, theta_asym, dropped = _sweep_phases(config, input_path)
     delta = wrap_phase(theta_asym - theta_scaled)
     write_table(out, "phase-deviation", config, ["theta_scaled", "delta_theta"],
-                theta_scaled, delta, comments=[f"undefined_blocks_dropped: {dropped}"])
+                theta_scaled, delta, comments=[("undefined_blocks_dropped", dropped)])
     if dropped:
         print(f"phase-deviation: dropped {dropped} undefined blocks", file=sys.stderr)
     print(f"phase-deviation: wrote {theta_scaled.size} rows to {out}")
@@ -163,9 +163,10 @@ def cmd_keyrate_sweep(config: RunConfig, out: str) -> int:
                               f"{config.distance_max_km} < {config.distance_min_km}")
     xi_values = config.xi_det_list()
     span = (config.distance_max_km - config.distance_min_km) / config.distance_step_km
-    if not math.isfinite(span):
+    # an overflowed (inf) span fails this test too
+    if not span < _MAX_DISTANCES:
         raise ValidationError(f"distance_step_km = {config.distance_step_km} is too small: "
-                              "the number of distances overflows")
+                              f"the sweep would have more than {_MAX_DISTANCES} distances")
     # floor, with slack for 0.3 / 0.1 = 2.999..., so no row passes distance_max_km
     steps = math.floor(span + 1e-9)
     distances = [config.distance_min_km + i * config.distance_step_km for i in range(steps + 1)]
@@ -176,10 +177,10 @@ def cmd_keyrate_sweep(config: RunConfig, out: str) -> int:
             eta=config.eta, v_elec=config.v_elec, alpha_db_per_km=config.alpha_db_per_km,
         )
         columns.append(key_rate_curve(params, distances))
-        # fmt renders an unbounded cutoff (math.inf) as "inf"
-        cutoff = max_distance(params, config.max_distance_resolution_km)
-        comments.append(f"max_distance_km xi_det={fmt(xi)}: {fmt(cutoff)}")
-    names = ["distance_km"] + [f"rate_xi_{fmt(xi)}" for xi in xi_values]
+        # render writes an unbounded cutoff (math.inf) as "inf"
+        comments.append((f"max_distance_km xi_det={render(xi)}",
+                         max_distance(params, config.max_distance_resolution_km)))
+    names = ["distance_km"] + [f"rate_xi_{render(xi)}" for xi in xi_values]
     write_table(out, "keyrate-sweep", config, names, distances, *columns,
                 comments=comments)
     print(f"keyrate-sweep: {len(distances)} distances x {len(xi_values)} xi_det -> {out}")
@@ -200,7 +201,6 @@ def cmd_tomography(config: RunConfig, input_path: str, out: str) -> int:
     alpha_fit = fit_coherent(result.rho)
     reference = ideal_coherent_state(alpha_fit, config.dim)
     fid_sqrt = fidelity(result.rho, reference)
-    fid_squared = fid_sqrt * fid_sqrt
     axis = np.linspace(-config.wigner_extent, config.wigner_extent, wigner_points)
     grid = wigner(result.rho, axis, axis)
 
@@ -211,19 +211,19 @@ def cmd_tomography(config: RunConfig, input_path: str, out: str) -> int:
     write_density_csv(rho_path, result.rho, "tomography", config)
     write_wigner_csv(wig_path, grid, "tomography", config)
     entries = [
-        ("alpha_fit_re", fmt(alpha_fit.real)),
-        ("alpha_fit_im", fmt(alpha_fit.imag)),
-        ("fidelity_sqrt", fmt(fid_sqrt)),
-        ("fidelity_squared", fmt(fid_squared)),
-        ("converged", "true" if result.converged else "false"),
-        ("iterations", str(result.iterations)),
-        ("final_log_likelihood", fmt(result.log_likelihood[-1])),
-        ("floored_probabilities", str(result.floored)),
-        ("samples_dropped", str(2 * trace.n - samples.n)),
+        ("alpha_fit_re", alpha_fit.real),
+        ("alpha_fit_im", alpha_fit.imag),
+        ("fidelity_sqrt", fid_sqrt),
+        ("fidelity_squared", fid_sqrt * fid_sqrt),
+        ("converged", result.converged),
+        ("iterations", result.iterations),
+        ("final_log_likelihood", result.log_likelihood[-1]),
+        ("floored_probabilities", result.floored),
+        ("samples_dropped", 2 * trace.n - samples.n),
         ("engine", "grouped" if result.grouped else "dense"),
-        ("rank_one_steps", str(result.rank_one_steps)),
-        ("optimality_gap", fmt(result.gap)),
-        ("wigner_normalization", fmt(grid.normalization())),
+        ("rank_one_steps", result.rank_one_steps),
+        ("optimality_gap", result.gap),
+        ("wigner_normalization", grid.normalization()),
     ]
     write_report(report_path, "tomography", config, entries)
     print(f"tomography: fidelity(sqrt) {fid_sqrt:.4f}, converged={result.converged} "
@@ -240,8 +240,8 @@ def cmd_fidelity(rho_path: str, sigma_path: str) -> int:
     rho = read_density_csv(rho_path)
     sigma = read_density_csv(sigma_path)
     value = fidelity(rho, sigma)
-    print(f"fidelity_sqrt = {fmt(value)}")
-    print(f"fidelity_squared = {fmt(value * value)}")
+    print(f"fidelity_sqrt = {render(value)}")
+    print(f"fidelity_squared = {render(value * value)}")
     return EXIT_OK
 
 

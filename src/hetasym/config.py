@@ -14,6 +14,8 @@ import math
 import os
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import ValidationError
 from .traces import TWO_PI
 
@@ -84,7 +86,7 @@ class RunConfig:
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """Stable (key, rendered value) listing used for output headers."""
-        return [(f.name, _render(getattr(self, f.name))) for f in fields(self)]
+        return [(f.name, render(getattr(self, f.name))) for f in fields(self)]
 
     def config_hash(self) -> str:
         digest = hashlib.sha256()
@@ -99,11 +101,13 @@ _KINDS = {f.name: type(f.default) for f in fields(RunConfig)}
 _ENV_KEYS = {ENV_PREFIX + key.upper(): key for key in _KINDS}
 
 
-def _render(value) -> str:
-    if isinstance(value, bool):
+def render(value) -> str:
+    """The text of a value in every output file and the config hash: booleans
+    as true/false, floats (numpy's too) in shortest round-trip repr, else str."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

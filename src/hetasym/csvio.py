@@ -3,8 +3,9 @@ grids.
 
 Schema: comment header block (tool version, command, resolved config hash,
 resolved config), then a header row, then data rows.  Comma
-separator, decimal point, LF line endings, UTF-8.  Floats are rendered
-with shortest round-trip repr so identical runs are byte-identical.
+separator, decimal point, LF line endings, UTF-8.  Every value is written
+as :func:`hetasym.config.render` writes it, floats in shortest round-trip
+repr, so identical runs are byte-identical.
 :func:`write_table` is the one writer of this layout: every output CSV,
 the phase-deviation and key-rate tables included, is one call to it.
 """
@@ -18,24 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
+from .config import RunConfig, render
 from .errors import ValidationError
 from .tomography import DensityMatrix, WignerGrid
 from .traces import QuadratureTrace, _distinct
 
 
-def fmt(value: float) -> str:
-    """One float in shortest round-trip repr: the format of every float cell
-    and report value."""
-    return repr(float(value))
-
-
 def csv_rows(*columns) -> list[str]:
     """Comma-joined data rows of equal-length columns, a column at a time.
 
-    Integer columns are written as integers, string columns (cells formatted
+    Integer columns are written as integers, string columns (cells rendered
     beforehand) as they are; every other column is cast to float64 and each
-    cell is written as :func:`fmt` would write it.
+    cell is written as :func:`~hetasym.config.render` writes it.
     """
     cells = []
     for column in columns:
@@ -55,21 +50,21 @@ _BLOCK_ROWS = 1024
 
 
 def header_lines(command: str, config: RunConfig,
-                 comments: list[str] | None = None) -> list[str]:
-    """The comment header of every output file; each of ``comments`` becomes
-    one more ``# `` line after the resolved config."""
+                 comments: list[tuple[str, object]] | None = None) -> list[str]:
+    """The comment header of every output file; each ``(key, value)`` of
+    ``comments`` adds a ``# key: value`` line after the resolved config."""
     lines = [
         f"# hetasym {__version__}",
         f"# command: {command}",
         f"# config_sha256: {config.config_hash()}",
     ]
     lines += [f"# config: {key} = {value}" for key, value in config.resolved_items()]
-    lines += [f"# {comment}" for comment in comments or ()]
+    lines += [f"# {key}: {render(value)}" for key, value in comments or ()]
     return lines
 
 
 def write_table(path: str | Path, command: str, config: RunConfig, names: list[str],
-                *columns, comments: list[str] | None = None) -> None:
+                *columns, comments: list[tuple[str, object]] | None = None) -> None:
     """Write one output CSV to ``path``: the :func:`header_lines` block, the
     ``names`` header row, then one row per index of the equal-length
     ``columns`` as :func:`csv_rows` writes it, LF-terminated.
@@ -86,12 +81,12 @@ def write_table(path: str | Path, command: str, config: RunConfig, names: list[s
 
 
 def write_trace_csv(path: str | Path, trace: QuadratureTrace, command: str,
-                    config: RunConfig, extra_comments: list[str] | None = None) -> None:
+                    config: RunConfig, comments: list[tuple[str, object]] | None = None) -> None:
     names, columns = ["index", "x", "p"], [np.arange(trace.n), trace.x, trace.p]
     if trace.phase_true is not None:
         names.append("phase_true")
         columns.append(trace.phase_true)
-    write_table(path, command, config, names, *columns, comments=extra_comments)
+    write_table(path, command, config, names, *columns, comments=comments)
 
 
 def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
@@ -166,14 +161,15 @@ def read_density_csv(path: str | Path) -> DensityMatrix:
 
 
 def write_wigner_csv(path: str | Path, grid: WignerGrid, command: str, config: RunConfig) -> None:
-    # each axis value is formatted once and its string repeated over the grid
-    x_cells, p_cells = (np.array([fmt(v) for v in axis]) for axis in (grid.x_axis, grid.p_axis))
+    # each axis value is rendered once and its string repeated over the grid
+    x_cells, p_cells = (np.array([render(v) for v in axis]) for axis in (grid.x_axis, grid.p_axis))
     write_table(path, command, config, ["x", "p", "w"], np.repeat(x_cells, p_cells.size),
                 np.tile(p_cells, x_cells.size), grid.values.ravel())
 
 
 def write_report(path: str | Path, command: str, config: RunConfig,
-                 entries: list[tuple[str, str]]) -> None:
-    """Small deterministic key = value report with the standard header."""
-    lines = header_lines(command, config) + [f"{key} = {value}" for key, value in entries]
+                 entries: list[tuple[str, object]]) -> None:
+    """Small deterministic ``key = value`` report with the standard header;
+    each value is written as :func:`~hetasym.config.render` writes it."""
+    lines = header_lines(command, config) + [f"{key} = {render(v)}" for key, v in entries]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -5,7 +5,7 @@ quadrature variance is 1 at the detector output after normalization.
 Tomography alone works in another convention (vacuum variance 1/2) and
 converts on ingestion (see :func:`hetasym.tomography.samples_from_trace`).
 
-Phases are radians everywhere; degrees appear only in CLI presentation.
+Phases are radians everywhere, in the library and in every output file.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import hetasym
 from hetasym import QuadratureTrace, wrap_phase
 from hetasym.cli import main
-from hetasym.config import RunConfig, load_config, parse_config_text
+from hetasym.config import RunConfig, load_config, parse_config_text, render
 from hetasym.csvio import read_density_csv, read_trace_csv, write_density_csv, write_trace_csv
 from hetasym.errors import ValidationError
+from hetasym.phase import drift_phase_variance, excess_noise_from_phase_variance
 from hetasym.tomography import DensityMatrix
 
 TWO_PI = 2.0 * math.pi
@@ -72,12 +73,15 @@ class TestConfig:
         assert values == [0.1091, 0.0318, 0.0140, 0.0032, 0.0016, 0.0]
 
 
-# one value strategy per config key type; strings avoid "#" (a comment),
-# line breaks and surrounding whitespace, which a config line cannot carry
+# one value strategy per config key type, numpy scalars included; strings
+# avoid "#" (a comment), line breaks and surrounding whitespace, which a
+# config line cannot carry
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _CONFIG_VALUES = {
-    bool: st.booleans(),
-    int: st.integers(),
-    float: st.floats(allow_nan=False, allow_infinity=False),
+    bool: st.booleans() | st.builds(np.bool_, st.booleans()),
+    int: st.integers() | st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+    float: _FINITE | st.builds(np.float64, _FINITE)
+    | st.builds(np.float32, st.floats(width=32, allow_nan=False, allow_infinity=False)),
     str: st.text(st.characters(exclude_characters="#",
                                exclude_categories=("Cc", "Cs", "Zl", "Zp")))
     .filter(lambda text: text == text.strip()),
@@ -88,12 +92,19 @@ _FIELDS = fields(RunConfig)
 @settings(max_examples=80, deadline=None)
 @given(st.fixed_dictionaries({f.name: _CONFIG_VALUES[type(f.default)] for f in _FIELDS}))
 @example({**{f.name: f.default for f in _FIELDS}, "v_a": -0.0, "seed": -1})
+@example({**{f.name: f.default for f in _FIELDS}, "v_a": np.float64(12.0),
+          "beta": np.float32(0.9), "seed": np.int64(7), "use_true_phase": np.bool_(False)})
 def test_config_render_parse_round_trip(values):
     config = RunConfig(**values)
     text = "".join(f"{key} = {value}\n" for key, value in config.resolved_items())
     parsed = parse_config_text(text)
     assert parsed.resolved_items() == config.resolved_items()
     assert parsed.config_hash() == config.config_hash()
+    # a numpy scalar writes the header and hash of the Python value it equals
+    plain = RunConfig(**{key: value.item() if isinstance(value, np.generic) else value
+                         for key, value in values.items()})
+    assert plain.resolved_items() == config.resolved_items()
+    assert plain.config_hash() == config.config_hash()
 
 
 class TestSimulate:
@@ -203,6 +214,19 @@ class TestScale:
         xi_oracle = 2.0 * 10.0 * (1.0 - math.exp(-v_oracle / 2.0))
         assert float(report["v_det_rad2"]) == pytest.approx(v_oracle, rel=0.05)
         assert float(report["xi_det_snu"]) == pytest.approx(xi_oracle, rel=0.05)
+
+    def test_drift_budget_in_report(self, tmp_path):
+        raw = self.simulate(tmp_path, n_phases=2000)
+        drift = {"linewidth_a": 1500.0, "linewidth_b": 2500.0, "pulse_separation": 3e-6}
+        cfg = write_config(tmp_path / "drift.cfg", v_a=12.0, **drift)
+        assert run("scale", raw, "--config", cfg, "--out", tmp_path / "scaled.csv") == 0
+        report = read_report(tmp_path / "scaled.report.txt")
+        v_drift = drift_phase_variance(*drift.values())
+        assert v_drift > 0.0
+        v_total = v_drift + float(report["v_det_rad2"])
+        assert report["v_drift_rad2"] == render(v_drift)
+        assert report["v_total_rad2"] == render(v_total)
+        assert report["xi_total_snu"] == render(excess_noise_from_phase_variance(12.0, v_total))
 
     def test_exact_identity_when_spans_coincide(self, tmp_path):
         # a noiseless full sweep hits +-A exactly on both quadratures, so
@@ -457,6 +481,8 @@ class TestKeyrateSweep:
         ("distance_step_km", 0.0), ("distance_step_km", -1.0), ("distance_max_km", -1.0),
         # 60 / 1e-320 overflows to inf, which math.floor used to raise on
         ("distance_step_km", 1e-320),
+        # 6e10 distances, whose list used to fill memory before any check
+        ("distance_step_km", 1e-9),
     ])
     def test_bad_distance_grid_exit_2(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "c.cfg", **{key: value})

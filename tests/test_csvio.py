@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -9,13 +10,14 @@ from hypothesis.extra.numpy import arrays
 
 from hetasym import csvio
 from hetasym.cli import main
-from hetasym.config import RunConfig
+from hetasym.config import RunConfig, render
 from hetasym.csvio import (
     csv_rows,
     header_lines,
     read_density_csv,
     read_trace_csv,
     write_density_csv,
+    write_report,
     write_table,
     write_trace_csv,
     write_wigner_csv,
@@ -66,8 +68,21 @@ def test_trace_round_trip_is_bit_exact(scratch, columns, with_phase):
 @example(columns=EXTREMES)
 def test_csv_rows_matches_per_cell_repr(columns):
     n = columns.shape[1]
-    expected = [f"{i}," + ",".join(repr(float(col[i])) for col in columns) for i in range(n)]
+    expected = [",".join(map(render, (i, *columns[:, i]))) for i in range(n)]
     assert csv_rows(np.arange(n), *columns) == expected
+
+
+def test_report_renders_raw_values(tmp_path):
+    path = tmp_path / "report.txt"
+    write_report(path, "test", RunConfig(), [
+        ("converged", True), ("stalled", np.bool_(False)), ("xi", np.float64(0.1)),
+        ("cutoff", math.inf), ("iterations", 3), ("dropped", np.int64(4)),
+    ])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == header_lines("test", RunConfig()) + [
+        "converged = true", "stalled = false", "xi = 0.1", "cutoff = inf",
+        "iterations = 3", "dropped = 4",
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,14 +109,14 @@ def write_side(path, writer: str, side: int) -> str:
     rng = np.random.default_rng(side)
     n = side * side
     config = RunConfig()
-    comments = ["source: raw.csv"]
+    comments = [("source", "raw.csv")]
     head = header_lines("test", config)
     if writer not in ("density", "wigner"):
-        head += [f"# {c}" for c in comments]
+        head.append("# source: raw.csv")
     if writer in ("trace", "trace_no_phase"):
         x, p, phase = rng.standard_normal((3, n)) * 30.0
         trace = QuadratureTrace(x, p, phase if writer == "trace" else None)
-        write_trace_csv(path, trace, "test", config, extra_comments=comments)
+        write_trace_csv(path, trace, "test", config, comments=comments)
         columns = [np.arange(n), x, p] + ([phase] if writer == "trace" else [])
         head.append("index,x,p,phase_true" if writer == "trace" else "index,x,p")
     elif writer == "density":
