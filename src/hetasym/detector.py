@@ -46,11 +46,6 @@ class HeterodyneModel:
             raise ValidationError(
                 f"hybrid_phase_error must be in (-pi/2, pi/2), got {self.hybrid_phase_error}")
 
-    @property
-    def asymmetry_percent(self) -> float:
-        """Percentage difference between the two quadrature gains."""
-        return percent_difference(self.gain_x, self.gain_p)
-
 
 def percent_difference(p1: float, p2: float) -> float:
     """Percentage difference between two powers: |P1-P2| / ((P1+P2)/2) * 100.

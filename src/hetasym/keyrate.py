@@ -166,11 +166,6 @@ class KeyRateBreakdown:
     holevo: float
     rate_per_symbol: float
 
-    @property
-    def has_key(self) -> bool:
-        """False flags a negative rate (no key); rates are never clamped."""
-        return self.rate_per_symbol > 0.0
-
 
 def _rate_terms(params: KeyRateParams, distance_km: float, chi_h: float):
     """(T, I(A;B), symplectic spectrum, Holevo bound, rate) at one distance;

@@ -74,30 +74,20 @@ def drift_phase_variance(linewidth_a: float, linewidth_b: float, pulse_separatio
     return TWO_PI * (linewidth_a + linewidth_b) * pulse_separation
 
 
-def _wrapped_difference_variance(a, b, what: str) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError(f"{what}: sequences differ in length ({a.size} vs {b.size})")
-    if a.size < 2:
-        raise ValidationError(f"{what}: need at least 2 samples, got {a.size}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValidationError(f"{what}: non-finite phase values")
-    diff = wrap_phase(a - b)
-    return float(np.var(diff))
-
-
-def path_phase_variance(theta_s_path, theta_r_path) -> float:
-    """Phase drift from the signal/reference optical path difference:
-    population variance of the wrapped elementwise difference  [rad^2]."""
-    return _wrapped_difference_variance(theta_s_path, theta_r_path, "path variance")
-
-
 def detection_phase_variance(theta_scaled, theta_asym) -> float:
     """Asymmetry-induced phase estimation error: population variance of the
     wrapped difference between scaled (ideal-proxy) and asymmetric phase
     estimates  [rad^2]."""
-    return _wrapped_difference_variance(theta_scaled, theta_asym, "detection variance")
+    a = np.asarray(theta_scaled, dtype=np.float64)
+    b = np.asarray(theta_asym, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValidationError(
+            f"detection variance: sequences differ in length ({a.size} vs {b.size})")
+    if a.size < 2:
+        raise ValidationError(f"detection variance: need at least 2 samples, got {a.size}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValidationError("detection variance: non-finite phase values")
+    return float(np.var(wrap_phase(a - b)))
 
 
 def excess_noise_from_phase_variance(v_a: float, v: float) -> float:
@@ -125,20 +115,21 @@ def phase_variance_from_excess_noise(v_a: float, xi: float) -> float:
 
 @dataclass(frozen=True)
 class PhaseNoiseBudget:
-    """The three independent phase-misalignment contributions [rad^2]."""
+    """The modelled phase-misalignment contributions [rad^2]: laser drift and
+    detection asymmetry.  The signal/reference path difference is not
+    modelled."""
 
     v_drift: float = 0.0
-    v_path: float = 0.0
     v_det: float = 0.0
 
     def __post_init__(self):
-        for name in ("v_drift", "v_path", "v_det"):
-            non_negative(name, getattr(self, name))
+        non_negative("v_drift", self.v_drift)
+        non_negative("v_det", self.v_det)
 
     @property
     def v_total(self) -> float:
-        """Overall phase misalignment: exact sum of the three components."""
-        return self.v_drift + self.v_path + self.v_det
+        """Overall phase misalignment: exact sum of the two components."""
+        return self.v_drift + self.v_det
 
     def excess_noise(self, v_a: float) -> float:
         """Total misalignment excess noise for modulation variance v_a."""

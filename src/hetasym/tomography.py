@@ -71,9 +71,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 @dataclass(frozen=True)
 class PhaseTaggedSamples:
@@ -584,12 +581,6 @@ def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
     )
 
 
-def required_coherent_dim(alpha: complex) -> int:
-    """Fock cutoff guidance for coherent amplitudes: |a|^2 + 5|a| + 10."""
-    mag = abs(alpha)
-    return int(math.ceil(mag * mag + 5.0 * mag + 10.0))
-
-
 def ideal_coherent_state(alpha: complex, dim: int) -> DensityMatrix:
     """Pure coherent state |alpha><alpha| truncated to dim Fock levels and
     renormalized.  Rejects cutoffs that drop more than 1e-8 of the norm."""
@@ -602,9 +593,10 @@ def ideal_coherent_state(alpha: complex, dim: int) -> DensityMatrix:
     amps *= math.exp(-abs(alpha) ** 2 / 2.0)
     norm_sq = float(np.vdot(amps, amps).real)
     if norm_sq < 1.0 - 1e-8:
+        mag = abs(alpha)
         raise ValidationError(
-            f"dim = {dim} truncates |alpha|={abs(alpha):.3f} too hard "
-            f"(kept norm^2 = {norm_sq:.9f}); use dim >= {required_coherent_dim(alpha)}"
+            f"dim = {dim} truncates |alpha|={mag:.3f} too hard (kept norm^2 = {norm_sq:.9f}); "
+            f"use dim >= {math.ceil(mag * mag + 5.0 * mag + 10.0)}"
         )
     amps /= math.sqrt(norm_sq)
     return DensityMatrix(np.outer(amps, amps.conj()))

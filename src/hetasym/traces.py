@@ -102,10 +102,6 @@ class ReferenceSignalSpec:
     def amplitude(self) -> float:
         return math.sqrt(self.amplitude_sq)
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.phases) * self.pulses_per_phase
-
     def sample_phases(self) -> np.ndarray:
         """Per-sample true phases (each phase point repeated per pulse)."""
         return np.repeat(self.phases, self.pulses_per_phase)

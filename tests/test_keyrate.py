@@ -13,16 +13,15 @@ from hetasym import (
     NumericalDomainError,
     ValidationError,
     chi_het,
-    g_entropy,
     holevo_bound,
     key_rate,
     key_rate_curve,
     max_distance,
     mutual_information,
     symplectic_spectrum,
-    transmittance,
 )
 from hetasym.config import RunConfig
+from hetasym.keyrate import g_entropy, transmittance
 
 # Reference operating point used for the rate-vs-distance figure
 FIG_PARAMS = dict(v_a=10.0, beta=0.93, xi_line=0.02, eta=0.68, v_elec=0.1,
@@ -298,7 +297,6 @@ class TestKeyRate:
         params = KeyRateParams(**FIG_PARAMS, xi_det=0.0)
         result = key_rate(replace(params, beta=1e-12), 10.0)
         assert result.rate_per_symbol <= 0.0
-        assert not result.has_key
 
     def test_breakdown_recomposition(self):
         params = KeyRateParams(**FIG_PARAMS, xi_det=0.0140)

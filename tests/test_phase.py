@@ -15,7 +15,6 @@ from hetasym import (
     gains_from_percent,
     make_phase_ramp,
     min_max_scale,
-    path_phase_variance,
     phase_variance_from_excess_noise,
     wrap_phase,
 )
@@ -148,26 +147,6 @@ class TestDriftVariance:
             drift_phase_variance(*args)
 
 
-class TestPathVariance:
-    def test_identical_sequences(self):
-        theta = np.linspace(0, 1, 100)
-        assert path_phase_variance(theta, theta) == 0.0
-
-    def test_two_point_variance(self):
-        c = 0.3
-        assert path_phase_variance([c, -c], [0.0, 0.0]) == pytest.approx(c * c, rel=1e-12)
-
-    def test_gaussian_jitter_monte_carlo(self):
-        rng = np.random.default_rng(4)
-        base = rng.uniform(-math.pi, math.pi, 100_000)
-        jitter = rng.normal(0.0, 0.01, base.size)
-        assert path_phase_variance(base + jitter, base) == pytest.approx(1e-4, rel=0.05)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            path_phase_variance([0.0, 1.0], [0.0])
-
-
 class TestDetectionVariance:
     def test_identical_phases(self):
         theta = np.linspace(-3, 3, 50)
@@ -272,8 +251,8 @@ class TestExcessNoiseConversion:
 
 class TestPhaseNoiseBudget:
     def test_total_is_exact_sum(self):
-        budget = PhaseNoiseBudget(v_drift=1e-3, v_path=2e-3, v_det=3e-3)
-        assert budget.v_total == 1e-3 + 2e-3 + 3e-3
+        budget = PhaseNoiseBudget(v_drift=1e-3, v_det=3e-3)
+        assert budget.v_total == 1e-3 + 3e-3
 
     def test_component_isolation(self):
         assert PhaseNoiseBudget(v_det=4e-3).v_total == 4e-3
@@ -289,7 +268,7 @@ class TestPhaseNoiseBudget:
             PhaseNoiseBudget(v_drift=-1e-3)
 
     @pytest.mark.parametrize("kwargs", [
-        {"v_drift": math.inf}, {"v_path": math.nan}, {"v_det": math.nan}, {"v_det": math.inf},
+        {"v_drift": math.inf}, {"v_drift": math.nan}, {"v_det": math.nan}, {"v_det": math.inf},
     ])
     def test_rejects_non_finite(self, kwargs):
         with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):

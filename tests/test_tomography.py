@@ -20,7 +20,6 @@ from hetasym import (
     make_phase_ramp,
     mle_reconstruct,
     quadrature_projector,
-    required_coherent_dim,
     samples_from_trace,
     wigner,
 )
@@ -146,15 +145,13 @@ class TestIdealCoherentState:
 
     def test_purity(self):
         for alpha in (0.5, 1.5 + 0.5j, 2.0):
-            assert ideal_coherent_state(alpha, 30).purity() == pytest.approx(1.0, abs=1e-10)
+            matrix = ideal_coherent_state(alpha, 30).matrix
+            assert np.trace(matrix @ matrix).real == pytest.approx(1.0, abs=1e-10)
 
     def test_insufficient_dim_rejected_with_hint(self):
-        with pytest.raises(ValidationError, match=str(required_coherent_dim(4.0))):
+        # |a|^2 + 5|a| + 10 = 46 at a = 4
+        with pytest.raises(ValidationError, match="use dim >= 46"):
             ideal_coherent_state(4.0, 8)
-
-    def test_dim_guidance(self):
-        assert required_coherent_dim(2.0) == 24
-        assert required_coherent_dim(0.0) == 10
 
 
 class TestFitCoherent:
