@@ -6,6 +6,13 @@ The phase estimator is the quadrant-aware arctangent of the block means of
 rotation sweep needs all four.  All phase differences are wrapped to
 (-pi, pi] before any variance is taken, and variances use the population
 form (denominator n).
+
+numpy picks its SIMD kernels at run time, and under AVX-512 some of its
+transcendentals (arctan2, exp, expm1, log, log1p, log2) give other last bits
+than libm.  So no numpy transcendental may reach pinned output bytes unless
+a test shows that it gives equal bits at every SIMD level
+(tests/test_golden.py covers np.cos and np.sin in simulate_heterodyne and
+np.mod in wrap_phase); the block phases use math.atan2.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ def estimate_phase(trace: QuadratureTrace, block: int = 1) -> np.ndarray:
         raise ValidationError(f"sample count {trace.n} is not divisible by block {block}")
     x_mean = trace.x.reshape(-1, block).mean(axis=1)
     p_mean = trace.p.reshape(-1, block).mean(axis=1)
-    theta = np.arctan2(p_mean, x_mean)
+    theta = np.fromiter(map(math.atan2, p_mean, x_mean), np.float64, count=p_mean.size)
     theta[theta == -math.pi] = math.pi
     theta[(x_mean == 0.0) & (p_mean == 0.0)] = np.nan
     return theta

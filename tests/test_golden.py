@@ -13,8 +13,13 @@ writers are pinned on fixed inputs instead.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from hetasym.cli import main
 from hetasym.config import RunConfig
@@ -27,9 +32,9 @@ PIPELINE_SHA256 = {
     "scaled.csv":
         "68fe21f432f718344482cb83ec5a3377854d1b5b8ba5f0aa91c3c1a4b3bd7cd8",
     "scaled.report.txt":
-        "6f8d465693322dadf32e38bf1eb2d20e53e4c8b2aee116fa71fbd1b0aec0ac0f",
+        "d0cbf6aefde9fccf9ca94131c0e7f73b3ac376c6d6aed1b8b99b068ff2630c8b",
     "deviation.csv":
-        "4b44301fc595ff82927a1eee96c3e9c2a72c4e6fe2f68d5122e5d4410145ad9b",
+        "312a71fd157665de770cc6b9facc8de92754140e737bff8a4a520fdf7a3b501e",
     "rates.csv":
         "509ba26d380752b1e9098415a682a5ff0f57e129f0e1c0ad3686fd4c059e01ad",
 }
@@ -46,7 +51,17 @@ def sha256_of(paths) -> dict:
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
 
 
-def test_readme_chain_outputs_pinned(tmp_path):
+# numpy picks its SIMD kernels at run time, and some of them (arctan2, exp,
+# log1p, ... under AVX-512) give other last bits than below that level; the
+# pinned bytes must not depend on which level the host has
+SIMD_LEVELS = {
+    "avx2": "AVX512_SPR AVX512_ICL X86_V4",
+    "below_avx2": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+}
+
+
+def readme_chain(tmp_path) -> list:
+    """Write the configs of the reduced README pipeline; return its argv lists."""
     run_cfg = tmp_path / "run.cfg"
     run_cfg.write_text("amplitude_sq = 552.0\nn_phases = 2000\nasymmetry_percent = 14.29\n"
                        "seed = 7\n", encoding="utf-8")
@@ -59,8 +74,23 @@ def test_readme_chain_outputs_pinned(tmp_path):
         ["phase-deviation", raw, "--config", run_cfg, "--out", tmp_path / "deviation.csv"],
         ["keyrate-sweep", "--config", sweep_cfg, "--out", tmp_path / "rates.csv"],
     ]
-    for argv in steps:
-        assert main([str(arg) for arg in argv]) == 0
+    return [[str(arg) for arg in argv] for argv in steps]
+
+
+def test_readme_chain_outputs_pinned(tmp_path):
+    for argv in readme_chain(tmp_path):
+        assert main(argv) == 0
+    assert sha256_of(tmp_path / name for name in PIPELINE_SHA256) == PIPELINE_SHA256
+
+
+@pytest.mark.parametrize("level", SIMD_LEVELS)
+def test_readme_chain_pinned_at_lower_simd_level(tmp_path, level):
+    code = ("import json, sys\nfrom hetasym.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               NPY_DISABLE_CPU_FEATURES=SIMD_LEVELS[level])
+    subprocess.run([sys.executable, "-c", code, json.dumps(readme_chain(tmp_path))],
+                   env=env, check=True, capture_output=True)
     assert sha256_of(tmp_path / name for name in PIPELINE_SHA256) == PIPELINE_SHA256
 
 
