@@ -175,6 +175,7 @@ class TestDetectionVariance:
     @pytest.mark.parametrize("theta_scaled, theta_asym, message", [
         ([0.1], [0.2], "need at least 2 samples, got 1"),
         ([0.1, math.nan], [0.2, 0.3], "non-finite phase values"),
+        ([0.0, 1.0], [0.0], r"sequences differ in length \(2 vs 1\)"),
     ])
     def test_rejects_unusable_phases(self, theta_scaled, theta_asym, message):
         with pytest.raises(ValidationError, match=f"^detection variance: {message}"):
