@@ -20,8 +20,8 @@ _EXPORTS = {
     "errors": ("NumericalDomainError", "ValidationError"),
     "keyrate": ("KeyRateParams", "chi_het", "holevo_bound", "key_rate", "key_rate_curve",
                 "max_distance", "mutual_information", "symplectic_spectrum"),
-    "phase": ("PhaseNoiseBudget", "detection_phase_variance", "drift_phase_variance",
-              "estimate_phase", "excess_noise_from_phase_variance", "min_max_scale",
+    "phase": ("detection_phase_variance", "drift_phase_variance", "estimate_phase",
+              "excess_noise_from_phase_variance", "min_max_scale",
               "phase_variance_from_excess_noise", "wrap_phase"),
     "tomography": ("DensityMatrix", "PhaseTaggedSamples", "WignerGrid", "fidelity",
                    "fit_coherent", "ideal_coherent_state", "mle_reconstruct",

@@ -33,7 +33,6 @@ from .detector import HeterodyneModel, gains_from_percent, percent_difference, s
 from .errors import NumericalDomainError, ValidationError, integer_at_least, positive
 from .keyrate import KeyRateParams, key_rate_curve, max_distance
 from .phase import (
-    PhaseNoiseBudget,
     detection_phase_variance,
     drift_phase_variance,
     estimate_phase,
@@ -58,27 +57,13 @@ EXIT_NUMERICAL = 3
 _MAX_DISTANCES = 10**6
 
 
-def _detector_from_config(config: RunConfig) -> HeterodyneModel:
-    return HeterodyneModel(
-        *gains_from_percent(config.asymmetry_percent),
-        hybrid_phase_error=config.hybrid_phase_error,
-        noise_var=config.noise_var,
-    )
-
-
-def _signal_from_config(config: RunConfig) -> ReferenceSignalSpec:
-    return ReferenceSignalSpec.ramp(
-        config.amplitude_sq,
-        config.n_phases,
-        config.phase_start,
-        config.phase_stop,
-        config.pulses_per_phase,
-    )
-
-
 def cmd_simulate(config: RunConfig, out: str) -> int:
-    trace = simulate_heterodyne(_signal_from_config(config), _detector_from_config(config),
-                                config.seed)
+    signal = ReferenceSignalSpec.ramp(config.amplitude_sq, config.n_phases,
+                                      config.pulses_per_phase)
+    detector = HeterodyneModel(*gains_from_percent(config.asymmetry_percent),
+                               hybrid_phase_error=config.hybrid_phase_error,
+                               noise_var=config.noise_var)
+    trace = simulate_heterodyne(signal, detector, config.seed)
     write_trace_csv(out, trace, "simulate", config)
     print(f"simulate: wrote {trace.n} samples to {out}")
     return EXIT_OK
@@ -121,11 +106,10 @@ def cmd_scale(config: RunConfig, input_path: str, out: str) -> int:
     asym_percent = percent_difference(span_x, span_p)
     v_det = detection_phase_variance(theta_scaled, theta_asym)
     xi_det = excess_noise_from_phase_variance(config.v_a, v_det)
-    budget = PhaseNoiseBudget(
-        v_drift=drift_phase_variance(config.linewidth_a, config.linewidth_b,
-                                     config.pulse_separation),
-        v_det=v_det,
-    )
+    v_drift = drift_phase_variance(config.linewidth_a, config.linewidth_b,
+                                   config.pulse_separation)
+    v_total = v_drift + v_det
+    xi_total = excess_noise_from_phase_variance(config.v_a, v_total)
     write_trace_csv(out, scaled, "scale", config, comments=[("source", Path(input_path).name)])
     report_path = Path(out).with_suffix(".report.txt")
     entries = [
@@ -135,9 +119,9 @@ def cmd_scale(config: RunConfig, input_path: str, out: str) -> int:
         ("undefined_blocks_dropped", dropped),
         ("v_det_rad2", v_det),
         ("xi_det_snu", xi_det),
-        ("v_drift_rad2", budget.v_drift),
-        ("v_total_rad2", budget.v_total),
-        ("xi_total_snu", budget.excess_noise(config.v_a)),
+        ("v_drift_rad2", v_drift),
+        ("v_total_rad2", v_total),
+        ("xi_total_snu", xi_total),
     ]
     write_report(report_path, "scale", config, entries)
     print(f"scale: asymmetry {asym_percent:.2f}%, v_det {v_det:.6e} rad^2, "
@@ -178,8 +162,7 @@ def cmd_keyrate_sweep(config: RunConfig, out: str) -> int:
         )
         columns.append(key_rate_curve(params, distances))
         # render writes an unbounded cutoff (math.inf) as "inf"
-        comments.append((f"max_distance_km xi_det={render(xi)}",
-                         max_distance(params, config.max_distance_resolution_km)))
+        comments.append((f"max_distance_km xi_det={render(xi)}", max_distance(params)))
     names = ["distance_km"] + [f"rate_xi_{render(xi)}" for xi in xi_values]
     write_table(out, "keyrate-sweep", config, names, distances, *columns,
                 comments=comments)

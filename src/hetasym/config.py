@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .traces import TWO_PI
 
 ENV_PREFIX = "HETASYM_"
 
@@ -36,8 +35,6 @@ class RunConfig:
     amplitude_sq: float = 552.0
     n_phases: int = 1000
     pulses_per_phase: int = 1
-    phase_start: float = 0.0
-    phase_stop: float = TWO_PI
 
     # detector
     asymmetry_percent: float = 0.0
@@ -61,7 +58,6 @@ class RunConfig:
     distance_max_km: float = 60.0
     distance_step_km: float = 1.0
     xi_det_values: str = "0.1091,0.0318,0.0140,0.0032,0.0016,0.0"
-    max_distance_resolution_km: float = 0.01
 
     # tomography
     dim: int = 25

@@ -19,6 +19,13 @@ from .errors import NumericalDomainError, ValidationError, non_negative, positiv
 #: Tolerated numerical undershoot of the symplectic eigenvalues below 1
 #: before parameters are declared unphysical.
 CLAMP_TOL = 1e-9
+#: max_distance probes the rate at _CUTOFF_MARCH_STEPS even steps out to
+#: CUTOFF_SEARCH_KM [km] (about 0.24 km apart), returns math.inf when every
+#: probe is positive, and bisects the first sign change to
+#: CUTOFF_RESOLUTION_KM [km].
+CUTOFF_SEARCH_KM = 1000.0
+CUTOFF_RESOLUTION_KM = 0.01
+_CUTOFF_MARCH_STEPS = 4096
 
 
 def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
@@ -145,15 +152,6 @@ class KeyRateParams:
         for name in ("xi_line", "xi_det", "v_elec", "alpha_db_per_km"):
             non_negative(name, getattr(self, name))
 
-    @property
-    def v(self) -> float:
-        return self.v_a + 1.0
-
-    @property
-    def xi_ex(self) -> float:
-        """Total excess noise: lumped channel noise plus asymmetry noise."""
-        return self.xi_line + self.xi_det
-
 
 @dataclass(frozen=True)
 class KeyRateBreakdown:
@@ -174,7 +172,8 @@ def _rate_terms(params: KeyRateParams, distance_km: float, chi_h: float):
     if t == 0.0:
         raise NumericalDomainError(
             f"T = {t!r} at {distance_km} km underflows; the key-rate chain needs T > 0")
-    v, xi = params.v, params.xi_ex
+    # v = V_A + 1; xi is the total excess noise xi_ex = xi_line + xi_det
+    v, xi = params.v_a + 1.0, params.xi_line + params.xi_det
     info = mutual_information(v, t, xi)
     lams = symplectic_spectrum(v, t, xi, chi_h)
     holevo = holevo_bound(lams)
@@ -210,15 +209,12 @@ def key_rate_curve(params: KeyRateParams, distances) -> list[float]:
     return [_rate_terms(params, d, chi_h)[-1] for d in distances]
 
 
-def max_distance(params: KeyRateParams, resolution_km: float = 0.01,
-                 max_search_km: float = 1000.0) -> float:
+def max_distance(params: KeyRateParams) -> float:
     """Largest distance with a positive key rate, bisection-refined to
-    resolution_km.  Returns 0.0 when no key is possible even back to back,
-    and math.inf when the rate stays positive at every probe up to
-    max_search_km (no cutoff within the search grid).
+    CUTOFF_RESOLUTION_KM.  Returns 0.0 when no key is possible even back to
+    back, and math.inf when the rate stays positive at every probe up to
+    CUTOFF_SEARCH_KM (no cutoff within the search grid).
     """
-    positive("resolution_km", resolution_km)
-    positive("max_search_km", max_search_km)
     chi_h = chi_het(params.eta, params.v_elec)
     if _rate_terms(params, 0.0, chi_h)[-1] <= 0.0:
         return 0.0
@@ -227,15 +223,14 @@ def max_distance(params: KeyRateParams, resolution_km: float = 0.01,
     # contiguous interval from zero; near-threshold parameters can produce
     # re-entrant positive windows farther out, which do not count); stopping
     # there keeps lossy fibre clear of distances where T underflows
-    steps = min(4096, max(64, int(math.ceil(max_search_km / resolution_km))))
-    for i in range(1, steps + 1):
-        d = max_search_km * i / steps
+    for i in range(1, _CUTOFF_MARCH_STEPS + 1):
+        d = CUTOFF_SEARCH_KM * i / _CUTOFF_MARCH_STEPS
         if _rate_terms(params, d, chi_h)[-1] <= 0.0:
-            lo, hi = max_search_km * (i - 1) / steps, d
+            lo, hi = CUTOFF_SEARCH_KM * (i - 1) / _CUTOFF_MARCH_STEPS, d
             break
     else:
         return math.inf
-    while hi - lo > resolution_km:
+    while hi - lo > CUTOFF_RESOLUTION_KM:
         mid = 0.5 * (lo + hi)
         if _rate_terms(params, mid, chi_h)[-1] > 0.0:
             lo = mid

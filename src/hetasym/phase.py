@@ -18,7 +18,6 @@ np.mod in wrap_phase); the block phases use math.atan2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +58,8 @@ def min_max_scale(trace: QuadratureTrace) -> QuadratureTrace:
     exactly.  The trace must cover a phase rotation so both spans are
     nondegenerate.
     """
-    trace.require_samples(2, "min-max scaling")
+    if trace.n < 2:
+        raise ValidationError(f"min-max scaling requires at least 2 samples, trace has {trace.n}")
     x_min, x_max = float(trace.x.min()), float(trace.x.max())
     p_min, p_max = float(trace.p.min()), float(trace.p.max())
     if x_max == x_min or p_max == p_min:
@@ -118,26 +118,3 @@ def phase_variance_from_excess_noise(v_a: float, xi: float) -> float:
             f"xi = {xi} is unreachable: the phase-noise model saturates at 2 v_A = {2 * v_a}"
         )
     return -2.0 * math.log1p(-xi / (2.0 * v_a))
-
-
-@dataclass(frozen=True)
-class PhaseNoiseBudget:
-    """The modelled phase-misalignment contributions [rad^2]: laser drift and
-    detection asymmetry.  The signal/reference path difference is not
-    modelled."""
-
-    v_drift: float = 0.0
-    v_det: float = 0.0
-
-    def __post_init__(self):
-        non_negative("v_drift", self.v_drift)
-        non_negative("v_det", self.v_det)
-
-    @property
-    def v_total(self) -> float:
-        """Overall phase misalignment: exact sum of the two components."""
-        return self.v_drift + self.v_det
-
-    def excess_noise(self, v_a: float) -> float:
-        """Total misalignment excess noise for modulation variance v_a."""
-        return excess_noise_from_phase_variance(v_a, self.v_total)

@@ -12,6 +12,9 @@ onto the quadrature eigenstate |x_i, theta_i>.  Anderson extrapolation
 accelerates the iteration, every accepted step strictly raises the
 per-sample log-likelihood, and lambda_max(R) - 1, an upper bound on the
 log-likelihood still to gain, certifies the result.
+
+As in hetasym.traces, the types that hold arrays compare and hash by
+identity.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ _WIGNER_BOUND_TOL = 1e-6
 _SAME_QUADRATURE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Fock-truncated density matrix: Hermitian, unit trace, PSD (all up to
     small numerical tolerances checked at construction).  The stored matrix
@@ -72,7 +75,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseTaggedSamples:
     """Quadrature samples x (internal convention) tagged with the LO phase."""
 
@@ -150,7 +153,7 @@ def quadrature_projector(theta, x, dim: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(table, 0, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MLEResult:
     """Reconstruction output plus convergence diagnostics."""
 
@@ -629,7 +632,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(value, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerGrid:
     """W(x, p) sampled on a rectangular grid; values[i, j] = W(x_axis[i],
     p_axis[j]).  Convention: hbar = 1, vacuum variance 1/2, so the vacuum

@@ -6,6 +6,9 @@ Tomography alone works in another convention (vacuum variance 1/2) and
 converts on ingestion (see :func:`hetasym.tomography.samples_from_trace`).
 
 Phases are radians everywhere, in the library and in every output file.
+
+The types that hold arrays compare and hash by identity (``eq=False``):
+``==`` on arrays is elementwise, so a generated ``__eq__`` could only raise.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ def readonly_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureTrace:
     """Paired X/P quadrature samples in SNU, optionally tagged with the true
     phase.
@@ -66,13 +69,8 @@ class QuadratureTrace:
     def n(self) -> int:
         return len(self.x)
 
-    def require_samples(self, minimum: int, what: str) -> None:
-        """Guard for operations that need a range or variance (n >= 2)."""
-        if self.n < minimum:
-            raise ValidationError(f"{what} requires at least {minimum} samples, trace has {self.n}")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSignalSpec:
     """Description of the phase-swept reference (pilot) signal.
 
@@ -94,9 +92,10 @@ class ReferenceSignalSpec:
                            integer_at_least("pulses_per_phase", self.pulses_per_phase, 1))
 
     @classmethod
-    def ramp(cls, amplitude_sq: float, n_phases: int, start: float = 0.0,
-             stop: float = TWO_PI, pulses_per_phase: int = 1) -> "ReferenceSignalSpec":
-        return cls(amplitude_sq, make_phase_ramp(n_phases, start, stop), pulses_per_phase)
+    def ramp(cls, amplitude_sq: float, n_phases: int,
+             pulses_per_phase: int = 1) -> "ReferenceSignalSpec":
+        """A sweep of n_phases equally spaced points over one full turn from 0."""
+        return cls(amplitude_sq, make_phase_ramp(n_phases), pulses_per_phase)
 
     @property
     def amplitude(self) -> float:
@@ -135,8 +134,7 @@ def spans_full_rotation(phases) -> bool:
     return float(gaps.max()) <= _MAX_SWEEP_GAP
 
 
-def make_phase_ramp(n_phases: int, start: float, stop: float) -> np.ndarray:
-    """n_phases equally spaced phases covering [start, stop), the first at start."""
+def make_phase_ramp(n_phases: int) -> np.ndarray:
+    """n_phases equally spaced phases covering [0, 2 pi), the first at 0."""
     n = integer_at_least("n_phases", n_phases, 2)
-    span = positive("stop - start", stop - start)
-    return start + span * np.arange(n) / n
+    return TWO_PI * np.arange(n) / n

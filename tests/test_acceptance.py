@@ -107,8 +107,7 @@ def test_criterion_3_keyrate_figure_properties():
         for lo, hi in zip(columns, columns[1:]):
             assert hi[i] < lo[i]
     # (c) max_distance strictly decreasing across the six xi values
-    cutoffs = [max_distance(replace(base, xi_det=xi), resolution_km=0.01,
-                            max_search_km=150.0) for xi in xi_values]
+    cutoffs = [max_distance(replace(base, xi_det=xi)) for xi in xi_values]
     assert all(math.isfinite(c) for c in cutoffs)
     assert all(a > b for a, b in zip(cutoffs, cutoffs[1:]))
     elapsed = time.perf_counter() - start

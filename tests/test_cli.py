@@ -11,7 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hetasym
-from hetasym import QuadratureTrace, wrap_phase
+from hetasym import (
+    HeterodyneModel,
+    QuadratureTrace,
+    ReferenceSignalSpec,
+    gains_from_percent,
+    make_phase_ramp,
+    simulate_heterodyne,
+    wrap_phase,
+)
 from hetasym.cli import main
 from hetasym.config import RunConfig, load_config, parse_config_text, render
 from hetasym.csvio import read_density_csv, read_trace_csv, write_density_csv, write_trace_csv
@@ -255,8 +263,11 @@ class TestScale:
     def test_partial_sweep_exit_2(self, tmp_path):
         # half a rotation misses an extreme of the x span; without the check
         # this reported ~42.7% for a true 14.29% asymmetry with exit code 0
-        raw = self.simulate(tmp_path, n_phases=20000, amplitude_sq=552.0,
-                            asymmetry_percent=14.29, phase_stop=math.pi)
+        half_turn = ReferenceSignalSpec(552.0, make_phase_ramp(40000)[:20000])
+        trace = simulate_heterodyne(half_turn, HeterodyneModel(*gains_from_percent(14.29)),
+                                    RunConfig().seed)
+        raw = tmp_path / "raw.csv"
+        write_trace_csv(raw, trace, "simulate", RunConfig())
         assert run("scale", raw, "--out", tmp_path / "scaled.csv") == 2
         assert not (tmp_path / "scaled.report.txt").exists()
         assert run("phase-deviation", raw, "--out", tmp_path / "dev.csv") == 2

@@ -36,7 +36,7 @@ def test_benchmark_imports_resolve():
 
 @pytest.mark.parametrize("name", [
     "path_phase_variance", "required_coherent_dim", "KeyRateBreakdown", "MLEResult",
-    "g_entropy", "transmittance", "no_such_name",
+    "g_entropy", "transmittance", "PhaseNoiseBudget", "no_such_name",
 ])
 def test_unknown_or_removed_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):

@@ -28,22 +28,22 @@ from hetasym.tomography import DensityMatrix, WignerGrid
 
 PIPELINE_SHA256 = {
     "raw.csv":
-        "3c93931f6c193b9e755d110e107c8ea3339b324741949a67926ae190270b3020",
+        "2096ea7def06f6c76f937a2cc414f6783f4fee68cdf4c442b4d9f5ab48329e4a",
     "scaled.csv":
-        "68fe21f432f718344482cb83ec5a3377854d1b5b8ba5f0aa91c3c1a4b3bd7cd8",
+        "90348539b9950e2c39f4b69b30fd978c07b2e7607db556e8112887065f9848a9",
     "scaled.report.txt":
-        "d0cbf6aefde9fccf9ca94131c0e7f73b3ac376c6d6aed1b8b99b068ff2630c8b",
+        "d858e4919e8c414f9007ad2a72a9476ae511ed819db789110b2f78ab6b7dabef",
     "deviation.csv":
-        "312a71fd157665de770cc6b9facc8de92754140e737bff8a4a520fdf7a3b501e",
+        "dc23cf4058f3da6bdffcc7bbc0f981e6bf00752608d166014b15c161245cb374",
     "rates.csv":
-        "509ba26d380752b1e9098415a682a5ff0f57e129f0e1c0ad3686fd4c059e01ad",
+        "283e2a4b8869f216ce913b826a296ef91f82d683454cb089eb16a846b52797cc",
 }
 
 WRITER_SHA256 = {
     "rho.csv":
-        "c40634fa9bd142c0f27d3e61554621fc74557d5ccefee51f12fa2cd01dd7647b",
+        "ac04e6b28c448c08443cd07011acba9dc479771370c82b32b574e027264e5cd7",
     "wigner.csv":
-        "f4f4a4794287dc47b88b68abad251d8207b162d5477b9c55f0b02a13e41fc7c4",
+        "ea28ddad7924e4b318130ba1c9e7f26ef549101bb7734781db01800fd5ef876f",
 }
 
 

@@ -21,7 +21,7 @@ from hetasym import (
     symplectic_spectrum,
 )
 from hetasym.config import RunConfig
-from hetasym.keyrate import g_entropy, transmittance
+from hetasym.keyrate import CUTOFF_RESOLUTION_KM, g_entropy, transmittance
 
 # Reference operating point used for the rate-vs-distance figure
 FIG_PARAMS = dict(v_a=10.0, beta=0.93, xi_line=0.02, eta=0.68, v_elec=0.1,
@@ -345,7 +345,7 @@ class TestKeyRate:
                 for d in grid])
             assert rates[0] > 0.0 > rates[-1]
             first_zero = grid[int(np.where(np.diff(np.sign(rates)) != 0)[0][0])]
-            cutoff = max_distance(replace(base, xi_det=xi), resolution_km=0.01)
+            cutoff = max_distance(replace(base, xi_det=xi))
             assert abs(cutoff - first_zero) <= float(grid[1] - grid[0])
 
     @pytest.mark.parametrize("v_a, distance", [(25.0, 1e-9), (100.0, 1e-12)])
@@ -447,9 +447,8 @@ class TestOracle:
         while hi - lo > 1e-9:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if rate_oracle(params, mid) > 0 else (lo, mid)
-        resolution = config.max_distance_resolution_km
-        cutoff = max_distance(params, resolution)
-        assert hi - resolution <= cutoff <= lo
+        cutoff = max_distance(params)
+        assert hi - CUTOFF_RESOLUTION_KM <= cutoff <= lo
 
 
 # Two computed rates in a property can each be off by NEAR_T1_ERROR
@@ -497,8 +496,8 @@ class TestTransmittanceUnderflow:
 class TestMaxDistance:
     def test_direction_with_asymmetry(self):
         base = KeyRateParams(**FIG_PARAMS)
-        clean = max_distance(replace(base, xi_det=0.0), resolution_km=0.1)
-        worst = max_distance(replace(base, xi_det=0.1091), resolution_km=0.1)
+        clean = max_distance(replace(base, xi_det=0.0))
+        worst = max_distance(replace(base, xi_det=0.1091))
         assert clean > worst > 0.0
 
     def test_lossless_sentinel(self):
@@ -512,23 +511,22 @@ class TestMaxDistance:
 
     def test_monotone_across_measured_levels(self):
         base = KeyRateParams(**FIG_PARAMS)
-        cutoffs = [max_distance(replace(base, xi_det=xi), resolution_km=0.05)
-                   for xi in MEASURED_XI_DET]
+        cutoffs = [max_distance(replace(base, xi_det=xi)) for xi in MEASURED_XI_DET]
         assert all(math.isfinite(c) for c in cutoffs)
         assert all(a > b for a, b in zip(cutoffs, cutoffs[1:]))
 
     def test_cutoff_brackets_rate_sign(self):
         params = KeyRateParams(**FIG_PARAMS, xi_det=0.1091)
-        cutoff = max_distance(params, resolution_km=0.01)
+        cutoff = max_distance(params)
         below = key_rate(params, cutoff - 0.02).rate_per_symbol
         above = key_rate(params, cutoff + 0.02).rate_per_symbol
         assert below > 0.0 > above
 
     def test_lossy_fibre(self):
-        # at 5 dB/km T underflows to 0 long before max_search_km = 1000; the
-        # cutoff found with max_search_km = 50 is 3.302 km
+        # at 5 dB/km T underflows to 0 long before the 1,000 km the search
+        # marches to; the cutoff found by a search to 50 km is 3.302 km
         params = KeyRateParams(alpha_db_per_km=5.0)
-        cutoff = max_distance(params, resolution_km=0.01)
+        cutoff = max_distance(params)
         assert abs(cutoff - 3.302) <= 0.02
         below, above = key_rate_curve(params, [cutoff, cutoff + 0.01])
         assert below > 0.0 >= above
@@ -545,15 +543,3 @@ class TestValidation:
         with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
             KeyRateParams(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"resolution_km": 0.0}, {"resolution_km": math.nan}, {"resolution_km": math.inf},
-        {"max_search_km": -1.0}, {"max_search_km": math.nan},
-    ])
-    def test_max_distance_arguments_rejected(self, kwargs):
-        with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
-            max_distance(KeyRateParams(), **kwargs)
-
-    def test_xi_ex_composition(self):
-        params = KeyRateParams(xi_line=0.02, xi_det=0.0140)
-        assert params.xi_ex == 0.02 + 0.0140
-        assert params.v == params.v_a + 1.0

@@ -5,7 +5,6 @@ import pytest
 
 from hetasym import (
     NumericalDomainError,
-    PhaseNoiseBudget,
     QuadratureTrace,
     ValidationError,
     detection_phase_variance,
@@ -25,7 +24,7 @@ MEASURED_XI_DET = {33.77: 0.1091, 19.51: 0.0318, 14.29: 0.0140, 4.55: 0.0032, 2.
 
 
 def noiseless_sweep(gain_x: float, n: int = 4096, amplitude: float = 10.0) -> QuadratureTrace:
-    theta = make_phase_ramp(n, 0.0, TWO_PI)
+    theta = make_phase_ramp(n)
     return QuadratureTrace(gain_x * amplitude * np.cos(theta),
                            amplitude * np.sin(theta), theta)
 
@@ -57,7 +56,7 @@ class TestEstimatePhase:
         assert estimate_phase(tr)[0] == pytest.approx(0.8567, abs=1e-4)
 
     def test_exact_for_symmetric_noiseless_sweep(self):
-        theta = wrap_phase(make_phase_ramp(719, -math.pi + 1e-9, math.pi))
+        theta = wrap_phase(-math.pi + 1e-9 + make_phase_ramp(719))
         tr = QuadratureTrace(3.0 * np.cos(theta), 3.0 * np.sin(theta))
         np.testing.assert_allclose(estimate_phase(tr), theta, atol=1e-12)
 
@@ -250,32 +249,6 @@ class TestExcessNoiseConversion:
             phase_variance_from_excess_noise(10.0, 25.0)
 
 
-class TestPhaseNoiseBudget:
-    def test_total_is_exact_sum(self):
-        budget = PhaseNoiseBudget(v_drift=1e-3, v_det=3e-3)
-        assert budget.v_total == 1e-3 + 3e-3
-
-    def test_component_isolation(self):
-        assert PhaseNoiseBudget(v_det=4e-3).v_total == 4e-3
-        assert PhaseNoiseBudget().v_total == 0.0
-
-    def test_excess_noise_uses_total(self):
-        budget = PhaseNoiseBudget(v_drift=1e-3, v_det=2e-3)
-        assert budget.excess_noise(10.0) == pytest.approx(
-            excess_noise_from_phase_variance(10.0, 3e-3), rel=1e-14)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            PhaseNoiseBudget(v_drift=-1e-3)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"v_drift": math.inf}, {"v_drift": math.nan}, {"v_det": math.nan}, {"v_det": math.inf},
-    ])
-    def test_rejects_non_finite(self, kwargs):
-        with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
-            PhaseNoiseBudget(**kwargs)
-
-
 class TestDeviationStructure:
     """Shape of the asymmetric-phase deviation over a noiseless sweep."""
 
@@ -289,7 +262,7 @@ class TestDeviationStructure:
             assert abs(deviation_oracle(gain, np.array([theta]))[0]) < 1e-12
 
     def test_extrema_in_central_octants(self):
-        theta = make_phase_ramp(14400, 0.0, TWO_PI)
+        theta = make_phase_ramp(14400)
         step = TWO_PI / 14400
         for pct in (2.25, 4.55, 14.29, 19.51, 33.77, 50.2):
             gain, _ = gains_from_percent(pct)
@@ -315,7 +288,7 @@ class TestDeviationStructure:
         peaks = []
         for pct in (33.77, 50.2):
             gain, _ = gains_from_percent(pct)
-            delta = deviation_oracle(gain, make_phase_ramp(14400, 0.0, TWO_PI))
+            delta = deviation_oracle(gain, make_phase_ramp(14400))
             peaks.append(np.abs(delta).max())
         assert peaks[1] > peaks[0]
 

@@ -1,11 +1,13 @@
 """The README's library example runs as written and its CLI quick start
-parses, so an API or flag change that leaves either stale fails here."""
+parses, commands and config files alike, so an API, flag or config-key
+change that leaves either stale fails here."""
 
 import re
 import shlex
 from pathlib import Path
 
 from hetasym import cli
+from hetasym.config import parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,12 +20,22 @@ def test_library_example_runs(capsys):
     assert "bits/symbol at 20 km" in out and "km achievable" in out
 
 
+def quick_start() -> str:
+    return re.search(r"## Quick start \(CLI\)\n\n```sh\n(.*?)```",
+                     README.read_text(encoding="utf-8"), re.S).group(1)
+
+
 def test_quick_start_commands_parse():
-    block = re.search(r"## Quick start \(CLI\)\n\n```sh\n(.*?)```",
-                      README.read_text(encoding="utf-8"), re.S).group(1)
-    commands = [shlex.split(line)[1:] for line in block.splitlines()
+    commands = [shlex.split(line)[1:] for line in quick_start().splitlines()
                 if line.startswith("hetasym ")]
     assert [argv[0] for argv in commands] == [
         "simulate", "scale", "phase-deviation", "keyrate-sweep", "tomography", "fidelity"]
     for argv in commands:
         cli.build_parser().parse_args(argv)
+
+
+def test_quick_start_configs_parse():
+    configs = dict(re.findall(r"^cat > (\S+\.cfg) <<EOF\n(.*?)^EOF$", quick_start(), re.S | re.M))
+    assert sorted(configs) == ["run.cfg", "tomo.cfg"]
+    for text in configs.values():
+        parse_config_text(text)

@@ -247,7 +247,7 @@ class TestMLEReconstruct:
         target = ideal_coherent_state(1.0, 15)
         fids = []
         for n in (1_000, 10_000, 100_000):
-            tags = np.repeat(make_phase_ramp(50, 0.0, TWO_PI), n // 50)
+            tags = np.repeat(make_phase_ramp(50), n // 50)
             xs = rng.normal(math.sqrt(2.0) * np.cos(tags), math.sqrt(0.5))
             result = mle_reconstruct(PhaseTaggedSamples(tags, xs), 15,
                                      max_iter=700, tol=1e-10)
@@ -260,7 +260,7 @@ class TestMLEReconstruct:
         # 1e5 vacuum-noise samples of |alpha = 2> at dim 25 recover the true
         # state well past 0.99 within a modest iteration budget
         rng = np.random.default_rng(88)
-        tags = np.repeat(make_phase_ramp(100, 0.0, TWO_PI), 1000)
+        tags = np.repeat(make_phase_ramp(100), 1000)
         xs = rng.normal(2.0 * math.sqrt(2.0) * np.cos(tags), math.sqrt(0.5))
         result = mle_reconstruct(PhaseTaggedSamples(tags, xs), 25,
                                  max_iter=60, tol=1e-12)
@@ -283,9 +283,9 @@ class TestMLEReconstruct:
     def test_grouped_and_dense_paths_agree(self, uniform):
         rng = np.random.default_rng(9)
         if uniform:
-            tags = np.repeat(make_phase_ramp(16, 0.0, TWO_PI), 64)
+            tags = np.repeat(make_phase_ramp(16), 64)
         else:
-            ramp = make_phase_ramp(16, 0.0, TWO_PI)
+            ramp = make_phase_ramp(16)
             tags = np.concatenate([np.repeat(ramp, 48), np.repeat(ramp[::2], 64)])
         xs = rng.normal(np.sqrt(2.0) * np.cos(tags), math.sqrt(0.5))
         samples = PhaseTaggedSamples(tags, xs)
@@ -312,7 +312,7 @@ class TestMLEReconstruct:
 
     def test_two_repeats_per_tag_use_dense_path(self):
         # below the measured crossover of 3 repeats the dense engine is faster
-        tags = np.repeat(make_phase_ramp(16, 0.0, TWO_PI), 2)
+        tags = np.repeat(make_phase_ramp(16), 2)
         samples = PhaseTaggedSamples(tags, np.zeros(tags.size))
         _, grouped = _make_engine(samples, 6)
         assert not grouped
@@ -350,7 +350,7 @@ class TestMLEReconstruct:
 def test_rank_one_kernel_matches_probabilities(grouped, dim, seed):
     rng = np.random.default_rng(seed)
     if grouped:
-        ramp = make_phase_ramp(7, 0.0, TWO_PI) + rng.uniform(-math.pi, math.pi)
+        ramp = make_phase_ramp(7) + rng.uniform(-math.pi, math.pi)
         tags = np.repeat(ramp, rng.integers(20, 40, 7))  # several bucket sizes
         engine = _GroupedEngine(PhaseTaggedSamples(tags, rng.normal(0.0, 1.5, tags.size)), dim)
     else:
@@ -436,7 +436,7 @@ class TestMLECertificate:
     def test_converged_means_certified_gap(self, grouped, tol):
         rng = np.random.default_rng(31)
         if grouped:
-            tags = np.repeat(make_phase_ramp(20, 0.0, TWO_PI), 150)
+            tags = np.repeat(make_phase_ramp(20), 150)
             samples = PhaseTaggedSamples(
                 tags, rng.normal(math.sqrt(2.0) * np.cos(tags), math.sqrt(0.5)))
         else:
@@ -480,7 +480,7 @@ class TestMLECertificate:
 def test_mle_result_invariants(dim, grouped, xs):
     n = xs.size
     if grouped:
-        tags = make_phase_ramp(16, 0.0, TWO_PI)[np.arange(n) % 16]
+        tags = make_phase_ramp(16)[np.arange(n) % 16]
     else:  # golden-angle tags never repeat
         tags = np.mod(np.arange(n) * math.pi * (3.0 - math.sqrt(5.0)), TWO_PI)
     samples = PhaseTaggedSamples(tags, xs)
@@ -617,7 +617,7 @@ class TestFidelity:
 
 class TestSamplesFromTrace:
     def trace(self, amp=4.0, n=64):
-        theta = make_phase_ramp(n, 0.0, TWO_PI)
+        theta = make_phase_ramp(n)
         return QuadratureTrace(amp * np.cos(theta), amp * np.sin(theta), theta)
 
     def test_both_quadratures_tagged(self):
