@@ -172,7 +172,6 @@ def _rate_terms(params: KeyRateParams, distance_km: float, chi_h: float):
     if t == 0.0:
         raise NumericalDomainError(
             f"T = {t!r} at {distance_km} km underflows; the key-rate chain needs T > 0")
-    # v = V_A + 1; xi is the total excess noise xi_ex = xi_line + xi_det
     v, xi = params.v_a + 1.0, params.xi_line + params.xi_det
     info = mutual_information(v, t, xi)
     lams = symplectic_spectrum(v, t, xi, chi_h)

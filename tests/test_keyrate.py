@@ -542,4 +542,3 @@ class TestValidation:
     def test_params_rejected(self, kwargs):
         with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
             KeyRateParams(**kwargs)
-
