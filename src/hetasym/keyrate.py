@@ -26,6 +26,12 @@ CLAMP_TOL = 1e-9
 CUTOFF_SEARCH_KM = 1000.0
 CUTOFF_RESOLUTION_KM = 0.01
 _CUTOFF_MARCH_STEPS = 4096
+#: The rate is accurate to about 1e-15 bits/symbol (against a 60-digit
+#: oracle), so where I(A;B), an upper bound on the rate, is below this
+#: [bits/symbol] a non-positive rate is rounding, not a cutoff: without
+#: excess noise the float rate first turns negative near 727 km, where the
+#: exact rate is 7.5e-15.
+_RESOLVED_INFO_BITS = 1e-12
 
 
 def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
@@ -212,7 +218,8 @@ def max_distance(params: KeyRateParams) -> float:
     """Largest distance with a positive key rate, bisection-refined to
     CUTOFF_RESOLUTION_KM.  Returns 0.0 when no key is possible even back to
     back, and math.inf when the rate stays positive at every probe up to
-    CUTOFF_SEARCH_KM (no cutoff within the search grid).
+    CUTOFF_SEARCH_KM (no cutoff within the search grid) or first reads
+    non-positive where I(A;B) < _RESOLVED_INFO_BITS (too small to resolve).
     """
     chi_h = chi_het(params.eta, params.v_elec)
     if _rate_terms(params, 0.0, chi_h)[-1] <= 0.0:
@@ -224,7 +231,10 @@ def max_distance(params: KeyRateParams) -> float:
     # there keeps lossy fibre clear of distances where T underflows
     for i in range(1, _CUTOFF_MARCH_STEPS + 1):
         d = CUTOFF_SEARCH_KM * i / _CUTOFF_MARCH_STEPS
-        if _rate_terms(params, d, chi_h)[-1] <= 0.0:
+        _, info, _, _, rate = _rate_terms(params, d, chi_h)
+        if rate <= 0.0:
+            if info < _RESOLVED_INFO_BITS:
+                return math.inf
             lo, hi = CUTOFF_SEARCH_KM * (i - 1) / _CUTOFF_MARCH_STEPS, d
             break
     else:

@@ -381,59 +381,41 @@ _RATIO_CAP = 1e100
 _SEARCH_PASSES = 40
 
 
-def _rank_one_search(d: np.ndarray, bar: float):
-    """argmax over [0, 1] of the concave f(t) = mean log1p(t d), d >= -1,
-    or None when f cannot exceed `bar`.
+def _rank_one_search(d: np.ndarray) -> float:
+    """argmax over [0, 1] of the concave f(t) = mean log1p(t d), d >= -1.
 
-    Newton steps on f', kept inside the bracket [lo, hi] of its sign change,
-    converge in a few O(n) passes; a step that leaves the bracket or grows
-    is replaced by bisection.  Newton from t = 0 tends to undershoot the
-    maximizer of such an f, so the first pass probes t0 = twice that step,
-    which usually lands past the maximizer.  There the concavity bound
-    f(t0) + max(f'(t0) (1 - t0), -f'(t0) t0) is within a small factor of
-    max f, and the search stops when it is <= bar.  t = 1 is tried once,
-    and only when every d > -1, where f(1) is finite.
+    When every d > -1 and f'(1) = mean d / (1 + d) >= 0, f peaks at t = 1.
+    Otherwise Newton steps on f' from t = 0, kept inside the bracket
+    [lo, hi] of its sign change, converge in a few O(n) passes; a step that
+    leaves the bracket or is longer than the move before it is replaced by
+    bisection, and the search stops once a move is at most 1e-10 t.
     """
+    if d.min() > -1.0 and float((d / (1.0 + d)).sum()) >= 0.0:
+        return 1.0
     n = d.size
     lo, hi, t = 0.0, 1.0, 0.0
     # f'(t) and -f''(t); einsum rather than a BLAS dot, whose threads cost
     # far more than these O(n) sums on a busy host
     slope, curv = float(d.sum()) / n, float(np.einsum("i,i->", d, d)) / n
-    last_step = math.inf
-    tried_end = False
-    from_newton = False  # t was reached by a Newton step (not the first pass's)
-    for k in range(_SEARCH_PASSES):
+    last_move = math.inf
+    for _ in range(_SEARCH_PASSES):
         if slope == 0.0:
             return t
         if slope > 0.0:
             lo = t
         else:
             hi = t
-        if curv:  # curv >= slope^2 > 0 unless it underflows
-            step = (2.0 if k == 0 else 1.0) * slope / curv
-        else:
-            step = math.copysign(math.inf, slope)
+        # curv >= slope^2 > 0 unless it underflows
+        step = slope / curv if curv else math.copysign(math.inf, slope)
         new = t + step
-        newton = lo < new < hi and abs(step) <= last_step
-        if not newton:
-            if new >= hi == 1.0 and not tried_end:
-                tried_end = True
-                new = 1.0 if d.min() > -1.0 else 0.5 * (lo + hi)
-            else:
-                new = 0.5 * (lo + hi)
-        # a small Newton step shows convergence only once Newton led to t: at
-        # the probe t = 1, or a bisection point, next to the pole of f' that a
-        # d near -1 puts at t = 1, it is tiny however far the maximizer is
-        if abs(new - t) <= 1e-10 * t and (from_newton or not newton):
+        if not (lo < new < hi and abs(step) <= last_move):
+            new = 0.5 * (lo + hi)
+        if abs(new - t) <= 1e-10 * t:
             return new
-        from_newton = newton and k > 0
-        last_step = abs(new - t)
+        last_move = abs(new - t)
         t = new
-        td = t * d
-        w = d / (1.0 + td)
+        w = d / (1.0 + t * d)
         slope, curv = float(w.sum()) / n, float(np.einsum("i,i->", w, w)) / n
-        if k == 0 and np.log1p(td).sum() / n + max(slope * (1.0 - t), -slope * t) <= bar:
-            return None
     return t
 
 
@@ -510,9 +492,7 @@ def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
         # where the cap bites (a sample the state all but excludes) the
         # search maximizes a lower bound of f; the gain below is exact
         d = np.minimum(q / np.maximum(probs, PROBABILITY_FLOOR), _RATIO_CAP) - 1.0
-        t = _rank_one_search(d, bar)
-        if t is None:
-            return None
+        t = _rank_one_search(d)
         change = t * (q - probs)
         new_probs = probs + change
         gain = _log_ratio_mean(probs, new_probs, change, 0.0)

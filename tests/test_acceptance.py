@@ -9,10 +9,8 @@ import math
 import time
 from contextlib import redirect_stdout
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from hetasym import (
     HeterodyneModel,

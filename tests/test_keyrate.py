@@ -505,6 +505,15 @@ class TestMaxDistance:
                                eta=1.0, v_elec=0.0, alpha_db_per_km=0.0)
         assert math.isinf(max_distance(params))
 
+    def test_noiseless_fibre_has_no_cutoff(self):
+        # without excess noise the exact rate stays positive out to the end
+        # of the search (2.6e-20 bits at 1,000 km); the float rate, accurate
+        # to about 1e-15 bits, first reads negative near 727 km, which used
+        # to be reported as the cutoff
+        params = KeyRateParams(xi_line=0.0, xi_det=0.0)
+        assert all(rate_oracle(params, d) > 0 for d in (700.0, 727.4, 800.0, 1000.0))
+        assert max_distance(params) == math.inf
+
     def test_zero_marker_when_no_key(self):
         params = KeyRateParams(**FIG_PARAMS, xi_det=0.0)
         assert max_distance(replace(params, beta=1e-6)) == 0.0

@@ -9,9 +9,10 @@ from scipy.special import eval_genlaguerre, eval_hermite, factorial
 
 from hetasym import (
     DensityMatrix,
-    NumericalDomainError,
+    HeterodyneModel,
     PhaseTaggedSamples,
     QuadratureTrace,
+    ReferenceSignalSpec,
     ValidationError,
     WignerGrid,
     fidelity,
@@ -21,6 +22,7 @@ from hetasym import (
     mle_reconstruct,
     quadrature_projector,
     samples_from_trace,
+    simulate_heterodyne,
     wigner,
 )
 from hetasym.tomography import (
@@ -392,29 +394,25 @@ def _mean_log1p(t, d):
 @settings(max_examples=80, deadline=None)
 @given(d=arrays(np.float64, st.integers(1, 60),
                 elements=st.one_of(st.floats(-1.0, 40.0), st.sampled_from([-1.0, 1e6, 1e100]))))
-# a d just above -1 puts a pole of f' at t = 1: the tiny Newton step from the
-# t = 1 probe used to pass as convergence, returning t ~ 1 (f = -8.49 and
-# -6.21) where the maximum is 0.1308 at t = 0.5
+# a d just above -1 puts a pole of f' at t = 1, where a move far from the
+# maximizer is tiny; the maximum is 0.1308 at t = 0.5
 @example(d=np.array([np.nextafter(-1.0, 0.0), 1.0, 1.0, 1.0]))
 @example(d=np.array([-1.0 + 1e-12, 1.0, 1.0, 1.0]))
+# Newton steps from t = 0 grow from 1e-100; taken unchecked they crawl to
+# t ~ 1e-88, where f = 13.86 against a maximum of 114.4 at t = 0.5
+@example(d=np.array([-1.0, 1e100]))
 def test_rank_one_search_matches_grid_argmax(d):
     grid = np.linspace(0.0, 1.0, 20_001)
-    values = _mean_log1p(grid, d)
-    best = values.max()
-    t = _rank_one_search(d, -math.inf)
+    best = _mean_log1p(grid, d).max()
+    t = _rank_one_search(d)
     assert 0.0 <= t <= 1.0
     assert _mean_log1p(t, d) >= best - 1e-12 * (1.0 + abs(best))
-    bar = best * (1.0 - 1e-6)
-    if 0.0 < bar < best:
-        # the concavity bound never discards a step that beats the bar
-        t = _rank_one_search(d, bar)
-        assert t is not None and _mean_log1p(t, d) > bar
 
 
 def test_rank_one_search_underflowing_curvature():
-    # d * d underflows to 0, so the Newton step is replaced by an infinite one
-    # toward the rising side; f increases on [0, 1], whose argmax is t = 1
-    assert _rank_one_search(np.full(8, 1e-170), 0.0) == 1.0
+    # f rises on all of [0, 1], so the endpoint test returns t = 1 before a
+    # Newton step divides by the curvature d * d, which underflows to 0
+    assert _rank_one_search(np.full(8, 1e-170)) == 1.0
 
 
 def test_near_pure_dense_case_takes_rank_one_steps():
@@ -427,6 +425,18 @@ def test_near_pure_dense_case_takes_rank_one_steps():
     assert result.iterations == 7
     assert result.iterations <= 68 // 2
     assert result.rank_one_steps == 1
+    assert independent_gap(samples, result.rho.matrix) <= 1e-10
+
+
+def test_grouped_case_takes_rank_one_steps():
+    # 25 ramp phases x 40 pulses of |alpha = 1> repeat every tag, so the
+    # grouped engine runs, and the rank-one candidate wins 5 of 35 steps
+    trace = simulate_heterodyne(ReferenceSignalSpec.ramp(4.0, 25, 40), HeterodyneModel(), 2)
+    samples = samples_from_trace(trace)
+    result = mle_reconstruct(samples, 12)
+    assert result.grouped and result.converged
+    assert result.iterations == 35
+    assert result.rank_one_steps == 5
     assert independent_gap(samples, result.rho.matrix) <= 1e-10
 
 
