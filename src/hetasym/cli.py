@@ -7,6 +7,11 @@ Every command is deterministic under a fixed config and seed; re-runs
 produce byte-identical files.  Exit codes: 0 success, 2 invalid
 input or configuration, 3 numerical failure (non-convergence or domain
 error).
+
+At module level only the shared modules that need no numpy are imported:
+config, csvio and errors.  Each command imports the rest of what it runs
+when it is called, so ``--version`` and ``keyrate-sweep`` never load numpy
+and no command loads another command's code.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ import argparse
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config, render
@@ -29,35 +32,19 @@ from .csvio import (
     write_trace_csv,
     write_wigner_csv,
 )
-from .detector import HeterodyneModel, gains_from_percent, percent_difference, simulate_heterodyne
 from .errors import NumericalDomainError, ValidationError, integer_at_least, positive
-from .keyrate import KeyRateParams, key_rate_curve, max_distance
-from .phase import (
-    detection_phase_variance,
-    drift_phase_variance,
-    estimate_phase,
-    excess_noise_from_phase_variance,
-    min_max_scale,
-    wrap_phase,
-)
-from .tomography import (
-    fidelity,
-    fit_coherent,
-    ideal_coherent_state,
-    mle_reconstruct,
-    samples_from_trace,
-    wigner,
-)
-from .traces import ReferenceSignalSpec, spans_full_rotation
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
-#: Most distances in one sweep: 10**6 by 6 xi_det values take about 50 s and 300 MiB.
+#: Most distances in one sweep: 10**6 by 6 xi_det values take about 35 s and 290 MiB.
 _MAX_DISTANCES = 10**6
 
 
 def cmd_simulate(config: RunConfig, out: str) -> int:
+    from .detector import HeterodyneModel, gains_from_percent, simulate_heterodyne
+    from .traces import ReferenceSignalSpec
+
     signal = ReferenceSignalSpec.ramp(config.amplitude_sq, config.n_phases,
                                       config.pulses_per_phase)
     detector = HeterodyneModel(*gains_from_percent(config.asymmetry_percent),
@@ -79,6 +66,11 @@ def _sweep_phases(config: RunConfig, input_path: str):
     ``phase_true`` when the trace carries it, and otherwise the defined
     asymmetric block phases.  At least two blocks must have a phase in both
     traces, so the deviation has a variance."""
+    import numpy as np
+
+    from .phase import estimate_phase, min_max_scale
+    from .traces import spans_full_rotation
+
     trace = read_trace_csv(input_path)
     theta_asym = estimate_phase(trace, config.block)
     if trace.phase_true is not None:
@@ -100,6 +92,13 @@ def _sweep_phases(config: RunConfig, input_path: str):
 
 
 def cmd_scale(config: RunConfig, input_path: str, out: str) -> int:
+    from .detector import percent_difference
+    from .phase import (
+        detection_phase_variance,
+        drift_phase_variance,
+        excess_noise_from_phase_variance,
+    )
+
     trace, scaled, theta_scaled, theta_asym, dropped = _sweep_phases(config, input_path)
     span_x = float(trace.x.max() - trace.x.min())
     span_p = float(trace.p.max() - trace.p.min())
@@ -130,6 +129,8 @@ def cmd_scale(config: RunConfig, input_path: str, out: str) -> int:
 
 
 def cmd_phase_deviation(config: RunConfig, input_path: str, out: str) -> int:
+    from .phase import wrap_phase
+
     _, _, theta_scaled, theta_asym, dropped = _sweep_phases(config, input_path)
     delta = wrap_phase(theta_asym - theta_scaled)
     write_table(out, "phase-deviation", config, ["theta_scaled", "delta_theta"],
@@ -141,6 +142,8 @@ def cmd_phase_deviation(config: RunConfig, input_path: str, out: str) -> int:
 
 
 def cmd_keyrate_sweep(config: RunConfig, out: str) -> int:
+    from .keyrate import KeyRateParams, key_rate_curve, max_distance
+
     positive("distance_step_km", config.distance_step_km)
     if config.distance_max_km < config.distance_min_km:
         raise ValidationError(f"distance_max_km must be >= distance_min_km, got "
@@ -171,6 +174,17 @@ def cmd_keyrate_sweep(config: RunConfig, out: str) -> int:
 
 
 def cmd_tomography(config: RunConfig, input_path: str, out: str) -> int:
+    import numpy as np
+
+    from .tomography import (
+        fidelity,
+        fit_coherent,
+        ideal_coherent_state,
+        mle_reconstruct,
+        samples_from_trace,
+        wigner,
+    )
+
     wigner_points = integer_at_least("wigner_points", config.wigner_points, 2)
     positive("wigner_extent", config.wigner_extent)
     trace = read_trace_csv(input_path)
@@ -220,6 +234,8 @@ def cmd_tomography(config: RunConfig, input_path: str, out: str) -> int:
 
 
 def cmd_fidelity(rho_path: str, sigma_path: str) -> int:
+    from .tomography import fidelity
+
     rho = read_density_csv(rho_path)
     sigma = read_density_csv(sigma_path)
     value = fidelity(rho, sigma)

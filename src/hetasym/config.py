@@ -12,9 +12,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -100,9 +99,11 @@ _ENV_KEYS = {ENV_PREFIX + key.upper(): key for key in _KINDS}
 def render(value) -> str:
     """The text of a value in every output file and the config hash: booleans
     as true/false, floats (numpy's too) in shortest round-trip repr, else str."""
-    if isinstance(value, (bool, np.bool_)):
+    # no numpy scalar can exist unless numpy is loaded, so this never loads it
+    np = sys.modules.get("numpy")
+    if isinstance(value, bool) or np is not None and isinstance(value, np.bool_):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float) or np is not None and isinstance(value, np.floating):
         return repr(float(value))
     return str(value)
 

@@ -8,6 +8,10 @@ as :func:`hetasym.config.render` writes it, floats in shortest round-trip
 repr, so identical runs are byte-identical.
 :func:`write_table` is the one writer of this layout: every output CSV,
 the phase-deviation and key-rate tables included, is one call to it.
+
+The module imports without numpy: only the functions that build or parse
+arrays import it, so ``keyrate-sweep``, which writes Python lists, never
+loads it.
 """
 
 from __future__ import annotations
@@ -15,32 +19,39 @@ from __future__ import annotations
 import math
 import warnings
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import RunConfig, render
 from .errors import ValidationError
-from .tomography import DensityMatrix, WignerGrid
-from .traces import QuadratureTrace, _distinct
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .tomography import DensityMatrix, WignerGrid
+    from .traces import QuadratureTrace
 
 
 def csv_rows(*columns) -> list[str]:
     """Comma-joined data rows of equal-length columns, a column at a time.
 
-    Integer columns are written as integers, string columns (cells rendered
-    beforehand) as they are; every other column is cast to float64 and each
-    cell is written as :func:`~hetasym.config.render` writes it.
+    A column is a numpy array, or a list or range of Python ints or floats.
+    Integers are written as integers and string arrays (cells rendered
+    beforehand) as they are; every other array is cast to float64, and each
+    float is written as :func:`~hetasym.config.render` writes it.
     """
     cells = []
     for column in columns:
-        arr = np.asarray(column)
-        if arr.dtype.kind == "U":
-            cells.append(arr.tolist())
+        if isinstance(column, (list, range)):
+            cells.append(map(repr, column))
             continue
-        if arr.dtype.kind not in "iu":
-            arr = arr.astype(np.float64, copy=False)
-        cells.append(map(repr, arr.tolist()))
+        kind = column.dtype.kind
+        if kind == "U":
+            cells.append(column.tolist())
+            continue
+        if kind not in "iu":
+            column = column.astype("float64", copy=False)
+        cells.append(map(repr, column.tolist()))
     return list(map(",".join, zip(*cells)))
 
 
@@ -82,7 +93,7 @@ def write_table(path: str | Path, command: str, config: RunConfig, names: list[s
 
 def write_trace_csv(path: str | Path, trace: QuadratureTrace, command: str,
                     config: RunConfig, comments: list[tuple[str, object]] | None = None) -> None:
-    names, columns = ["index", "x", "p"], [np.arange(trace.n), trace.x, trace.p]
+    names, columns = ["index", "x", "p"], [range(trace.n), trace.x, trace.p]
     if trace.phase_true is not None:
         names.append("phase_true")
         columns.append(trace.phase_true)
@@ -92,6 +103,8 @@ def write_trace_csv(path: str | Path, trace: QuadratureTrace, command: str,
 def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Header names and float rows of a CSV file.  Comment and blank lines
     are skipped; every data row must have one number per header name."""
+    import numpy as np
+
     header = None
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -115,6 +128,10 @@ def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
 
 
 def read_trace_csv(path: str | Path) -> QuadratureTrace:
+    import numpy as np
+
+    from .traces import QuadratureTrace
+
     header, data = _read_table(path)
     columns = {name: idx for idx, name in enumerate(header)}
     if len(columns) < len(header):
@@ -132,6 +149,8 @@ def read_trace_csv(path: str | Path) -> QuadratureTrace:
 
 def write_density_csv(path: str | Path, rho: DensityMatrix, command: str,
                       config: RunConfig) -> None:
+    import numpy as np
+
     index = np.arange(rho.dim)
     write_table(path, command, config, ["row", "col", "re", "im"],
                 np.repeat(index, rho.dim), np.tile(index, rho.dim),
@@ -141,6 +160,11 @@ def write_density_csv(path: str | Path, rho: DensityMatrix, command: str,
 def read_density_csv(path: str | Path) -> DensityMatrix:
     """Density matrix from its row,col,re,im CSV; every (row, col) of a
     square matrix must appear exactly once."""
+    import numpy as np
+
+    from .tomography import DensityMatrix
+    from .traces import _distinct
+
     header, data = _read_table(path)
     if header != ["row", "col", "re", "im"]:
         raise ValidationError(f"{path}: header must be row,col,re,im, got {','.join(header)}")
@@ -161,6 +185,8 @@ def read_density_csv(path: str | Path) -> DensityMatrix:
 
 
 def write_wigner_csv(path: str | Path, grid: WignerGrid, command: str, config: RunConfig) -> None:
+    import numpy as np
+
     # each axis value is rendered once and its string repeated over the grid
     x_cells, p_cells = (np.array([render(v) for v in axis]) for axis in (grid.x_axis, grid.p_axis))
     write_table(path, command, config, ["x", "p", "w"], np.repeat(x_cells, p_cells.size),

@@ -38,6 +38,10 @@ def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
     """Fiber power transmittance T = 10^(-alpha d / 10)."""
     non_negative("alpha_db_per_km", alpha_db_per_km)
     non_negative("distance_km", distance_km)
+    return _transmittance(alpha_db_per_km, distance_km)
+
+
+def _transmittance(alpha_db_per_km: float, distance_km: float) -> float:
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
@@ -57,12 +61,20 @@ def mutual_information(v: float, t: float, xi: float) -> float:
     positive("v - 1", v - 1.0)
     unit_interval("t", t)
     non_negative("xi", xi)
+    return _mutual_information(v, t, xi)
+
+
+def _mutual_information(v: float, t: float, xi: float) -> float:
     return 0.5 * math.log2(1.0 + t * (v - 1.0) / (1.0 + xi))
 
 
 def g_entropy(x: float) -> float:
     """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2 x, with g(0) = 0."""
     non_negative("x", x)
+    return _g_entropy(x)
+
+
+def _g_entropy(x: float) -> float:
     if x == 0.0:
         return 0.0
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
@@ -97,13 +109,19 @@ def symplectic_spectrum(v: float, t: float, xi: float,
     taken as p over the larger, and no 1/T is formed.  lambda2 >= 1 holds
     exactly as xi >= 0; lambda4 can fall below 1 when chi_het < 1.  An
     eigenvalue more than CLAMP_TOL below 1 raises NumericalDomainError;
-    rounding is clamped at 1.
+    rounding is clamped at 1.  An eigenvalue that overflows float64 raises
+    NumericalDomainError too: d^2 does from |d| ~ 1.3e154, as V_A = 1e200
+    gives once T < 1.
     """
     positive("v - 1", v - 1.0)
     unit_interval("t", t)
     non_negative("xi", xi)
     non_negative("chi_het_value", chi_het_value)
+    return _symplectic_spectrum(v, t, xi, chi_het_value)
 
+
+def _symplectic_spectrum(v: float, t: float, xi: float,
+                         chi_het_value: float) -> tuple[float, float, float, float]:
     u = 1.0 - t
     loss = u * (v - 1.0)
     sqrt_b = t + u * v + v * xi
@@ -113,6 +131,10 @@ def symplectic_spectrum(v: float, t: float, xi: float,
                        ((v + chi_het_value * sqrt_b) / g,
                         (chi_het_value * (xi - loss) - loss - v * xi) / g)):
         big = 0.5 * (math.sqrt(diff * diff + 4.0 * prod) + abs(diff))
+        # inf, or nan from inf / inf: small would read 0 ("unphysical") or nan
+        if not big < math.inf:
+            raise NumericalDomainError(
+                f"symplectic eigenvalue overflows float64 (v = {v!r}, xi = {xi!r}, T = {t!r})")
         small = prod / big
         if small < 1.0 - CLAMP_TOL:
             raise NumericalDomainError(
@@ -133,9 +155,17 @@ def holevo_bound(lams: tuple[float, float, float, float]) -> float:
     for lam in lams:
         if lam < 1.0 - CLAMP_TOL:
             raise NumericalDomainError(f"symplectic eigenvalue {lam} < 1 beyond tolerance")
-    l1, l2, l3, l4 = (1.0 if 1.0 > lam else lam for lam in lams)
-    value = (g_entropy((l1 - 1.0) / 2.0) + g_entropy((l2 - 1.0) / 2.0)
-             - g_entropy((l3 - 1.0) / 2.0) - g_entropy((l4 - 1.0) / 2.0))
+    # nan fails this test too
+    if not all(lam < math.inf for lam in lams):
+        raise ValidationError(f"symplectic eigenvalues must be finite, got {lams}")
+    return _holevo_bound(tuple(1.0 if 1.0 > lam else lam for lam in lams))
+
+
+def _holevo_bound(lams: tuple[float, float, float, float]) -> float:
+    """holevo_bound of eigenvalues that are each finite and >= 1."""
+    l1, l2, l3, l4 = lams
+    value = (_g_entropy((l1 - 1.0) / 2.0) + _g_entropy((l2 - 1.0) / 2.0)
+             - _g_entropy((l3 - 1.0) / 2.0) - _g_entropy((l4 - 1.0) / 2.0))
     return 0.0 if 0.0 > value else value
 
 
@@ -171,17 +201,32 @@ class KeyRateBreakdown:
     rate_per_symbol: float
 
 
-def _rate_terms(params: KeyRateParams, distance_km: float, chi_h: float):
+def _chain_inputs(params: KeyRateParams) -> tuple[float, float, float]:
+    """(v, xi, chi_het) of params, range-checked once per curve: each
+    parameter is checked by KeyRateParams, but v - 1 can round to 0 and the
+    sums can overflow."""
+    v, xi = params.v_a + 1.0, params.xi_line + params.xi_det
+    positive("v - 1", v - 1.0)
+    non_negative("xi", xi)
+    chi_h = non_negative("chi_het", chi_het(params.eta, params.v_elec))
+    return v, xi, chi_h
+
+
+def _rate_terms(params: KeyRateParams, distance_km: float, chain: tuple[float, float, float]):
     """(T, I(A;B), symplectic spectrum, Holevo bound, rate) at one distance;
-    chi_h is chi_het(params.eta, params.v_elec)."""
-    t = transmittance(params.alpha_db_per_km, distance_km)
+    chain is _chain_inputs(params), so only the distance is checked here."""
+    non_negative("distance_km", distance_km)
+    t = _transmittance(params.alpha_db_per_km, distance_km)
     if t == 0.0:
         raise NumericalDomainError(
             f"T = {t!r} at {distance_km} km underflows; the key-rate chain needs T > 0")
-    v, xi = params.v_a + 1.0, params.xi_line + params.xi_det
-    info = mutual_information(v, t, xi)
-    lams = symplectic_spectrum(v, t, xi, chi_h)
-    holevo = holevo_bound(lams)
+    v, xi, chi_h = chain
+    info = _mutual_information(v, t, xi)
+    try:
+        lams = _symplectic_spectrum(v, t, xi, chi_h)
+    except NumericalDomainError as exc:
+        raise NumericalDomainError(f"{exc} at {distance_km} km") from None
+    holevo = _holevo_bound(lams)
     return t, info, lams, holevo, params.beta * info - holevo
 
 
@@ -195,11 +240,11 @@ def key_rate(params: KeyRateParams, distance_km: float) -> KeyRateBreakdown:
     T (v - 1) that reaches Bob a fixed xi_ex weighs more as T falls, so
     every noisy curve has a finite cutoff.
     """
-    chi_h = chi_het(params.eta, params.v_elec)
-    t, info, lams, holevo, rate = _rate_terms(params, distance_km, chi_h)
+    chain = _chain_inputs(params)
+    t, info, lams, holevo, rate = _rate_terms(params, distance_km, chain)
     return KeyRateBreakdown(
         transmittance=t,
-        chi_het=chi_h,
+        chi_het=chain[2],
         mutual_info=info,
         lambdas=lams,
         holevo=holevo,
@@ -210,8 +255,8 @@ def key_rate(params: KeyRateParams, distance_km: float) -> KeyRateBreakdown:
 def key_rate_curve(params: KeyRateParams, distances) -> list[float]:
     """rate_per_symbol of :func:`key_rate` at each distance, bit for bit,
     without a breakdown object per point."""
-    chi_h = chi_het(params.eta, params.v_elec)
-    return [_rate_terms(params, d, chi_h)[-1] for d in distances]
+    chain = _chain_inputs(params)
+    return [_rate_terms(params, d, chain)[-1] for d in distances]
 
 
 def max_distance(params: KeyRateParams) -> float:
@@ -221,8 +266,8 @@ def max_distance(params: KeyRateParams) -> float:
     CUTOFF_SEARCH_KM (no cutoff within the search grid) or first reads
     non-positive where I(A;B) < _RESOLVED_INFO_BITS (too small to resolve).
     """
-    chi_h = chi_het(params.eta, params.v_elec)
-    if _rate_terms(params, 0.0, chi_h)[-1] <= 0.0:
+    chain = _chain_inputs(params)
+    if _rate_terms(params, 0.0, chain)[-1] <= 0.0:
         return 0.0
 
     # march to bracket the FIRST sign change (the achievable range is the
@@ -231,7 +276,7 @@ def max_distance(params: KeyRateParams) -> float:
     # there keeps lossy fibre clear of distances where T underflows
     for i in range(1, _CUTOFF_MARCH_STEPS + 1):
         d = CUTOFF_SEARCH_KM * i / _CUTOFF_MARCH_STEPS
-        _, info, _, _, rate = _rate_terms(params, d, chi_h)
+        _, info, _, _, rate = _rate_terms(params, d, chain)
         if rate <= 0.0:
             if info < _RESOLVED_INFO_BITS:
                 return math.inf
@@ -241,7 +286,7 @@ def max_distance(params: KeyRateParams) -> float:
         return math.inf
     while hi - lo > CUTOFF_RESOLUTION_KM:
         mid = 0.5 * (lo + hi)
-        if _rate_terms(params, mid, chi_h)[-1] > 0.0:
+        if _rate_terms(params, mid, chain)[-1] > 0.0:
             lo = mid
         else:
             hi = mid

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -524,6 +525,22 @@ class TestKeyrateSweep:
         assert run("keyrate-sweep", "--config", cfg, "--out", tmp_path / "rates.csv") == 3
         assert f"at {distance} km" in capsys.readouterr().err
 
+    # physical parameters whose larger eigenvalue overflows float64 (from
+    # the first step past 0 km for v_a, at 0 km for xi_line) used to be
+    # reported as "symplectic eigenvalue 0.0 < 1 ... (unphysical parameters)"
+    @pytest.mark.parametrize("key, value, distance", [
+        ("v_a", 1e200, 1.0), ("v_a", 1e300, 1.0), ("xi_line", 1e300, 0.0),
+    ])
+    def test_overflow_exit_3(self, tmp_path, capsys, key, value, distance):
+        cfg = write_config(tmp_path / "c.cfg", **{key: value})
+        out = tmp_path / "rates.csv"
+        assert run("keyrate-sweep", "--config", cfg, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "symplectic eigenvalue overflows float64" in err
+        assert f"at {distance} km" in err
+        assert "unphysical" not in err
+        assert not out.exists()
+
 
 class TestTomography:
     def bright_trace(self, tmp_path, pct=0.0, n_phases=80, ppp=25) -> Path:
@@ -728,26 +745,53 @@ class TestErrorPaths:
         assert rho.dim == 16
 
 
+# runs main(argv) and prints its exit code (a SystemExit's for --version)
+# and every module then loaded, as the last line of standard output
+_MODULES_SCRIPT = """
+import json, sys
+from hetasym.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def modules_loaded_by(cwd: Path, *argv) -> set[str]:
+    """The modules a fresh interpreter holds after ``hetasym argv`` exits 0."""
+    src = str(Path(hetasym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _MODULES_SCRIPT, *map(str, argv)],
+                            cwd=cwd, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    code, modules = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0, (argv, result.stdout, result.stderr)
+    return set(modules)
+
+
 def test_csv_commands_do_not_import_numpy_ma(tmp_path):
-    # np.unique without return_counts imports numpy.ma (10-16 ms a command);
-    # a fresh interpreter shows whether any of these commands still does
+    # each command imports only what it runs, in a fresh interpreter:
+    # --version and keyrate-sweep load no numpy at all, the trace commands
+    # no tomography or key-rate code, and fidelity no detector or key-rate
+    # code; and np.unique without return_counts imports numpy.ma (10-16 ms a
+    # command), which scale, phase-deviation and fidelity must not load
     cfg = write_config(tmp_path / "run.cfg", n_phases=200, amplitude_sq=552.0,
                        asymmetry_percent=14.29)
     assert run("simulate", "--config", cfg, "--out", tmp_path / "raw.csv") == 0
     rho = DensityMatrix(np.diag([0.75, 0.25]).astype(np.complex128))
     write_density_csv(tmp_path / "rho.csv", rho, "tomography", RunConfig())
-    script = """
-import sys
-from hetasym.cli import main
-for argv in (["scale", "raw.csv", "--config", "run.cfg", "--out", "scaled.csv"],
-             ["phase-deviation", "raw.csv", "--config", "run.cfg", "--out", "dev.csv"],
-             ["fidelity", "rho.csv", "rho.csv"]):
-    assert main(argv) == 0, argv
-sys.exit("numpy.ma" in sys.modules)
-"""
-    src = str(Path(hetasym.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    trace_code = {"hetasym.tomography", "hetasym.keyrate"}
+    not_loaded = {
+        ("--version",): {"numpy"},
+        ("keyrate-sweep", "--out", "rates.csv"): {"numpy"},
+        ("simulate", "--config", "run.cfg", "--out", "again.csv"): trace_code,
+        ("scale", "raw.csv", "--config", "run.cfg", "--out", "scaled.csv"):
+            trace_code | {"numpy.ma"},
+        ("phase-deviation", "raw.csv", "--config", "run.cfg", "--out", "dev.csv"):
+            trace_code | {"numpy.ma"},
+        ("fidelity", "rho.csv", "rho.csv"): {"hetasym.detector", "hetasym.keyrate", "numpy.ma"},
+    }
+    for argv, names in not_loaded.items():
+        assert modules_loaded_by(tmp_path, *argv) & names == set(), argv

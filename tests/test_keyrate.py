@@ -5,7 +5,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hetasym import (
@@ -27,6 +27,11 @@ from hetasym.keyrate import CUTOFF_RESOLUTION_KM, g_entropy, transmittance
 FIG_PARAMS = dict(v_a=10.0, beta=0.93, xi_line=0.02, eta=0.68, v_elec=0.1,
                   alpha_db_per_km=0.2)
 MEASURED_XI_DET = [0.0016, 0.0032, 0.0140, 0.0318, 0.1091]
+# random operating points around the reference one
+operating_points = st.builds(
+    KeyRateParams, v_a=st.floats(1.5, 40.0), beta=st.floats(0.85, 0.99),
+    xi_line=st.floats(0.0, 0.05), xi_det=st.floats(0.0, 0.15), eta=st.floats(0.5, 1.0),
+    v_elec=st.floats(0.0, 0.2), alpha_db_per_km=st.floats(0.15, 0.5))
 
 
 class TestTransmittance:
@@ -275,6 +280,11 @@ class TestHolevoBound:
         with pytest.raises(ValidationError, match="four symplectic eigenvalues, got 3"):
             holevo_bound((1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            holevo_bound((bad, 1.0, 1.0, 1.0))
+
 
 class TestKeyRate:
     def test_clean_channel_oracle(self):
@@ -298,11 +308,23 @@ class TestKeyRate:
         result = key_rate(replace(params, beta=1e-12), 10.0)
         assert result.rate_per_symbol <= 0.0
 
-    def test_breakdown_recomposition(self):
-        params = KeyRateParams(**FIG_PARAMS, xi_det=0.0140)
-        result = key_rate(params, 30.0)
-        recomposed = params.beta * result.mutual_info - result.holevo
-        assert result.rate_per_symbol == pytest.approx(recomposed, abs=1e-12)
+    # the sweep checks the parameters once per curve and calls the kernels
+    # behind the public functions; it must still give their rate, bit for bit
+    @settings(max_examples=200, deadline=None)
+    @given(operating_points, st.floats(0.0, 500.0))
+    @example(KeyRateParams(**FIG_PARAMS, xi_det=0.0140), 30.0)
+    def test_breakdown_recomposition(self, params, distance):
+        (from_curve,) = key_rate_curve(params, [distance])
+        v, xi = params.v_a + 1.0, params.xi_line + params.xi_det
+        t = transmittance(params.alpha_db_per_km, distance)
+        lams = symplectic_spectrum(v, t, xi, chi_het(params.eta, params.v_elec))
+        from_pieces = params.beta * mutual_information(v, t, xi) - holevo_bound(lams)
+        assert from_curve == key_rate(params, distance).rate_per_symbol == from_pieces
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_curve_checks_every_distance(self, bad):
+        with pytest.raises(ValidationError, match="^distance_km must"):
+            key_rate_curve(KeyRateParams(), [0.0, bad])
 
     def test_monotonicity_grid(self):
         # strictly decreasing in xi_det and increasing in beta at every grid
@@ -366,11 +388,6 @@ class TestKeyRate:
                 assert all(lam >= 1.0 - 1e-9 for lam in lams)
 
 
-# random operating points around the reference one
-operating_points = st.builds(
-    KeyRateParams, v_a=st.floats(1.5, 40.0), beta=st.floats(0.85, 0.99),
-    xi_line=st.floats(0.0, 0.05), xi_det=st.floats(0.0, 0.15), eta=st.floats(0.5, 1.0),
-    v_elec=st.floats(0.0, 0.2), alpha_db_per_km=st.floats(0.15, 0.5))
 
 def _g_mp(x):
     # an eigenvalue that is exactly 1 (xi = 0) comes out 1 -/+ 1e-55 or so
@@ -474,6 +491,30 @@ def test_back_to_back_rate_is_the_maximum_up_to_the_cutoff(params):
     assume(math.isfinite(cutoff))
     rates = key_rate_curve(params, np.linspace(0.0, cutoff, 101))
     assert max(rates) <= rates[0] + RATE_NOISE
+
+
+class TestEigenvalueOverflow:
+    # physical parameters whose larger symplectic eigenvalue overflows:
+    # d^2 does for v_a from the first distance past 0 and for xi_line at
+    # 0 km; with v_a near the float64 maximum, g overflows and p34 is
+    # inf / inf.  They used to read as "eigenvalue 0.0 < 1 (unphysical)", or
+    # as a ValidationError on g_entropy(nan)
+    @pytest.mark.parametrize("kwargs, distance", [
+        ({"v_a": 1e200}, 1.0), ({"v_a": 1e300}, 1.0), ({"xi_line": 1e300}, 0.0),
+        ({"v_a": 1.7e308, "v_elec": 4e307, "eta": 1.0}, 0.0),
+    ])
+    def test_named_with_its_distance(self, kwargs, distance):
+        params = KeyRateParams(**kwargs)
+        for evaluate in (key_rate, lambda params, d: key_rate_curve(params, [0.0, d])):
+            with pytest.raises(NumericalDomainError,
+                               match=f"^symplectic eigenvalue overflows float64 .* at {distance} km$"):
+                evaluate(params, distance)
+        with pytest.raises(NumericalDomainError, match="overflows float64"):
+            max_distance(params)
+
+    def test_spectrum_says_overflow(self):
+        with pytest.raises(NumericalDomainError, match="^symplectic eigenvalue overflows"):
+            symplectic_spectrum(1e200, 0.5, 0.02, 2.0)
 
 
 class TestTransmittanceUnderflow:
