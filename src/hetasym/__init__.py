@@ -18,8 +18,7 @@ _EXPORTS = {
     "detector": ("HeterodyneModel", "gains_from_percent", "percent_difference",
                  "simulate_heterodyne"),
     "errors": ("NumericalDomainError", "ValidationError"),
-    "keyrate": ("KeyRateParams", "chi_het", "holevo_bound", "key_rate", "key_rate_curve",
-                "max_distance", "mutual_information", "symplectic_spectrum"),
+    "keyrate": ("KeyRateParams", "key_rate", "key_rate_curve", "max_distance"),
     "phase": ("detection_phase_variance", "drift_phase_variance", "estimate_phase",
               "excess_noise_from_phase_variance", "min_max_scale",
               "phase_variance_from_excess_noise", "wrap_phase"),

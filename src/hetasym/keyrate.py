@@ -6,7 +6,8 @@ The rate is r = beta I(A;B) - chi(B;E) per symbol; Eve's Holevo
 information chi(B;E) comes from the symplectic spectrum of the shared
 two-mode covariance matrix before and after Bob's measurement.  Detection
 efficiency eta and electronic noise v_elec enter only through chi_het
-(trusted-detector model).
+(trusted-detector model).  Each step is one private function; the public
+API is the chain: KeyRateParams, key_rate, key_rate_curve, max_distance.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalDomainError, ValidationError, non_negative, positive, unit_interval
+from .errors import NumericalDomainError, non_negative, positive, unit_interval
 
 #: Tolerated numerical undershoot of the symplectic eigenvalues below 1
 #: before parameters are declared unphysical.
@@ -34,54 +35,34 @@ _CUTOFF_MARCH_STEPS = 4096
 _RESOLVED_INFO_BITS = 1e-12
 
 
-def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
-    """Fiber power transmittance T = 10^(-alpha d / 10)."""
-    non_negative("alpha_db_per_km", alpha_db_per_km)
-    non_negative("distance_km", distance_km)
-    return _transmittance(alpha_db_per_km, distance_km)
-
-
 def _transmittance(alpha_db_per_km: float, distance_km: float) -> float:
+    """Fiber power transmittance T = 10^(-alpha d / 10)."""
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
-def chi_het(eta: float, v_elec: float) -> float:
+def _chi_het(eta: float, v_elec: float) -> float:
     """Heterodyne detection added noise: (2 - eta + 2 v_elec) / eta  [SNU]."""
-    unit_interval("eta", eta)
-    non_negative("v_elec", v_elec)
     return (2.0 - eta + 2.0 * v_elec) / eta
 
 
-def mutual_information(v: float, t: float, xi: float) -> float:
+def _mutual_information(v: float, t: float, xi: float) -> float:
     """Alice-Bob mutual information for heterodyne readout through a channel
     of transmittance t with receiver-referred excess noise xi:
     I(A;B) = 1/2 log2(1 + T (v - 1) / (1 + xi))  [bits/symbol], with
     v = V_A + 1.  This is 1/2 log2((v + chi_line) / (1 + chi_line)) for the
     channel-referred noise chi_line = (1 - T + xi) / T, never formed here."""
-    positive("v - 1", v - 1.0)
-    unit_interval("t", t)
-    non_negative("xi", xi)
-    return _mutual_information(v, t, xi)
-
-
-def _mutual_information(v: float, t: float, xi: float) -> float:
     return 0.5 * math.log2(1.0 + t * (v - 1.0) / (1.0 + xi))
 
 
-def g_entropy(x: float) -> float:
-    """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2 x, with g(0) = 0."""
-    non_negative("x", x)
-    return _g_entropy(x)
-
-
 def _g_entropy(x: float) -> float:
+    """Bosonic entropy g(x) = (x+1) log2(x+1) - x log2 x, with g(0) = 0."""
     if x == 0.0:
         return 0.0
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
-def symplectic_spectrum(v: float, t: float, xi: float,
-                        chi_het_value: float) -> tuple[float, float, float, float]:
+def _symplectic_spectrum(v: float, t: float, xi: float,
+                         chi_het_value: float) -> tuple[float, float, float, float]:
     """Symplectic eigenvalues (lambda1..4) of the shared state before and
     after Bob's heterodyne measurement, for a channel of transmittance t
     with receiver-referred excess noise xi.
@@ -113,15 +94,6 @@ def symplectic_spectrum(v: float, t: float, xi: float,
     NumericalDomainError too: d^2 does from |d| ~ 1.3e154, as V_A = 1e200
     gives once T < 1.
     """
-    positive("v - 1", v - 1.0)
-    unit_interval("t", t)
-    non_negative("xi", xi)
-    non_negative("chi_het_value", chi_het_value)
-    return _symplectic_spectrum(v, t, xi, chi_het_value)
-
-
-def _symplectic_spectrum(v: float, t: float, xi: float,
-                         chi_het_value: float) -> tuple[float, float, float, float]:
     u = 1.0 - t
     loss = u * (v - 1.0)
     sqrt_b = t + u * v + v * xi
@@ -146,23 +118,11 @@ def _symplectic_spectrum(v: float, t: float, xi: float,
     return lams[0], lams[1], lams[2], lams[3]
 
 
-def holevo_bound(lams: tuple[float, float, float, float]) -> float:
+def _holevo_bound(lams: tuple[float, float, float, float]) -> float:
     """Eve's Holevo information from the symplectic spectrum:
     chi(B;E) = g((l1-1)/2) + g((l2-1)/2) - g((l3-1)/2) - g((l4-1)/2),
-    clamped below at 0  [bits/symbol]."""
-    if len(lams) != 4:
-        raise ValidationError(f"expected four symplectic eigenvalues, got {len(lams)}")
-    for lam in lams:
-        if lam < 1.0 - CLAMP_TOL:
-            raise NumericalDomainError(f"symplectic eigenvalue {lam} < 1 beyond tolerance")
-    # nan fails this test too
-    if not all(lam < math.inf for lam in lams):
-        raise ValidationError(f"symplectic eigenvalues must be finite, got {lams}")
-    return _holevo_bound(tuple(1.0 if 1.0 > lam else lam for lam in lams))
-
-
-def _holevo_bound(lams: tuple[float, float, float, float]) -> float:
-    """holevo_bound of eigenvalues that are each finite and >= 1."""
+    clamped below at 0  [bits/symbol], for eigenvalues that are each finite
+    and >= 1, as _symplectic_spectrum returns them."""
     l1, l2, l3, l4 = lams
     value = (_g_entropy((l1 - 1.0) / 2.0) + _g_entropy((l2 - 1.0) / 2.0)
              - _g_entropy((l3 - 1.0) / 2.0) - _g_entropy((l4 - 1.0) / 2.0))
@@ -182,11 +142,18 @@ class KeyRateParams:
     alpha_db_per_km: float = 0.2
 
     def __post_init__(self):
+        """The one place the chain's parameters are checked: each field, then
+        what the chain derives from them, as v - 1 can round to 0 and the
+        xi sum and chi_het can overflow."""
         positive("v_a", self.v_a)
         unit_interval("beta", self.beta)
         unit_interval("eta", self.eta)
         for name in ("xi_line", "xi_det", "v_elec", "alpha_db_per_km"):
             non_negative(name, getattr(self, name))
+        v, xi, chi_h = _chain_inputs(self)
+        positive("v - 1", v - 1.0)
+        non_negative("xi", xi)
+        non_negative("chi_het", chi_h)
 
 
 @dataclass(frozen=True)
@@ -202,14 +169,9 @@ class KeyRateBreakdown:
 
 
 def _chain_inputs(params: KeyRateParams) -> tuple[float, float, float]:
-    """(v, xi, chi_het) of params, range-checked once per curve: each
-    parameter is checked by KeyRateParams, but v - 1 can round to 0 and the
-    sums can overflow."""
-    v, xi = params.v_a + 1.0, params.xi_line + params.xi_det
-    positive("v - 1", v - 1.0)
-    non_negative("xi", xi)
-    chi_h = non_negative("chi_het", chi_het(params.eta, params.v_elec))
-    return v, xi, chi_h
+    """(v, xi, chi_het) of params, which KeyRateParams has checked."""
+    return (params.v_a + 1.0, params.xi_line + params.xi_det,
+            _chi_het(params.eta, params.v_elec))
 
 
 def _rate_terms(params: KeyRateParams, distance_km: float, chain: tuple[float, float, float]):

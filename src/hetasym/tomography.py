@@ -20,6 +20,7 @@ identity.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -32,6 +33,10 @@ from .traces import QuadratureTrace, _distinct, readonly_float_array
 #: Divisor taking SNU quadratures (vacuum variance 1) to the internal
 #: convention (vacuum variance 1/2).
 SNU_TO_INTERNAL = math.sqrt(2.0)
+
+#: Largest |x| whose square is finite in float64; _hermite_gauss_table
+#: rejects larger quadratures, which would read as floored probabilities.
+MAX_QUADRATURE = math.sqrt(sys.float_info.max)
 
 #: Probabilities are floored here before the likelihood ratio to avoid
 #: division underflow; floored samples are counted as a diagnostic.
@@ -118,9 +123,16 @@ def _hermite_gauss_table(x: np.ndarray, dim: int) -> np.ndarray:
 
     Upward recurrence psi_{n} = sqrt(2/n) x psi_{n-1} - sqrt((n-1)/n) psi_{n-2}
     starting from the Gaussian ground state keeps every value bounded, so no
-    renormalization is needed at any order.
+    renormalization is needed at any order.  Every quadrature is squared
+    here, by quadrature_projector and both engines (the grouped one at
+    sqrt(2) x), so a |x| above MAX_QUADRATURE raises ValidationError here.
     """
     x = np.asarray(x, dtype=np.float64)
+    # the extremes need no temporary array; initial=0.0 admits an empty x
+    for value in (float(x.min(initial=0.0)), float(x.max(initial=0.0))):
+        if abs(value) > MAX_QUADRATURE:
+            raise ValidationError(f"quadrature {value!r} overflows float64 when squared "
+                                  f"(|x| must be <= {MAX_QUADRATURE!r})")
     out = np.empty((dim,) + x.shape)
     out[0] = math.pi ** -0.25 * np.exp(-x * x / 2.0)
     if dim > 1:

@@ -16,14 +16,12 @@ from hetasym import (
     HeterodyneModel,
     KeyRateParams,
     ReferenceSignalSpec,
-    chi_het,
     detection_phase_variance,
     estimate_phase,
     excess_noise_from_phase_variance,
     fidelity,
     fit_coherent,
     gains_from_percent,
-    holevo_bound,
     ideal_coherent_state,
     key_rate,
     max_distance,
@@ -33,7 +31,6 @@ from hetasym import (
     phase_variance_from_excess_noise,
     samples_from_trace,
     simulate_heterodyne,
-    symplectic_spectrum,
     wigner,
     wrap_phase,
 )
@@ -117,8 +114,9 @@ def test_criterion_3_keyrate_figure_properties():
 def test_criterion_4_pure_state_holevo():
     for eta in (1.0, 0.68):
         for v_elec in (0.0, 0.1):
-            lams = symplectic_spectrum(11.0, 1.0, 0.0, chi_het(eta, v_elec))
-            assert holevo_bound(lams) < 1e-9
+            pure = KeyRateParams(v_a=10.0, xi_line=0.0, xi_det=0.0, eta=eta,
+                                 v_elec=v_elec, alpha_db_per_km=0.0)
+            assert key_rate(pure, 0.0).holevo < 1e-9
     params = KeyRateParams(v_a=10.0, beta=0.93, xi_line=0.0, xi_det=0.0,
                            eta=1.0, v_elec=0.0, alpha_db_per_km=0.0)
     rate = key_rate(params, 0.0).rate_per_symbol

@@ -629,6 +629,25 @@ class TestTomography:
         assert f"{key} must" in capsys.readouterr().err
         assert not (tmp_path / "tomo.report.txt").exists()
 
+    def test_overflowing_quadrature_exit_2(self, tmp_path, capsys):
+        # x = 1e200 squares to inf in the projector tables: exit 2 naming
+        # the value, not a floored sample and an unconverged exit 3
+        cfg = write_config(tmp_path / "sim.cfg", n_phases=25, pulses_per_phase=40,
+                           amplitude_sq=4.0, seed=1)
+        raw = tmp_path / "raw.csv"
+        assert run("simulate", "--config", cfg, "--out", raw) == 0
+        trace = read_trace_csv(raw)
+        x = trace.x.copy()
+        x[0] = 1e200
+        big = tmp_path / "big.csv"
+        write_trace_csv(big, QuadratureTrace(x, trace.p, trace.phase_true), "simulate",
+                        RunConfig())
+        capsys.readouterr()
+        tomo_cfg = write_config(tmp_path / "tomo.cfg", dim=12)
+        assert run("tomography", big, "--config", tomo_cfg, "--out", tmp_path / "tomo") == 2
+        assert "quadrature 1e+200 overflows float64 when squared" in capsys.readouterr().err
+        assert not list(tmp_path.glob("tomo*.csv")) and not list(tmp_path.glob("tomo*.txt"))
+
     def test_fidelity_command(self, tmp_path, capsys):
         raw = self.bright_trace(tmp_path)
         cfg = self.tomo_config(tmp_path)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from dataclasses import replace
 
 import mpmath as mp
@@ -12,16 +13,21 @@ from hetasym import (
     KeyRateParams,
     NumericalDomainError,
     ValidationError,
-    chi_het,
-    holevo_bound,
     key_rate,
     key_rate_curve,
     max_distance,
-    mutual_information,
-    symplectic_spectrum,
 )
 from hetasym.config import RunConfig
-from hetasym.keyrate import CUTOFF_RESOLUTION_KM, g_entropy, transmittance
+from hetasym.keyrate import (
+    CUTOFF_RESOLUTION_KM,
+    CUTOFF_SEARCH_KM,
+    _chi_het,
+    _g_entropy,
+    _holevo_bound,
+    _mutual_information,
+    _symplectic_spectrum,
+    _transmittance,
+)
 
 # Reference operating point used for the rate-vs-distance figure
 FIG_PARAMS = dict(v_a=10.0, beta=0.93, xi_line=0.02, eta=0.68, v_elec=0.1,
@@ -36,54 +42,59 @@ operating_points = st.builds(
 
 class TestTransmittance:
     def test_zero_distance(self):
-        assert transmittance(0.2, 0.0) == 1.0
+        assert _transmittance(0.2, 0.0) == 1.0
 
     def test_powers_of_ten(self):
-        assert transmittance(0.2, 50.0) == pytest.approx(0.1, rel=1e-12)
-        assert transmittance(0.2, 100.0) == pytest.approx(0.01, rel=1e-12)
+        assert _transmittance(0.2, 50.0) == pytest.approx(0.1, rel=1e-12)
+        assert _transmittance(0.2, 100.0) == pytest.approx(0.01, rel=1e-12)
 
+    # the attenuation is checked by KeyRateParams, the distance by the chain
     def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            transmittance(-0.1, 10.0)
+        with pytest.raises(ValidationError, match="^alpha_db_per_km must"):
+            KeyRateParams(alpha_db_per_km=-0.1)
+        with pytest.raises(ValidationError, match="^distance_km must"):
+            key_rate(KeyRateParams(), -10.0)
 
     @pytest.mark.parametrize("args", [(math.nan, 1.0), (0.2, math.nan)])
     def test_rejects_nan(self, args):
+        alpha_db_per_km, distance_km = args
         with pytest.raises(ValidationError):
-            transmittance(*args)
+            key_rate(KeyRateParams(alpha_db_per_km=alpha_db_per_km), distance_km)
 
 
 class TestChiHet:
     def test_ideal(self):
-        assert chi_het(1.0, 0.0) == 1.0
+        assert _chi_het(1.0, 0.0) == 1.0
 
     def test_reference_operating_point(self):
-        assert chi_het(0.68, 0.1) == pytest.approx((2 - 0.68 + 0.2) / 0.68, rel=1e-12)
-        assert chi_het(0.68, 0.1) == pytest.approx(2.2353, abs=1e-4)
+        assert _chi_het(0.68, 0.1) == pytest.approx((2 - 0.68 + 0.2) / 0.68, rel=1e-12)
+        assert _chi_het(0.68, 0.1) == pytest.approx(2.2353, abs=1e-4)
 
     def test_half_efficiency(self):
-        assert chi_het(0.5, 0.0) == pytest.approx(3.0, rel=1e-12)
+        assert _chi_het(0.5, 0.0) == pytest.approx(3.0, rel=1e-12)
 
     def test_rejects_bad_eta(self):
-        with pytest.raises(ValidationError):
-            chi_het(0.0, 0.0)
+        with pytest.raises(ValidationError, match="^eta must"):
+            KeyRateParams(eta=0.0)
 
     def test_rejects_nan_electronic_noise(self):
-        with pytest.raises(ValidationError):
-            chi_het(0.5, math.nan)
+        with pytest.raises(ValidationError, match="^v_elec must"):
+            KeyRateParams(v_elec=math.nan)
 
 
 class TestMutualInformation:
     def test_clean_channel(self):
-        assert mutual_information(11.0, 1.0, 0.0) == pytest.approx(0.5 * math.log2(11.0), rel=1e-12)
+        assert _mutual_information(11.0, 1.0, 0.0) == pytest.approx(
+            0.5 * math.log2(11.0), rel=1e-12)
 
     def test_vanishes_without_modulation(self):
-        assert mutual_information(1.0 + 1e-12, 0.2, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert _mutual_information(1.0 + 1e-12, 0.2, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_decreasing_in_chi_line(self):
         # chi_line = (1 - T + xi) / T grows with xi and as T falls
-        values = [mutual_information(11.0, 0.3, xi) for xi in np.linspace(0.0, 20.0, 30)]
+        values = [_mutual_information(11.0, 0.3, xi) for xi in np.linspace(0.0, 20.0, 30)]
         assert all(a > b for a, b in zip(values, values[1:]))
-        values = [mutual_information(11.0, t, 0.02) for t in np.linspace(1.0, 1e-6, 30)]
+        values = [_mutual_information(11.0, t, 0.02) for t in np.linspace(1.0, 1e-6, 30)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("v, t, xi", [(11.0, 0.1, 0.02), (1e4 + 1.0, 1.0 - 1e-12, 0.0),
@@ -94,29 +105,25 @@ class TestMutualInformation:
         with mp.workdps(60):
             chi = (1 - mp.mpf(t) + mp.mpf(xi)) / mp.mpf(t)
             expected = mp.log((v + chi) / (1 + chi), 2) / 2
-        assert abs(mutual_information(v, t, xi) - float(expected)) <= 2e-15
+        assert abs(_mutual_information(v, t, xi) - float(expected)) <= 2e-15
 
 
 class TestGEntropy:
     def test_limit_zero(self):
-        assert g_entropy(0.0) == 0.0
+        assert _g_entropy(0.0) == 0.0
 
     def test_one(self):
-        assert g_entropy(1.0) == pytest.approx(2.0, rel=1e-12)
+        assert _g_entropy(1.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_half(self):
         expected = 1.5 * math.log2(1.5) + 0.5  # -0.5*log2(0.5) == +0.5
-        assert g_entropy(0.5) == pytest.approx(expected, rel=1e-12)
-        assert g_entropy(0.5) == pytest.approx(1.3774, abs=1e-4)
+        assert _g_entropy(0.5) == pytest.approx(expected, rel=1e-12)
+        assert _g_entropy(0.5) == pytest.approx(1.3774, abs=1e-4)
 
     def test_increasing(self):
         xs = np.linspace(0.0, 10.0, 100)
-        ys = [g_entropy(x) for x in xs]
+        ys = [_g_entropy(x) for x in xs]
         assert all(a < b for a, b in zip(ys, ys[1:]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            g_entropy(-1e-9)
 
 
 def symplectic_eigs_oracle(cov: np.ndarray) -> np.ndarray:
@@ -159,7 +166,7 @@ def conditional_entropy_oracle(v, t, xi_out, eta, v_elec):
     gam_b = cov[np.ix_(idx_b, idx_b)]
     cross = cov[np.ix_(idx_r, idx_b)]
     cond = cov[np.ix_(idx_r, idx_r)] - cross @ np.linalg.inv(gam_b + np.eye(2)) @ cross.T
-    return sum(g_entropy(max((lam - 1.0) / 2.0, 0.0))
+    return sum(_g_entropy(max((lam - 1.0) / 2.0, 0.0))
                for lam in symplectic_eigs_oracle(cond))
 
 
@@ -186,17 +193,17 @@ def symplectic_pair_oracle(a: float, b: float, c: float) -> tuple[float, float]:
 class TestSymplecticSpectrum:
     def test_pure_limit_unit_chi_het(self):
         for v in (2.0, 11.0, 40.0):
-            lams = symplectic_spectrum(v, 1.0, 0.0, 1.0)
+            lams = _symplectic_spectrum(v, 1.0, 0.0, 1.0)
             np.testing.assert_allclose(lams, 1.0, atol=1e-9)
 
     def test_pure_limit_zero_chi_het(self):
-        lams = symplectic_spectrum(11.0, 1.0, 0.0, 0.0)
+        lams = _symplectic_spectrum(11.0, 1.0, 0.0, 0.0)
         assert lams[0] == pytest.approx(1.0, abs=1e-9)
         assert lams[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_reference_point_physical(self):
-        t = transmittance(0.2, 20.0)
-        lams = symplectic_spectrum(11.0, t, 0.02, chi_het(0.68, 0.1))
+        t = _transmittance(0.2, 20.0)
+        lams = _symplectic_spectrum(11.0, t, 0.02, _chi_het(0.68, 0.1))
         assert all(lam >= 1.0 - 1e-9 for lam in lams)
 
     def test_lambda12_against_covariance_oracle(self):
@@ -205,8 +212,8 @@ class TestSymplecticSpectrum:
         for distance in (5.0, 20.0, 45.0):
             for xi_det in (0.0, 0.0140, 0.1091):
                 v, xi = 11.0, 0.02 + xi_det
-                t = transmittance(0.2, distance)
-                lams = symplectic_spectrum(v, t, xi, chi_het(0.68, 0.1))
+                t = _transmittance(0.2, distance)
+                lams = _symplectic_spectrum(v, t, xi, _chi_het(0.68, 0.1))
                 a, b = v, t * v + 1.0 - t + xi
                 c = math.sqrt(t * (v * v - 1.0))
                 big, small = symplectic_pair_oracle(a, b, c)
@@ -219,35 +226,38 @@ class TestSymplecticSpectrum:
         for distance in (0.0, 5.0, 12.0, 20.0, 40.0, 70.0):
             for xi_out in (0.02, 0.0216, 0.034, 0.1491):
                 v, eta, v_elec = 11.0, 0.68, 0.1
-                t = transmittance(0.2, distance)
-                lams = symplectic_spectrum(v, t, xi_out, chi_het(eta, v_elec))
-                closed = (g_entropy((lams[2] - 1.0) / 2.0)
-                          + g_entropy((lams[3] - 1.0) / 2.0))
+                t = _transmittance(0.2, distance)
+                lams = _symplectic_spectrum(v, t, xi_out, _chi_het(eta, v_elec))
+                closed = (_g_entropy((lams[2] - 1.0) / 2.0)
+                          + _g_entropy((lams[3] - 1.0) / 2.0))
                 oracle = conditional_entropy_oracle(v, t, xi_out, eta, v_elec)
                 assert closed == pytest.approx(oracle, abs=1e-9)
 
     def test_large_detector_noise_decouples_eve(self):
         # chi_het -> infinity: Bob's measurement reveals nothing, so the
         # conditional spectrum approaches the unconditional one
-        lams = symplectic_spectrum(11.0, transmittance(0.2, 25.0), 0.05, 1e8)
+        lams = _symplectic_spectrum(11.0, _transmittance(0.2, 25.0), 0.05, 1e8)
         assert lams[2] == pytest.approx(lams[0], rel=1e-6)
         assert lams[3] == pytest.approx(lams[1], rel=1e-6)
-        assert holevo_bound(lams) == pytest.approx(0.0, abs=1e-5)
+        assert _holevo_bound(lams) == pytest.approx(0.0, abs=1e-5)
 
     def test_unphysical_rejected(self):
-        with pytest.raises(ValidationError):
-            symplectic_spectrum(0.5, 1.0, 0.0, 1.0)
+        # v = V_A + 1 <= 1: no modulation, or one that rounds away in v - 1
+        with pytest.raises(ValidationError, match="^v_a must"):
+            KeyRateParams(v_a=-0.5)
+        with pytest.raises(ValidationError, match="^v - 1 must"):
+            KeyRateParams(v_a=1e-17)
 
     def test_chi_line_below_loss_rejected(self):
         # chi_line = (1 - T + xi) / T below its loss floor 1/T - 1 is a
         # negative xi: an input error, not a numerical one
-        with pytest.raises(ValidationError, match="^xi must"):
-            symplectic_spectrum(11.0, 0.5, -0.25, 1.0)
+        with pytest.raises(ValidationError, match="^xi_line must"):
+            KeyRateParams(xi_line=-0.25)
 
     def test_sub_unit_lambda4_not_clamped_away(self):
         # chi_het < 1 is no detector's noise; here lambda4 = 1 - 1.04e-3
         with pytest.raises(NumericalDomainError, match="symplectic eigenvalue 0.998"):
-            symplectic_spectrum(1001.0, 0.01, 0.02, 0.9)
+            _symplectic_spectrum(1001.0, 0.01, 0.02, 0.9)
 
 
 @settings(max_examples=500, deadline=None)
@@ -256,34 +266,22 @@ class TestSymplecticSpectrum:
 def test_physical_spectrum_is_ordered_and_factors(v_minus_1, t, xi, chi_h):
     # lambda1 lambda2 = sqrt(B)
     v = 1.0 + v_minus_1
-    l1, l2, l3, l4 = symplectic_spectrum(v, t, xi, chi_h)
+    l1, l2, l3, l4 = _symplectic_spectrum(v, t, xi, chi_h)
     assert l1 >= l2 >= 1.0 and l3 >= l4 >= 1.0
     assert l1 * l2 == pytest.approx(t + (1.0 - t) * v + v * xi, rel=1e-11)
 
 
 class TestHolevoBound:
     def test_pure_state(self):
-        assert holevo_bound((1.0, 1.0, 1.0, 1.0)) == 0.0
+        assert _holevo_bound((1.0, 1.0, 1.0, 1.0)) == 0.0
 
     def test_single_thermal_mode(self):
-        assert holevo_bound((3.0, 1.0, 1.0, 1.0)) == pytest.approx(2.0, rel=1e-12)
+        assert _holevo_bound((3.0, 1.0, 1.0, 1.0)) == pytest.approx(2.0, rel=1e-12)
 
     def test_lossless_noiseless_chain(self):
-        lams = symplectic_spectrum(11.0, 1.0, 0.0, chi_het(1.0, 0.0))
-        assert holevo_bound(lams) < 1e-9
+        lams = _symplectic_spectrum(11.0, 1.0, 0.0, _chi_het(1.0, 0.0))
+        assert _holevo_bound(lams) < 1e-9
 
-    def test_rejects_sub_unit(self):
-        with pytest.raises(NumericalDomainError):
-            holevo_bound((0.9, 1.0, 1.0, 1.0))
-
-    def test_rejects_three_eigenvalues(self):
-        with pytest.raises(ValidationError, match="four symplectic eigenvalues, got 3"):
-            holevo_bound((1.0, 1.0, 1.0))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValidationError, match="must be finite"):
-            holevo_bound((bad, 1.0, 1.0, 1.0))
 
 
 class TestKeyRate:
@@ -308,17 +306,16 @@ class TestKeyRate:
         result = key_rate(replace(params, beta=1e-12), 10.0)
         assert result.rate_per_symbol <= 0.0
 
-    # the sweep checks the parameters once per curve and calls the kernels
-    # behind the public functions; it must still give their rate, bit for bit
+    # the chain must give the rate its kernels compose, bit for bit
     @settings(max_examples=200, deadline=None)
     @given(operating_points, st.floats(0.0, 500.0))
     @example(KeyRateParams(**FIG_PARAMS, xi_det=0.0140), 30.0)
     def test_breakdown_recomposition(self, params, distance):
         (from_curve,) = key_rate_curve(params, [distance])
         v, xi = params.v_a + 1.0, params.xi_line + params.xi_det
-        t = transmittance(params.alpha_db_per_km, distance)
-        lams = symplectic_spectrum(v, t, xi, chi_het(params.eta, params.v_elec))
-        from_pieces = params.beta * mutual_information(v, t, xi) - holevo_bound(lams)
+        t = _transmittance(params.alpha_db_per_km, distance)
+        lams = _symplectic_spectrum(v, t, xi, _chi_het(params.eta, params.v_elec))
+        from_pieces = params.beta * _mutual_information(v, t, xi) - _holevo_bound(lams)
         assert from_curve == key_rate(params, distance).rate_per_symbol == from_pieces
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
@@ -514,7 +511,7 @@ class TestEigenvalueOverflow:
 
     def test_spectrum_says_overflow(self):
         with pytest.raises(NumericalDomainError, match="^symplectic eigenvalue overflows"):
-            symplectic_spectrum(1e200, 0.5, 0.02, 2.0)
+            _symplectic_spectrum(1e200, 0.5, 0.02, 2.0)
 
 
 class TestTransmittanceUnderflow:
@@ -592,3 +589,57 @@ class TestValidation:
     def test_params_rejected(self, kwargs):
         with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
             KeyRateParams(**kwargs)
+
+    # what the chain derives from valid fields: v - 1 rounds to 0, the xi
+    # sum overflows, chi_het overflows
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"v_a": 1e-17}, "v - 1"), ({"xi_line": 1e308, "xi_det": 1e308}, "xi"),
+        ({"eta": 5e-324}, "chi_het"), ({"v_elec": 1e308, "eta": 0.5}, "chi_het"),
+    ])
+    def test_derived_values_rejected(self, kwargs, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            KeyRateParams(**kwargs)
+
+
+EXTREMES = [0.0, -0.0, 5e-324, 1e-300, 1e150, 1e300, sys.float_info.max,
+            -1e-300, -1.0, -sys.float_info.max, math.nan, math.inf, -math.inf]
+
+
+def _field(ordinary):
+    # one value in four from EXTREMES, so about a quarter of the draws
+    # build a valid KeyRateParams
+    return st.tuples(st.integers(0, 3), ordinary, st.sampled_from(EXTREMES)).map(
+        lambda drawn: drawn[2] if drawn[0] == 0 else drawn[1])
+
+
+# KeyRateParams is the one place the parameters are checked and the chain
+# checks only the distance, so a valid KeyRateParams must give finite
+# numbers or a NumericalDomainError at every distance, never a NaN
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    "v_a": _field(st.floats(1e-3, 100.0)), "beta": _field(st.floats(0.01, 1.0)),
+    "xi_line": _field(st.floats(0.0, 0.2)), "xi_det": _field(st.floats(0.0, 0.2)),
+    "eta": _field(st.floats(0.01, 1.0)), "v_elec": _field(st.floats(0.0, 1.0)),
+    "alpha_db_per_km": _field(st.floats(0.0, 1.0)),
+}), st.floats(0.0, 1e300))
+def test_valid_params_give_finite_numbers_or_a_domain_error(kwargs, distance):
+    try:
+        params = KeyRateParams(**kwargs)
+    except ValidationError:
+        return
+    try:
+        result = key_rate(params, distance)
+        assert all(math.isfinite(value) for value in (
+            result.transmittance, result.chi_het, result.mutual_info, *result.lambdas,
+            result.holevo, result.rate_per_symbol))
+    except NumericalDomainError:
+        pass
+    try:
+        assert all(math.isfinite(rate) for rate in key_rate_curve(params, [0.0, distance]))
+    except NumericalDomainError:
+        pass
+    try:
+        cutoff = max_distance(params)
+        assert cutoff == math.inf or 0.0 <= cutoff <= CUTOFF_SEARCH_KM
+    except NumericalDomainError:
+        pass

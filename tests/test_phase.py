@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -158,18 +159,27 @@ class TestDetectionVariance:
             detection_phase_variance(base - TWO_PI, other), rel=1e-12)
 
     def test_matches_quadrature_oracle(self):
-        # independent oracle: variance of the closed-form deviation integrated
-        # over one period with a dense trapezoid rule
-        gain, _ = gains_from_percent(14.29)
+        # The deviation is arg(1 + eps e^{-2i theta}) with eps = (1 - g) / (1 + g)
+        # = asymmetry / 200, whose Fourier series gives v_det = 1/2 Li2(eps^2)
+        # exactly.  A dense trapezoid rule over one period checks that closed
+        # form; v_det of a noiseless full sweep, from phase_true and from the
+        # min-max scaled trace alike, must equal it to rounding (measured
+        # worst 1.0e-14 relative)
         fine = np.linspace(0.0, TWO_PI, 1_000_001)
-        delta = deviation_oracle(gain, fine)
-        mean = np.trapezoid(delta, fine) / TWO_PI
-        oracle = np.trapezoid((delta - mean) ** 2, fine) / TWO_PI
+        for percent in MEASURED_XI_DET:
+            gain, _ = gains_from_percent(percent)
+            with mp.workdps(30):
+                closed = float(mp.polylog(2, (mp.mpf(percent) / 200) ** 2) / 2)
+            delta = deviation_oracle(gain, fine)
+            mean = np.trapezoid(delta, fine) / TWO_PI
+            assert np.trapezoid((delta - mean) ** 2, fine) / TWO_PI == pytest.approx(
+                closed, rel=1e-6)
 
-        tr = noiseless_sweep(gain)
-        est_asym = estimate_phase(tr)
-        v_det = detection_phase_variance(tr.phase_true, est_asym)
-        assert v_det == pytest.approx(oracle, rel=1e-6)
+            tr = noiseless_sweep(gain)
+            est_asym = estimate_phase(tr)
+            for reference in (tr.phase_true, estimate_phase(min_max_scale(tr))):
+                v_det = detection_phase_variance(reference, est_asym)
+                assert v_det == pytest.approx(closed, rel=1e-13)
 
     @pytest.mark.parametrize("theta_scaled, theta_asym, message", [
         ([0.1], [0.2], "need at least 2 samples, got 1"),

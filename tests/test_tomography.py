@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hetasym import (
     wigner,
 )
 from hetasym.tomography import (
+    MAX_QUADRATURE,
     _DenseEngine,
     _GroupedEngine,
     _make_engine,
@@ -131,6 +133,15 @@ class TestQuadratureProjector:
     def test_rejects_non_finite_samples(self, theta, x, name):
         with pytest.raises(ValidationError, match=f"^{name} contains non-finite"):
             quadrature_projector(theta, x, 3)
+
+    def test_rejects_a_quadrature_whose_square_overflows(self):
+        # MAX_QUADRATURE squared is the float64 maximum; the next float up
+        # squares to inf
+        assert np.all(quadrature_projector(0.0, -MAX_QUADRATURE, 3) == 0.0)
+        too_large = math.nextafter(MAX_QUADRATURE, math.inf)
+        message = re.escape(f"quadrature {too_large!r} overflows")
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            quadrature_projector(np.zeros(2), np.array([0.5, too_large]), 3)
 
 
 class TestIdealCoherentState:
@@ -330,6 +341,31 @@ class TestMLEReconstruct:
             samples = PhaseTaggedSamples(tags, xs)
         result = mle_reconstruct(samples, 2, max_iter=2, tol=1e-12)
         assert result.floored > 0
+
+    # a sample whose square overflows is an input error, not a floored
+    # probability; the grouped engine squares sqrt(2) x, so it also rejects
+    # MAX_QUADRATURE itself
+    @pytest.mark.parametrize("repeats, x_max, grouped", [
+        (1, 1e200, False), (4, 1e200, True), (4, MAX_QUADRATURE, True),
+    ])
+    def test_overflowing_quadrature_rejected(self, repeats, x_max, grouped):
+        tags = np.repeat(make_phase_ramp(40), repeats)
+        xs = np.zeros(tags.size)
+        xs[7] = x_max
+        samples = PhaseTaggedSamples(tags, xs)
+        assert _make_engine(PhaseTaggedSamples(tags, np.zeros(tags.size)), 3)[1] == grouped
+        with pytest.raises(ValidationError, match="overflows float64 when squared"):
+            mle_reconstruct(samples, 3, max_iter=5)
+
+    def test_underflowing_quadrature_is_floored(self):
+        # a finite square whose Gaussian underflows still reads as floored
+        tags = make_phase_ramp(40)
+        xs = np.zeros(tags.size)
+        xs[7] = 1e100
+        result = mle_reconstruct(PhaseTaggedSamples(tags, xs), 3, max_iter=5)
+        assert result.floored == 1
+        assert result.gap == math.inf
+        assert not result.converged
 
     def test_result_satisfies_density_contract(self):
         rng = np.random.default_rng(12)
