@@ -25,7 +25,7 @@ _EXPORTS = {
     "tomography": ("DensityMatrix", "PhaseTaggedSamples", "WignerGrid", "fidelity",
                    "fit_coherent", "ideal_coherent_state", "mle_reconstruct",
                    "quadrature_projector", "samples_from_trace", "wigner"),
-    "traces": ("QuadratureTrace", "ReferenceSignalSpec", "make_phase_ramp"),
+    "traces": ("QuadratureTrace", "make_phase_ramp"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

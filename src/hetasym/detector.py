@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, positive, unit_interval
-from .traces import QuadratureTrace, ReferenceSignalSpec
+from .traces import QuadratureTrace, readonly_float_array
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,11 @@ def gains_from_percent(percent: float) -> tuple[float, float]:
     return (200.0 - percent) / (200.0 + percent), 1.0
 
 
-def simulate_heterodyne(signal: ReferenceSignalSpec, det: HeterodyneModel,
+def simulate_heterodyne(amplitude_sq: float, phases, det: HeterodyneModel,
                         seed: int) -> QuadratureTrace:
-    """Simulate heterodyne measurement of the phase-swept reference signal.
+    """Simulate heterodyne measurement of a reference of squared quadrature
+    amplitude amplitude_sq (SNU) at the true phases (radians, one per pulse;
+    see :func:`hetasym.traces.make_phase_ramp`).
 
     For each sample with true phase theta:
 
@@ -78,14 +80,17 @@ def simulate_heterodyne(signal: ReferenceSignalSpec, det: HeterodyneModel,
         p = gain_p * (A sin(theta + hybrid_phase_error) + n_p)
 
     with A = sqrt(amplitude_sq) and n_x, n_p independent zero-mean Gaussians
-    of variance noise_var.  Identical (signal, det, seed) produce
-    bit-identical traces; the seed must be a non-negative integer.
+    of variance noise_var.  Identical arguments produce bit-identical
+    traces; the seed must be a non-negative integer.
     """
+    positive("amplitude_sq", amplitude_sq)
+    theta = readonly_float_array(phases, "phases")
+    if theta.size == 0:
+        raise ValidationError("phase sweep must contain at least one point")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
-    theta = signal.sample_phases()
-    amp = signal.amplitude
+    amp = math.sqrt(amplitude_sq)
     noise_std = math.sqrt(det.noise_var)
     n_x = noise_std * rng.standard_normal(theta.size)
     n_p = noise_std * rng.standard_normal(theta.size)

@@ -34,9 +34,13 @@ from .traces import QuadratureTrace, _distinct, readonly_float_array
 #: convention (vacuum variance 1/2).
 SNU_TO_INTERNAL = math.sqrt(2.0)
 
-#: Largest |x| whose square is finite in float64; _hermite_gauss_table
+#: Largest |x| whose square is finite in float64; quadrature_projector
 #: rejects larger quadratures, which would read as floored probabilities.
 MAX_QUADRATURE = math.sqrt(sys.float_info.max)
+
+#: Largest |x| that PhaseTaggedSamples accepts.  The grouped MLE engine
+#: squares sqrt(2) x, so this one bound serves both engines.
+_MAX_SAMPLE = MAX_QUADRATURE / math.sqrt(2.0)
 
 #: Probabilities are floored here before the likelihood ratio to avoid
 #: division underflow; floored samples are counted as a diagnostic.
@@ -94,6 +98,7 @@ class PhaseTaggedSamples:
             raise ValidationError(f"theta and x differ in length ({theta.size} vs {x.size})")
         if theta.size == 0:
             raise ValidationError("samples are empty")
+        _check_quadratures(x, _MAX_SAMPLE, " as sqrt(2) x by the grouped MLE engine")
         distinct = _distinct(theta)
         # x at theta + pi is -x at theta, so tags that agree modulo pi all
         # measure one quadrature
@@ -117,22 +122,25 @@ class PhaseTaggedSamples:
         return self.theta.size
 
 
+def _check_quadratures(x: np.ndarray, limit: float, how: str = "") -> None:
+    """Raise ValidationError unless every |x| is at most limit."""
+    # the extremes need no temporary array; initial=0.0 admits an empty x
+    for value in (float(x.min(initial=0.0)), float(x.max(initial=0.0))):
+        if abs(value) > limit:
+            raise ValidationError(f"quadrature {value!r} overflows float64 when squared{how} "
+                                  f"(|x| must be <= {limit!r})")
+
+
 def _hermite_gauss_table(x: np.ndarray, dim: int) -> np.ndarray:
     """psi_n(x) for n < dim, vacuum variance 1/2, order first: shape
     (dim,) + x.shape, so every step of the recurrence writes contiguously.
 
     Upward recurrence psi_{n} = sqrt(2/n) x psi_{n-1} - sqrt((n-1)/n) psi_{n-2}
     starting from the Gaussian ground state keeps every value bounded, so no
-    renormalization is needed at any order.  Every quadrature is squared
-    here, by quadrature_projector and both engines (the grouped one at
-    sqrt(2) x), so a |x| above MAX_QUADRATURE raises ValidationError here.
+    renormalization is needed at any order.  x * x must be finite, which
+    the callers check where their input enters.
     """
     x = np.asarray(x, dtype=np.float64)
-    # the extremes need no temporary array; initial=0.0 admits an empty x
-    for value in (float(x.min(initial=0.0)), float(x.max(initial=0.0))):
-        if abs(value) > MAX_QUADRATURE:
-            raise ValidationError(f"quadrature {value!r} overflows float64 when squared "
-                                  f"(|x| must be <= {MAX_QUADRATURE!r})")
     out = np.empty((dim,) + x.shape)
     out[0] = math.pi ** -0.25 * np.exp(-x * x / 2.0)
     if dim > 1:
@@ -154,6 +162,7 @@ def quadrature_projector(theta, x, dim: int) -> np.ndarray:
     for arr, name in ((theta_arr, "theta"), (x_arr, "x")):
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{name} contains non-finite values")
+    _check_quadratures(x_arr, MAX_QUADRATURE)
     table = _hermite_gauss_table(x_arr, dim).astype(np.complex128)
     # e^{-i n theta} as powers of e^{-i theta}: one complex exp per sample
     # instead of dim, at a rounding error that grows only like n * eps
@@ -604,21 +613,28 @@ def fit_coherent(rho: DensityMatrix) -> complex:
     return complex((np.sqrt(k) * np.diag(mat, -1)).sum())
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Root fidelity sum_i sqrt(lam_i) over the eigenvalues lam_i of
-    sqrt(rho) sigma sqrt(rho), clamped at 1; its square is the Uhlmann form.
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Square root of a PSD matrix from eigh; eigenvalues at or below
+    dim eps lambda_max, rounding noise or negative, count as 0."""
+    w, v = np.linalg.eigh(mat)
+    w = np.where(w > w.size * np.finfo(np.float64).eps * w[-1], w, 0.0)
+    return (v * np.sqrt(w)) @ v.conj().T
 
-    Small negative eigenvalues are truncated to zero before the square
-    roots.
+
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Root fidelity: the trace norm of sqrt(rho) sqrt(sigma), the sum of its
+    singular values (Jozsa, J. Mod. Opt. 41, 2315 (1994)), clamped at 1;
+    its square is the Uhlmann form.
+
+    Dropping rounding-level eigenvalues from each square root keeps them
+    from adding their square roots (about 3e-9 each at 1e-17) to the sum,
+    so against a pure sigma = |psi><psi| the value is sqrt(<psi|rho|psi>)
+    to rounding.
     """
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    w, v = np.linalg.eigh(rho.matrix)
-    w = np.clip(w, 0.0, None)
-    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
-    mid = sqrt_rho @ sigma.matrix @ sqrt_rho
-    lams = np.linalg.eigvalsh(0.5 * (mid + mid.conj().T))
-    value = float(np.sqrt(np.clip(lams, 0.0, None)).sum())
+    product = _psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix)
+    value = float(np.linalg.svd(product, compute_uv=False).sum())
     if value > 1.0 + 1e-6:
         raise NumericalDomainError(f"fidelity {value} exceeds 1 beyond numerical tolerance")
     return min(value, 1.0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, integer_at_least, positive
+from .errors import ValidationError, integer_at_least
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,42 +70,6 @@ class QuadratureTrace:
         return len(self.x)
 
 
-@dataclass(frozen=True, eq=False)
-class ReferenceSignalSpec:
-    """Description of the phase-swept reference (pilot) signal.
-
-    amplitude_sq is the squared quadrature amplitude of the reference in SNU
-    (e.g. 552 for the monitored reference level); phases holds the true
-    phase of each phase point and pulses_per_phase repeats each point.
-    """
-
-    amplitude_sq: float
-    phases: np.ndarray
-    pulses_per_phase: int = 1
-
-    def __post_init__(self):
-        positive("amplitude_sq", self.amplitude_sq)
-        object.__setattr__(self, "phases", readonly_float_array(self.phases, "phases"))
-        if len(self.phases) == 0:
-            raise ValidationError("phase sweep must contain at least one point")
-        object.__setattr__(self, "pulses_per_phase",
-                           integer_at_least("pulses_per_phase", self.pulses_per_phase, 1))
-
-    @classmethod
-    def ramp(cls, amplitude_sq: float, n_phases: int,
-             pulses_per_phase: int = 1) -> "ReferenceSignalSpec":
-        """A sweep of n_phases equally spaced points over one full turn from 0."""
-        return cls(amplitude_sq, make_phase_ramp(n_phases), pulses_per_phase)
-
-    @property
-    def amplitude(self) -> float:
-        return math.sqrt(self.amplitude_sq)
-
-    def sample_phases(self) -> np.ndarray:
-        """Per-sample true phases (each phase point repeated per pulse)."""
-        return np.repeat(self.phases, self.pulses_per_phase)
-
-
 def _distinct(values) -> np.ndarray:
     """Sorted distinct values.  np.unique without return_counts checks for a
     masked array first, which imports numpy.ma: 10-16 ms of every command
@@ -134,7 +98,9 @@ def spans_full_rotation(phases) -> bool:
     return float(gaps.max()) <= _MAX_SWEEP_GAP
 
 
-def make_phase_ramp(n_phases: int) -> np.ndarray:
-    """n_phases equally spaced phases covering [0, 2 pi), the first at 0."""
+def make_phase_ramp(n_phases: int, pulses_per_phase: int = 1) -> np.ndarray:
+    """Per-pulse phases of a sweep over one full turn from 0: the n_phases
+    points 2 pi k / n_phases, each repeated pulses_per_phase times."""
     n = integer_at_least("n_phases", n_phases, 2)
-    return TWO_PI * np.arange(n) / n
+    pulses = integer_at_least("pulses_per_phase", pulses_per_phase, 1)
+    return np.repeat(TWO_PI * np.arange(n) / n, pulses)

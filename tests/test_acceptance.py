@@ -15,7 +15,6 @@ import numpy as np
 from hetasym import (
     HeterodyneModel,
     KeyRateParams,
-    ReferenceSignalSpec,
     detection_phase_variance,
     estimate_phase,
     excess_noise_from_phase_variance,
@@ -24,6 +23,7 @@ from hetasym import (
     gains_from_percent,
     ideal_coherent_state,
     key_rate,
+    make_phase_ramp,
     max_distance,
     min_max_scale,
     mle_reconstruct,
@@ -51,9 +51,8 @@ def report(criterion: int, detail: str) -> None:
 
 def noiseless_sweep(percent: float, n: int = 7200) -> "QuadratureTrace":
     gain, _ = gains_from_percent(percent)
-    spec = ReferenceSignalSpec.ramp(100.0, n)
     det = HeterodyneModel(gain_x=gain, noise_var=1e-30)
-    return simulate_heterodyne(spec, det, 1)
+    return simulate_heterodyne(100.0, make_phase_ramp(n), det, 1)
 
 
 def test_criterion_1_percentage_difference_round_trip():
@@ -184,7 +183,7 @@ def test_criterion_7_tomography_desk_scale():
     # dim = 25 Fock space; 5e4 heterodyne shots give 1e5 quadrature samples.
     amplitude_sq = 552.0
     scale = math.sqrt(amplitude_sq) / 4.0
-    spec = ReferenceSignalSpec.ramp(amplitude_sq, 200, pulses_per_phase=250)
+    phases = make_phase_ramp(200, pulses_per_phase=250)
     gain, _ = gains_from_percent(14.29)
 
     def reconstruct(trace):
@@ -194,8 +193,9 @@ def test_criterion_7_tomography_desk_scale():
         reference = ideal_coherent_state(fit_coherent(result.rho), 25)
         return fidelity(result.rho, reference), result
 
-    sym_trace = simulate_heterodyne(spec, HeterodyneModel(), 20250808)
-    asym_trace = simulate_heterodyne(spec, HeterodyneModel(gain_x=gain), 20250808)
+    sym_trace = simulate_heterodyne(amplitude_sq, phases, HeterodyneModel(), 20250808)
+    asym_trace = simulate_heterodyne(amplitude_sq, phases, HeterodyneModel(gain_x=gain),
+                                     20250808)
     scaled_trace = min_max_scale(asym_trace)
 
     fid_sym, res_sym = reconstruct(sym_trace)

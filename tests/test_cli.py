@@ -3,19 +3,19 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hetasym
 from hetasym import (
     HeterodyneModel,
     QuadratureTrace,
-    ReferenceSignalSpec,
     gains_from_percent,
     make_phase_ramp,
     simulate_heterodyne,
@@ -264,8 +264,8 @@ class TestScale:
     def test_partial_sweep_exit_2(self, tmp_path):
         # half a rotation misses an extreme of the x span; without the check
         # this reported ~42.7% for a true 14.29% asymmetry with exit code 0
-        half_turn = ReferenceSignalSpec(552.0, make_phase_ramp(40000)[:20000])
-        trace = simulate_heterodyne(half_turn, HeterodyneModel(*gains_from_percent(14.29)),
+        half_turn = make_phase_ramp(40000)[:20000]
+        trace = simulate_heterodyne(552.0, half_turn, HeterodyneModel(*gains_from_percent(14.29)),
                                     RunConfig().seed)
         raw = tmp_path / "raw.csv"
         write_trace_csv(raw, trace, "simulate", RunConfig())
@@ -542,6 +542,67 @@ class TestKeyrateSweep:
         assert not out.exists()
 
 
+# the extremes of float64 that a config value can take: zero, the smallest
+# subnormal, a tiny and a huge normal, the largest float, and their negatives
+_EXTREMES = [0.0, 5e-324, 1e-300, 1e300, sys.float_info.max]
+_EXTREME = st.sampled_from(_EXTREMES + [-value for value in _EXTREMES])
+#: ordinary values of the config keys that KeyRateParams reads (its
+#: seventh parameter, xi_det, comes from xi_det_values)
+_ORDINARY = {
+    "v_a": st.floats(1.0, 50.0), "beta": st.floats(0.5, 1.0),
+    "xi_line": st.floats(0.0, 0.2), "eta": st.floats(0.3, 1.0),
+    "v_elec": st.floats(0.0, 0.5), "alpha_db_per_km": st.floats(0.0, 1.0),
+}
+_SWEEP_KEYS = [*_ORDINARY, "xi_det_values", "distance_min_km", "distance_max_km",
+               "distance_step_km"]
+
+
+@st.composite
+def sweep_configs(draw):
+    """keyrate-sweep config values: up to three keys extreme, the rest
+    ordinary.  A grid has at most 1,000 distances, unless it is drawn at or
+    past the 10**6 cap, which keyrate-sweep rejects before computing."""
+    extreme = draw(st.sets(st.sampled_from(_SWEEP_KEYS), max_size=3))
+
+    def value(key, ordinary):
+        return draw(_EXTREME if key in extreme else ordinary)
+
+    values = {key: value(key, ordinary) for key, ordinary in _ORDINARY.items()}
+    xi_det = [value("xi_det_values", st.floats(0.0, 0.2))]
+    xi_det += draw(st.lists(st.floats(0.0, 0.2), max_size=2))
+    values["xi_det_values"] = ",".join(render(xi) for xi in xi_det)
+    start = value("distance_min_km", st.floats(0.0, 100.0))
+    step = value("distance_step_km", st.floats(0.01, 10.0))
+    count = draw(st.integers(0, 999) | st.sampled_from([10**6, 10**6 + 1]))
+    stop = value("distance_max_km", st.just(start + count * step))
+    if step > 0.0 and stop >= start:
+        assume(not 999.0 < (stop - start) / step < 10**6)
+    values.update(distance_min_km=start, distance_max_km=stop, distance_step_km=step)
+    return values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sweep_configs())
+@example({key: getattr(RunConfig(), key) for key in _SWEEP_KEYS})
+def test_keyrate_sweep_contract(values):
+    # whatever the values, keyrate-sweep exits 0, 2 or 3 and raises nothing;
+    # on exit 0 every rate is finite and every cutoff finite and >= 0, or inf
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp) / "c.cfg",
+                           **{key: render(values[key]) for key in _SWEEP_KEYS})
+        out = Path(tmp) / "rates.csv"
+        code = run("keyrate-sweep", "--config", cfg, "--out", out)
+        assert code in (0, 2, 3)
+        if code != 0:
+            return
+        lines = out.read_text().splitlines()
+    cutoffs = [float(line.rsplit(": ", 1)[1]) for line in lines
+               if line.startswith("# max_distance_km")]
+    assert cutoffs and all(c == math.inf or 0.0 <= c < math.inf for c in cutoffs)
+    rows = [line for line in lines if not line.startswith("#")][1:]
+    assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
 class TestTomography:
     def bright_trace(self, tmp_path, pct=0.0, n_phases=80, ppp=25) -> Path:
         cfg = write_config(tmp_path / "sim.cfg", n_phases=n_phases,
@@ -631,7 +692,8 @@ class TestTomography:
 
     def test_overflowing_quadrature_exit_2(self, tmp_path, capsys):
         # x = 1e200 squares to inf in the projector tables: exit 2 naming
-        # the value, not a floored sample and an unconverged exit 3
+        # the internal value, x / sqrt(2), not a floored sample and an
+        # unconverged exit 3
         cfg = write_config(tmp_path / "sim.cfg", n_phases=25, pulses_per_phase=40,
                            amplitude_sq=4.0, seed=1)
         raw = tmp_path / "raw.csv"
@@ -645,7 +707,8 @@ class TestTomography:
         capsys.readouterr()
         tomo_cfg = write_config(tmp_path / "tomo.cfg", dim=12)
         assert run("tomography", big, "--config", tomo_cfg, "--out", tmp_path / "tomo") == 2
-        assert "quadrature 1e+200 overflows float64 when squared" in capsys.readouterr().err
+        message = f"quadrature {1e200 / math.sqrt(2.0)!r} overflows float64 when squared"
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("tomo*.csv")) and not list(tmp_path.glob("tomo*.txt"))
 
     def test_fidelity_command(self, tmp_path, capsys):

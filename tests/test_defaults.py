@@ -9,9 +9,9 @@ import pytest
 from hetasym import (
     HeterodyneModel,
     KeyRateParams,
-    ReferenceSignalSpec,
     estimate_phase,
     gains_from_percent,
+    make_phase_ramp,
     mle_reconstruct,
     samples_from_trace,
 )
@@ -39,8 +39,8 @@ PAIRS = {
     **{f"samples_from_trace.{key}": (default_of(samples_from_trace, key), getattr(CONFIG, key))
        for key in ("use_true_phase", "block", "amplitude_scale")},
     "estimate_phase.block": (default_of(estimate_phase, "block"), CONFIG.block),
-    "ReferenceSignalSpec.ramp.pulses_per_phase": (
-        default_of(ReferenceSignalSpec.ramp, "pulses_per_phase"), CONFIG.pulses_per_phase),
+    "make_phase_ramp.pulses_per_phase": (
+        default_of(make_phase_ramp, "pulses_per_phase"), CONFIG.pulses_per_phase),
 }
 
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from hetasym import (
     HeterodyneModel,
-    ReferenceSignalSpec,
     ValidationError,
     gains_from_percent,
+    make_phase_ramp,
     percent_difference,
     simulate_heterodyne,
 )
@@ -105,64 +105,65 @@ class TestHeterodyneModel:
 class TestSimulateHeterodyne:
     @pytest.mark.parametrize("seed", [-1, 2.5, "7"])
     def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
-        spec = ReferenceSignalSpec(100.0, phases=[0.0, 1.0])
         with pytest.raises(ValidationError, match="seed"):
-            simulate_heterodyne(spec, HeterodyneModel(), seed)
+            simulate_heterodyne(100.0, [0.0, 1.0], HeterodyneModel(), seed)
+
+    @pytest.mark.parametrize("phases, message", [
+        ([[0.0, 1.0]], r"^phases must be one-dimensional, got shape \(1, 2\)$"),
+        ([0.0, math.nan], "^phases contains non-finite values$"),
+        ([math.inf, 1.0], "^phases contains non-finite values$"),
+    ])
+    def test_rejects_bad_phases(self, phases, message):
+        with pytest.raises(ValidationError, match=message):
+            simulate_heterodyne(1.0, phases, HeterodyneModel(), 0)
 
     def test_noiseless_on_axis(self):
-        spec = ReferenceSignalSpec(100.0, phases=[0.0, 0.0])
-        det = HeterodyneModel(noise_var=1e-30)
-        tr = simulate_heterodyne(spec, det, 0)
+        tr = simulate_heterodyne(100.0, [0.0, 0.0], HeterodyneModel(noise_var=1e-30), 0)
         np.testing.assert_allclose(tr.x, 10.0, atol=1e-12)
         np.testing.assert_allclose(tr.p, 0.0, atol=1e-12)
 
     def test_noiseless_asymmetric_scaling(self):
-        spec = ReferenceSignalSpec(100.0, phases=[math.pi / 4, math.pi / 4])
         det = HeterodyneModel(gain_x=0.8667, noise_var=1e-30)
-        tr = simulate_heterodyne(spec, det, 0)
+        tr = simulate_heterodyne(100.0, [math.pi / 4, math.pi / 4], det, 0)
         np.testing.assert_allclose(tr.x, 0.8667 * 10.0 / math.sqrt(2.0), atol=1e-12)
         np.testing.assert_allclose(tr.p, 10.0 / math.sqrt(2.0), atol=1e-12)
 
     def test_residual_variance_matches_configured_noise(self):
         # Monte-Carlo oracle: residuals about A cos(theta) carry the shot noise
-        spec = ReferenceSignalSpec.ramp(552.0, 100_000)
         det = HeterodyneModel()
-        tr = simulate_heterodyne(spec, det, 7)
-        residual = tr.x - spec.amplitude * np.cos(tr.phase_true)
+        tr = simulate_heterodyne(552.0, make_phase_ramp(100_000), det, 7)
+        residual = tr.x - math.sqrt(552.0) * np.cos(tr.phase_true)
         assert np.var(residual) == pytest.approx(det.noise_var, rel=0.05)
 
     def test_determinism(self):
-        spec = ReferenceSignalSpec.ramp(552.0, 500, pulses_per_phase=2)
+        phases = make_phase_ramp(500, pulses_per_phase=2)
         det = HeterodyneModel(gain_x=0.9)
-        a = simulate_heterodyne(spec, det, 123)
-        b = simulate_heterodyne(spec, det, 123)
+        a = simulate_heterodyne(552.0, phases, det, 123)
+        b = simulate_heterodyne(552.0, phases, det, 123)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.p, b.p)
-        c = simulate_heterodyne(spec, det, 124)
+        c = simulate_heterodyne(552.0, phases, det, 124)
         assert not np.array_equal(a.x, c.x)
 
     def test_noiseless_limit_recovers_sinusoid(self):
-        spec = ReferenceSignalSpec.ramp(552.0, 360)
         det = HeterodyneModel(gain_x=0.7, gain_p=0.95, noise_var=1e-30)
-        tr = simulate_heterodyne(spec, det, 5)
+        tr = simulate_heterodyne(552.0, make_phase_ramp(360), det, 5)
         radius = (tr.x / det.gain_x) ** 2 + (tr.p / det.gain_p) ** 2
-        np.testing.assert_allclose(radius, spec.amplitude_sq, rtol=1e-10)
+        np.testing.assert_allclose(radius, 552.0, rtol=1e-10)
 
     def test_hybrid_phase_error_shifts_p(self):
         eps = 0.05
-        spec = ReferenceSignalSpec(100.0, phases=[0.3, 1.1])
         det = HeterodyneModel(hybrid_phase_error=eps, noise_var=1e-30)
-        tr = simulate_heterodyne(spec, det, 0)
+        tr = simulate_heterodyne(100.0, [0.3, 1.1], det, 0)
         np.testing.assert_allclose(tr.p, 10.0 * np.sin(tr.phase_true + eps), atol=1e-12)
 
     def test_symmetric_gains_equal_variances(self):
         # variance estimator sd ~ sqrt(2/n) * var; 3 sigma tolerance
-        spec = ReferenceSignalSpec.ramp(552.0, 200_000)
-        tr = simulate_heterodyne(spec, HeterodyneModel(), 19)
+        tr = simulate_heterodyne(552.0, make_phase_ramp(200_000), HeterodyneModel(), 19)
         vx, vp = np.var(tr.x), np.var(tr.p)
         sigma = math.sqrt(2.0 / tr.n) * max(vx, vp) * math.sqrt(2.0)
         assert abs(vx - vp) < 3.0 * sigma
 
     def test_phase_true_carries_sweep(self):
-        spec = ReferenceSignalSpec.ramp(16.0, 8, pulses_per_phase=3)
-        tr = simulate_heterodyne(spec, HeterodyneModel(), 1)
-        np.testing.assert_array_equal(tr.phase_true, spec.sample_phases())
+        phases = make_phase_ramp(8, pulses_per_phase=3)
+        tr = simulate_heterodyne(16.0, phases, HeterodyneModel(), 1)
+        np.testing.assert_array_equal(tr.phase_true, phases)

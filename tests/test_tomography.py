@@ -13,7 +13,6 @@ from hetasym import (
     HeterodyneModel,
     PhaseTaggedSamples,
     QuadratureTrace,
-    ReferenceSignalSpec,
     ValidationError,
     WignerGrid,
     fidelity,
@@ -343,19 +342,36 @@ class TestMLEReconstruct:
         assert result.floored > 0
 
     # a sample whose square overflows is an input error, not a floored
-    # probability; the grouped engine squares sqrt(2) x, so it also rejects
-    # MAX_QUADRATURE itself
+    # probability; the grouped engine squares sqrt(2) x, and both engines
+    # take its limit, so both reject MAX_QUADRATURE itself
     @pytest.mark.parametrize("repeats, x_max, grouped", [
-        (1, 1e200, False), (4, 1e200, True), (4, MAX_QUADRATURE, True),
+        (1, 1e200, False), (4, 1e200, True), (1, MAX_QUADRATURE, False),
+        (4, MAX_QUADRATURE, True),
     ])
     def test_overflowing_quadrature_rejected(self, repeats, x_max, grouped):
         tags = np.repeat(make_phase_ramp(40), repeats)
         xs = np.zeros(tags.size)
         xs[7] = x_max
-        samples = PhaseTaggedSamples(tags, xs)
         assert _make_engine(PhaseTaggedSamples(tags, np.zeros(tags.size)), 3)[1] == grouped
         with pytest.raises(ValidationError, match="overflows float64 when squared"):
-            mle_reconstruct(samples, 3, max_iter=5)
+            mle_reconstruct(PhaseTaggedSamples(tags, xs), 3, max_iter=5)
+
+    @pytest.mark.parametrize("repeats", [1, 4])
+    def test_quadrature_bound_is_exact(self, repeats):
+        # MAX_QUADRATURE / sqrt(2) is the largest sample either engine takes:
+        # it is floored, with no overflow warning, and the next float up is
+        # rejected
+        tags = np.repeat(make_phase_ramp(40), repeats)
+        xs = np.zeros(tags.size)
+        bound = MAX_QUADRATURE / math.sqrt(2.0)
+        xs[7] = -bound
+        result = mle_reconstruct(PhaseTaggedSamples(tags, xs), 3, max_iter=5)
+        assert result.grouped == (repeats > 1)
+        assert result.floored == 1 and result.gap == math.inf
+        too_large = math.nextafter(bound, math.inf)
+        xs[7] = too_large
+        with pytest.raises(ValidationError, match=re.escape(f"quadrature {too_large!r} overflows")):
+            PhaseTaggedSamples(tags, xs)
 
     def test_underflowing_quadrature_is_floored(self):
         # a finite square whose Gaussian underflows still reads as floored
@@ -467,7 +483,7 @@ def test_near_pure_dense_case_takes_rank_one_steps():
 def test_grouped_case_takes_rank_one_steps():
     # 25 ramp phases x 40 pulses of |alpha = 1> repeat every tag, so the
     # grouped engine runs, and the rank-one candidate wins 5 of 35 steps
-    trace = simulate_heterodyne(ReferenceSignalSpec.ramp(4.0, 25, 40), HeterodyneModel(), 2)
+    trace = simulate_heterodyne(4.0, make_phase_ramp(25, 40), HeterodyneModel(), 2)
     samples = samples_from_trace(trace)
     result = mle_reconstruct(samples, 12)
     assert result.grouped and result.converged
@@ -659,6 +675,23 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             fidelity(ideal_coherent_state(0.0, 4), ideal_coherent_state(0.0, 5))
+
+    @pytest.fixture(scope="class")
+    def reconstruction(self):
+        # a grouped-engine ML state, near pure, with eigenvalues down to rounding
+        trace = simulate_heterodyne(4.0, make_phase_ramp(25, 40), HeterodyneModel(), 2)
+        return mle_reconstruct(samples_from_trace(trace), 12).rho
+
+    def test_pure_reference_gives_overlap(self, reconstruction):
+        # against |a><a| the root fidelity is sqrt(<a|rho|a>); summing the
+        # square roots of rounding-level eigenvalues overstated it by 1.5e-8
+        reference = ideal_coherent_state(fit_coherent(reconstruction), 12)
+        overlap = math.sqrt(np.trace(reconstruction.matrix @ reference.matrix).real)
+        assert abs(fidelity(reconstruction, reference) - overlap) <= 1e-13
+        assert abs(fidelity(reference, reconstruction) - overlap) <= 1e-13
+
+    def test_reconstruction_self_fidelity(self, reconstruction):
+        assert abs(fidelity(reconstruction, reconstruction) - 1.0) <= 1e-13
 
 
 class TestSamplesFromTrace:

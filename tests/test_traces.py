@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from hetasym import (
+    HeterodyneModel,
     QuadratureTrace,
-    ReferenceSignalSpec,
     ValidationError,
     make_phase_ramp,
     min_max_scale,
+    simulate_heterodyne,
 )
 from hetasym.tomography import DensityMatrix, MLEResult, PhaseTaggedSamples, WignerGrid
 from hetasym.traces import readonly_float_array, spans_full_rotation
@@ -79,27 +80,30 @@ class TestQuadratureTrace:
 
 
 class TestReferenceSignalSpec:
+    """The reference signal is specified by its squared amplitude, which
+    simulate_heterodyne takes, and its per-pulse phases, which
+    make_phase_ramp builds; each is checked where it enters."""
+
     def test_ramp_constructor(self):
-        spec = ReferenceSignalSpec.ramp(552.0, 360)
-        assert spec.amplitude == pytest.approx(math.sqrt(552.0))
-        assert spec.sample_phases().size == 360
-        assert spans_full_rotation(spec.phases)
+        phases = make_phase_ramp(360)
+        assert phases.size == 360
+        assert spans_full_rotation(phases)
+        trace = simulate_heterodyne(552.0, phases, HeterodyneModel(noise_var=1e-30), 0)
+        np.testing.assert_allclose(np.hypot(trace.x, trace.p), math.sqrt(552.0), rtol=1e-12)
 
     def test_pulses_per_phase(self):
-        spec = ReferenceSignalSpec.ramp(16.0, 10, pulses_per_phase=3)
-        phases = spec.sample_phases()
+        phases = make_phase_ramp(10, pulses_per_phase=3)
         assert phases.size == 30
-        np.testing.assert_allclose(phases[:3], spec.phases[0])
+        np.testing.assert_array_equal(phases, np.repeat(make_phase_ramp(10), 3))
 
     def test_partial_sweep_flagged(self):
-        spec = ReferenceSignalSpec(16.0, make_phase_ramp(200)[:100])
-        assert not spans_full_rotation(spec.phases)
+        assert not spans_full_rotation(make_phase_ramp(200)[:100])
 
     def test_rotation_rule_counts_distinct_phases(self):
         # per-sample phases repeat each sweep point; the rule sees the points
-        spec = ReferenceSignalSpec(16.0, 1.0 + make_phase_ramp(90), pulses_per_phase=4)
-        assert spans_full_rotation(spec.sample_phases()[::-1])
-        assert not spans_full_rotation(spec.sample_phases()[:-8])
+        phases = 1.0 + make_phase_ramp(90, pulses_per_phase=4)
+        assert spans_full_rotation(phases[::-1])
+        assert not spans_full_rotation(phases[:-8])
         assert not spans_full_rotation(np.full(10, 0.5))
         assert not spans_full_rotation(np.empty(0))
 
@@ -114,41 +118,40 @@ class TestReferenceSignalSpec:
 
     def test_phases_required(self):
         with pytest.raises(TypeError, match="phases"):
-            ReferenceSignalSpec(1.0)
+            simulate_heterodyne(1.0, det=HeterodyneModel(), seed=0)
 
     def test_rejects_bad_amplitude(self):
         with pytest.raises(ValidationError):
-            ReferenceSignalSpec(-1.0, [0.0, 1.0])
+            simulate_heterodyne(-1.0, [0.0, 1.0], HeterodyneModel(), 0)
         with pytest.raises(ValidationError):
-            ReferenceSignalSpec(0.0, [0.0, 1.0])
+            simulate_heterodyne(0.0, [0.0, 1.0], HeterodyneModel(), 0)
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValidationError, match="at least one point"):
-            ReferenceSignalSpec(552.0, [])
+            simulate_heterodyne(552.0, [], HeterodyneModel(), 0)
 
     def test_rejects_bad_pulses(self):
         with pytest.raises(ValidationError):
-            ReferenceSignalSpec(1.0, [0.0, 1.0], pulses_per_phase=0)
+            make_phase_ramp(2, pulses_per_phase=0)
 
     @pytest.mark.parametrize("kwargs", [
         {"amplitude_sq": math.nan}, {"amplitude_sq": math.inf},
         {"pulses_per_phase": 1.5}, {"pulses_per_phase": math.nan},
     ])
     def test_rejects_non_finite_or_fractional(self, kwargs):
+        spec = {"amplitude_sq": 1.0, "pulses_per_phase": 1, **kwargs}
         with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
-            ReferenceSignalSpec(**{"amplitude_sq": 1.0, "phases": [0.0, 1.0], **kwargs})
+            phases = make_phase_ramp(2, spec["pulses_per_phase"])
+            simulate_heterodyne(spec["amplitude_sq"], phases, HeterodyneModel(), 0)
 
     def test_integral_pulses_stored_as_int(self):
-        spec = ReferenceSignalSpec(1.0, phases=[0.0, 1.0], pulses_per_phase=2.0)
-        assert type(spec.pulses_per_phase) is int
-        np.testing.assert_array_equal(spec.sample_phases(), [0.0, 0.0, 1.0, 1.0])
-
+        np.testing.assert_array_equal(make_phase_ramp(2, pulses_per_phase=2.0),
+                                      [0.0, 0.0, math.pi, math.pi])
 
 
 #: a fresh instance of each type that holds arrays
 ARRAY_HOLDERS = {
     "QuadratureTrace": lambda: QuadratureTrace([1.0, 2.0], [3.0, 4.0]),
-    "ReferenceSignalSpec": lambda: ReferenceSignalSpec(1.0, [0.0, 1.0]),
     "PhaseTaggedSamples": lambda: PhaseTaggedSamples([0.0, 1.0, 2.0, 3.2], [0.1] * 4),
     "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2.0),
     "WignerGrid": lambda: WignerGrid([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2))),
