@@ -80,7 +80,12 @@ def _sweep_phases(config: RunConfig, input_path: str):
         raise ValidationError(f"{input_path}: {what} not cover a full rotation densely "
                               "enough for the quadrature spans to measure the asymmetry")
     scaled = min_max_scale(trace)
-    theta_scaled = estimate_phase(scaled, config.block)
+    try:
+        theta_scaled = estimate_phase(scaled, config.block)
+    except ValidationError as exc:
+        # the scaled x spans p's range, so its block means can overflow
+        # where the input's x cannot: say which trace the means are of
+        raise ValidationError(f"x scaled onto the p span: {exc}") from None
     keep = np.isfinite(theta_asym) & np.isfinite(theta_scaled)
     defined = int(keep.sum())
     if defined < 2:

@@ -22,11 +22,8 @@ ENV_PREFIX = "HETASYM_"
 
 @dataclass
 class RunConfig:
-    """Every tunable of the pipeline, with the defaults used throughout.
-
-    Key-rate defaults follow the reference operating point: V_A = 10,
-    beta = 0.93, xi_line = 0.02, eta = 0.68, v_elec = 0.1, alpha = 0.2.
-    """
+    """Every tunable of the pipeline, with the defaults used throughout: each
+    library default that mirrors a key is read from this class."""
 
     seed: int = 12345
 

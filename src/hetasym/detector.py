@@ -16,8 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ValidationError, positive, unit_interval
 from .traces import QuadratureTrace, readonly_float_array
+
+
+def gains_from_percent(percent: float) -> tuple[float, float]:
+    """Gains (g, 1) with g <= 1 realizing a given percentage difference.
+
+    Inverse of :func:`percent_difference` on the second argument held at 1:
+    g = (200 - percent) / (200 + percent).
+    """
+    if not (0.0 <= percent < 200.0):
+        raise ValidationError(f"percent must be in [0, 200), got {percent}")
+    return (200.0 - percent) / (200.0 + percent), 1.0
 
 
 @dataclass(frozen=True)
@@ -33,10 +45,10 @@ class HeterodyneModel:
     (-pi/2, pi/2); at +-pi/2 both pairs measure one quadrature.
     """
 
-    gain_x: float = 1.0
-    gain_p: float = 1.0
-    hybrid_phase_error: float = 0.0
-    noise_var: float = 1.0
+    gain_x: float = gains_from_percent(RunConfig.asymmetry_percent)[0]
+    gain_p: float = gains_from_percent(RunConfig.asymmetry_percent)[1]
+    hybrid_phase_error: float = RunConfig.hybrid_phase_error
+    noise_var: float = RunConfig.noise_var
 
     def __post_init__(self):
         unit_interval("gain_x", self.gain_x)
@@ -54,18 +66,10 @@ def percent_difference(p1: float, p2: float) -> float:
     """
     positive("p1", p1)
     positive("p2", p2)
-    return abs(p1 - p2) / ((p1 + p2) / 2.0) * 100.0
-
-
-def gains_from_percent(percent: float) -> tuple[float, float]:
-    """Gains (g, 1) with g <= 1 realizing a given percentage difference.
-
-    Inverse of :func:`percent_difference` on the second argument held at 1:
-    g = (200 - percent) / (200 + percent).
-    """
-    if not (0.0 <= percent < 200.0):
-        raise ValidationError(f"percent must be in [0, 200), got {percent}")
-    return (200.0 - percent) / (200.0 + percent), 1.0
+    # halving first, exact for such large powers, keeps an overflowed sum
+    # from reading every difference as 0
+    mean = (p1 + p2) / 2.0 if p1 + p2 < math.inf else p1 / 2.0 + p2 / 2.0
+    return abs(p1 - p2) / mean * 100.0
 
 
 def simulate_heterodyne(amplitude_sq: float, phases, det: HeterodyneModel,

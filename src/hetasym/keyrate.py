@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import RunConfig
 from .errors import NumericalDomainError, non_negative, positive, unit_interval
 
 #: Tolerated numerical undershoot of the symplectic eigenvalues below 1
@@ -133,13 +134,13 @@ def _holevo_bound(lams: tuple[float, float, float, float]) -> float:
 class KeyRateParams:
     """All inputs of the asymptotic key-rate chain but the distance."""
 
-    v_a: float = 10.0
-    beta: float = 0.93
-    xi_line: float = 0.02
+    v_a: float = RunConfig.v_a
+    beta: float = RunConfig.beta
+    xi_line: float = RunConfig.xi_line
     xi_det: float = 0.0
-    eta: float = 0.68
-    v_elec: float = 0.1
-    alpha_db_per_km: float = 0.2
+    eta: float = RunConfig.eta
+    v_elec: float = RunConfig.v_elec
+    alpha_db_per_km: float = RunConfig.alpha_db_per_km
 
     def __post_init__(self):
         """The one place the chain's parameters are checked: each field, then

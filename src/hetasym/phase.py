@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import NumericalDomainError, ValidationError, integer_at_least, non_negative, positive
 from .traces import TWO_PI, QuadratureTrace
 
@@ -31,7 +32,7 @@ def wrap_phase(theta):
     return np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
 
 
-def estimate_phase(trace: QuadratureTrace, block: int = 1) -> np.ndarray:
+def estimate_phase(trace: QuadratureTrace, block: int = RunConfig.block) -> np.ndarray:
     """Per-block reference phase: atan2(<P>, <X>) over consecutive blocks.
 
     block = 1 gives per-sample phases.  Blocks whose X and P means are both
@@ -41,8 +42,17 @@ def estimate_phase(trace: QuadratureTrace, block: int = 1) -> np.ndarray:
     block = integer_at_least("block", block, 1)
     if trace.n % block != 0:
         raise ValidationError(f"sample count {trace.n} is not divisible by block {block}")
-    x_mean = trace.x.reshape(-1, block).mean(axis=1)
-    p_mean = trace.p.reshape(-1, block).mean(axis=1)
+    # an overflowed mean is checked below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mean = trace.x.reshape(-1, block).mean(axis=1)
+        p_mean = trace.p.reshape(-1, block).mean(axis=1)
+    for name, values, means in (("x", trace.x, x_mean), ("p", trace.p, p_mean)):
+        # min and max need no temporary array, and a NaN fails both tests
+        if not -math.inf < means.min() <= means.max() < math.inf:
+            start = int(np.flatnonzero(~np.isfinite(means))[0]) * block
+            largest = float(np.abs(values[start:start + block]).max())
+            raise ValidationError(f"the {name} mean of samples {start}..{start + block - 1} "
+                                  f"overflows float64 (largest |{name}| {largest!r})")
     theta = np.fromiter(map(math.atan2, p_mean, x_mean), np.float64, count=p_mean.size)
     theta[theta == -math.pi] = math.pi
     theta[(x_mean == 0.0) & (p_mean == 0.0)] = np.nan
@@ -62,6 +72,9 @@ def min_max_scale(trace: QuadratureTrace) -> QuadratureTrace:
         raise ValidationError(f"min-max scaling requires at least 2 samples, trace has {trace.n}")
     x_min, x_max = float(trace.x.min()), float(trace.x.max())
     p_min, p_max = float(trace.p.min()), float(trace.p.max())
+    for name, low, high in (("x", x_min, x_max), ("p", p_min, p_max)):
+        if not high - low < math.inf:
+            raise ValidationError(f"the {name} span {high!r} - {low!r} overflows float64")
     if x_max == x_min or p_max == p_min:
         raise ValidationError(
             "degenerate quadrature range: the trace does not cover a phase rotation"

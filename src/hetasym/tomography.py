@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import NumericalDomainError, ValidationError, integer_at_least, positive
 from .phase import estimate_phase
 from .traces import QuadratureTrace, _distinct, readonly_float_array
@@ -440,8 +441,8 @@ def _rank_one_search(d: np.ndarray) -> float:
     return t
 
 
-def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = 2000,
-                    tol: float = 1e-10) -> MLEResult:
+def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = RunConfig.max_iter,
+                    tol: float = RunConfig.tol) -> MLEResult:
     """Certified maximum-likelihood reconstruction.
 
     Starts from the maximally mixed state I/dim.  Every iterate rho is
@@ -735,8 +736,9 @@ def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
     return WignerGrid(x_axis, p_axis, total.real)
 
 
-def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = True,
-                       block: int = 1, amplitude_scale: float = 1.0) -> PhaseTaggedSamples:
+def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = RunConfig.use_true_phase,
+                       block: int = RunConfig.block,
+                       amplitude_scale: float = RunConfig.amplitude_scale) -> PhaseTaggedSamples:
     """Turn a heterodyne trace into phase-tagged quadrature samples.
 
     Each shot contributes its X value at the tag theta and its P value at
@@ -757,6 +759,15 @@ def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = True,
     scale = amplitude_scale * SNU_TO_INTERNAL
     x_int = trace.x / scale
     p_int = trace.p / scale
+    # name an out-of-range sample as the trace holds it; argmin and argmax
+    # need no temporary array
+    for name, snu, internal in (("x", trace.x, x_int), ("p", trace.p, p_int)):
+        for row in (int(internal.argmin()), int(internal.argmax())):
+            if abs(internal[row]) > _MAX_SAMPLE:
+                raise ValidationError(
+                    f"{name} = {float(snu[row])!r} SNU at index {row} overflows float64 when "
+                    f"squared by the MLE (|{name}| / amplitude_scale must be at most "
+                    f"{MAX_QUADRATURE:.3g})")
 
     keep = np.isfinite(tags)
     dropped = int(tags.size - keep.sum())

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ValidationError, integer_at_least
 
 TWO_PI = 2.0 * math.pi
@@ -98,7 +99,7 @@ def spans_full_rotation(phases) -> bool:
     return float(gaps.max()) <= _MAX_SWEEP_GAP
 
 
-def make_phase_ramp(n_phases: int, pulses_per_phase: int = 1) -> np.ndarray:
+def make_phase_ramp(n_phases: int, pulses_per_phase: int = RunConfig.pulses_per_phase) -> np.ndarray:
     """Per-pulse phases of a sweep over one full turn from 0: the n_phases
     points 2 pi k / n_phases, each repeated pulses_per_phase times."""
     n = integer_at_least("n_phases", n_phases, 2)

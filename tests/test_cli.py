@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -346,6 +347,40 @@ class TestScale:
         comments = [line for line in dev.read_text().splitlines() if line.startswith("#")]
         assert comments[-1] == "# undefined_blocks_dropped: 198"
 
+    def with_cells(self, tmp_path, cells: dict) -> Path:
+        """A simulated 400-phase trace with each (column, row) set to its value."""
+        trace = read_trace_csv(self.simulate(tmp_path, n_phases=400))
+        columns = {"x": trace.x.copy(), "p": trace.p.copy()}
+        for (column, row), value in cells.items():
+            columns[column][row] = value
+        path = tmp_path / "big.csv"
+        write_trace_csv(path, QuadratureTrace(columns["x"], columns["p"], trace.phase_true),
+                        "simulate", RunConfig())
+        return path
+
+    # the span +-1.7e308 overflowed: phase-deviation wrote its rows from an x
+    # scaled onto 2 values with exit 0, and scale exited 2 naming an inf p1;
+    # two 1.5e308 samples in one 2-sample block overflowed its mean, and
+    # both commands exited 0; each came with RuntimeWarnings.  One p of
+    # 1.5e308 scales the largest x onto it, so a block of the scaled x
+    # overflows, which the message must not blame on the input's x
+    @pytest.mark.parametrize("command", ["scale", "phase-deviation"])
+    @pytest.mark.parametrize("cells, block, message", [
+        ({("x", 0): 1.7e308, ("x", 1): -1.7e308}, 1,
+         "error: the x span 1.7e+308 - -1.7e+308 overflows float64"),
+        ({("x", 2): 1.5e308, ("x", 3): 1.5e308}, 2,
+         "error: the x mean of samples 2..3 overflows float64 (largest |x| 1.5e+308)"),
+        ({("p", 100): 1.5e308}, 2, "error: x scaled onto the p span: the x mean of samples"),
+    ], ids=["span", "block-mean", "scaled-block-mean"])
+    def test_overflow_exit_2(self, tmp_path, capsys, command, cells, block, message):
+        raw = self.with_cells(tmp_path, cells)
+        cfg = write_config(tmp_path / "block.cfg", block=block)
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        assert run(command, raw, "--config", cfg, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "out.report.txt").exists()
+
     def test_default_sweep_without_phase_true_passes(self, tmp_path):
         raw = self.without_phase_true(self.simulate(tmp_path))
         assert run("scale", raw, "--out", tmp_path / "scaled.csv") == 0
@@ -603,6 +638,59 @@ def test_keyrate_sweep_contract(values):
     assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
+#: a dense symmetric sweep of 588 samples, divisible by every drawn block, so
+#: that 588 / 7 = 84 estimated block phases still cover a full rotation
+_SWEEP = simulate_heterodyne(552.0, make_phase_ramp(588), HeterodyneModel(), 5)
+_CELL_VALUES = [sys.float_info.max, -sys.float_info.max, 1e308, -1e308, 5e-324, 0.0]
+
+
+@st.composite
+def sweep_traces(draw):
+    """(x, p, phase_true or None, block): the sweep with each column scaled
+    by 1 or 1e+-300, up to two cells set to extremes, phase_true kept or
+    dropped, and a block length."""
+    x, p = (_SWEEP.x * draw(st.sampled_from([1.0, 1e300, 1e-300])),
+            _SWEEP.p * draw(st.sampled_from([1.0, 1e300, 1e-300])))
+    for column, row, value in draw(st.lists(st.tuples(
+            st.sampled_from("xp"), st.integers(0, _SWEEP.n - 1), st.sampled_from(_CELL_VALUES)),
+            max_size=2)):
+        (x if column == "x" else p)[row] = value
+    phase_true = _SWEEP.phase_true if draw(st.booleans()) else None
+    return x, p, phase_true, draw(st.sampled_from([1, 2, 3, 7]))
+
+
+def numbers_in(path: Path) -> list[float]:
+    """Every value of a report's entries or of a CSV's data rows."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    if path.suffix == ".txt":
+        return [float(line.split(" = ", 1)[1]) for line in lines]
+    return [float(cell) for line in lines[1:] for cell in line.split(",")]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sweep_traces())
+# the two overflows that exited 0: a span of +-1.7e308, and two 1.5e308
+# samples in one 2-sample block
+@example((np.concatenate([[1.7e308, -1.7e308], _SWEEP.x[2:]]), _SWEEP.p, _SWEEP.phase_true, 1))
+@example((np.concatenate([[1.5e308, 1.5e308], _SWEEP.x[2:]]), _SWEEP.p, _SWEEP.phase_true, 2))
+def test_trace_commands_contract(drawn):
+    # whatever the trace, scale and phase-deviation exit 0, 2 or 3 and raise
+    # and warn nothing; on exit 0 every number they write is finite
+    x, p, phase_true, block = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, cfg = Path(tmp) / "raw.csv", write_config(Path(tmp) / "c.cfg", block=block)
+        write_trace_csv(raw, QuadratureTrace(x, p, phase_true), "simulate", RunConfig())
+        for command in ("scale", "phase-deviation"):
+            out = Path(tmp) / f"{command}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run(command, raw, "--config", cfg, "--out", out)
+            assert code in (0, 2, 3)
+            if code == 0:
+                written = [out] + ([out.with_suffix(".report.txt")] if command == "scale" else [])
+                assert all(math.isfinite(v) for path in written for v in numbers_in(path))
+
+
 class TestTomography:
     def bright_trace(self, tmp_path, pct=0.0, n_phases=80, ppp=25) -> Path:
         cfg = write_config(tmp_path / "sim.cfg", n_phases=n_phases,
@@ -692,22 +780,22 @@ class TestTomography:
 
     def test_overflowing_quadrature_exit_2(self, tmp_path, capsys):
         # x = 1e200 squares to inf in the projector tables: exit 2 naming
-        # the internal value, x / sqrt(2), not a floored sample and an
-        # unconverged exit 3
+        # the value as the trace holds it, its column and its index, not a
+        # floored sample and an unconverged exit 3
         cfg = write_config(tmp_path / "sim.cfg", n_phases=25, pulses_per_phase=40,
                            amplitude_sq=4.0, seed=1)
         raw = tmp_path / "raw.csv"
         assert run("simulate", "--config", cfg, "--out", raw) == 0
         trace = read_trace_csv(raw)
         x = trace.x.copy()
-        x[0] = 1e200
+        x[7] = 1e200
         big = tmp_path / "big.csv"
         write_trace_csv(big, QuadratureTrace(x, trace.p, trace.phase_true), "simulate",
                         RunConfig())
         capsys.readouterr()
         tomo_cfg = write_config(tmp_path / "tomo.cfg", dim=12)
         assert run("tomography", big, "--config", tomo_cfg, "--out", tmp_path / "tomo") == 2
-        message = f"quadrature {1e200 / math.sqrt(2.0)!r} overflows float64 when squared"
+        message = "error: x = 1e+200 SNU at index 7 overflows float64 when squared by the MLE"
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("tomo*.csv")) and not list(tmp_path.glob("tomo*.txt"))
 

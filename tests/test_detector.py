@@ -38,6 +38,11 @@ class TestPercentDifference:
     def test_range(self):
         assert percent_difference(1e-6, 1.0) < 200.0
 
+    def test_powers_whose_sum_overflows(self):
+        # 1.7e308 + 1e308 is inf, which read every such pair as 0 %
+        assert percent_difference(1.7e308, 1e308) == percent_difference(1.7, 1.0)
+        assert percent_difference(1.7, 1.0) == pytest.approx(51.85, abs=0.005)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             percent_difference(0.0, 1.0)

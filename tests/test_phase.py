@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -87,6 +88,32 @@ class TestEstimatePhase:
         est = estimate_phase(QuadratureTrace([-1.0], [0.0]))
         assert est[0] == pytest.approx(math.pi)
 
+    # two 1.5e308 samples in one block used to give an inf mean (and, as
+    # inf - inf, a NaN one) with an "overflow encountered in reduce" warning
+    @pytest.mark.parametrize("name, column, message", [
+        ("x", [1.0, 1.0, 1.5e308, 1.5e308], "x mean of samples 2..3 overflows float64 "
+                                            "(largest |x| 1.5e+308)"),
+        ("p", [1.0, 1.0, 1.5e308, 1.5e308], "p mean of samples 2..3 overflows float64 "
+                                            "(largest |p| 1.5e+308)"),
+        ("x", [-1.5e308, -1.5e308, 1.0, 1.0], "x mean of samples 0..1 overflows"),
+    ], ids=["x", "p", "x-negative"])
+    def test_overflowing_block_mean_rejected(self, name, column, message):
+        other = [1.0, -1.0, 2.0, -2.0]
+        x, p = (column, other) if name == "x" else (other, column)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            estimate_phase(QuadratureTrace(x, p), block=2)
+
+    def test_nan_block_mean_rejected(self):
+        # numpy sums 16 values in 8 partial sums, so this block adds inf and -inf
+        big = 1.5e308
+        x = [big, -big] + [0.0] * 6 + [big, -big] + [0.0] * 6
+        with pytest.raises(ValidationError, match=re.escape("x mean of samples 0..15 overflows")):
+            estimate_phase(QuadratureTrace(x, [1.0] * 16), block=16)
+
+    def test_largest_finite_block_mean_accepted(self):
+        est = estimate_phase(QuadratureTrace([8.9e307, 8.9e307], [0.0, 0.0]), block=2)
+        assert est[0] == 0.0
+
 
 class TestMinMaxScale:
     def test_endpoint_mapping(self):
@@ -114,6 +141,21 @@ class TestMinMaxScale:
         scaled = min_max_scale(tr)
         assert scaled.x.min() == tr.p.min()
         assert scaled.x.max() == tr.p.max()
+
+    # +-1.7e308 used to give an inf span, so every scaled x read p_min or
+    # p_max, with RuntimeWarnings
+    @pytest.mark.parametrize("name", ["x", "p"])
+    def test_overflowing_span_rejected(self, name):
+        column, other = [1.7e308, -1.7e308, 0.0], [1.0, -1.0, 0.5]
+        x, p = (column, other) if name == "x" else (other, column)
+        message = f"the {name} span 1.7e+308 - -1.7e+308 overflows float64"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            min_max_scale(QuadratureTrace(x, p))
+
+    def test_largest_finite_span_accepted(self):
+        big = 8.9e307
+        scaled = min_max_scale(QuadratureTrace([big, -big, 0.0], [-1.0, 1.0, 0.0]))
+        np.testing.assert_array_equal(scaled.x, [1.0, -1.0, 0.0])
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValidationError):

@@ -727,6 +727,19 @@ class TestSamplesFromTrace:
         with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
             samples_from_trace(self.trace(), **kwargs)
 
+    @pytest.mark.parametrize("column, value, amplitude_scale", [
+        ("x", 2e154, 1.0), ("p", -2e154, 1.0), ("p", 1e154, 0.5),
+    ])
+    def test_names_an_overflowing_sample_in_snu(self, column, value, amplitude_scale):
+        # the message used to name the internal value, SNU / (sqrt(2) amplitude_scale)
+        tr = self.trace()
+        x, p = tr.x.copy(), tr.p.copy()
+        (x if column == "x" else p)[5] = value
+        message = f"{column} = {value!r} SNU at index 5 overflows float64 when squared"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            samples_from_trace(QuadratureTrace(x, p, tr.phase_true),
+                               amplitude_scale=amplitude_scale)
+
     def test_requires_phase_column(self):
         tr = QuadratureTrace([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValidationError):
