@@ -55,93 +55,36 @@ def cmd_simulate(config: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def _sweep_phases(config: RunConfig, input_path: str):
-    """The trace at ``input_path``, its min-max scaled copy, and the phases
-    of their ``config.block``-sample blocks with undefined blocks dropped
-    pairwise: (trace, scaled, theta_scaled, theta_asym, dropped).
+def _analyze_sweep(config: RunConfig, input_path: str):
+    """analyze_sweep of the trace at input_path, at the config's values."""
+    from .phase import analyze_sweep
 
-    The sweep must cover a full rotation densely, because the min-max spans
-    of a partial or coarse sweep misstate the asymmetry.  The sweep is
-    ``phase_true`` when the trace carries it, and otherwise the defined
-    asymmetric block phases.  At least two blocks must have a phase in both
-    traces, so the deviation has a variance."""
-    import numpy as np
-
-    from .phase import estimate_phase, min_max_scale
-    from .traces import spans_full_rotation
-
-    trace = read_trace_csv(input_path)
-    theta_asym = estimate_phase(trace, config.block)
-    if trace.phase_true is not None:
-        phases, what = trace.phase_true, "phase_true does"
-    else:
-        phases, what = theta_asym[np.isfinite(theta_asym)], "the estimated block phases do"
-    if not spans_full_rotation(phases):
-        raise ValidationError(f"{input_path}: {what} not cover a full rotation densely "
-                              "enough for the quadrature spans to measure the asymmetry")
-    scaled = min_max_scale(trace)
-    try:
-        theta_scaled = estimate_phase(scaled, config.block)
-    except ValidationError as exc:
-        # the scaled x spans p's range, so its block means can overflow
-        # where the input's x cannot: say which trace the means are of
-        raise ValidationError(f"x scaled onto the p span: {exc}") from None
-    keep = np.isfinite(theta_asym) & np.isfinite(theta_scaled)
-    defined = int(keep.sum())
-    if defined < 2:
-        raise ValidationError(f"{input_path}: too few defined phase blocks: {defined} of "
-                              f"{keep.size} have a phase before and after scaling, and the "
-                              "phase deviation needs at least 2")
-    return trace, scaled, theta_scaled[keep], theta_asym[keep], keep.size - defined
+    return analyze_sweep(read_trace_csv(input_path), config.block, config.v_a,
+                         config.linewidth_a, config.linewidth_b, config.pulse_separation)
 
 
 def cmd_scale(config: RunConfig, input_path: str, out: str) -> int:
-    from .detector import percent_difference
-    from .phase import (
-        detection_phase_variance,
-        drift_phase_variance,
-        excess_noise_from_phase_variance,
-    )
-
-    trace, scaled, theta_scaled, theta_asym, dropped = _sweep_phases(config, input_path)
-    span_x = float(trace.x.max() - trace.x.min())
-    span_p = float(trace.p.max() - trace.p.min())
-    asym_percent = percent_difference(span_x, span_p)
-    v_det = detection_phase_variance(theta_scaled, theta_asym)
-    xi_det = excess_noise_from_phase_variance(config.v_a, v_det)
-    v_drift = drift_phase_variance(config.linewidth_a, config.linewidth_b,
-                                   config.pulse_separation)
-    v_total = v_drift + v_det
-    xi_total = excess_noise_from_phase_variance(config.v_a, v_total)
-    write_trace_csv(out, scaled, "scale", config, comments=[("source", Path(input_path).name)])
+    sweep = _analyze_sweep(config, input_path)
+    write_trace_csv(out, sweep.scaled, "scale", config,
+                    comments=[("source", Path(input_path).name)])
     report_path = Path(out).with_suffix(".report.txt")
-    entries = [
-        ("span_x", span_x),
-        ("span_p", span_p),
-        ("asymmetry_percent", asym_percent),
-        ("undefined_blocks_dropped", dropped),
-        ("v_det_rad2", v_det),
-        ("xi_det_snu", xi_det),
-        ("v_drift_rad2", v_drift),
-        ("v_total_rad2", v_total),
-        ("xi_total_snu", xi_total),
-    ]
-    write_report(report_path, "scale", config, entries)
-    print(f"scale: asymmetry {asym_percent:.2f}%, v_det {v_det:.6e} rad^2, "
-          f"xi_det {xi_det:.6f} SNU -> {out}, {report_path}")
+    write_report(report_path, "scale", config, sweep.report())
+    print(f"scale: asymmetry {sweep.asymmetry_percent:.2f}%, v_det {sweep.v_det_rad2:.6e} "
+          f"rad^2, xi_det {sweep.xi_det_snu:.6f} SNU -> {out}, {report_path}")
     return EXIT_OK
 
 
 def cmd_phase_deviation(config: RunConfig, input_path: str, out: str) -> int:
     from .phase import wrap_phase
 
-    _, _, theta_scaled, theta_asym, dropped = _sweep_phases(config, input_path)
-    delta = wrap_phase(theta_asym - theta_scaled)
+    sweep = _analyze_sweep(config, input_path)
+    dropped = sweep.undefined_blocks_dropped
     write_table(out, "phase-deviation", config, ["theta_scaled", "delta_theta"],
-                theta_scaled, delta, comments=[("undefined_blocks_dropped", dropped)])
+                sweep.theta_scaled, wrap_phase(sweep.theta_asym - sweep.theta_scaled),
+                comments=[("undefined_blocks_dropped", dropped)])
     if dropped:
         print(f"phase-deviation: dropped {dropped} undefined blocks", file=sys.stderr)
-    print(f"phase-deviation: wrote {theta_scaled.size} rows to {out}")
+    print(f"phase-deviation: wrote {sweep.theta_scaled.size} rows to {out}")
     return EXIT_OK
 
 

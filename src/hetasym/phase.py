@@ -18,12 +18,13 @@ np.mod in wrap_phase); the block phases use math.atan2.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import NumericalDomainError, ValidationError, integer_at_least, non_negative, positive
-from .traces import TWO_PI, QuadratureTrace
+from .traces import TWO_PI, QuadratureTrace, spans_full_rotation
 
 
 def wrap_phase(theta):
@@ -131,3 +132,74 @@ def phase_variance_from_excess_noise(v_a: float, xi: float) -> float:
             f"xi = {xi} is unreachable: the phase-noise model saturates at 2 v_A = {2 * v_a}"
         )
     return -2.0 * math.log1p(-xi / (2.0 * v_a))
+
+
+@dataclass(frozen=True, eq=False)
+class SweepAnalysis:
+    """A swept trace's analysis: its min-max scaled copy, the block phases kept
+    in both traces, then the scale report's values, named and ordered as its keys."""
+
+    scaled: QuadratureTrace
+    theta_scaled: np.ndarray
+    theta_asym: np.ndarray
+    span_x: float
+    span_p: float
+    asymmetry_percent: float
+    undefined_blocks_dropped: int
+    v_det_rad2: float
+    xi_det_snu: float
+    v_drift_rad2: float
+    v_total_rad2: float
+    xi_total_snu: float
+
+    def report(self) -> list[tuple[str, object]]:
+        """(key, value) of each report value: every field after the phases."""
+        return [(field.name, getattr(self, field.name)) for field in fields(self)[3:]]
+
+
+def analyze_sweep(trace: QuadratureTrace, block: int = RunConfig.block,
+                  v_a: float = RunConfig.v_a, linewidth_a: float = RunConfig.linewidth_a,
+                  linewidth_b: float = RunConfig.linewidth_b,
+                  pulse_separation: float = RunConfig.pulse_separation) -> SweepAnalysis:
+    """The analysis behind ``hetasym scale`` and ``phase-deviation``: min-max
+    scale a swept trace, compare its block phases with the scaled copy's and
+    take the phase-noise budget.  The sweep (``phase_true``, else the defined
+    block phases) must cover a full rotation densely, because the spans of a
+    partial or coarse sweep misstate the asymmetry.  A block with no phase in
+    either trace is dropped from both, and at least two must remain."""
+    # imported here: tomography imports this module, and fidelity must not load detector
+    from .detector import percent_difference
+
+    theta_asym = estimate_phase(trace, block)
+    if trace.phase_true is not None:
+        phases, what = trace.phase_true, "phase_true does"
+    else:
+        phases, what = theta_asym[np.isfinite(theta_asym)], "the estimated block phases do"
+    if not spans_full_rotation(phases):
+        raise ValidationError(f"{what} not cover a full rotation densely enough for the "
+                              "quadrature spans to measure the asymmetry")
+    scaled = min_max_scale(trace)
+    try:
+        theta_scaled = estimate_phase(scaled, block)
+    except ValidationError as exc:
+        # the scaled x spans p's range, so its block means can overflow
+        # where the input's x cannot: say which trace the means are of
+        raise ValidationError(f"x scaled onto the p span: {exc}") from None
+    keep = np.isfinite(theta_asym) & np.isfinite(theta_scaled)
+    defined = int(keep.sum())
+    if defined < 2:
+        raise ValidationError(f"too few defined phase blocks: {defined} of {keep.size} have "
+                              "a phase before and after scaling, and the phase deviation "
+                              "needs at least 2")
+    theta_scaled, theta_asym, dropped = theta_scaled[keep], theta_asym[keep], keep.size - defined
+    span_x = float(trace.x.max() - trace.x.min())
+    span_p = float(trace.p.max() - trace.p.min())
+    # the CLI holds no other reference: this frees the input before the budget's temporaries
+    del trace
+    asymmetry = percent_difference(span_x, span_p)
+    v_det = detection_phase_variance(theta_scaled, theta_asym)
+    xi_det = excess_noise_from_phase_variance(v_a, v_det)
+    v_drift = drift_phase_variance(linewidth_a, linewidth_b, pulse_separation)
+    return SweepAnalysis(scaled, theta_scaled, theta_asym, span_x, span_p, asymmetry, dropped,
+                         v_det, xi_det, v_drift, v_drift + v_det,
+                         excess_noise_from_phase_variance(v_a, v_drift + v_det))

@@ -36,11 +36,10 @@ from hetasym import (
 )
 from hetasym.cli import main as cli_main
 from hetasym.tomography import DensityMatrix
+from measured import MEASURED_LEVELS, MEASURED_XI_DET
 
 TWO_PI = 2.0 * math.pi
 
-MEASURED_XI_DET = [0.1091, 0.0318, 0.0140, 0.0032, 0.0016]
-MEASURED_LEVELS = [33.77, 19.51, 14.29, 4.55, 2.25]
 FIG_PARAMS = dict(v_a=10.0, beta=0.93, xi_line=0.02, eta=0.68, v_elec=0.1,
                   alpha_db_per_km=0.2)
 

@@ -381,6 +381,19 @@ class TestScale:
         assert message in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "out.report.txt").exists()
 
+    # phase-deviation exited 0 with these before it ran the whole analysis
+    @pytest.mark.parametrize("key, value", [("v_a", "0"), ("linewidth_a", "-1.0")])
+    def test_bad_budget_key_exit_2_on_both_commands(self, tmp_path, monkeypatch, capsys,
+                                                    key, value):
+        raw = self.simulate(tmp_path, n_phases=400)
+        monkeypatch.setenv(f"HETASYM_{key.upper()}", value)
+        for command in ("scale", "phase-deviation"):
+            capsys.readouterr()
+            out = tmp_path / f"{command}.csv"
+            assert run(command, raw, "--out", out) == 2
+            assert f"error: {key} must be" in capsys.readouterr().err
+            assert not out.exists() and not out.with_suffix(".report.txt").exists()
+
     def test_default_sweep_without_phase_true_passes(self, tmp_path):
         raw = self.without_phase_true(self.simulate(tmp_path))
         assert run("scale", raw, "--out", tmp_path / "scaled.csv") == 0

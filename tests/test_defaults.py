@@ -12,6 +12,7 @@ import pytest
 from hetasym import (
     HeterodyneModel,
     KeyRateParams,
+    analyze_sweep,
     estimate_phase,
     gains_from_percent,
     make_phase_ramp,
@@ -65,6 +66,9 @@ PAIRS = {
        for key in ("use_true_phase", "block", "amplitude_scale")},
     "estimate_phase.block": pair(default_of(estimate_phase, "block"), CONFIG.block,
                                  estimate_phase, "block"),
+    **{f"analyze_sweep.{key}": pair(default_of(analyze_sweep, key), getattr(CONFIG, key),
+                                    analyze_sweep, key)
+       for key in ("block", "v_a", "linewidth_a", "linewidth_b", "pulse_separation")},
     "make_phase_ramp.pulses_per_phase": pair(default_of(make_phase_ramp, "pulses_per_phase"),
                                              CONFIG.pulses_per_phase,
                                              make_phase_ramp, "pulses_per_phase"),

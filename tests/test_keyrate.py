@@ -28,11 +28,11 @@ from hetasym.keyrate import (
     _symplectic_spectrum,
     _transmittance,
 )
+from measured import MEASURED_XI_DET
 
 # Reference operating point used for the rate-vs-distance figure
 FIG_PARAMS = dict(v_a=10.0, beta=0.93, xi_line=0.02, eta=0.68, v_elec=0.1,
                   alpha_db_per_km=0.2)
-MEASURED_XI_DET = [0.0016, 0.0032, 0.0140, 0.0318, 0.1091]
 # random operating points around the reference one
 operating_points = st.builds(
     KeyRateParams, v_a=st.floats(1.5, 40.0), beta=st.floats(0.85, 0.99),
@@ -558,7 +558,7 @@ class TestMaxDistance:
 
     def test_monotone_across_measured_levels(self):
         base = KeyRateParams(**FIG_PARAMS)
-        cutoffs = [max_distance(replace(base, xi_det=xi)) for xi in MEASURED_XI_DET]
+        cutoffs = [max_distance(replace(base, xi_det=xi)) for xi in sorted(MEASURED_XI_DET)]
         assert all(math.isfinite(c) for c in cutoffs)
         assert all(a > b for a, b in zip(cutoffs, cutoffs[1:]))
 

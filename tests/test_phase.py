@@ -1,14 +1,18 @@
 import math
 import re
+from dataclasses import fields
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from hetasym import (
+    HeterodyneModel,
     NumericalDomainError,
     QuadratureTrace,
+    SweepAnalysis,
     ValidationError,
+    analyze_sweep,
     detection_phase_variance,
     drift_phase_variance,
     estimate_phase,
@@ -17,12 +21,15 @@ from hetasym import (
     make_phase_ramp,
     min_max_scale,
     phase_variance_from_excess_noise,
+    simulate_heterodyne,
     wrap_phase,
 )
+from hetasym.cli import main
+from hetasym.config import RunConfig, render
+from hetasym.csvio import read_trace_csv, write_trace_csv
+from measured import MEASURED_LEVELS, MEASURED_XI_DET
 
 TWO_PI = 2.0 * math.pi
-
-MEASURED_XI_DET = {33.77: 0.1091, 19.51: 0.0318, 14.29: 0.0140, 4.55: 0.0032, 2.25: 0.0016}
 
 
 def noiseless_sweep(gain_x: float, n: int = 4096, amplitude: float = 10.0) -> QuadratureTrace:
@@ -208,7 +215,7 @@ class TestDetectionVariance:
         # min-max scaled trace alike, must equal it to rounding (measured
         # worst 1.0e-14 relative)
         fine = np.linspace(0.0, TWO_PI, 1_000_001)
-        for percent in MEASURED_XI_DET:
+        for percent in MEASURED_LEVELS:
             gain, _ = gains_from_percent(percent)
             with mp.workdps(30):
                 closed = float(mp.polylog(2, (mp.mpf(percent) / 200) ** 2) / 2)
@@ -274,7 +281,7 @@ class TestExcessNoiseConversion:
                 v, rel=1e-12, abs=1e-15)
 
     def test_measured_levels_self_consistent(self):
-        for xi in MEASURED_XI_DET.values():
+        for xi in MEASURED_XI_DET:
             back = excess_noise_from_phase_variance(
                 10.0, phase_variance_from_excess_noise(10.0, xi))
             assert back == pytest.approx(xi, rel=1e-12)
@@ -358,3 +365,41 @@ class TestSymmetrizationEfficacy:
         tr = noiseless_sweep(1.0)
         scaled = min_max_scale(tr)
         np.testing.assert_allclose(scaled.x, tr.x, atol=1e-12)
+
+
+class TestAnalyzeSweep:
+    """analyze_sweep is the analysis that scale and phase-deviation run."""
+
+    def write_sweep(self, tmp_path, phases):
+        """A 14.29 % asymmetric trace at the default seed, written as simulate does."""
+        trace = simulate_heterodyne(552.0, phases, HeterodyneModel(*gains_from_percent(14.29)),
+                                    RunConfig.seed)
+        raw = tmp_path / "raw.csv"
+        write_trace_csv(raw, trace, "simulate", RunConfig())
+        return trace, raw
+
+    def test_partial_sweep_raises_the_cli_message(self, tmp_path, capsys):
+        # 0.4 pi of a turn: min_max_scale, estimate_phase and
+        # detection_phase_variance read 40.34 % and xi_det 0.081 from it
+        trace, raw = self.write_sweep(tmp_path, make_phase_ramp(10_000)[:2000])
+        assert main(["scale", str(raw), "--out", str(tmp_path / "scaled.csv")]) == 2
+        with pytest.raises(ValidationError, match="not cover a full rotation") as raised:
+            analyze_sweep(trace)
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+    def test_report_is_the_result_fields(self, tmp_path):
+        _, raw = self.write_sweep(tmp_path, make_phase_ramp(2000))
+        drift = {"linewidth_a": 1500.0, "linewidth_b": 2500.0, "pulse_separation": 3e-6}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in
+                               {"block": 2, "v_a": 12.0, **drift}.items()), encoding="utf-8")
+        assert main(["scale", str(raw), "--config", str(cfg),
+                     "--out", str(tmp_path / "scaled.csv")]) == 0
+        report = [line.split(" = ", 1) for line in
+                  (tmp_path / "scaled.report.txt").read_text().splitlines()
+                  if not line.startswith("#")]
+        sweep = analyze_sweep(read_trace_csv(raw), block=2, v_a=12.0, **drift)
+        names = [field.name for field in fields(SweepAnalysis)]
+        assert [key for key, _ in report] == names[names.index("theta_asym") + 1:]
+        assert [value for _, value in report] == [render(getattr(sweep, key))
+                                                  for key, _ in report]
