@@ -161,13 +161,12 @@ def analyze_sweep(trace: QuadratureTrace, block: int = RunConfig.block,
                   v_a: float = RunConfig.v_a, linewidth_a: float = RunConfig.linewidth_a,
                   linewidth_b: float = RunConfig.linewidth_b,
                   pulse_separation: float = RunConfig.pulse_separation) -> SweepAnalysis:
-    """The analysis behind ``hetasym scale`` and ``phase-deviation``: min-max
-    scale a swept trace, compare its block phases with the scaled copy's and
-    take the phase-noise budget.  The sweep (``phase_true``, else the defined
-    block phases) must cover a full rotation densely, because the spans of a
-    partial or coarse sweep misstate the asymmetry.  A block with no phase in
-    either trace is dropped from both, and at least two must remain."""
-    # imported here: tomography imports this module, and fidelity must not load detector
+    """The analysis behind ``hetasym scale`` and ``phase-deviation``: min-max scale a swept
+    trace, compare its block phases with the scaled copy's, and take the phase-noise budget.
+    The sweep (``phase_true``, else the defined block phases) must cover a full rotation
+    densely, or its spans misstate the asymmetry.  A block with no phase in either trace is
+    dropped from both, and at least two blocks must remain."""
+    # imported here: tomography loads this module for estimated tags, and no detector
     from .detector import percent_difference
 
     theta_asym = estimate_phase(trace, block)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import NumericalDomainError, ValidationError, integer_at_least, positive
-from .phase import estimate_phase
 from .traces import QuadratureTrace, _distinct, readonly_float_array
 
 #: Divisor taking SNU quadratures (vacuum variance 1) to the internal
@@ -754,6 +753,8 @@ def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = RunConfig.
             raise ValidationError("trace carries no phase_true column; estimate phases instead")
         tags = trace.phase_true
     else:
+        # only estimated tags load the phase module
+        from .phase import estimate_phase
         tags = np.repeat(estimate_phase(trace, block=block), block)
 
     scale = amplitude_scale * SNU_TO_INTERNAL

@@ -957,8 +957,8 @@ def modules_loaded_by(cwd: Path, *argv) -> set[str]:
 def test_csv_commands_do_not_import_numpy_ma(tmp_path):
     # each command imports only what it runs, in a fresh interpreter:
     # --version and keyrate-sweep load no numpy at all, the trace commands
-    # no tomography or key-rate code, and fidelity no detector or key-rate
-    # code; and np.unique without return_counts imports numpy.ma (10-16 ms a
+    # no tomography or key-rate code, and fidelity no detector, phase or
+    # key-rate code; and np.unique without return_counts imports numpy.ma (10-16 ms a
     # command), which scale, phase-deviation and fidelity must not load
     cfg = write_config(tmp_path / "run.cfg", n_phases=200, amplitude_sq=552.0,
                        asymmetry_percent=14.29)
@@ -974,7 +974,8 @@ def test_csv_commands_do_not_import_numpy_ma(tmp_path):
             trace_code | {"numpy.ma"},
         ("phase-deviation", "raw.csv", "--config", "run.cfg", "--out", "dev.csv"):
             trace_code | {"numpy.ma"},
-        ("fidelity", "rho.csv", "rho.csv"): {"hetasym.detector", "hetasym.keyrate", "numpy.ma"},
+        ("fidelity", "rho.csv", "rho.csv"):
+            {"hetasym.detector", "hetasym.keyrate", "hetasym.phase", "numpy.ma"},
     }
     for argv, names in not_loaded.items():
         assert modules_loaded_by(tmp_path, *argv) & names == set(), argv
