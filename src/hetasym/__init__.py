@@ -22,8 +22,8 @@ _EXPORTS = {
     "phase": ("SweepAnalysis", "analyze_sweep", "detection_phase_variance",
               "drift_phase_variance", "estimate_phase", "excess_noise_from_phase_variance",
               "min_max_scale", "phase_variance_from_excess_noise", "wrap_phase"),
-    "tomography": ("DensityMatrix", "PhaseTaggedSamples", "WignerGrid", "fidelity",
-                   "fit_coherent", "ideal_coherent_state", "mle_reconstruct",
+    "tomography": ("DensityMatrix", "PhaseTaggedSamples", "WignerGrid", "analyze_tomography",
+                   "fidelity", "fit_coherent", "ideal_coherent_state", "mle_reconstruct",
                    "quadrature_projector", "samples_from_trace", "wigner"),
     "traces": ("QuadratureTrace", "make_phase_ramp"),
 }

@@ -32,7 +32,7 @@ from .csvio import (
     write_trace_csv,
     write_wigner_csv,
 )
-from .errors import NumericalDomainError, ValidationError, integer_at_least, positive
+from .errors import NumericalDomainError, ValidationError, positive
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -121,57 +121,22 @@ def cmd_keyrate_sweep(config: RunConfig, out: str) -> int:
 
 
 def cmd_tomography(config: RunConfig, input_path: str, out: str) -> int:
-    import numpy as np
+    from .tomography import analyze_tomography
 
-    from .tomography import (
-        fidelity,
-        fit_coherent,
-        ideal_coherent_state,
-        mle_reconstruct,
-        samples_from_trace,
-        wigner,
-    )
-
-    wigner_points = integer_at_least("wigner_points", config.wigner_points, 2)
-    positive("wigner_extent", config.wigner_extent)
-    trace = read_trace_csv(input_path)
-    samples = samples_from_trace(
-        trace,
-        use_true_phase=config.use_true_phase,
-        block=config.block,
-        amplitude_scale=config.amplitude_scale,
-    )
-    result = mle_reconstruct(samples, config.dim, max_iter=config.max_iter, tol=config.tol)
-    alpha_fit = fit_coherent(result.rho)
-    reference = ideal_coherent_state(alpha_fit, config.dim)
-    fid_sqrt = fidelity(result.rho, reference)
-    axis = np.linspace(-config.wigner_extent, config.wigner_extent, wigner_points)
-    grid = wigner(result.rho, axis, axis)
-
+    analysis = analyze_tomography(read_trace_csv(input_path), config.dim,
+                                  config.use_true_phase, config.block, config.amplitude_scale,
+                                  config.max_iter, config.tol, config.wigner_extent,
+                                  config.wigner_points)
+    result = analysis.result
     out_base = Path(out)
     rho_path = out_base.with_suffix(".rho.csv")
     wig_path = out_base.with_suffix(".wigner.csv")
     report_path = out_base.with_suffix(".report.txt")
     write_density_csv(rho_path, result.rho, "tomography", config)
-    write_wigner_csv(wig_path, grid, "tomography", config)
-    entries = [
-        ("alpha_fit_re", alpha_fit.real),
-        ("alpha_fit_im", alpha_fit.imag),
-        ("fidelity_sqrt", fid_sqrt),
-        ("fidelity_squared", fid_sqrt * fid_sqrt),
-        ("converged", result.converged),
-        ("iterations", result.iterations),
-        ("final_log_likelihood", result.log_likelihood[-1]),
-        ("floored_probabilities", result.floored),
-        ("samples_dropped", 2 * trace.n - samples.n),
-        ("engine", "grouped" if result.grouped else "dense"),
-        ("rank_one_steps", result.rank_one_steps),
-        ("optimality_gap", result.gap),
-        ("wigner_normalization", grid.normalization()),
-    ]
-    write_report(report_path, "tomography", config, entries)
-    print(f"tomography: fidelity(sqrt) {fid_sqrt:.4f}, converged={result.converged} "
-          f"-> {rho_path}, {wig_path}, {report_path}")
+    write_wigner_csv(wig_path, analysis.grid, "tomography", config)
+    write_report(report_path, "tomography", config, analysis.report())
+    print(f"tomography: fidelity(sqrt) {analysis.fidelity_sqrt:.4f}, "
+          f"converged={result.converged} -> {rho_path}, {wig_path}, {report_path}")
     if not result.converged:
         print(f"tomography: optimality gap {result.gap:.3e} not certified below tol "
               f"{config.tol:g} after {result.iterations} iterations (outputs retained)",

@@ -15,21 +15,19 @@ import numpy as np
 from hetasym import (
     HeterodyneModel,
     KeyRateParams,
+    analyze_tomography,
     detection_phase_variance,
     estimate_phase,
     excess_noise_from_phase_variance,
     fidelity,
-    fit_coherent,
     gains_from_percent,
     ideal_coherent_state,
     key_rate,
     make_phase_ramp,
     max_distance,
     min_max_scale,
-    mle_reconstruct,
     percent_difference,
     phase_variance_from_excess_noise,
-    samples_from_trace,
     simulate_heterodyne,
     wigner,
     wrap_phase,
@@ -185,21 +183,19 @@ def test_criterion_7_tomography_desk_scale():
     phases = make_phase_ramp(200, pulses_per_phase=250)
     gain, _ = gains_from_percent(14.29)
 
-    def reconstruct(trace):
-        samples = samples_from_trace(trace, amplitude_scale=scale)
-        assert samples.n == 100_000
-        result = mle_reconstruct(samples, 25, max_iter=300, tol=1e-9)
-        reference = ideal_coherent_state(fit_coherent(result.rho), 25)
-        return fidelity(result.rho, reference), result
+    def analyze(trace):
+        analysis = analyze_tomography(trace, 25, amplitude_scale=scale, max_iter=300, tol=1e-9)
+        # two quadrature samples a shot, none dropped
+        assert 2 * trace.n - analysis.samples_dropped == 100_000
+        return analysis
 
     sym_trace = simulate_heterodyne(amplitude_sq, phases, HeterodyneModel(), 20250808)
     asym_trace = simulate_heterodyne(amplitude_sq, phases, HeterodyneModel(gain_x=gain),
                                      20250808)
     scaled_trace = min_max_scale(asym_trace)
 
-    fid_sym, res_sym = reconstruct(sym_trace)
-    fid_asym, res_asym = reconstruct(asym_trace)
-    fid_scaled, res_scaled = reconstruct(scaled_trace)
+    sym, asym, scaled = analyze(sym_trace), analyze(asym_trace), analyze(scaled_trace)
+    fid_sym, fid_asym, fid_scaled = sym.fidelity_sqrt, asym.fidelity_sqrt, scaled.fidelity_sqrt
 
     # (a) symmetric reconstruction
     assert fid_sym > 0.99
@@ -207,8 +203,8 @@ def test_criterion_7_tomography_desk_scale():
     assert fid_asym < fid_scaled
     assert fid_scaled > 0.99
     # (c) log-likelihood non-decreasing at every iteration of every run
-    for result in (res_sym, res_asym, res_scaled):
-        assert np.all(np.diff(result.log_likelihood) >= 0.0)
+    for analysis in (sym, asym, scaled):
+        assert np.all(np.diff(analysis.result.log_likelihood) >= 0.0)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report(7, f"fidelities sym/asym/scaled = {fid_sym:.5f}/{fid_asym:.5f}/"

@@ -791,6 +791,20 @@ class TestTomography:
         assert f"{key} must" in capsys.readouterr().err
         assert not (tmp_path / "tomo.report.txt").exists()
 
+    def test_huge_wigner_grid_exit_2_before_the_mle(self, tmp_path, monkeypatch, capsys):
+        # a 10^7 x 10^7 grid used to run the whole MLE, then fail to allocate
+        # the grid in wigner with a traceback and exit 1
+        def no_mle(*args, **kwargs):
+            raise AssertionError("mle_reconstruct ran")
+
+        monkeypatch.setattr("hetasym.tomography.mle_reconstruct", no_mle)
+        raw = self.bright_trace(tmp_path, n_phases=40, ppp=1)
+        monkeypatch.setenv("HETASYM_WIGNER_POINTS", "10000000")
+        assert run("tomography", raw, "--config", self.tomo_config(tmp_path),
+                   "--out", tmp_path / "big") == 2
+        assert "error: wigner_points = 10000000 is too large" in capsys.readouterr().err
+        assert not list(tmp_path.glob("big.*"))
+
     def test_overflowing_quadrature_exit_2(self, tmp_path, capsys):
         # x = 1e200 squares to inf in the projector tables: exit 2 naming
         # the value as the trace holds it, its column and its index, not a

@@ -13,6 +13,7 @@ from hetasym import (
     HeterodyneModel,
     KeyRateParams,
     analyze_sweep,
+    analyze_tomography,
     estimate_phase,
     gains_from_percent,
     make_phase_ramp,
@@ -69,6 +70,10 @@ PAIRS = {
     **{f"analyze_sweep.{key}": pair(default_of(analyze_sweep, key), getattr(CONFIG, key),
                                     analyze_sweep, key)
        for key in ("block", "v_a", "linewidth_a", "linewidth_b", "pulse_separation")},
+    **{f"analyze_tomography.{key}": pair(default_of(analyze_tomography, key),
+                                         getattr(CONFIG, key), analyze_tomography, key)
+       for key in ("dim", "use_true_phase", "block", "amplitude_scale", "max_iter", "tol",
+                   "wigner_extent", "wigner_points")},
     "make_phase_ramp.pulses_per_phase": pair(default_of(make_phase_ramp, "pulses_per_phase"),
                                              CONFIG.pulses_per_phase,
                                              make_phase_ramp, "pulses_per_phase"),

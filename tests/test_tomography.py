@@ -15,6 +15,7 @@ from hetasym import (
     QuadratureTrace,
     ValidationError,
     WignerGrid,
+    analyze_tomography,
     fidelity,
     fit_coherent,
     ideal_coherent_state,
@@ -25,6 +26,10 @@ from hetasym import (
     simulate_heterodyne,
     wigner,
 )
+from hetasym import tomography
+from hetasym.cli import main
+from hetasym.config import RunConfig, render
+from hetasym.csvio import read_density_csv, read_trace_csv, write_trace_csv
 from hetasym.tomography import (
     MAX_QUADRATURE,
     _DenseEngine,
@@ -763,3 +768,44 @@ class TestSamplesFromTrace:
         result = mle_reconstruct(samples, 25, max_iter=400, tol=1e-10)
         alpha = fit_coherent(result.rho)
         assert abs(alpha - 2.0) < 0.05
+
+
+def no_mle(*args, **kwargs):
+    raise AssertionError("mle_reconstruct ran")
+
+
+class TestAnalyzeTomography:
+    def trace(self, n=64):
+        theta = make_phase_ramp(n)
+        return QuadratureTrace(4.0 * np.cos(theta), 4.0 * np.sin(theta), theta)
+
+    def test_report_is_the_cli_report(self, tmp_path):
+        phases = make_phase_ramp(25, pulses_per_phase=40)
+        raw = tmp_path / "raw.csv"
+        write_trace_csv(raw, simulate_heterodyne(4.0, phases, HeterodyneModel(), seed=1),
+                        "simulate", RunConfig())
+        cfg = tmp_path / "tomo.cfg"
+        cfg.write_text("dim = 12\nwigner_points = 31\n", encoding="utf-8")
+        assert main(["tomography", str(raw), "--config", str(cfg),
+                     "--out", str(tmp_path / "tomo")]) == 0
+        report = [line.split(" = ", 1) for line in
+                  (tmp_path / "tomo.report.txt").read_text().splitlines()
+                  if not line.startswith("#")]
+        analysis = analyze_tomography(read_trace_csv(raw), dim=12, wigner_points=31)
+        entries = analysis.report()
+        assert [key for key, _ in report] == [key for key, _ in entries]
+        assert [value for _, value in report] == [render(value) for _, value in entries]
+        written = read_density_csv(tmp_path / "tomo.rho.csv").matrix
+        assert written.tobytes() == analysis.result.rho.matrix.tobytes()
+
+    @pytest.mark.parametrize("points", [1001, 10_000_000])
+    def test_huge_grid_raises_before_the_mle(self, monkeypatch, points):
+        # a 10^7 x 10^7 grid used to run the whole MLE, then fail to allocate
+        monkeypatch.setattr(tomography, "mle_reconstruct", no_mle)
+        with pytest.raises(ValidationError, match=f"^wigner_points = {points} is too large"):
+            analyze_tomography(self.trace(), wigner_points=points)
+
+    def test_largest_grid_reaches_the_mle(self, monkeypatch):
+        monkeypatch.setattr(tomography, "mle_reconstruct", no_mle)
+        with pytest.raises(AssertionError, match="mle_reconstruct ran"):
+            analyze_tomography(self.trace(), wigner_points=1000)
