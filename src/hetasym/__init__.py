@@ -15,13 +15,12 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "detector": ("HeterodyneModel", "gains_from_percent", "percent_difference",
-                 "simulate_heterodyne"),
+    "detector": ("HeterodyneModel", "percent_difference", "simulate_heterodyne"),
     "errors": ("NumericalDomainError", "ValidationError"),
     "keyrate": ("KeyRateParams", "key_rate", "key_rate_curve", "max_distance"),
-    "phase": ("SweepAnalysis", "analyze_sweep", "detection_phase_variance",
-              "drift_phase_variance", "estimate_phase", "excess_noise_from_phase_variance",
-              "min_max_scale", "phase_variance_from_excess_noise", "wrap_phase"),
+    "phase": ("analyze_sweep", "detection_phase_variance", "drift_phase_variance",
+              "estimate_phase", "excess_noise_from_phase_variance", "min_max_scale",
+              "phase_variance_from_excess_noise", "wrap_phase"),
     "tomography": ("DensityMatrix", "PhaseTaggedSamples", "WignerGrid", "analyze_tomography",
                    "fidelity", "fit_coherent", "ideal_coherent_state", "mle_reconstruct",
                    "quadrature_projector", "samples_from_trace", "wigner"),

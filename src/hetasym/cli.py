@@ -42,14 +42,12 @@ _MAX_DISTANCES = 10**6
 
 
 def cmd_simulate(config: RunConfig, out: str) -> int:
-    from .detector import HeterodyneModel, gains_from_percent, simulate_heterodyne
+    from .detector import HeterodyneModel, simulate_heterodyne
     from .traces import make_phase_ramp
 
     phases = make_phase_ramp(config.n_phases, config.pulses_per_phase)
-    detector = HeterodyneModel(*gains_from_percent(config.asymmetry_percent),
-                               hybrid_phase_error=config.hybrid_phase_error,
-                               noise_var=config.noise_var)
-    trace = simulate_heterodyne(config.amplitude_sq, phases, detector, config.seed)
+    det = HeterodyneModel(config.asymmetry_percent, config.hybrid_phase_error, config.noise_var)
+    trace = simulate_heterodyne(config.amplitude_sq, phases, det, config.seed)
     write_trace_csv(out, trace, "simulate", config)
     print(f"simulate: wrote {trace.n} samples to {out}")
     return EXIT_OK

@@ -2,11 +2,10 @@
 
 A 90-degree-hybrid heterodyne receiver feeds two balanced photodiode pairs,
 one per quadrature.  Unequal optical power reaching the pairs (splitter
-ratio, responsivity mismatch, coupling loss, ...) scales the difference
-photocurrents unequally; all causes are absorbed into one multiplicative
-power gain per quadrature.  Noise (shot plus electronic) is injected before
-the gain, so asymmetry scales signal and noise together, matching
-attenuation of the combined field after the hybrid.
+ratio, responsivity mismatch, coupling loss, ...) is absorbed into one gain
+g <= 1 on the X quadrature: the trace is SNU-calibrated on the P pair.  The
+gain multiplies signal and noise (shot plus electronic) alike, after the
+noise, matching attenuation of the combined field after the hybrid.
 """
 
 from __future__ import annotations
@@ -17,46 +16,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import ValidationError, positive, unit_interval
+from .errors import ValidationError, positive
 from .traces import QuadratureTrace, readonly_float_array
-
-
-def gains_from_percent(percent: float) -> tuple[float, float]:
-    """Gains (g, 1) with g <= 1 realizing a given percentage difference.
-
-    Inverse of :func:`percent_difference` on the second argument held at 1:
-    g = (200 - percent) / (200 + percent).
-    """
-    if not (0.0 <= percent < 200.0):
-        raise ValidationError(f"percent must be in [0, 200), got {percent}")
-    return (200.0 - percent) / (200.0 + percent), 1.0
 
 
 @dataclass(frozen=True)
 class HeterodyneModel:
-    """Detector parameters; per-quadrature gains encode the asymmetry.
-
-    gain_x / gain_p are dimensionless power factors in (0, 1] applied to the
-    light reaching the X / P balanced pair.  Photodiode responsivity and
-    local-oscillator power scale both quadratures alike and cancel in the
-    shot-noise normalization, so they are not parameters.  noise_var is the
-    variance of the noise on each quadrature before the gain: shot noise
-    (1 in SNU) plus electronic noise.  hybrid_phase_error lies in
-    (-pi/2, pi/2); at +-pi/2 both pairs measure one quadrature.
+    """Detector parameters.  asymmetry_percent in [0, 200) is the percentage
+    difference between the gains (g, 1) on the X and P quadratures.
+    noise_var is the variance of the noise on each quadrature before the
+    gain: shot noise (1 in SNU) plus electronic noise.  hybrid_phase_error
+    lies in (-pi/2, pi/2); at +-pi/2 both pairs measure one quadrature.
+    Responsivity and local-oscillator power scale both quadratures alike and
+    cancel in the shot-noise normalization, so they are not parameters.
     """
 
-    gain_x: float = gains_from_percent(RunConfig.asymmetry_percent)[0]
-    gain_p: float = gains_from_percent(RunConfig.asymmetry_percent)[1]
+    asymmetry_percent: float = RunConfig.asymmetry_percent
     hybrid_phase_error: float = RunConfig.hybrid_phase_error
     noise_var: float = RunConfig.noise_var
 
     def __post_init__(self):
-        unit_interval("gain_x", self.gain_x)
-        unit_interval("gain_p", self.gain_p)
+        if not 0.0 <= self.asymmetry_percent < 200.0:
+            raise ValidationError(
+                f"asymmetry_percent must be in [0, 200), got {self.asymmetry_percent}")
         positive("noise_var", self.noise_var)
         if not abs(self.hybrid_phase_error) < math.pi / 2.0:
             raise ValidationError(
                 f"hybrid_phase_error must be in (-pi/2, pi/2), got {self.hybrid_phase_error}")
+
+
+def _gain_from_percent(percent: float) -> float:
+    """g with percent_difference(g, 1) == percent: the gain on X."""
+    return (200.0 - percent) / (200.0 + percent)
 
 
 def percent_difference(p1: float, p2: float) -> float:
@@ -80,12 +71,13 @@ def simulate_heterodyne(amplitude_sq: float, phases, det: HeterodyneModel,
 
     For each sample with true phase theta:
 
-        x = gain_x * (A cos(theta) + n_x)
-        p = gain_p * (A sin(theta + hybrid_phase_error) + n_p)
+        x = g * (A cos(theta) + n_x),   g = (200 - a) / (200 + a)
+        p = A sin(theta + hybrid_phase_error) + n_p
 
-    with A = sqrt(amplitude_sq) and n_x, n_p independent zero-mean Gaussians
-    of variance noise_var.  Identical arguments produce bit-identical
-    traces; the seed must be a non-negative integer.
+    with a = asymmetry_percent, A = sqrt(amplitude_sq) and n_x, n_p
+    independent zero-mean Gaussians of variance noise_var.  Identical
+    arguments produce bit-identical traces; the seed must be a non-negative
+    integer.
     """
     positive("amplitude_sq", amplitude_sq)
     theta = readonly_float_array(phases, "phases")
@@ -98,6 +90,6 @@ def simulate_heterodyne(amplitude_sq: float, phases, det: HeterodyneModel,
     noise_std = math.sqrt(det.noise_var)
     n_x = noise_std * rng.standard_normal(theta.size)
     n_p = noise_std * rng.standard_normal(theta.size)
-    x = det.gain_x * (amp * np.cos(theta) + n_x)
-    p = det.gain_p * (amp * np.sin(theta + det.hybrid_phase_error) + n_p)
+    x = _gain_from_percent(det.asymmetry_percent) * (amp * np.cos(theta) + n_x)
+    p = amp * np.sin(theta + det.hybrid_phase_error) + n_p
     return QuadratureTrace(x, p, phase_true=theta)

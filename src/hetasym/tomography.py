@@ -693,15 +693,19 @@ def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
     its conjugate (rho is Hermitian).  The s_k depend on r^2 alone, so the
     generalized-Laguerre three-term recurrence (carried upward in n for
     every k at once, stable for desk-scale cutoffs) runs once per distinct
-    r^2, and Horner's rule in z combines the diagonals over the grid.
+    r^2, and Horner's rule in z combines the diagonals over the grid.  W is
+    0 without a sum wherever e^{-r^2} rounds to 0, so far grids stay finite.
     """
     x_axis = np.asarray(x_axis, dtype=np.float64)
     p_axis = np.asarray(p_axis, dtype=np.float64)
-    mat = rho.matrix
     dim = rho.dim
     grid_x, grid_p = np.meshgrid(x_axis, p_axis, indexing="ij")
-    r_sq, inverse = np.unique(grid_x * grid_x + grid_p * grid_p, return_inverse=True)
-    z = grid_x - 1j * grid_p
+    with np.errstate(over="ignore"):  # an r^2 that overflows is inf, and far out
+        r_sq = grid_x * grid_x + grid_p * grid_p
+    # e^{-r^2} < 2^-1075 rounds to 0 from r^2 = 1075 ln 2 on, and so does W
+    near = r_sq < 1075.0 * math.log(2.0)
+    r_sq, inverse = np.unique(r_sq[near], return_inverse=True)
+    z = grid_x[near] - 1j * grid_p[near]
 
     # weights[k, n] = (-1)^n sqrt(2^k n! / (n + k)!) times diagonal k of rho
     # (rho[n + k, n], n + k < dim), doubled for k > 0
@@ -713,7 +717,7 @@ def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
                                           - log_fact[rows])), 0.0)
     coef[:, 1::2] *= -1.0
     coef[1:] *= 2.0
-    diagonals = coef * mat[rows, level]
+    diagonals = coef * rho.matrix[rows, level]
     weights = np.stack([diagonals.real, diagonals.imag])
 
     # sums[c, k] = sum_n weights[c, k, n] L_n^k(2 r^2) over the distinct r^2;
@@ -734,7 +738,9 @@ def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
     total = coefs[dim - 1, inverse]
     for k in range(dim - 2, -1, -1):
         total = total * z + coefs[k, inverse]
-    return WignerGrid(x_axis, p_axis, total.real)
+    values = np.zeros(grid_x.shape)
+    values[near] = total.real
+    return WignerGrid(x_axis, p_axis, values)
 
 
 def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = RunConfig.use_true_phase,
@@ -760,8 +766,9 @@ def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = RunConfig.
         tags = np.repeat(estimate_phase(trace, block=block), block)
 
     scale = amplitude_scale * SNU_TO_INTERNAL
-    x_int = trace.x / scale
-    p_int = trace.p / scale
+    with np.errstate(over="ignore"):  # a sample that overflows is inf, and named below
+        x_int = trace.x / scale
+        p_int = trace.p / scale
     # name an out-of-range sample as the trace holds it; argmin and argmax
     # need no temporary array
     for name, snu, internal in (("x", trace.x, x_int), ("p", trace.p, p_int)):
@@ -824,10 +831,13 @@ def analyze_tomography(trace: QuadratureTrace, dim: int = RunConfig.dim,
     """The analysis behind ``hetasym tomography``: check the Wigner grid, reconstruct the
     trace's state, fit a coherent state to it and evaluate W on one axis for both x and p."""
     wigner_points = integer_at_least("wigner_points", wigner_points, 2)
-    positive("wigner_extent", wigner_extent)
+    cell = 2.0 * positive("wigner_extent", wigner_extent) / (wigner_points - 1)
     if wigner_points * wigner_points > _MAX_WIGNER_POINTS:
         raise ValidationError(f"wigner_points = {wigner_points} is too large: the Wigner "
                               f"grid would have more than {_MAX_WIGNER_POINTS} points")
+    if not cell * cell < math.inf:  # the normalization sums W times this cell area
+        raise ValidationError(f"wigner_extent = {wigner_extent} is too large: a cell of the "
+                              f"{wigner_points}-point grid has an area beyond float64")
     samples = samples_from_trace(trace, use_true_phase, block, amplitude_scale)
     result = mle_reconstruct(samples, dim, max_iter=max_iter, tol=tol)
     alpha_fit = fit_coherent(result.rho)

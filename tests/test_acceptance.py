@@ -20,7 +20,6 @@ from hetasym import (
     estimate_phase,
     excess_noise_from_phase_variance,
     fidelity,
-    gains_from_percent,
     ideal_coherent_state,
     key_rate,
     make_phase_ramp,
@@ -33,6 +32,7 @@ from hetasym import (
     wrap_phase,
 )
 from hetasym.cli import main as cli_main
+from hetasym.detector import _gain_from_percent
 from hetasym.tomography import DensityMatrix
 from measured import MEASURED_LEVELS, MEASURED_XI_DET
 
@@ -47,8 +47,7 @@ def report(criterion: int, detail: str) -> None:
 
 
 def noiseless_sweep(percent: float, n: int = 7200) -> "QuadratureTrace":
-    gain, _ = gains_from_percent(percent)
-    det = HeterodyneModel(gain_x=gain, noise_var=1e-30)
+    det = HeterodyneModel(asymmetry_percent=percent, noise_var=1e-30)
     return simulate_heterodyne(100.0, make_phase_ramp(n), det, 1)
 
 
@@ -122,7 +121,7 @@ def test_criterion_4_pure_state_holevo():
 
 
 def test_criterion_5_phase_deviation_structure():
-    gain, _ = gains_from_percent(14.29)
+    gain = _gain_from_percent(14.29)
 
     def deviation(theta):
         return wrap_phase(np.arctan2(np.sin(theta), gain * np.cos(theta)) - theta)
@@ -150,8 +149,8 @@ def test_criterion_5_phase_deviation_structure():
     peak_loc = trace.phase_true[np.argmax(np.abs(pipeline_delta))] % (math.pi / 2)
     assert math.pi / 8 < peak_loc < 3 * math.pi / 8
     # larger asymmetry deviates more
-    gain_50, _ = gains_from_percent(50.2)
-    gain_33, _ = gains_from_percent(33.77)
+    gain_50 = _gain_from_percent(50.2)
+    gain_33 = _gain_from_percent(33.77)
     peak_50 = np.abs(wrap_phase(np.arctan2(np.sin(theta), gain_50 * np.cos(theta)) - theta)).max()
     peak_33 = np.abs(wrap_phase(np.arctan2(np.sin(theta), gain_33 * np.cos(theta)) - theta)).max()
     assert peak_50 > peak_33
@@ -181,7 +180,6 @@ def test_criterion_7_tomography_desk_scale():
     amplitude_sq = 552.0
     scale = math.sqrt(amplitude_sq) / 4.0
     phases = make_phase_ramp(200, pulses_per_phase=250)
-    gain, _ = gains_from_percent(14.29)
 
     def analyze(trace):
         analysis = analyze_tomography(trace, 25, amplitude_scale=scale, max_iter=300, tol=1e-9)
@@ -190,8 +188,7 @@ def test_criterion_7_tomography_desk_scale():
         return analysis
 
     sym_trace = simulate_heterodyne(amplitude_sq, phases, HeterodyneModel(), 20250808)
-    asym_trace = simulate_heterodyne(amplitude_sq, phases, HeterodyneModel(gain_x=gain),
-                                     20250808)
+    asym_trace = simulate_heterodyne(amplitude_sq, phases, HeterodyneModel(14.29), 20250808)
     scaled_trace = min_max_scale(asym_trace)
 
     sym, asym, scaled = analyze(sym_trace), analyze(asym_trace), analyze(scaled_trace)

@@ -17,7 +17,6 @@ import hetasym
 from hetasym import (
     HeterodyneModel,
     QuadratureTrace,
-    gains_from_percent,
     make_phase_ramp,
     simulate_heterodyne,
     wrap_phase,
@@ -175,6 +174,16 @@ class TestSimulate:
         assert "hybrid_phase_error must be in (-pi/2, pi/2)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("percent", ["200", "250", "-1"])
+    def test_asymmetry_percent_out_of_range_exit_2(self, tmp_path, capsys, percent):
+        # the message names the config key; the percent -> gain map used to
+        # raise "percent must be in [0, 200)"
+        cfg = write_config(tmp_path / "c.cfg", n_phases=100, asymmetry_percent=percent)
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: asymmetry_percent must be in [0, 200)")
+        assert not out.exists()
+
     def test_header_embeds_metadata(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_phases=100, seed=5)
         out = tmp_path / "t.csv"
@@ -266,7 +275,7 @@ class TestScale:
         # half a rotation misses an extreme of the x span; without the check
         # this reported ~42.7% for a true 14.29% asymmetry with exit code 0
         half_turn = make_phase_ramp(40000)[:20000]
-        trace = simulate_heterodyne(552.0, half_turn, HeterodyneModel(*gains_from_percent(14.29)),
+        trace = simulate_heterodyne(552.0, half_turn, HeterodyneModel(14.29),
                                     RunConfig().seed)
         raw = tmp_path / "raw.csv"
         write_trace_csv(raw, trace, "simulate", RunConfig())
@@ -704,6 +713,52 @@ def test_trace_commands_contract(drawn):
                 assert all(math.isfinite(v) for path in written for v in numbers_in(path))
 
 
+#: a tiny weak-state trace: 8 phases x 4 pulses, 64 quadrature samples
+_TOMO_TRACE = simulate_heterodyne(4.0, make_phase_ramp(8, 4), HeterodyneModel(), 1)
+_TOMO_KEYS = ["dim", "tol", "max_iter", "amplitude_scale", "use_true_phase", "block",
+              "wigner_extent", "wigner_points"]
+
+
+@st.composite
+def tomography_configs(draw):
+    """tomography config values: up to two float keys extreme, the rest
+    ordinary, and integer keys in range (a block of 3 does not divide the 32
+    shots; the range rules for integers are tested on their own)."""
+    ordinary = {"tol": st.floats(1e-12, 1e-3), "amplitude_scale": st.floats(0.5, 4.0),
+                "wigner_extent": st.floats(0.1, 50.0)}
+    extreme = draw(st.sets(st.sampled_from(sorted(ordinary)), max_size=2))
+    values = {key: draw(_EXTREME if key in extreme else strategy)
+              for key, strategy in ordinary.items()}
+    return {**values, "dim": draw(st.integers(8, 16)), "max_iter": draw(st.integers(0, 60)),
+            "use_true_phase": draw(st.booleans()), "block": draw(st.sampled_from([1, 2, 3, 4, 8])),
+            "wigner_points": draw(st.integers(2, 41))}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tomography_configs())
+# a far Wigner grid: at dim 25 the Laguerre sums overflowed from about 1e8 on;
+# an amplitude_scale of 5e-324 overflowed dividing the samples by it
+@example({**{key: getattr(RunConfig(), key) for key in _TOMO_KEYS}, "wigner_extent": 1e8})
+@example({**{key: getattr(RunConfig(), key) for key in _TOMO_KEYS}, "amplitude_scale": 5e-324})
+def test_tomography_contract(values):
+    # whatever the values, tomography exits 0, 2 or 3 and raises and warns
+    # nothing; on exit 0 every value of its report is finite
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, out = Path(tmp) / "raw.csv", Path(tmp) / "tomo"
+        cfg = write_config(Path(tmp) / "c.cfg",
+                           **{key: render(values[key]) for key in _TOMO_KEYS})
+        write_trace_csv(raw, _TOMO_TRACE, "simulate", RunConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)  # dropped shots, too few tags
+            code = run("tomography", raw, "--config", cfg, "--out", out)
+        assert code in (0, 2, 3)
+        if code == 0:
+            report = read_report(out.with_suffix(".report.txt"))
+            assert all(math.isfinite(float(value)) for key, value in report.items()
+                       if key not in ("converged", "engine"))
+
+
 class TestTomography:
     def bright_trace(self, tmp_path, pct=0.0, n_phases=80, ppp=25) -> Path:
         cfg = write_config(tmp_path / "sim.cfg", n_phases=n_phases,
@@ -744,6 +799,36 @@ class TestTomography:
         f_scaled = float(read_report(tmp_path / "sym.report.txt")["fidelity_sqrt"])
         assert f_asym < f_scaled
         assert f_scaled > 0.99
+
+    def weak_trace(self, tmp_path) -> Path:
+        """25 phase tags x 40 pulses of a weak coherent state (A^2 = 4 SNU, seed 1)."""
+        raw = tmp_path / "raw.csv"
+        trace = simulate_heterodyne(4.0, make_phase_ramp(25, 40), HeterodyneModel(), 1)
+        write_trace_csv(raw, trace, "simulate", RunConfig())
+        return raw
+
+    @pytest.mark.parametrize("extent", [1e13, 1e155])
+    def test_far_wigner_grid(self, tmp_path, extent):
+        # at dim 16 the Laguerre sums overflowed from about 1e12 on, and r^2
+        # from 1.3e154 on: exit 2 after the whole MLE, with RuntimeWarnings;
+        # W is 0 wherever e^{-r^2} rounds to 0, so only the origin is nonzero
+        cfg = write_config(tmp_path / "tomo.cfg", dim=16, wigner_points=31, wigner_extent=extent)
+        out = tmp_path / "tomo"
+        assert run("tomography", self.weak_trace(tmp_path), "--config", cfg, "--out", out) == 0
+        assert all(math.isfinite(float(value)) for key, value in
+                   read_report(out.with_suffix(".report.txt")).items()
+                   if key not in ("converged", "engine"))
+        rows = [line.split(",") for line in out.with_suffix(".wigner.csv").read_text().splitlines()
+                if not line.startswith("#")][1:]
+        assert [(x, p) for x, p, w in rows if float(w) != 0.0] == [("0.0", "0.0")]
+
+    def test_wigner_cell_area_overflow_exit_2(self, tmp_path, capsys):
+        # W(0, 0) times a cell area of 4.4e397 would make the normalization inf
+        cfg = write_config(tmp_path / "tomo.cfg", dim=16, wigner_points=31, wigner_extent=1e200)
+        out = tmp_path / "far"
+        assert run("tomography", self.weak_trace(tmp_path), "--config", cfg, "--out", out) == 2
+        assert "error: wigner_extent = 1e+200 is too large" in capsys.readouterr().err
+        assert not list(tmp_path.glob("far.*"))
 
     def test_non_convergence_exit_3_with_outputs(self, tmp_path):
         raw = self.bright_trace(tmp_path)

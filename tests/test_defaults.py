@@ -1,8 +1,8 @@
 """The library and the CLI share one operating point: every library default
 that mirrors a config key is written as that key's ``RunConfig`` default
-(``RunConfig.<key>``, or derived from it), so the README library example and
-the CLI compute at the same point and no default restates a value that could
-drift from the config."""
+(``RunConfig.<key>``), so the README library example and the CLI compute at
+the same point and no default restates a value that could drift from the
+config."""
 
 import ast
 import inspect
@@ -15,7 +15,6 @@ from hetasym import (
     analyze_sweep,
     analyze_tomography,
     estimate_phase,
-    gains_from_percent,
     make_phase_ramp,
     mle_reconstruct,
     samples_from_trace,
@@ -42,23 +41,19 @@ CONFIG = RunConfig()
 DETECTOR = HeterodyneModel()
 
 
-def pair(library, config, owner, *names):
-    """library default, RunConfig default and the source of each default
-    that the library derives it from"""
-    return library, config, [default_source(owner, name) for name in names]
+def pair(library, config, owner, name):
+    """library default, RunConfig default and the source of the library default"""
+    return library, config, default_source(owner, name)
 
 
-#: (library default, RunConfig default, default sources) by the library name
+#: (library default, RunConfig default, default source) by the library name
 PAIRS = {
     **{f"KeyRateParams.{key}": pair(getattr(KeyRateParams(), key), getattr(CONFIG, key),
                                     KeyRateParams, key)
        for key in ("v_a", "beta", "xi_line", "eta", "v_elec", "alpha_db_per_km")},
     **{f"HeterodyneModel.{key}": pair(getattr(DETECTOR, key), getattr(CONFIG, key),
                                       HeterodyneModel, key)
-       for key in ("noise_var", "hybrid_phase_error")},
-    "HeterodyneModel.gains": pair((DETECTOR.gain_x, DETECTOR.gain_p),
-                                  gains_from_percent(CONFIG.asymmetry_percent),
-                                  HeterodyneModel, "gain_x", "gain_p"),
+       for key in ("asymmetry_percent", "noise_var", "hybrid_phase_error")},
     **{f"mle_reconstruct.{key}": pair(default_of(mle_reconstruct, key), getattr(CONFIG, key),
                                       mle_reconstruct, key)
        for key in ("max_iter", "tol")},
@@ -82,8 +77,7 @@ PAIRS = {
 
 @pytest.mark.parametrize("name", PAIRS)
 def test_library_default_equals_config_default(name):
-    library, config, sources = PAIRS[name]
+    library, config, source = PAIRS[name]
     assert library == config
     # written as the config default, not as a literal of the same value
-    key = "asymmetry_percent" if name == "HeterodyneModel.gains" else name.split(".")[1]
-    assert all(f"RunConfig.{key}" in source for source in sources)
+    assert source == f"RunConfig.{name.split('.')[1]}"

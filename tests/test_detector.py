@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from hetasym import (
     HeterodyneModel,
     ValidationError,
-    gains_from_percent,
     make_phase_ramp,
     percent_difference,
     simulate_heterodyne,
 )
+from hetasym.detector import _gain_from_percent
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,48 +59,50 @@ class TestPercentDifference:
 
 
 class TestGainsFromPercent:
+    """The gain g on X, against 1 on P, that asymmetry_percent sets."""
+
     def test_identity(self):
-        assert gains_from_percent(0.0) == (1.0, 1.0)
+        assert _gain_from_percent(0.0) == 1.0
 
     def test_known_levels(self):
-        g, one = gains_from_percent(14.29)
-        assert one == 1.0
+        g = _gain_from_percent(14.29)
         assert g == pytest.approx(0.8667, abs=1e-4)
         assert g == pytest.approx((200.0 - 14.29) / (200.0 + 14.29), rel=1e-12)
-        g, _ = gains_from_percent(33.77)
+        g = _gain_from_percent(33.77)
         assert g == pytest.approx(0.7111, abs=1e-4)
         assert g == pytest.approx((200.0 - 33.77) / (200.0 + 33.77), rel=1e-12)
 
     def test_round_trip(self):
         for pct in np.linspace(0.01, 199.9, 97):
-            g, one = gains_from_percent(pct)
-            assert percent_difference(g, one) == pytest.approx(pct, abs=1e-9)
+            assert percent_difference(_gain_from_percent(pct), 1.0) == pytest.approx(pct, abs=1e-9)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.0, 200.0, exclude_max=True))
     def test_inverts_percent_difference(self, pct):
-        assert abs(percent_difference(*gains_from_percent(pct)) - pct) <= 1e-12
+        assert abs(percent_difference(_gain_from_percent(pct), 1.0) - pct) <= 1e-12
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            gains_from_percent(-0.1)
-        with pytest.raises(ValidationError):
-            gains_from_percent(200.0)
+        with pytest.raises(ValidationError, match="^asymmetry_percent must be in"):
+            HeterodyneModel(asymmetry_percent=-0.1)
+        with pytest.raises(ValidationError, match="^asymmetry_percent must be in"):
+            HeterodyneModel(asymmetry_percent=200.0)
 
 
 class TestHeterodyneModel:
     def test_asymmetry_percent_property(self):
-        g, _ = gains_from_percent(19.51)
-        det = HeterodyneModel(gain_x=g, gain_p=1.0)
-        assert percent_difference(det.gain_x, det.gain_p) == pytest.approx(19.51, abs=1e-9)
+        det = HeterodyneModel(asymmetry_percent=19.51)
+        assert det.asymmetry_percent == 19.51
+        assert percent_difference(_gain_from_percent(det.asymmetry_percent), 1.0) == pytest.approx(
+            19.51, abs=1e-9)
 
     @pytest.mark.parametrize("kwargs", [
-        {"gain_x": 0.0}, {"gain_x": 1.2}, {"gain_p": -0.1},
+        {"asymmetry_percent": 200.0}, {"asymmetry_percent": 250.0}, {"asymmetry_percent": -1.0},
         {"noise_var": 0.0}, {"noise_var": -1.0},
         {"noise_var": math.nan}, {"noise_var": math.inf},
         {"hybrid_phase_error": math.nan}, {"hybrid_phase_error": -math.inf},
         # at pi/2 the X and P pairs measure one quadrature
         {"hybrid_phase_error": math.pi / 2}, {"hybrid_phase_error": 1e308},
+        {"asymmetry_percent": math.nan}, {"asymmetry_percent": math.inf},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValidationError):
@@ -128,9 +130,10 @@ class TestSimulateHeterodyne:
         np.testing.assert_allclose(tr.p, 0.0, atol=1e-12)
 
     def test_noiseless_asymmetric_scaling(self):
-        det = HeterodyneModel(gain_x=0.8667, noise_var=1e-30)
+        det = HeterodyneModel(asymmetry_percent=14.29, noise_var=1e-30)
         tr = simulate_heterodyne(100.0, [math.pi / 4, math.pi / 4], det, 0)
-        np.testing.assert_allclose(tr.x, 0.8667 * 10.0 / math.sqrt(2.0), atol=1e-12)
+        gain = (200.0 - 14.29) / (200.0 + 14.29)
+        np.testing.assert_allclose(tr.x, gain * 10.0 / math.sqrt(2.0), atol=1e-12)
         np.testing.assert_allclose(tr.p, 10.0 / math.sqrt(2.0), atol=1e-12)
 
     def test_residual_variance_matches_configured_noise(self):
@@ -142,7 +145,7 @@ class TestSimulateHeterodyne:
 
     def test_determinism(self):
         phases = make_phase_ramp(500, pulses_per_phase=2)
-        det = HeterodyneModel(gain_x=0.9)
+        det = HeterodyneModel(asymmetry_percent=10.0)
         a = simulate_heterodyne(552.0, phases, det, 123)
         b = simulate_heterodyne(552.0, phases, det, 123)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.p, b.p)
@@ -150,10 +153,19 @@ class TestSimulateHeterodyne:
         assert not np.array_equal(a.x, c.x)
 
     def test_noiseless_limit_recovers_sinusoid(self):
-        det = HeterodyneModel(gain_x=0.7, gain_p=0.95, noise_var=1e-30)
+        det = HeterodyneModel(asymmetry_percent=35.29, noise_var=1e-30)
         tr = simulate_heterodyne(552.0, make_phase_ramp(360), det, 5)
-        radius = (tr.x / det.gain_x) ** 2 + (tr.p / det.gain_p) ** 2
+        radius = (tr.x / _gain_from_percent(35.29)) ** 2 + tr.p ** 2
         np.testing.assert_allclose(radius, 552.0, rtol=1e-10)
+
+    def test_p_pair_is_the_snu_reference(self):
+        # the asymmetry scales X alone: P is the same bits at every percent
+        phases = make_phase_ramp(100)
+        symmetric = simulate_heterodyne(552.0, phases, HeterodyneModel(), 3)
+        for pct in (14.29, 150.0):
+            tr = simulate_heterodyne(552.0, phases, HeterodyneModel(pct), 3)
+            assert np.array_equal(tr.p, symmetric.p)
+            assert np.array_equal(tr.x, _gain_from_percent(pct) * symmetric.x)
 
     def test_hybrid_phase_error_shifts_p(self):
         eps = 0.05

@@ -37,7 +37,8 @@ def test_benchmark_imports_resolve():
 @pytest.mark.parametrize("name", [
     "path_phase_variance", "required_coherent_dim", "KeyRateBreakdown", "MLEResult",
     "g_entropy", "transmittance", "chi_het", "holevo_bound", "mutual_information",
-    "symplectic_spectrum", "PhaseNoiseBudget", "ReferenceSignalSpec", "no_such_name",
+    "symplectic_spectrum", "PhaseNoiseBudget", "ReferenceSignalSpec", "gains_from_percent",
+    "SweepAnalysis", "no_such_name",
 ])
 def test_unknown_or_removed_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):

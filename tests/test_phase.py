@@ -10,14 +10,12 @@ from hetasym import (
     HeterodyneModel,
     NumericalDomainError,
     QuadratureTrace,
-    SweepAnalysis,
     ValidationError,
     analyze_sweep,
     detection_phase_variance,
     drift_phase_variance,
     estimate_phase,
     excess_noise_from_phase_variance,
-    gains_from_percent,
     make_phase_ramp,
     min_max_scale,
     phase_variance_from_excess_noise,
@@ -27,6 +25,8 @@ from hetasym import (
 from hetasym.cli import main
 from hetasym.config import RunConfig, render
 from hetasym.csvio import read_trace_csv, write_trace_csv
+from hetasym.detector import _gain_from_percent
+from hetasym.phase import SweepAnalysis
 from measured import MEASURED_LEVELS, MEASURED_XI_DET
 
 TWO_PI = 2.0 * math.pi
@@ -216,7 +216,7 @@ class TestDetectionVariance:
         # worst 1.0e-14 relative)
         fine = np.linspace(0.0, TWO_PI, 1_000_001)
         for percent in MEASURED_LEVELS:
-            gain, _ = gains_from_percent(percent)
+            gain = _gain_from_percent(percent)
             with mp.workdps(30):
                 closed = float(mp.polylog(2, (mp.mpf(percent) / 200) ** 2) / 2)
             delta = deviation_oracle(gain, fine)
@@ -242,7 +242,7 @@ class TestDetectionVariance:
     def test_strictly_ordered_in_asymmetry(self):
         values = []
         for pct in (2.25, 4.55, 14.29, 19.51, 33.77):
-            gain, _ = gains_from_percent(pct)
+            gain = _gain_from_percent(pct)
             tr = noiseless_sweep(gain)
             values.append(detection_phase_variance(tr.phase_true, estimate_phase(tr)))
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -316,7 +316,7 @@ class TestDeviationStructure:
         return math.asin(math.sqrt(gain / (1.0 + gain)))
 
     def test_zeros_at_quarter_turns(self):
-        gain, _ = gains_from_percent(14.29)
+        gain = _gain_from_percent(14.29)
         for theta in (0.0, math.pi / 2, math.pi, -math.pi / 2):
             assert abs(deviation_oracle(gain, np.array([theta]))[0]) < 1e-12
 
@@ -324,7 +324,7 @@ class TestDeviationStructure:
         theta = make_phase_ramp(14400)
         step = TWO_PI / 14400
         for pct in (2.25, 4.55, 14.29, 19.51, 33.77, 50.2):
-            gain, _ = gains_from_percent(pct)
+            gain = _gain_from_percent(pct)
             delta = deviation_oracle(gain, theta)
             grad = np.diff(delta)
             extrema = theta[1:-1][np.sign(grad[:-1]) != np.sign(grad[1:])]
@@ -336,7 +336,7 @@ class TestDeviationStructure:
             np.testing.assert_allclose(np.sort(extrema), np.sort(predicted), atol=2 * step)
 
     def test_odd_symmetry_about_zeros(self):
-        gain, _ = gains_from_percent(14.29)
+        gain = _gain_from_percent(14.29)
         offsets = np.linspace(0.01, math.pi / 4, 50)
         for zero in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
             left = deviation_oracle(gain, zero - offsets)
@@ -346,7 +346,7 @@ class TestDeviationStructure:
     def test_peak_grows_with_asymmetry(self):
         peaks = []
         for pct in (33.77, 50.2):
-            gain, _ = gains_from_percent(pct)
+            gain = _gain_from_percent(pct)
             delta = deviation_oracle(gain, make_phase_ramp(14400))
             peaks.append(np.abs(delta).max())
         assert peaks[1] > peaks[0]
@@ -355,7 +355,7 @@ class TestDeviationStructure:
 class TestSymmetrizationEfficacy:
     def test_scaling_recovers_true_phase(self):
         for pct in (4.55, 14.29, 33.77):
-            gain, _ = gains_from_percent(pct)
+            gain = _gain_from_percent(pct)
             tr = noiseless_sweep(gain)
             scaled = min_max_scale(tr)
             est = estimate_phase(scaled)
@@ -372,7 +372,7 @@ class TestAnalyzeSweep:
 
     def write_sweep(self, tmp_path, phases):
         """A 14.29 % asymmetric trace at the default seed, written as simulate does."""
-        trace = simulate_heterodyne(552.0, phases, HeterodyneModel(*gains_from_percent(14.29)),
+        trace = simulate_heterodyne(552.0, phases, HeterodyneModel(14.29),
                                     RunConfig.seed)
         raw = tmp_path / "raw.csv"
         write_trace_csv(raw, trace, "simulate", RunConfig())

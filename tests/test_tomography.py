@@ -623,6 +623,18 @@ class TestWigner:
         grid = wigner(DensityMatrix(mat), axis, axis)
         assert np.abs(grid.values).max() <= 1.0 / math.pi + 1e-6
 
+    @pytest.mark.parametrize("extent", [1e8, 1e200])
+    def test_far_grid_is_finite(self, extent):
+        # at dim 25 the Laguerre sums overflowed from about 1e8 on, and r^2
+        # from 1.3e154 on; W is 0 wherever e^{-r^2} rounds to 0
+        rho = ideal_coherent_state(0.5, 25)
+        far = wigner(rho, [-extent, -1.0, 0.0, 1.0, extent], [-extent, 0.0, 0.5, extent])
+        near = wigner(rho, [-1.0, 0.0, 1.0], [0.0, 0.5])
+        np.testing.assert_allclose(far.values[1:4, 1:3], near.values, rtol=1e-12, atol=0.0)
+        outside = far.values.copy()
+        outside[1:4, 1:3] = 0.0
+        assert not np.any(outside)
+
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
             WignerGrid(np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.zeros((2, 2)))
@@ -804,6 +816,14 @@ class TestAnalyzeTomography:
         monkeypatch.setattr(tomography, "mle_reconstruct", no_mle)
         with pytest.raises(ValidationError, match=f"^wigner_points = {points} is too large"):
             analyze_tomography(self.trace(), wigner_points=points)
+
+    @pytest.mark.parametrize("extent, points", [(1e200, 31), (1.7e308, 2), (1e155, 2)])
+    def test_cell_area_overflow_raises_before_the_mle(self, monkeypatch, extent, points):
+        # the normalization sums W times the cell area, which overflows here
+        monkeypatch.setattr(tomography, "mle_reconstruct", no_mle)
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"wigner_extent = {extent!r} is too large")):
+            analyze_tomography(self.trace(), wigner_extent=extent, wigner_points=points)
 
     def test_largest_grid_reaches_the_mle(self, monkeypatch):
         monkeypatch.setattr(tomography, "mle_reconstruct", no_mle)
