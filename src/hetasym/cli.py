@@ -32,7 +32,7 @@ from .csvio import (
     write_trace_csv,
     write_wigner_csv,
 )
-from .errors import NumericalDomainError, ValidationError, positive
+from .errors import NumericalDomainError, ValidationError, non_negative, positive
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -90,6 +90,7 @@ def cmd_keyrate_sweep(config: RunConfig, out: str) -> int:
     from .keyrate import KeyRateParams, key_rate_curve, max_distance
 
     positive("distance_step_km", config.distance_step_km)
+    non_negative("distance_min_km", config.distance_min_km)
     if config.distance_max_km < config.distance_min_km:
         raise ValidationError(f"distance_max_km must be >= distance_min_km, got "
                               f"{config.distance_max_km} < {config.distance_min_km}")

@@ -42,6 +42,11 @@ MAX_QUADRATURE = math.sqrt(sys.float_info.max)
 #: squares sqrt(2) x, so this one bound serves both engines.
 _MAX_SAMPLE = MAX_QUADRATURE / math.sqrt(2.0)
 
+#: Largest |tag| (radians) that PhaseTaggedSamples accepts: from 2**53 on,
+#: neighbouring float64 values are 2 rad or more apart, so a tag names no
+#: phase, and k tag (k < dim) stays finite in the MLE engines below it.
+_MAX_TAG = 2.0 ** 53
+
 #: Probabilities are floored here before the likelihood ratio to avoid
 #: division underflow; floored samples are counted as a diagnostic.
 PROBABILITY_FLOOR = 1e-300
@@ -70,6 +75,12 @@ class DensityMatrix:
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
         if not np.all(np.isfinite(mat.view(np.float64))):
             raise ValidationError("density matrix contains non-finite entries")
+        # every entry of a state is at most its largest eigenvalue, 1, in modulus,
+        # so a part beyond 2 fails the checks below; rejecting it first keeps
+        # their differences and sums from overflowing
+        if np.abs(mat.view(np.float64)).max() > 2.0:
+            raise ValidationError("density matrix has an entry beyond 2 in real or imaginary "
+                                  "part; a state's entries are at most 1 in modulus")
         if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
             raise ValidationError("density matrix is not Hermitian within tolerance")
         if abs(np.trace(mat).real - 1.0) > _TRACE_TOL or abs(np.trace(mat).imag) > _TRACE_TOL:
@@ -100,6 +111,10 @@ class PhaseTaggedSamples:
             raise ValidationError(f"theta and x differ in length ({theta.size} vs {x.size})")
         if theta.size == 0:
             raise ValidationError("samples are empty")
+        for value in (float(theta.min()), float(theta.max())):
+            if abs(value) > _MAX_TAG:
+                raise ValidationError(f"phase tag {value!r} rad is beyond 2**53 in magnitude, "
+                                      "where float64 cannot resolve a phase")
         _check_quadratures(x, _MAX_SAMPLE, " as sqrt(2) x by the grouped MLE engine")
         distinct = _distinct(theta)
         # x at theta + pi is -x at theta, so tags that agree modulo pi all
@@ -642,6 +657,13 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(value, 1.0)
 
 
+def _check_axis(axis: np.ndarray, what: str) -> None:
+    """Raise ValidationError naming what unless axis has at least 2 points, strictly
+    increasing: the rule for each axis of a WignerGrid."""
+    if axis.size < 2 or not np.all(np.diff(axis) > 0):
+        raise ValidationError(f"{what} must have at least 2 points, strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
     """W(x, p) sampled on a rectangular grid; values[i, j] = W(x_axis[i],
@@ -656,9 +678,8 @@ class WignerGrid:
         x_axis = readonly_float_array(self.x_axis, "x_axis")
         p_axis = readonly_float_array(self.p_axis, "p_axis")
         values = np.array(self.values, dtype=np.float64, copy=True)
-        for axis, name in ((x_axis, "x_axis"), (p_axis, "p_axis")):
-            if axis.size < 2 or not np.all(np.diff(axis) > 0):
-                raise ValidationError(f"{name} must have at least 2 points, strictly increasing")
+        _check_axis(x_axis, "x_axis")
+        _check_axis(p_axis, "p_axis")
         if values.shape != (x_axis.size, p_axis.size):
             raise ValidationError(
                 f"values shape {values.shape} does not match axes "
@@ -838,10 +859,13 @@ def analyze_tomography(trace: QuadratureTrace, dim: int = RunConfig.dim,
     if not cell * cell < math.inf:  # the normalization sums W times this cell area
         raise ValidationError(f"wigner_extent = {wigner_extent} is too large: a cell of the "
                               f"{wigner_points}-point grid has an area beyond float64")
+    # an extent too small to separate the points rounds some of them together
+    axis = np.linspace(-wigner_extent, wigner_extent, wigner_points)
+    _check_axis(axis, f"the Wigner axis of wigner_points = {wigner_points} over "
+                      f"+-wigner_extent = {wigner_extent}")
     samples = samples_from_trace(trace, use_true_phase, block, amplitude_scale)
     result = mle_reconstruct(samples, dim, max_iter=max_iter, tol=tol)
     alpha_fit = fit_coherent(result.rho)
     fid_sqrt = fidelity(result.rho, ideal_coherent_state(alpha_fit, dim))
-    axis = np.linspace(-wigner_extent, wigner_extent, wigner_points)
     return TomographyAnalysis(result, wigner(result.rho, axis, axis), alpha_fit, fid_sqrt,
                               2 * trace.n - samples.n)  # samples_from_trace: two per shot

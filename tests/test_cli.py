@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -193,6 +195,16 @@ class TestSimulate:
         assert "# config_sha256: " in text
         assert "# config: amplitude_sq = 552.0" in text
 
+    def test_environment_seed_overrides_the_file(self, tmp_path, monkeypatch):
+        # HETASYM_SEED wins over the file's seed, and the header names the
+        # seed on its config line alone
+        cfg = write_config(tmp_path / "c.cfg", n_phases=100, seed=5)
+        monkeypatch.setenv("HETASYM_SEED", "2")
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--config", cfg, "--out", out) == 0
+        assert [line for line in out.read_text().splitlines() if "seed" in line] == [
+            "# config: seed = 2"]
+
 
 class TestScale:
     def simulate(self, tmp_path, **cfg_kwargs) -> Path:
@@ -283,16 +295,23 @@ class TestScale:
         assert not (tmp_path / "scaled.report.txt").exists()
         assert run("phase-deviation", raw, "--out", tmp_path / "dev.csv") == 2
 
-    @pytest.mark.parametrize("n_phases", [2, 3, 5])
+    def assert_no_output(self, tmp_path, raw: Path, message: str, capsys):
+        """scale and phase-deviation exit 2 on raw, scale with message, and write nothing."""
+        scaled, dev = tmp_path / "scaled.csv", tmp_path / "dev.csv"
+        assert run("scale", raw, "--out", scaled) == 2
+        assert message in capsys.readouterr().err
+        assert run("phase-deviation", raw, "--out", dev) == 2
+        assert not scaled.exists() and not (tmp_path / "scaled.report.txt").exists()
+        assert not dev.exists()
+
+    @pytest.mark.parametrize("n_phases", [2, 3, 5, 25])
     def test_coarse_sweep_exit_2(self, tmp_path, capsys, n_phases):
         # few phase points miss the quadrature extremes; without the gap rule
-        # these symmetric traces reported 151.6, 10.99 and 3.82 % with exit 0
+        # these symmetric traces reported 151.6, 10.99 and 3.82 % with exit 0;
+        # 25 tags, 0.251 rad apart, are a tomography trace's sweep
         raw = self.simulate(tmp_path, n_phases=n_phases, pulses_per_phase=2000,
                             amplitude_sq=552.0, seed=3)
-        assert run("scale", raw, "--out", tmp_path / "scaled.csv") == 2
-        assert "densely" in capsys.readouterr().err
-        assert not (tmp_path / "scaled.report.txt").exists()
-        assert run("phase-deviation", raw, "--out", tmp_path / "dev.csv") == 2
+        self.assert_no_output(tmp_path, raw, "densely", capsys)
 
     def without_phase_true(self, raw: Path) -> Path:
         trace = read_trace_csv(raw)
@@ -305,10 +324,7 @@ class TestScale:
         # unchecked and read the same 151.6, 10.99 and 3.82 % with exit 0
         raw = self.without_phase_true(self.simulate(
             tmp_path, n_phases=n_phases, pulses_per_phase=2000, amplitude_sq=552.0, seed=3))
-        assert run("scale", raw, "--out", tmp_path / "scaled.csv") == 2
-        assert "estimated block phases" in capsys.readouterr().err
-        assert not (tmp_path / "scaled.report.txt").exists()
-        assert run("phase-deviation", raw, "--out", tmp_path / "dev.csv") == 2
+        self.assert_no_output(tmp_path, raw, "estimated block phases", capsys)
 
     def test_no_defined_block_phase_exit_2(self, tmp_path):
         # both 2-sample blocks average to the origin, so no phase is defined
@@ -402,6 +418,11 @@ class TestScale:
             assert run(command, raw, "--out", out) == 2
             assert f"error: {key} must be" in capsys.readouterr().err
             assert not out.exists() and not out.with_suffix(".report.txt").exists()
+
+    def test_default_sweep_passes(self, tmp_path):
+        raw = self.simulate(tmp_path)
+        assert run("scale", raw, "--out", tmp_path / "scaled.csv") == 0
+        assert run("phase-deviation", raw, "--out", tmp_path / "dev.csv") == 0
 
     def test_default_sweep_without_phase_true_passes(self, tmp_path):
         raw = self.without_phase_true(self.simulate(tmp_path))
@@ -548,6 +569,8 @@ class TestKeyrateSweep:
 
     @pytest.mark.parametrize("key, value", [
         ("distance_step_km", 0.0), ("distance_step_km", -1.0), ("distance_max_km", -1.0),
+        # the key-rate chain used to reject it, naming distance_km
+        ("distance_min_km", -5.0),
         # 60 / 1e-320 overflows to inf, which math.floor used to raise on
         ("distance_step_km", 1e-320),
         # 6e10 distances, whose list used to fill memory before any check
@@ -559,6 +582,13 @@ class TestKeyrateSweep:
         assert run("keyrate-sweep", "--config", cfg, "--out", out) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    def test_noiseless_cutoff_is_inf(self, tmp_path):
+        # with no excess noise at all the rate never resolves a cutoff
+        cfg = write_config(tmp_path / "c.cfg", xi_line=0.0)
+        out = tmp_path / "rates.csv"
+        assert run("keyrate-sweep", "--config", cfg, "--out", out) == 0
+        assert "# max_distance_km xi_det=0.0: inf" in out.read_text().splitlines()
 
     # at 0.2 dB/km T is normal at 15,380 km and subnormal at 15,420 and
     # 16,000 km; the sweep to 16,000 km runs in 1,000 km steps
@@ -759,6 +789,145 @@ def test_tomography_contract(values):
                        if key not in ("converged", "engine"))
 
 
+def csv_table(path: Path) -> tuple[list[str], list[str], list[list[str]]]:
+    """The comment lines, header names and data rows (lists of cells) of a CSV file."""
+    lines = path.read_text().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    return comments, header, rows
+
+
+def write_csv_table(path: Path, comments, header, rows) -> None:
+    path.write_text("\n".join(comments + [",".join(row) for row in [header, *rows]]) + "\n",
+                    encoding="utf-8")
+
+
+# cells a hand edit can leave in a file: huge, tiny, zero, not finite, beyond float64
+_EDITED_CELLS = ["1e3", "-1e6", "1e150", "1.7e308", "-1.7976931348623157e308", "5e-324", "0",
+                 "-0.0", "nan", "inf", "1e400"]
+
+
+@st.composite
+def trace_edits(draw):
+    """Edits of the tomography trace's CSV, each drawn or not: only the shots
+    whose phase_true is below a bound less than pi kept, up to three rows
+    repeated (the index renumbered or left repeated), one cell set, and one
+    column cut; with the config keys that read the trace."""
+    return {
+        "below": draw(st.none() | st.sampled_from([math.pi / 4, math.pi / 2, 3.0])),
+        "repeat": draw(st.none() | st.lists(st.integers(0, 31), min_size=1, max_size=3)),
+        "renumber": draw(st.booleans()),
+        "cell": draw(st.none() | st.tuples(st.sampled_from(["x", "p", "phase_true"]),
+                                           st.integers(0, 31), st.sampled_from(_EDITED_CELLS))),
+        "cut": draw(st.none() | st.sampled_from(["index", "x", "p", "phase_true"])),
+        "use_true_phase": draw(st.booleans()), "block": draw(st.sampled_from([1, 2, 4])),
+        "dim": draw(st.integers(14, 16)),
+    }
+
+
+def edit_trace(path: Path, edits: dict) -> None:
+    comments, header, rows = csv_table(path)
+    column = header.index
+    if edits["below"] is not None:
+        rows = [row for row in rows if float(row[column("phase_true")]) < edits["below"]]
+    for position in sorted(edits["repeat"] or (), reverse=True):
+        position %= len(rows)
+        rows.insert(position, list(rows[position]))
+    if edits["renumber"]:
+        rows = [[str(i)] + row[1:] for i, row in enumerate(rows)]
+    if edits["cell"] is not None:
+        name, position, value = edits["cell"]
+        rows[position % len(rows)][column(name)] = value
+    if edits["cut"] is not None:
+        keep = [i for i, name in enumerate(header) if name != edits["cut"]]
+        header, rows = [header[i] for i in keep], [[row[i] for i in keep] for row in rows]
+    write_csv_table(path, comments, header, rows)
+
+
+_UNEDITED = {"below": None, "repeat": None, "renumber": False, "cell": None, "cut": None,
+             "use_true_phase": True, "block": 1, "dim": 14}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(trace_edits())
+# a phase_true of 1.7e308 overflowed the grouped engine's k theta table
+@example({**_UNEDITED, "cell": ("phase_true", 0, "1.7e308")})
+def test_tomography_trace_edits_contract(edits):
+    # whatever the edit of its trace, tomography exits 0, 2 or 3 and raises
+    # and warns nothing; on exit 0 every value of its report is finite
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, out = Path(tmp) / "raw.csv", Path(tmp) / "tomo"
+        write_trace_csv(raw, _TOMO_TRACE, "simulate", RunConfig())
+        edit_trace(raw, edits)
+        cfg = write_config(Path(tmp) / "c.cfg", wigner_points=11,
+                           **{key: render(edits[key]) for key in ("use_true_phase", "block", "dim")})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)  # dropped shots, too few tags
+            code = run("tomography", raw, "--config", cfg, "--out", out)
+        assert code in (0, 2, 3)
+        if code == 0:
+            report = read_report(out.with_suffix(".report.txt"))
+            assert all(math.isfinite(float(value)) for key, value in report.items()
+                       if key not in ("converged", "engine"))
+
+
+#: two dim-4 states: a pure one with complex amplitudes and a mixed diagonal one
+_PSI = np.array([3.0, 4.0j, 2.0 - 1.0j, 1.0]) / math.sqrt(31.0)
+_DENSITIES = [DensityMatrix(np.outer(_PSI, _PSI.conj())),
+              DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(np.complex128))]
+
+
+@st.composite
+def density_edits(draw):
+    """Edits of a 16-entry density CSV: up to two cells set (to a value from the
+    list, or to the cell plus a small offset), then one row dropped, repeated or
+    copied over another, or none."""
+    cell = st.tuples(st.integers(0, 15), st.integers(0, 3), st.sampled_from(
+        _EDITED_CELLS + ["2", "-1", "+1e-13", "+1e-11", "+1e-7", "+0.5"]))
+    rows = st.tuples(st.sampled_from(["drop", "repeat", "copy"]), st.integers(0, 15),
+                     st.integers(0, 15))
+    return draw(st.lists(cell, max_size=2)), draw(st.none() | rows)
+
+
+def edit_density(path: Path, edits) -> None:
+    comments, header, rows = csv_table(path)
+    cells, row_edit = edits
+    for position, index, value in cells:
+        old = rows[position][index]
+        rows[position][index] = repr(float(old) + float(value)) if value[0] == "+" else value
+    if row_edit is not None:
+        kind, source, target = row_edit
+        if kind == "drop":
+            del rows[source]
+        elif kind == "repeat":
+            rows.append(list(rows[source]))
+        else:
+            rows[target] = list(rows[source])
+    write_csv_table(path, comments, header, rows)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([0, 1]), st.sampled_from([0, 1]), density_edits())
+# an imaginary part of 1.7e308 overflowed the Hermiticity check's difference
+@example(0, 0, ([(0, 3, "1.7e308")], None))
+def test_fidelity_density_edits_contract(first, second, edits):
+    # whatever the edit of its first file, fidelity exits 0, 2 or 3 and
+    # raises and warns nothing; on exit 0 it prints two numbers in [0, 1]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "rho.csv", Path(tmp) / "sigma.csv"]
+        for path, index in zip(paths, (first, second)):
+            write_density_csv(path, _DENSITIES[index], "tomography", RunConfig())
+        edit_density(paths[0], edits)
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as printed:
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("fidelity", *paths)
+    assert code in (0, 2, 3)
+    if code == 0:
+        values = [float(line.split(" = ", 1)[1]) for line in printed.getvalue().splitlines()]
+        assert len(values) == 2 and all(0.0 <= value <= 1.0 for value in values)
+
+
 class TestTomography:
     def bright_trace(self, tmp_path, pct=0.0, n_phases=80, ppp=25) -> Path:
         cfg = write_config(tmp_path / "sim.cfg", n_phases=n_phases,
@@ -889,6 +1058,21 @@ class TestTomography:
                    "--out", tmp_path / "big") == 2
         assert "error: wigner_points = 10000000 is too large" in capsys.readouterr().err
         assert not list(tmp_path.glob("big.*"))
+
+    def test_unresolved_wigner_axis_exit_2_before_the_mle(self, tmp_path, monkeypatch, capsys):
+        # 31 points over +-5e-324 round to 3 distinct values: the whole MLE
+        # used to run before WignerGrid rejected the axis, naming no key
+        def no_mle(*args, **kwargs):
+            raise AssertionError("mle_reconstruct ran")
+
+        monkeypatch.setattr("hetasym.tomography.mle_reconstruct", no_mle)
+        cfg = write_config(tmp_path / "tomo.cfg", dim=16, wigner_points=31,
+                           wigner_extent=5e-324)
+        out = tmp_path / "tiny"
+        assert run("tomography", self.weak_trace(tmp_path), "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: the Wigner axis of wigner_points = 31 over +-wigner_extent = 5e-324 must")
+        assert not list(tmp_path.glob("tiny.*"))
 
     def test_overflowing_quadrature_exit_2(self, tmp_path, capsys):
         # x = 1e200 squares to inf in the projector tables: exit 2 naming

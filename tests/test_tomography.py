@@ -205,6 +205,8 @@ class TestDensityMatrix:
     @pytest.mark.parametrize("mat, message", [
         (np.full((2, 3), 1.0 / 3.0), r"must be square, got shape \(2, 3\)"),
         (np.array([[0.5, math.nan], [math.nan, 0.5]]), "non-finite entries"),
+        # the Hermiticity check's difference used to overflow with a RuntimeWarning
+        (np.array([[0.5 + 1.7e308j, 0.0], [0.0, 0.5]]), "entry beyond 2"),
     ])
     def test_rejects_malformed(self, mat, message):
         with pytest.raises(ValidationError, match=message):
@@ -769,6 +771,13 @@ class TestSamplesFromTrace:
         with pytest.raises(ValidationError, match=message):
             PhaseTaggedSamples(np.array(theta), np.array(x))
 
+    @pytest.mark.parametrize("tag", [2.0**53 + 2.0, -1.7e308])
+    def test_rejects_tag_beyond_2_to_the_53(self, tag):
+        # k tag overflowed the grouped engine's angle table from about 1e307 on
+        with pytest.raises(ValidationError, match=re.escape(f"phase tag {tag!r} rad is beyond")):
+            PhaseTaggedSamples(np.array([0.0, 1.0, 2.0, tag]), np.zeros(4))
+        PhaseTaggedSamples(np.array([0.0, 1.0, 2.0, math.copysign(2.0**53, tag)]), np.zeros(4))
+
     def test_narrow_span_warns(self):
         with pytest.warns(UserWarning):
             PhaseTaggedSamples(np.array([0.0, 0.1]), np.array([0.5, 0.5]))
@@ -823,6 +832,14 @@ class TestAnalyzeTomography:
         monkeypatch.setattr(tomography, "mle_reconstruct", no_mle)
         with pytest.raises(ValidationError,
                            match=re.escape(f"wigner_extent = {extent!r} is too large")):
+            analyze_tomography(self.trace(), wigner_extent=extent, wigner_points=points)
+
+    @pytest.mark.parametrize("extent, points", [(5e-324, 31), (1e-321, 1000)])
+    def test_unresolved_axis_raises_before_the_mle(self, monkeypatch, extent, points):
+        # np.linspace rounds some of the points together
+        monkeypatch.setattr(tomography, "mle_reconstruct", no_mle)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"wigner_points = {points} over +-wigner_extent = {extent!r} must have")):
             analyze_tomography(self.trace(), wigner_extent=extent, wigner_points=points)
 
     def test_largest_grid_reaches_the_mle(self, monkeypatch):
