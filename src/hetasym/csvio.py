@@ -36,9 +36,10 @@ def csv_rows(*columns) -> list[str]:
     """Comma-joined data rows of equal-length columns, a column at a time.
 
     A column is a numpy array, or a list or range of Python ints or floats.
-    Integers are written as integers and string arrays (cells rendered
-    beforehand) as they are; every other array is cast to float64, and each
-    float is written as :func:`~hetasym.config.render` writes it.
+    Integers are written as integers and string arrays, fixed-width or
+    object (cells rendered beforehand), as they are; every other array is
+    cast to float64, and each float is written as
+    :func:`~hetasym.config.render` writes it.
     """
     cells = []
     for column in columns:
@@ -46,7 +47,7 @@ def csv_rows(*columns) -> list[str]:
             cells.append(map(repr, column))
             continue
         kind = column.dtype.kind
-        if kind == "U":
+        if kind in "UO":
             cells.append(column.tolist())
             continue
         if kind not in "iu":
@@ -187,8 +188,10 @@ def read_density_csv(path: str | Path) -> DensityMatrix:
 def write_wigner_csv(path: str | Path, grid: WignerGrid, command: str, config: RunConfig) -> None:
     import numpy as np
 
-    # each axis value is rendered once and its string repeated over the grid
-    x_cells, p_cells = (np.array([render(v) for v in axis]) for axis in (grid.x_axis, grid.p_axis))
+    # each axis value is rendered once and its string repeated over the grid;
+    # an object array holds one pointer a cell, not a fixed-width copy of the string
+    x_cells, p_cells = (np.array([render(v) for v in axis], dtype=object)
+                        for axis in (grid.x_axis, grid.p_axis))
     write_table(path, command, config, ["x", "p", "w"], np.repeat(x_cells, p_cells.size),
                 np.tile(p_cells, x_cells.size), grid.values.ravel())
 

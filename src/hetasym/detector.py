@@ -46,17 +46,16 @@ class HeterodyneModel:
 
 
 def _gain_from_percent(percent: float) -> float:
-    """g with percent_difference(g, 1) == percent: the gain on X."""
+    """g with _percent_difference(g, 1) == percent: the gain on X."""
     return (200.0 - percent) / (200.0 + percent)
 
 
-def percent_difference(p1: float, p2: float) -> float:
-    """Percentage difference between two powers: |P1-P2| / ((P1+P2)/2) * 100.
+def _percent_difference(p1: float, p2: float) -> float:
+    """Percentage difference between two positive, finite powers:
+    |P1-P2| / ((P1+P2)/2) * 100.
 
     Symmetric in its arguments and scale invariant; range [0, 200).
     """
-    positive("p1", p1)
-    positive("p2", p2)
     # halving first, exact for such large powers, keeps an overflowed sum
     # from reading every difference as 0
     mean = (p1 + p2) / 2.0 if p1 + p2 < math.inf else p1 / 2.0 + p2 / 2.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import RunConfig
-from .errors import NumericalDomainError, ValidationError, integer_at_least, non_negative, positive
+from .errors import ValidationError, integer_at_least, non_negative, positive
 from .traces import TWO_PI, QuadratureTrace, spans_full_rotation
 
 
@@ -33,7 +33,7 @@ def wrap_phase(theta):
     return np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
 
 
-def estimate_phase(trace: QuadratureTrace, block: int = RunConfig.block) -> np.ndarray:
+def _estimate_phase(trace: QuadratureTrace, block: int = RunConfig.block) -> np.ndarray:
     """Per-block reference phase: atan2(<P>, <X>) over consecutive blocks.
 
     block = 1 gives per-sample phases.  Blocks whose X and P means are both
@@ -60,7 +60,7 @@ def estimate_phase(trace: QuadratureTrace, block: int = RunConfig.block) -> np.n
     return theta
 
 
-def min_max_scale(trace: QuadratureTrace) -> QuadratureTrace:
+def _min_max_scale(trace: QuadratureTrace) -> QuadratureTrace:
     """Symmetrize a trace by mapping the X span onto the P span:
 
         X_scaled = (X - X_min) / (X_max - X_min) * (P_max - P_min) + P_min
@@ -86,7 +86,7 @@ def min_max_scale(trace: QuadratureTrace) -> QuadratureTrace:
     return QuadratureTrace(scaled, trace.p, trace.phase_true)
 
 
-def drift_phase_variance(linewidth_a: float, linewidth_b: float, pulse_separation: float) -> float:
+def _drift_phase_variance(linewidth_a: float, linewidth_b: float, pulse_separation: float) -> float:
     """Inherent phase drift between the two free-running lasers:
     2 pi (dv_A + dv_B) |t_R - t_S|  [rad^2]."""
     non_negative("linewidth_a", linewidth_a)
@@ -95,43 +95,23 @@ def drift_phase_variance(linewidth_a: float, linewidth_b: float, pulse_separatio
     return TWO_PI * (linewidth_a + linewidth_b) * pulse_separation
 
 
-def detection_phase_variance(theta_scaled, theta_asym) -> float:
+def _detection_phase_variance(theta_scaled: np.ndarray, theta_asym: np.ndarray) -> float:
     """Asymmetry-induced phase estimation error: population variance of the
     wrapped difference between scaled (ideal-proxy) and asymmetric phase
-    estimates  [rad^2]."""
-    a = np.asarray(theta_scaled, dtype=np.float64)
-    b = np.asarray(theta_asym, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError(
-            f"detection variance: sequences differ in length ({a.size} vs {b.size})")
-    if a.size < 2:
-        raise ValidationError(f"detection variance: need at least 2 samples, got {a.size}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValidationError("detection variance: non-finite phase values")
-    return float(np.var(wrap_phase(a - b)))
+    estimates, two equal-length finite float arrays  [rad^2]."""
+    return float(np.var(wrap_phase(theta_scaled - theta_asym)))
 
 
-def excess_noise_from_phase_variance(v_a: float, v: float) -> float:
+def _excess_noise_from_phase_variance(v_a: float, v: float) -> float:
     """Excess noise a phase-error variance v [rad^2] imprints on quantum
     signals of modulation variance v_a:  2 v_A (1 - exp(-v/2))  [SNU].
 
     For small v this is approximately v_a * v.
     """
     positive("v_a", v_a)
+    # v_drift overflows to inf or nan for huge linewidths, so the sum is checked here
     non_negative("v", v)
     return 2.0 * v_a * -math.expm1(-v / 2.0)
-
-
-def phase_variance_from_excess_noise(v_a: float, xi: float) -> float:
-    """Inverse of :func:`excess_noise_from_phase_variance`:
-    v = -2 ln(1 - xi / (2 v_A))."""
-    positive("v_a", v_a)
-    non_negative("xi", xi)
-    if xi >= 2.0 * v_a:
-        raise NumericalDomainError(
-            f"xi = {xi} is unreachable: the phase-noise model saturates at 2 v_A = {2 * v_a}"
-        )
-    return -2.0 * math.log1p(-xi / (2.0 * v_a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,9 +147,9 @@ def analyze_sweep(trace: QuadratureTrace, block: int = RunConfig.block,
     densely, or its spans misstate the asymmetry.  A block with no phase in either trace is
     dropped from both, and at least two blocks must remain."""
     # imported here: tomography loads this module for estimated tags, and no detector
-    from .detector import percent_difference
+    from .detector import _percent_difference
 
-    theta_asym = estimate_phase(trace, block)
+    theta_asym = _estimate_phase(trace, block)
     if trace.phase_true is not None:
         phases, what = trace.phase_true, "phase_true does"
     else:
@@ -177,9 +157,9 @@ def analyze_sweep(trace: QuadratureTrace, block: int = RunConfig.block,
     if not spans_full_rotation(phases):
         raise ValidationError(f"{what} not cover a full rotation densely enough for the "
                               "quadrature spans to measure the asymmetry")
-    scaled = min_max_scale(trace)
+    scaled = _min_max_scale(trace)
     try:
-        theta_scaled = estimate_phase(scaled, block)
+        theta_scaled = _estimate_phase(scaled, block)
     except ValidationError as exc:
         # the scaled x spans p's range, so its block means can overflow
         # where the input's x cannot: say which trace the means are of
@@ -195,10 +175,10 @@ def analyze_sweep(trace: QuadratureTrace, block: int = RunConfig.block,
     span_p = float(trace.p.max() - trace.p.min())
     # the CLI holds no other reference: this frees the input before the budget's temporaries
     del trace
-    asymmetry = percent_difference(span_x, span_p)
-    v_det = detection_phase_variance(theta_scaled, theta_asym)
-    xi_det = excess_noise_from_phase_variance(v_a, v_det)
-    v_drift = drift_phase_variance(linewidth_a, linewidth_b, pulse_separation)
+    asymmetry = _percent_difference(span_x, span_p)
+    v_det = _detection_phase_variance(theta_scaled, theta_asym)
+    xi_det = _excess_noise_from_phase_variance(v_a, v_det)
+    v_drift = _drift_phase_variance(linewidth_a, linewidth_b, pulse_separation)
     return SweepAnalysis(scaled, theta_scaled, theta_asym, span_x, span_p, asymmetry, dropped,
                          v_det, xi_det, v_drift, v_drift + v_det,
-                         excess_noise_from_phase_variance(v_a, v_drift + v_det))
+                         _excess_noise_from_phase_variance(v_a, v_drift + v_det))

@@ -457,8 +457,8 @@ def _rank_one_search(d: np.ndarray) -> float:
     return t
 
 
-def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = RunConfig.max_iter,
-                    tol: float = RunConfig.tol) -> MLEResult:
+def _mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = RunConfig.max_iter,
+                     tol: float = RunConfig.tol) -> MLEResult:
     """Certified maximum-likelihood reconstruction.
 
     Starts from the maximally mixed state I/dim.  Every iterate rho is
@@ -602,28 +602,32 @@ def mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = RunCo
     )
 
 
-def ideal_coherent_state(alpha: complex, dim: int) -> DensityMatrix:
-    """Pure coherent state |alpha><alpha| truncated to dim Fock levels and
-    renormalized.  Rejects cutoffs that drop more than 1e-8 of the norm."""
-    dim = integer_at_least("dim", dim, 1)
+def _ideal_coherent_state(alpha: complex, dim: int) -> DensityMatrix:
+    """Pure coherent state |alpha><alpha| truncated to dim >= 1 Fock levels and
+    renormalized.  Rejects cutoffs that drop more than 1e-8 of the norm, naming
+    the smallest dim that keeps enough."""
     alpha = complex(alpha)
-    amps = np.empty(dim, dtype=np.complex128)
+    mag = abs(alpha)
+    # <k|alpha> up to where the Poisson tail, |alpha|^2 + 10 |alpha| + 20 on,
+    # is far below 1e-8; each entry is the same whatever the length
+    amps = np.empty(max(dim, math.ceil(mag * mag + 10.0 * mag + 20.0)), dtype=np.complex128)
     amps[0] = 1.0
-    for k in range(1, dim):
+    for k in range(1, amps.size):
         amps[k] = amps[k - 1] * alpha / math.sqrt(k)
-    amps *= math.exp(-abs(alpha) ** 2 / 2.0)
-    norm_sq = float(np.vdot(amps, amps).real)
+    amps *= math.exp(-mag ** 2 / 2.0)
+    norm_sq = float(np.vdot(amps[:dim], amps[:dim]).real)
     if norm_sq < 1.0 - 1e-8:
-        mag = abs(alpha)
+        need = next(d for d in range(dim + 1, amps.size + 1)
+                    if np.vdot(amps[:d], amps[:d]).real >= 1.0 - 1e-8)
         raise ValidationError(
             f"dim = {dim} truncates |alpha|={mag:.3f} too hard (kept norm^2 = {norm_sq:.9f}); "
-            f"use dim >= {math.ceil(mag * mag + 5.0 * mag + 10.0)}"
+            f"use dim >= {need}"
         )
-    amps /= math.sqrt(norm_sq)
+    amps = amps[:dim] / math.sqrt(norm_sq)
     return DensityMatrix(np.outer(amps, amps.conj()))
 
 
-def fit_coherent(rho: DensityMatrix) -> complex:
+def _fit_coherent(rho: DensityMatrix) -> complex:
     """Amplitude of the mean-matched coherent state: Tr(rho a)."""
     mat = rho.matrix
     k = np.arange(1, rho.dim)
@@ -701,7 +705,7 @@ class WignerGrid:
         return float(self.values.sum() * dx * dp)
 
 
-def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
+def _wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
     """Wigner function of a Fock-basis density matrix.
 
     Evaluates the Fock expansion
@@ -783,8 +787,8 @@ def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = RunConfig.
         tags = trace.phase_true
     else:
         # only estimated tags load the phase module
-        from .phase import estimate_phase
-        tags = np.repeat(estimate_phase(trace, block=block), block)
+        from .phase import _estimate_phase
+        tags = np.repeat(_estimate_phase(trace, block=block), block)
 
     scale = amplitude_scale * SNU_TO_INTERNAL
     with np.errstate(over="ignore"):  # a sample that overflows is inf, and named below
@@ -864,8 +868,8 @@ def analyze_tomography(trace: QuadratureTrace, dim: int = RunConfig.dim,
     _check_axis(axis, f"the Wigner axis of wigner_points = {wigner_points} over "
                       f"+-wigner_extent = {wigner_extent}")
     samples = samples_from_trace(trace, use_true_phase, block, amplitude_scale)
-    result = mle_reconstruct(samples, dim, max_iter=max_iter, tol=tol)
-    alpha_fit = fit_coherent(result.rho)
-    fid_sqrt = fidelity(result.rho, ideal_coherent_state(alpha_fit, dim))
-    return TomographyAnalysis(result, wigner(result.rho, axis, axis), alpha_fit, fid_sqrt,
+    result = _mle_reconstruct(samples, dim, max_iter=max_iter, tol=tol)
+    alpha_fit = _fit_coherent(result.rho)
+    fid_sqrt = fidelity(result.rho, _ideal_coherent_state(alpha_fit, result.rho.dim))
+    return TomographyAnalysis(result, _wigner(result.rho, axis, axis), alpha_fit, fid_sqrt,
                               2 * trace.n - samples.n)  # samples_from_trace: two per shot

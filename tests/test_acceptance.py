@@ -16,24 +16,22 @@ from hetasym import (
     HeterodyneModel,
     KeyRateParams,
     analyze_tomography,
-    detection_phase_variance,
-    estimate_phase,
-    excess_noise_from_phase_variance,
     fidelity,
-    ideal_coherent_state,
     key_rate,
     make_phase_ramp,
     max_distance,
-    min_max_scale,
-    percent_difference,
-    phase_variance_from_excess_noise,
     simulate_heterodyne,
-    wigner,
     wrap_phase,
 )
 from hetasym.cli import main as cli_main
-from hetasym.detector import _gain_from_percent
-from hetasym.tomography import DensityMatrix
+from hetasym.detector import _gain_from_percent, _percent_difference
+from hetasym.phase import (
+    _detection_phase_variance,
+    _estimate_phase,
+    _excess_noise_from_phase_variance,
+    _min_max_scale,
+)
+from hetasym.tomography import DensityMatrix, _ideal_coherent_state, _wigner
 from measured import MEASURED_LEVELS, MEASURED_XI_DET
 
 TWO_PI = 2.0 * math.pi
@@ -53,8 +51,8 @@ def noiseless_sweep(percent: float, n: int = 7200) -> "QuadratureTrace":
 
 def test_criterion_1_percentage_difference_round_trip():
     start = time.perf_counter()
-    large = percent_difference(0.45, 0.32)
-    small = percent_difference(0.45, 0.39)
+    large = _percent_difference(0.45, 0.32)
+    small = _percent_difference(0.45, 0.39)
     elapsed = time.perf_counter() - start
     assert abs(large - 33.77) <= 0.005
     assert abs(small - 14.29) <= 0.005
@@ -64,15 +62,15 @@ def test_criterion_1_percentage_difference_round_trip():
 
 def test_criterion_2_excess_noise_inversion_and_ordering():
     for xi in MEASURED_XI_DET:
-        v = phase_variance_from_excess_noise(10.0, xi)
-        back = excess_noise_from_phase_variance(10.0, v)
+        v = -2.0 * math.log1p(-xi / (2.0 * 10.0))  # the inverse map, v = -2 ln(1 - xi / 2 V_A)
+        back = _excess_noise_from_phase_variance(10.0, v)
         assert abs(back - xi) / xi <= 1e-12
     variances = []
     for percent in sorted(MEASURED_LEVELS):
         trace = noiseless_sweep(percent)
-        scaled = min_max_scale(trace)
-        variances.append(detection_phase_variance(estimate_phase(scaled),
-                                                  estimate_phase(trace)))
+        scaled = _min_max_scale(trace)
+        variances.append(_detection_phase_variance(_estimate_phase(scaled),
+                                                  _estimate_phase(trace)))
     assert all(a < b for a, b in zip(variances, variances[1:]))
     report(2, "round trips exact to 1e-12; sweep V_det strictly ordered: "
               + ", ".join(f"{v:.3e}" for v in variances))
@@ -144,7 +142,7 @@ def test_criterion_5_phase_deviation_structure():
     assert np.all((locations > math.pi / 8) & (locations < 3 * math.pi / 8))
     # the same structure measured through the estimator pipeline
     trace = noiseless_sweep(14.29)
-    est = estimate_phase(trace)
+    est = _estimate_phase(trace)
     pipeline_delta = wrap_phase(est - trace.phase_true)
     peak_loc = trace.phase_true[np.argmax(np.abs(pipeline_delta))] % (math.pi / 2)
     assert math.pi / 8 < peak_loc < 3 * math.pi / 8
@@ -162,12 +160,12 @@ def test_criterion_6_symmetrization_efficacy():
     worst = 0.0
     for percent in MEASURED_LEVELS:
         trace = noiseless_sweep(percent)
-        scaled = min_max_scale(trace)
-        v_det = detection_phase_variance(estimate_phase(scaled), trace.phase_true)
+        scaled = _min_max_scale(trace)
+        v_det = _detection_phase_variance(_estimate_phase(scaled), trace.phase_true)
         worst = max(worst, v_det)
         assert v_det <= 1e-6
     symmetric = noiseless_sweep(0.0)
-    rescaled = min_max_scale(symmetric)
+    rescaled = _min_max_scale(symmetric)
     assert np.max(np.abs(rescaled.x - symmetric.x)) <= 1e-12
     report(6, f"worst residual V_det = {worst:.3e} rad^2; identity on symmetric data")
 
@@ -189,7 +187,7 @@ def test_criterion_7_tomography_desk_scale():
 
     sym_trace = simulate_heterodyne(amplitude_sq, phases, HeterodyneModel(), 20250808)
     asym_trace = simulate_heterodyne(amplitude_sq, phases, HeterodyneModel(14.29), 20250808)
-    scaled_trace = min_max_scale(asym_trace)
+    scaled_trace = _min_max_scale(asym_trace)
 
     sym, asym, scaled = analyze(sym_trace), analyze(asym_trace), analyze(scaled_trace)
     fid_sym, fid_asym, fid_scaled = sym.fidelity_sqrt, asym.fidelity_sqrt, scaled.fidelity_sqrt
@@ -211,11 +209,11 @@ def test_criterion_7_tomography_desk_scale():
 def test_criterion_8_wigner_sanity():
     axis = np.linspace(-6.0, 6.0, 241)
     centre = 120
-    vacuum = wigner(ideal_coherent_state(0.0, 10), axis, axis)
+    vacuum = _wigner(_ideal_coherent_state(0.0, 10), axis, axis)
     assert abs(vacuum.values[centre, centre] - 1.0 / math.pi) <= 1e-6
     single = np.zeros((10, 10), dtype=complex)
     single[1, 1] = 1.0
-    photon = wigner(DensityMatrix(single), axis, axis)
+    photon = _wigner(DensityMatrix(single), axis, axis)
     assert abs(photon.values[centre, centre] + 1.0 / math.pi) <= 1e-6
     norms = []
     for grid in (vacuum, photon):
@@ -240,7 +238,7 @@ def test_criterion_9_fidelity_metric():
     zero[0, 0] = 1.0
     one[1, 1] = 1.0
     assert fidelity(DensityMatrix(zero), DensityMatrix(one)) <= 1e-12
-    overlap = fidelity(ideal_coherent_state(0.0, 20), ideal_coherent_state(1.0, 20))
+    overlap = fidelity(_ideal_coherent_state(0.0, 20), _ideal_coherent_state(1.0, 20))
     assert abs(overlap - math.exp(-0.5)) <= 1e-6
     report(9, f"self-fidelity exact on 20 states; |<0|a=1>| = {overlap:.6f}")
 

@@ -27,7 +27,7 @@ from hetasym.cli import main
 from hetasym.config import RunConfig, load_config, parse_config_text, render
 from hetasym.csvio import read_density_csv, read_trace_csv, write_density_csv, write_trace_csv
 from hetasym.errors import ValidationError
-from hetasym.phase import drift_phase_variance, excess_noise_from_phase_variance
+from hetasym.phase import _drift_phase_variance, _excess_noise_from_phase_variance
 from hetasym.tomography import DensityMatrix
 
 TWO_PI = 2.0 * math.pi
@@ -252,12 +252,12 @@ class TestScale:
         cfg = write_config(tmp_path / "drift.cfg", v_a=12.0, **drift)
         assert run("scale", raw, "--config", cfg, "--out", tmp_path / "scaled.csv") == 0
         report = read_report(tmp_path / "scaled.report.txt")
-        v_drift = drift_phase_variance(*drift.values())
+        v_drift = _drift_phase_variance(*drift.values())
         assert v_drift > 0.0
         v_total = v_drift + float(report["v_det_rad2"])
         assert report["v_drift_rad2"] == render(v_drift)
         assert report["v_total_rad2"] == render(v_total)
-        assert report["xi_total_snu"] == render(excess_noise_from_phase_variance(12.0, v_total))
+        assert report["xi_total_snu"] == render(_excess_noise_from_phase_variance(12.0, v_total))
 
     def test_exact_identity_when_spans_coincide(self, tmp_path):
         # a noiseless full sweep hits +-A exactly on both quadratures, so
@@ -417,6 +417,20 @@ class TestScale:
             out = tmp_path / f"{command}.csv"
             assert run(command, raw, "--out", out) == 2
             assert f"error: {key} must be" in capsys.readouterr().err
+            assert not out.exists() and not out.with_suffix(".report.txt").exists()
+
+    def test_overflowing_drift_budget_exit_2_on_both_commands(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # v_drift = 2 pi (1e308 + 1e308) 1e-6 overflows to inf
+        raw = self.simulate(tmp_path, n_phases=400)
+        for key, value in (("LINEWIDTH_A", "1e308"), ("LINEWIDTH_B", "1e308"),
+                           ("PULSE_SEPARATION", "1e-6")):
+            monkeypatch.setenv(f"HETASYM_{key}", value)
+        for command in ("scale", "phase-deviation"):
+            capsys.readouterr()
+            out = tmp_path / f"{command}.csv"
+            assert run(command, raw, "--out", out) == 2
+            assert "error: v must be finite and >= 0, got inf" in capsys.readouterr().err
             assert not out.exists() and not out.with_suffix(".report.txt").exists()
 
     def test_default_sweep_passes(self, tmp_path):
@@ -688,6 +702,45 @@ def test_keyrate_sweep_contract(values):
     assert cutoffs and all(c == math.inf or 0.0 <= c < math.inf for c in cutoffs)
     rows = [line for line in lines if not line.startswith("#")][1:]
     assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
+@st.composite
+def simulate_configs(draw):
+    """simulate config values: each float key extreme, ordinary or, for the
+    two keys with a bounded range, at either side of an end of it; and a
+    sweep of at most 64 x 64 pulses whose counts may fall below their minimum."""
+    quarter = math.pi / 2
+    values = {
+        "amplitude_sq": draw(_EXTREME | st.floats(1.0, 1000.0)),
+        "noise_var": draw(_EXTREME | st.floats(0.1, 10.0)),
+        "asymmetry_percent": draw(_EXTREME | st.floats(0.0, 50.0) | st.sampled_from(
+            [-5e-324, 0.0, 5e-324, math.nextafter(200.0, 0.0), 200.0])),
+        "hybrid_phase_error": draw(_EXTREME | st.floats(-0.5, 0.5) | st.sampled_from(
+            [sign * edge for sign in (1.0, -1.0)
+             for edge in (quarter, math.nextafter(quarter, 0.0))])),
+    }
+    return {**values, "n_phases": draw(st.integers(0, 64)),
+            "pulses_per_phase": draw(st.integers(0, 64))}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(simulate_configs())
+@example({key: getattr(RunConfig(), key) for key in (
+    "amplitude_sq", "noise_var", "asymmetry_percent", "hybrid_phase_error", "n_phases",
+    "pulses_per_phase")})
+def test_simulate_contract(values):
+    # whatever the values, simulate exits 0 or 2 and raises and warns
+    # nothing; on exit 0 every number of the trace is finite
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp) / "c.cfg",
+                           **{key: render(value) for key, value in values.items()})
+        out = Path(tmp) / "raw.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("simulate", "--config", cfg, "--out", out)
+        assert code in (0, 2)
+        if code == 0:
+            assert all(math.isfinite(v) for v in numbers_in(out))
 
 
 #: a dense symmetric sweep of 588 samples, divisible by every drawn block, so
@@ -976,6 +1029,15 @@ class TestTomography:
         write_trace_csv(raw, trace, "simulate", RunConfig())
         return raw
 
+    def test_dim_hint_names_the_smallest_accepted_dim(self, tmp_path, capsys):
+        # the fitted |alpha| is 0.984 at dim 10: dims 8-10 keep too little of
+        # its norm, and the hint read "use dim >= 16" although dim 11 passes
+        raw = self.weak_trace(tmp_path)
+        for dim, code in ((10, 2), (11, 0)):
+            cfg = write_config(tmp_path / "tomo.cfg", dim=dim, wigner_points=11)
+            assert run("tomography", raw, "--config", cfg, "--out", tmp_path / "tomo") == code
+        assert capsys.readouterr().err.endswith("use dim >= 11\n")
+
     @pytest.mark.parametrize("extent", [1e13, 1e155])
     def test_far_wigner_grid(self, tmp_path, extent):
         # at dim 16 the Laguerre sums overflowed from about 1e12 on, and r^2
@@ -1047,11 +1109,11 @@ class TestTomography:
 
     def test_huge_wigner_grid_exit_2_before_the_mle(self, tmp_path, monkeypatch, capsys):
         # a 10^7 x 10^7 grid used to run the whole MLE, then fail to allocate
-        # the grid in wigner with a traceback and exit 1
+        # the grid in _wigner with a traceback and exit 1
         def no_mle(*args, **kwargs):
             raise AssertionError("mle_reconstruct ran")
 
-        monkeypatch.setattr("hetasym.tomography.mle_reconstruct", no_mle)
+        monkeypatch.setattr("hetasym.tomography._mle_reconstruct", no_mle)
         raw = self.bright_trace(tmp_path, n_phases=40, ppp=1)
         monkeypatch.setenv("HETASYM_WIGNER_POINTS", "10000000")
         assert run("tomography", raw, "--config", self.tomo_config(tmp_path),
@@ -1065,7 +1127,7 @@ class TestTomography:
         def no_mle(*args, **kwargs):
             raise AssertionError("mle_reconstruct ran")
 
-        monkeypatch.setattr("hetasym.tomography.mle_reconstruct", no_mle)
+        monkeypatch.setattr("hetasym.tomography._mle_reconstruct", no_mle)
         cfg = write_config(tmp_path / "tomo.cfg", dim=16, wigner_points=31,
                            wigner_extent=5e-324)
         out = tmp_path / "tiny"

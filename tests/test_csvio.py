@@ -185,6 +185,19 @@ def test_trace_writer_memory_is_bounded(tmp_path):
     assert peak < 8 * 2**20
 
 
+def test_wigner_writer_memory_is_bounded(tmp_path):
+    axis = np.linspace(-6.0, 6.0, 400)
+    grid = WignerGrid(axis, axis, np.zeros((axis.size, axis.size)))
+    tracemalloc.start()
+    try:
+        write_wigner_csv(tmp_path / "big.wigner.csv", grid, "tomography", RunConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # fixed-width string cells over the whole grid took about 165 bytes a point
+    assert peak < 40 * grid.values.size
+
+
 def write_text(path, text):
     path.write_text(text, encoding="utf-8")
     return path

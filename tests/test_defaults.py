@@ -14,12 +14,12 @@ from hetasym import (
     KeyRateParams,
     analyze_sweep,
     analyze_tomography,
-    estimate_phase,
     make_phase_ramp,
-    mle_reconstruct,
     samples_from_trace,
 )
 from hetasym.config import RunConfig
+from hetasym.phase import _estimate_phase
+from hetasym.tomography import _mle_reconstruct
 
 
 def default_source(owner, name: str) -> str:
@@ -54,14 +54,14 @@ PAIRS = {
     **{f"HeterodyneModel.{key}": pair(getattr(DETECTOR, key), getattr(CONFIG, key),
                                       HeterodyneModel, key)
        for key in ("asymmetry_percent", "noise_var", "hybrid_phase_error")},
-    **{f"mle_reconstruct.{key}": pair(default_of(mle_reconstruct, key), getattr(CONFIG, key),
-                                      mle_reconstruct, key)
+    **{f"mle_reconstruct.{key}": pair(default_of(_mle_reconstruct, key), getattr(CONFIG, key),
+                                      _mle_reconstruct, key)
        for key in ("max_iter", "tol")},
     **{f"samples_from_trace.{key}": pair(default_of(samples_from_trace, key),
                                          getattr(CONFIG, key), samples_from_trace, key)
        for key in ("use_true_phase", "block", "amplitude_scale")},
-    "estimate_phase.block": pair(default_of(estimate_phase, "block"), CONFIG.block,
-                                 estimate_phase, "block"),
+    "estimate_phase.block": pair(default_of(_estimate_phase, "block"), CONFIG.block,
+                                 _estimate_phase, "block"),
     **{f"analyze_sweep.{key}": pair(default_of(analyze_sweep, key), getattr(CONFIG, key),
                                     analyze_sweep, key)
        for key in ("block", "v_a", "linewidth_a", "linewidth_b", "pulse_separation")},

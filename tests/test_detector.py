@@ -9,54 +9,38 @@ from hetasym import (
     HeterodyneModel,
     ValidationError,
     make_phase_ramp,
-    percent_difference,
     simulate_heterodyne,
 )
-from hetasym.detector import _gain_from_percent
+from hetasym.detector import _gain_from_percent, _percent_difference
 
 TWO_PI = 2.0 * math.pi
 
 
 class TestPercentDifference:
     def test_identity_case(self):
-        assert percent_difference(0.45, 0.45) == 0.0
+        assert _percent_difference(0.45, 0.45) == 0.0
 
     def test_characterization_power_settings(self):
         # the bench power pairs behind two of the catalogued asymmetry levels
-        assert percent_difference(0.45, 0.39) == pytest.approx(14.29, abs=0.005)
-        assert percent_difference(0.45, 0.32) == pytest.approx(33.77, abs=0.005)
+        assert _percent_difference(0.45, 0.39) == pytest.approx(14.29, abs=0.005)
+        assert _percent_difference(0.45, 0.32) == pytest.approx(33.77, abs=0.005)
 
     def test_symmetry_and_scale_invariance(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             a, b = rng.uniform(0.01, 5.0, 2)
             k = rng.uniform(0.1, 10.0)
-            assert percent_difference(a, b) == pytest.approx(percent_difference(b, a), rel=1e-14)
-            assert percent_difference(k * a, k * b) == pytest.approx(
-                percent_difference(a, b), rel=1e-12)
+            assert _percent_difference(a, b) == pytest.approx(_percent_difference(b, a), rel=1e-14)
+            assert _percent_difference(k * a, k * b) == pytest.approx(
+                _percent_difference(a, b), rel=1e-12)
 
     def test_range(self):
-        assert percent_difference(1e-6, 1.0) < 200.0
+        assert _percent_difference(1e-6, 1.0) < 200.0
 
     def test_powers_whose_sum_overflows(self):
         # 1.7e308 + 1e308 is inf, which read every such pair as 0 %
-        assert percent_difference(1.7e308, 1e308) == percent_difference(1.7, 1.0)
-        assert percent_difference(1.7, 1.0) == pytest.approx(51.85, abs=0.005)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValidationError):
-            percent_difference(0.0, 1.0)
-        with pytest.raises(ValidationError):
-            percent_difference(1.0, -0.1)
-
-    @pytest.mark.parametrize("args, name", [
-        ((math.nan, 1.0), "p1"), ((1.0, math.nan), "p2"),
-        ((math.inf, 1.0), "p1"), ((1.0, math.inf), "p2"),
-    ])
-    def test_rejects_non_finite(self, args, name):
-        with pytest.raises(ValidationError, match=f"^{name} must"):
-            percent_difference(*args)
-
+        assert _percent_difference(1.7e308, 1e308) == _percent_difference(1.7, 1.0)
+        assert _percent_difference(1.7, 1.0) == pytest.approx(51.85, abs=0.005)
 
 class TestGainsFromPercent:
     """The gain g on X, against 1 on P, that asymmetry_percent sets."""
@@ -74,12 +58,12 @@ class TestGainsFromPercent:
 
     def test_round_trip(self):
         for pct in np.linspace(0.01, 199.9, 97):
-            assert percent_difference(_gain_from_percent(pct), 1.0) == pytest.approx(pct, abs=1e-9)
+            assert _percent_difference(_gain_from_percent(pct), 1.0) == pytest.approx(pct, abs=1e-9)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.0, 200.0, exclude_max=True))
     def test_inverts_percent_difference(self, pct):
-        assert abs(percent_difference(_gain_from_percent(pct), 1.0) - pct) <= 1e-12
+        assert abs(_percent_difference(_gain_from_percent(pct), 1.0) - pct) <= 1e-12
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError, match="^asymmetry_percent must be in"):
@@ -92,7 +76,7 @@ class TestHeterodyneModel:
     def test_asymmetry_percent_property(self):
         det = HeterodyneModel(asymmetry_percent=19.51)
         assert det.asymmetry_percent == 19.51
-        assert percent_difference(_gain_from_percent(det.asymmetry_percent), 1.0) == pytest.approx(
+        assert _percent_difference(_gain_from_percent(det.asymmetry_percent), 1.0) == pytest.approx(
             19.51, abs=1e-9)
 
     @pytest.mark.parametrize("kwargs", [

@@ -8,17 +8,10 @@ import pytest
 
 from hetasym import (
     HeterodyneModel,
-    NumericalDomainError,
     QuadratureTrace,
     ValidationError,
     analyze_sweep,
-    detection_phase_variance,
-    drift_phase_variance,
-    estimate_phase,
-    excess_noise_from_phase_variance,
     make_phase_ramp,
-    min_max_scale,
-    phase_variance_from_excess_noise,
     simulate_heterodyne,
     wrap_phase,
 )
@@ -26,7 +19,14 @@ from hetasym.cli import main
 from hetasym.config import RunConfig, render
 from hetasym.csvio import read_trace_csv, write_trace_csv
 from hetasym.detector import _gain_from_percent
-from hetasym.phase import SweepAnalysis
+from hetasym.phase import (
+    SweepAnalysis,
+    _detection_phase_variance,
+    _drift_phase_variance,
+    _estimate_phase,
+    _excess_noise_from_phase_variance,
+    _min_max_scale,
+)
 from measured import MEASURED_LEVELS, MEASURED_XI_DET
 
 TWO_PI = 2.0 * math.pi
@@ -56,43 +56,43 @@ class TestWrapPhase:
 
 class TestEstimatePhase:
     def test_single_sample_quadrants(self):
-        assert estimate_phase(QuadratureTrace([1.0], [1.0]))[0] == pytest.approx(math.pi / 4)
-        assert estimate_phase(QuadratureTrace([0.0], [-1.0]))[0] == pytest.approx(-math.pi / 2)
+        assert _estimate_phase(QuadratureTrace([1.0], [1.0]))[0] == pytest.approx(math.pi / 4)
+        assert _estimate_phase(QuadratureTrace([0.0], [-1.0]))[0] == pytest.approx(-math.pi / 2)
 
     def test_noiseless_asymmetric_closed_form(self):
         tr = QuadratureTrace([0.8667 * np.cos(math.pi / 4)], [np.sin(math.pi / 4)])
-        assert estimate_phase(tr)[0] == pytest.approx(math.atan(1.0 / 0.8667), abs=1e-12)
-        assert estimate_phase(tr)[0] == pytest.approx(0.8567, abs=1e-4)
+        assert _estimate_phase(tr)[0] == pytest.approx(math.atan(1.0 / 0.8667), abs=1e-12)
+        assert _estimate_phase(tr)[0] == pytest.approx(0.8567, abs=1e-4)
 
     def test_exact_for_symmetric_noiseless_sweep(self):
         theta = wrap_phase(-math.pi + 1e-9 + make_phase_ramp(719))
         tr = QuadratureTrace(3.0 * np.cos(theta), 3.0 * np.sin(theta))
-        np.testing.assert_allclose(estimate_phase(tr), theta, atol=1e-12)
+        np.testing.assert_allclose(_estimate_phase(tr), theta, atol=1e-12)
 
     def test_block_averaging(self):
         x = np.array([1.0, 1.0, 0.0, 0.0])
         p = np.array([0.0, 0.0, 2.0, 2.0])
-        est = estimate_phase(QuadratureTrace(x, p), block=2)
+        est = _estimate_phase(QuadratureTrace(x, p), block=2)
         np.testing.assert_allclose(est, [0.0, math.pi / 2])
 
     def test_undefined_block_is_nan(self):
-        est = estimate_phase(QuadratureTrace([0.0, 1.0], [0.0, 0.0]))
+        est = _estimate_phase(QuadratureTrace([0.0, 1.0], [0.0, 0.0]))
         assert np.isnan(est[0]) and est[1] == 0.0
 
     def test_block_validation(self):
         tr = QuadratureTrace([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValidationError):
-            estimate_phase(tr, block=2)
+            _estimate_phase(tr, block=2)
         with pytest.raises(ValidationError):
-            estimate_phase(tr, block=0)
+            _estimate_phase(tr, block=0)
 
     @pytest.mark.parametrize("block", [1.5, math.nan, math.inf])
     def test_rejects_non_integer_block(self, block):
         with pytest.raises(ValidationError, match="^block must"):
-            estimate_phase(QuadratureTrace([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), block=block)
+            _estimate_phase(QuadratureTrace([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), block=block)
 
     def test_range_half_open(self):
-        est = estimate_phase(QuadratureTrace([-1.0], [0.0]))
+        est = _estimate_phase(QuadratureTrace([-1.0], [0.0]))
         assert est[0] == pytest.approx(math.pi)
 
     # two 1.5e308 samples in one block used to give an inf mean (and, as
@@ -108,29 +108,29 @@ class TestEstimatePhase:
         other = [1.0, -1.0, 2.0, -2.0]
         x, p = (column, other) if name == "x" else (other, column)
         with pytest.raises(ValidationError, match=re.escape(message)):
-            estimate_phase(QuadratureTrace(x, p), block=2)
+            _estimate_phase(QuadratureTrace(x, p), block=2)
 
     def test_nan_block_mean_rejected(self):
         # numpy sums 16 values in 8 partial sums, so this block adds inf and -inf
         big = 1.5e308
         x = [big, -big] + [0.0] * 6 + [big, -big] + [0.0] * 6
         with pytest.raises(ValidationError, match=re.escape("x mean of samples 0..15 overflows")):
-            estimate_phase(QuadratureTrace(x, [1.0] * 16), block=16)
+            _estimate_phase(QuadratureTrace(x, [1.0] * 16), block=16)
 
     def test_largest_finite_block_mean_accepted(self):
-        est = estimate_phase(QuadratureTrace([8.9e307, 8.9e307], [0.0, 0.0]), block=2)
+        est = _estimate_phase(QuadratureTrace([8.9e307, 8.9e307], [0.0, 0.0]), block=2)
         assert est[0] == 0.0
 
 
 class TestMinMaxScale:
     def test_endpoint_mapping(self):
         tr = QuadratureTrace([0.0, 2.0], [-1.0, 1.0])
-        scaled = min_max_scale(tr)
+        scaled = _min_max_scale(tr)
         np.testing.assert_array_equal(scaled.x, [-1.0, 1.0])
         np.testing.assert_array_equal(scaled.p, tr.p)
 
     def test_direct_evaluation(self):
-        scaled = min_max_scale(QuadratureTrace([0.0, 1.0, 2.0], [-3.0, 0.0, 3.0]))
+        scaled = _min_max_scale(QuadratureTrace([0.0, 1.0, 2.0], [-3.0, 0.0, 3.0]))
         np.testing.assert_allclose(scaled.x, [-3.0, 0.0, 3.0], atol=1e-12)
 
     def test_identity_when_ranges_match(self):
@@ -139,13 +139,13 @@ class TestMinMaxScale:
         x[0], x[1] = -2.0, 2.0
         p = rng.uniform(-2.0, 2.0, 500)
         p[2], p[3] = -2.0, 2.0
-        scaled = min_max_scale(QuadratureTrace(x, p))
+        scaled = _min_max_scale(QuadratureTrace(x, p))
         np.testing.assert_allclose(scaled.x, x, atol=1e-12)
 
     def test_exact_extrema(self):
         rng = np.random.default_rng(8)
         tr = QuadratureTrace(rng.normal(0, 3, 1000), rng.normal(0, 1, 1000))
-        scaled = min_max_scale(tr)
+        scaled = _min_max_scale(tr)
         assert scaled.x.min() == tr.p.min()
         assert scaled.x.max() == tr.p.max()
 
@@ -157,35 +157,35 @@ class TestMinMaxScale:
         x, p = (column, other) if name == "x" else (other, column)
         message = f"the {name} span 1.7e+308 - -1.7e+308 overflows float64"
         with pytest.raises(ValidationError, match=re.escape(message)):
-            min_max_scale(QuadratureTrace(x, p))
+            _min_max_scale(QuadratureTrace(x, p))
 
     def test_largest_finite_span_accepted(self):
         big = 8.9e307
-        scaled = min_max_scale(QuadratureTrace([big, -big, 0.0], [-1.0, 1.0, 0.0]))
+        scaled = _min_max_scale(QuadratureTrace([big, -big, 0.0], [-1.0, 1.0, 0.0]))
         np.testing.assert_array_equal(scaled.x, [1.0, -1.0, 0.0])
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValidationError):
-            min_max_scale(QuadratureTrace([1.0, 1.0], [0.0, 1.0]))
+            _min_max_scale(QuadratureTrace([1.0, 1.0], [0.0, 1.0]))
         with pytest.raises(ValidationError):
-            min_max_scale(QuadratureTrace([1.0], [0.0]))
+            _min_max_scale(QuadratureTrace([1.0], [0.0]))
 
 
 class TestDriftVariance:
     def test_zero_linewidth(self):
-        assert drift_phase_variance(0.0, 0.0, 1e-3) == 0.0
+        assert _drift_phase_variance(0.0, 0.0, 1e-3) == 0.0
 
     def test_direct_evaluation(self):
-        assert drift_phase_variance(100.0, 100.0, 1e-6) == pytest.approx(
+        assert _drift_phase_variance(100.0, 100.0, 1e-6) == pytest.approx(
             TWO_PI * 200.0 * 1e-6, rel=1e-12)
 
     def test_linearity(self):
-        full = drift_phase_variance(100.0, 100.0, 1e-6)
-        assert drift_phase_variance(100.0, 0.0, 1e-6) == pytest.approx(full / 2.0, rel=1e-12)
+        full = _drift_phase_variance(100.0, 100.0, 1e-6)
+        assert _drift_phase_variance(100.0, 0.0, 1e-6) == pytest.approx(full / 2.0, rel=1e-12)
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
-            drift_phase_variance(-1.0, 0.0, 1.0)
+            _drift_phase_variance(-1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("args, name", [
         ((math.nan, 0.0, 1.0), "linewidth_a"), ((0.0, math.inf, 1.0), "linewidth_b"),
@@ -193,19 +193,19 @@ class TestDriftVariance:
     ])
     def test_rejects_non_finite(self, args, name):
         with pytest.raises(ValidationError, match=f"^{name} must"):
-            drift_phase_variance(*args)
+            _drift_phase_variance(*args)
 
 
 class TestDetectionVariance:
     def test_identical_phases(self):
         theta = np.linspace(-3, 3, 50)
-        assert detection_phase_variance(theta, theta) == 0.0
+        assert _detection_phase_variance(theta, theta) == 0.0
 
     def test_wrap_invariance(self):
         base = np.array([math.pi - 0.1, -math.pi + 0.1, 0.5, -0.5])
         other = np.zeros(4)
-        assert detection_phase_variance(base, other) == pytest.approx(
-            detection_phase_variance(base - TWO_PI, other), rel=1e-12)
+        assert _detection_phase_variance(base, other) == pytest.approx(
+            _detection_phase_variance(base - TWO_PI, other), rel=1e-12)
 
     def test_matches_quadrature_oracle(self):
         # The deviation is arg(1 + eps e^{-2i theta}) with eps = (1 - g) / (1 + g)
@@ -225,87 +225,70 @@ class TestDetectionVariance:
                 closed, rel=1e-6)
 
             tr = noiseless_sweep(gain)
-            est_asym = estimate_phase(tr)
-            for reference in (tr.phase_true, estimate_phase(min_max_scale(tr))):
-                v_det = detection_phase_variance(reference, est_asym)
+            est_asym = _estimate_phase(tr)
+            for reference in (tr.phase_true, _estimate_phase(_min_max_scale(tr))):
+                v_det = _detection_phase_variance(reference, est_asym)
                 assert v_det == pytest.approx(closed, rel=1e-13)
-
-    @pytest.mark.parametrize("theta_scaled, theta_asym, message", [
-        ([0.1], [0.2], "need at least 2 samples, got 1"),
-        ([0.1, math.nan], [0.2, 0.3], "non-finite phase values"),
-        ([0.0, 1.0], [0.0], r"sequences differ in length \(2 vs 1\)"),
-    ])
-    def test_rejects_unusable_phases(self, theta_scaled, theta_asym, message):
-        with pytest.raises(ValidationError, match=f"^detection variance: {message}"):
-            detection_phase_variance(theta_scaled, theta_asym)
 
     def test_strictly_ordered_in_asymmetry(self):
         values = []
         for pct in (2.25, 4.55, 14.29, 19.51, 33.77):
             gain = _gain_from_percent(pct)
             tr = noiseless_sweep(gain)
-            values.append(detection_phase_variance(tr.phase_true, estimate_phase(tr)))
+            values.append(_detection_phase_variance(tr.phase_true, _estimate_phase(tr)))
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def phase_variance_oracle(v_a: float, xi: float) -> float:
+    """The inverse of the excess-noise map: v = -2 ln(1 - xi / (2 v_A))."""
+    return -2.0 * math.log1p(-xi / (2.0 * v_a))
 
 
 class TestExcessNoiseConversion:
     def test_zero_variance(self):
-        assert excess_noise_from_phase_variance(10.0, 0.0) == 0.0
+        assert _excess_noise_from_phase_variance(10.0, 0.0) == 0.0
 
     def test_measured_level_round_trip(self):
         # derived by inverting the catalogued excess noise at 14.29% asymmetry
-        v = phase_variance_from_excess_noise(10.0, 0.0140)
+        v = phase_variance_oracle(10.0, 0.0140)
         assert v == pytest.approx(1.40049e-3, rel=1e-4)
-        assert excess_noise_from_phase_variance(10.0, v) == pytest.approx(0.0140, abs=1e-4)
+        assert _excess_noise_from_phase_variance(10.0, v) == pytest.approx(0.0140, abs=1e-4)
 
     def test_linearity_in_modulation_variance(self):
         v = 2.5e-3
-        assert excess_noise_from_phase_variance(20.0, v) == pytest.approx(
-            2.0 * excess_noise_from_phase_variance(10.0, v), rel=1e-14)
+        assert _excess_noise_from_phase_variance(20.0, v) == pytest.approx(
+            2.0 * _excess_noise_from_phase_variance(10.0, v), rel=1e-14)
 
     def test_ordering_preserved(self):
         xs = np.linspace(0.0, 0.5, 40)
-        ys = [excess_noise_from_phase_variance(10.0, v) for v in xs]
+        ys = [_excess_noise_from_phase_variance(10.0, v) for v in xs]
         assert all(a < b for a, b in zip(ys, ys[1:]))
-
-    def test_inverse_at_zero(self):
-        assert phase_variance_from_excess_noise(10.0, 0.0) == 0.0
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             v_a = rng.uniform(0.5, 50.0)
             v = rng.uniform(0.0, 2.0)
-            xi = excess_noise_from_phase_variance(v_a, v)
-            assert phase_variance_from_excess_noise(v_a, xi) == pytest.approx(
+            xi = _excess_noise_from_phase_variance(v_a, v)
+            assert phase_variance_oracle(v_a, xi) == pytest.approx(
                 v, rel=1e-12, abs=1e-15)
 
     def test_measured_levels_self_consistent(self):
         for xi in MEASURED_XI_DET:
-            back = excess_noise_from_phase_variance(
-                10.0, phase_variance_from_excess_noise(10.0, xi))
+            back = _excess_noise_from_phase_variance(
+                10.0, phase_variance_oracle(10.0, xi))
             assert back == pytest.approx(xi, rel=1e-12)
 
-    @pytest.mark.parametrize("convert, args, name", [
-        (excess_noise_from_phase_variance, (0.0, 0.1), "v_a"),
-        (excess_noise_from_phase_variance, (math.inf, 0.1), "v_a"),
-        (excess_noise_from_phase_variance, (10.0, -0.1), "v"),
-        (excess_noise_from_phase_variance, (10.0, math.nan), "v"),
-        (excess_noise_from_phase_variance, (10.0, math.inf), "v"),
-        (phase_variance_from_excess_noise, (math.nan, 0.1), "v_a"),
-        (phase_variance_from_excess_noise, (10.0, -0.1), "xi"),
-        (phase_variance_from_excess_noise, (10.0, math.nan), "xi"),
-        (phase_variance_from_excess_noise, (10.0, math.inf), "xi"),
-    ])
-    def test_rejected(self, convert, args, name):
-        with pytest.raises(ValidationError, match=f"^{name} must"):
-            convert(*args)
+    @pytest.mark.parametrize("v_a", [0.0, math.inf])
+    def test_rejects_modulation_variance(self, v_a):
+        with pytest.raises(ValidationError, match="^v_a must"):
+            _excess_noise_from_phase_variance(v_a, 0.1)
 
-    def test_saturation_rejected(self):
-        with pytest.raises(NumericalDomainError):
-            phase_variance_from_excess_noise(10.0, 20.0)
-        with pytest.raises(NumericalDomainError):
-            phase_variance_from_excess_noise(10.0, 25.0)
+    @pytest.mark.parametrize("v", [-0.1, math.nan, math.inf])
+    def test_rejects_variance(self, v):
+        # an overflowed drift variance reaches the budget as inf or nan
+        with pytest.raises(ValidationError, match="^v must"):
+            _excess_noise_from_phase_variance(10.0, v)
 
 
 class TestDeviationStructure:
@@ -357,13 +340,13 @@ class TestSymmetrizationEfficacy:
         for pct in (4.55, 14.29, 33.77):
             gain = _gain_from_percent(pct)
             tr = noiseless_sweep(gain)
-            scaled = min_max_scale(tr)
-            est = estimate_phase(scaled)
-            assert detection_phase_variance(est, tr.phase_true) <= 1e-6
+            scaled = _min_max_scale(tr)
+            est = _estimate_phase(scaled)
+            assert _detection_phase_variance(est, tr.phase_true) <= 1e-6
 
     def test_identity_on_symmetric_sweep(self):
         tr = noiseless_sweep(1.0)
-        scaled = min_max_scale(tr)
+        scaled = _min_max_scale(tr)
         np.testing.assert_allclose(scaled.x, tr.x, atol=1e-12)
 
 
@@ -379,8 +362,8 @@ class TestAnalyzeSweep:
         return trace, raw
 
     def test_partial_sweep_raises_the_cli_message(self, tmp_path, capsys):
-        # 0.4 pi of a turn: min_max_scale, estimate_phase and
-        # detection_phase_variance read 40.34 % and xi_det 0.081 from it
+        # 0.4 pi of a turn: _min_max_scale, _estimate_phase and
+        # _detection_phase_variance read 40.34 % and xi_det 0.081 from it
         trace, raw = self.write_sweep(tmp_path, make_phase_ramp(10_000)[:2000])
         assert main(["scale", str(raw), "--out", str(tmp_path / "scaled.csv")]) == 2
         with pytest.raises(ValidationError, match="not cover a full rotation") as raised:

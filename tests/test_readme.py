@@ -6,6 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
+import hetasym
 from hetasym import cli
 from hetasym.config import parse_config_text
 
@@ -18,6 +19,15 @@ def test_library_example_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
     out = capsys.readouterr().out
     assert "bits/symbol at 20 km" in out and "km achievable" in out
+
+
+def test_export_list_matches_the_package():
+    section = re.search(r"## Library example\n(.*?)\n## ", README.read_text(encoding="utf-8"),
+                        re.S).group(1)
+    sentence = section.rsplit("```", 1)[1]
+    listed = re.findall(r"`(\w+)`", sentence.split(": ", 1)[1])
+    assert sorted(listed) == sorted(name for name in hetasym.__all__ if name != "__version__")
+    assert f"exports `__version__` and {len(listed)} names" in " ".join(sentence.split())
 
 
 def quick_start() -> str:

@@ -11,20 +11,14 @@ from scipy.special import eval_genlaguerre, eval_hermite, factorial
 from hetasym import (
     DensityMatrix,
     HeterodyneModel,
-    PhaseTaggedSamples,
     QuadratureTrace,
     ValidationError,
-    WignerGrid,
     analyze_tomography,
     fidelity,
-    fit_coherent,
-    ideal_coherent_state,
     make_phase_ramp,
-    mle_reconstruct,
     quadrature_projector,
     samples_from_trace,
     simulate_heterodyne,
-    wigner,
 )
 from hetasym import tomography
 from hetasym.cli import main
@@ -32,11 +26,17 @@ from hetasym.config import RunConfig, render
 from hetasym.csvio import read_density_csv, read_trace_csv, write_trace_csv
 from hetasym.tomography import (
     MAX_QUADRATURE,
+    PhaseTaggedSamples,
+    WignerGrid,
     _DenseEngine,
     _GroupedEngine,
+    _fit_coherent,
+    _ideal_coherent_state,
     _make_engine,
+    _mle_reconstruct,
     _product_coefficients,
     _rank_one_search,
+    _wigner,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -109,7 +109,7 @@ class TestQuadratureProjector:
         # truncation oracle: the Born probability density of a bounded-energy
         # state converges in the cutoff (the raw projector norm itself
         # diverges; position eigenstates are not normalizable)
-        rho30 = ideal_coherent_state(2.0, 30).matrix
+        rho30 = _ideal_coherent_state(2.0, 30).matrix
         rho60 = np.zeros((60, 60), dtype=complex)
         rho60[:30, :30] = rho30
         for x in (-3.0, 0.0, 1.5, 3.0):
@@ -150,40 +150,54 @@ class TestQuadratureProjector:
 
 class TestIdealCoherentState:
     def test_vacuum(self):
-        rho = ideal_coherent_state(0.0, 5)
+        rho = _ideal_coherent_state(0.0, 5)
         expected = np.zeros((5, 5))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-15)
 
     def test_mean_photon_number(self):
-        rho = ideal_coherent_state(1.0, 20)
+        rho = _ideal_coherent_state(1.0, 20)
         nbar = float(np.sum(np.arange(20) * np.diag(rho.matrix).real))
         assert nbar == pytest.approx(1.0, abs=1e-8)
 
     def test_purity(self):
         for alpha in (0.5, 1.5 + 0.5j, 2.0):
-            matrix = ideal_coherent_state(alpha, 30).matrix
+            matrix = _ideal_coherent_state(alpha, 30).matrix
             assert np.trace(matrix @ matrix).real == pytest.approx(1.0, abs=1e-10)
 
     def test_insufficient_dim_rejected_with_hint(self):
-        # |a|^2 + 5|a| + 10 = 46 at a = 4
-        with pytest.raises(ValidationError, match="use dim >= 46"):
-            ideal_coherent_state(4.0, 8)
+        # dims 1..43 keep less than 1 - 1e-8 of the Poisson(16) norm at a = 4
+        with pytest.raises(ValidationError, match="use dim >= 44$"):
+            _ideal_coherent_state(4.0, 8)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 10.0), st.floats(0.0, TWO_PI), st.integers(1, 40))
+    def test_hinted_dim_is_the_smallest_accepted(self, magnitude, angle, dim):
+        alpha = magnitude * complex(math.cos(angle), math.sin(angle))
+        try:
+            _ideal_coherent_state(alpha, dim)
+            return
+        except ValidationError as exc:
+            hint = int(re.search(r"use dim >= (\d+)$", str(exc)).group(1))
+        assert hint > dim
+        _ideal_coherent_state(alpha, hint)
+        with pytest.raises(ValidationError, match=f"use dim >= {hint}$"):
+            _ideal_coherent_state(alpha, hint - 1)
 
 
 class TestFitCoherent:
     def test_vacuum(self):
-        assert fit_coherent(ideal_coherent_state(0.0, 5)) == 0.0
+        assert _fit_coherent(_ideal_coherent_state(0.0, 5)) == 0.0
 
     def test_complex_amplitude(self):
         alpha = 2.0 + 1.0j
-        fitted = fit_coherent(ideal_coherent_state(alpha, 45))
+        fitted = _fit_coherent(_ideal_coherent_state(alpha, 45))
         assert abs(fitted - alpha) < 1e-6
 
     def test_phase_covariance(self):
         alpha, phi = 1.2, 0.8
-        base = fit_coherent(ideal_coherent_state(alpha, 25))
-        rotated = fit_coherent(ideal_coherent_state(alpha * np.exp(1j * phi), 25))
+        base = _fit_coherent(_ideal_coherent_state(alpha, 25))
+        rotated = _fit_coherent(_ideal_coherent_state(alpha * np.exp(1j * phi), 25))
         assert rotated == pytest.approx(base * np.exp(1j * phi), abs=1e-8)
 
 
@@ -237,7 +251,7 @@ class TestMLEReconstruct:
     def test_zero_iterations_returns_maximally_mixed(self):
         rng = np.random.default_rng(0)
         samples = coherent_samples(rng, 1.0, 500)
-        result = mle_reconstruct(samples, 8, max_iter=0)
+        result = _mle_reconstruct(samples, 8, max_iter=0)
         np.testing.assert_allclose(result.rho.matrix, np.eye(8) / 8.0, atol=1e-12)
         assert not result.converged
         assert result.iterations == 0
@@ -249,26 +263,26 @@ class TestMLEReconstruct:
     def test_rejects_bad_arguments(self, kwargs):
         samples = coherent_samples(np.random.default_rng(0), 1.0, 50)
         with pytest.raises(ValidationError, match=f"^{next(iter(kwargs))} must"):
-            mle_reconstruct(samples, **{"dim": 4, **kwargs})
+            _mle_reconstruct(samples, **{"dim": 4, **kwargs})
 
     def test_vacuum_reconstruction(self):
         rng = np.random.default_rng(101)
         theta = rng.uniform(0.0, TWO_PI, 100_000)
         xs = rng.normal(0.0, math.sqrt(0.5), theta.size)
-        result = mle_reconstruct(PhaseTaggedSamples(theta, xs), 10, max_iter=200, tol=1e-8)
-        fid = fidelity(result.rho, ideal_coherent_state(0.0, 10))
+        result = _mle_reconstruct(PhaseTaggedSamples(theta, xs), 10, max_iter=200, tol=1e-8)
+        fid = fidelity(result.rho, _ideal_coherent_state(0.0, 10))
         assert fid > 0.99
 
     def test_coherent_reconstruction_improves_with_samples(self):
         # repeated ramp tags keep all three runs on the grouped fast path so
         # the largest can be driven to convergence
         rng = np.random.default_rng(77)
-        target = ideal_coherent_state(1.0, 15)
+        target = _ideal_coherent_state(1.0, 15)
         fids = []
         for n in (1_000, 10_000, 100_000):
             tags = np.repeat(make_phase_ramp(50), n // 50)
             xs = rng.normal(math.sqrt(2.0) * np.cos(tags), math.sqrt(0.5))
-            result = mle_reconstruct(PhaseTaggedSamples(tags, xs), 15,
+            result = _mle_reconstruct(PhaseTaggedSamples(tags, xs), 15,
                                      max_iter=700, tol=1e-10)
             assert result.converged
             fids.append(fidelity(result.rho, target))
@@ -281,19 +295,19 @@ class TestMLEReconstruct:
         rng = np.random.default_rng(88)
         tags = np.repeat(make_phase_ramp(100), 1000)
         xs = rng.normal(2.0 * math.sqrt(2.0) * np.cos(tags), math.sqrt(0.5))
-        result = mle_reconstruct(PhaseTaggedSamples(tags, xs), 25,
+        result = _mle_reconstruct(PhaseTaggedSamples(tags, xs), 25,
                                  max_iter=60, tol=1e-12)
-        assert fidelity(result.rho, ideal_coherent_state(2.0, 25)) > 0.99
+        assert fidelity(result.rho, _ideal_coherent_state(2.0, 25)) > 0.99
 
     def test_log_likelihood_non_decreasing(self):
         rng = np.random.default_rng(5)
-        result = mle_reconstruct(coherent_samples(rng, 1.5, 5_000), 18,
+        result = _mle_reconstruct(coherent_samples(rng, 1.5, 5_000), 18,
                                  max_iter=150, tol=1e-12)
         assert np.all(np.diff(result.log_likelihood) >= 0.0)
 
     def test_non_convergence_flagged(self):
         rng = np.random.default_rng(6)
-        result = mle_reconstruct(coherent_samples(rng, 1.0, 2_000), 12,
+        result = _mle_reconstruct(coherent_samples(rng, 1.0, 2_000), 12,
                                  max_iter=3, tol=1e-15)
         assert not result.converged
         assert result.iterations == 3
@@ -345,7 +359,7 @@ class TestMLEReconstruct:
         xs = np.array([30.0, -30.0])
         with pytest.warns(UserWarning):  # two identical tags span < pi
             samples = PhaseTaggedSamples(tags, xs)
-        result = mle_reconstruct(samples, 2, max_iter=2, tol=1e-12)
+        result = _mle_reconstruct(samples, 2, max_iter=2, tol=1e-12)
         assert result.floored > 0
 
     # a sample whose square overflows is an input error, not a floored
@@ -361,7 +375,7 @@ class TestMLEReconstruct:
         xs[7] = x_max
         assert _make_engine(PhaseTaggedSamples(tags, np.zeros(tags.size)), 3)[1] == grouped
         with pytest.raises(ValidationError, match="overflows float64 when squared"):
-            mle_reconstruct(PhaseTaggedSamples(tags, xs), 3, max_iter=5)
+            _mle_reconstruct(PhaseTaggedSamples(tags, xs), 3, max_iter=5)
 
     @pytest.mark.parametrize("repeats", [1, 4])
     def test_quadrature_bound_is_exact(self, repeats):
@@ -372,7 +386,7 @@ class TestMLEReconstruct:
         xs = np.zeros(tags.size)
         bound = MAX_QUADRATURE / math.sqrt(2.0)
         xs[7] = -bound
-        result = mle_reconstruct(PhaseTaggedSamples(tags, xs), 3, max_iter=5)
+        result = _mle_reconstruct(PhaseTaggedSamples(tags, xs), 3, max_iter=5)
         assert result.grouped == (repeats > 1)
         assert result.floored == 1 and result.gap == math.inf
         too_large = math.nextafter(bound, math.inf)
@@ -385,14 +399,14 @@ class TestMLEReconstruct:
         tags = make_phase_ramp(40)
         xs = np.zeros(tags.size)
         xs[7] = 1e100
-        result = mle_reconstruct(PhaseTaggedSamples(tags, xs), 3, max_iter=5)
+        result = _mle_reconstruct(PhaseTaggedSamples(tags, xs), 3, max_iter=5)
         assert result.floored == 1
         assert result.gap == math.inf
         assert not result.converged
 
     def test_result_satisfies_density_contract(self):
         rng = np.random.default_rng(12)
-        result = mle_reconstruct(coherent_samples(rng, 1.0, 3_000), 12,
+        result = _mle_reconstruct(coherent_samples(rng, 1.0, 3_000), 12,
                                  max_iter=60, tol=1e-9)
         mat = result.rho.matrix
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
@@ -479,7 +493,7 @@ def test_near_pure_dense_case_takes_rank_one_steps():
     # reconstruction without the rank-one candidate needed 68 iterations
     rng = np.random.default_rng(41)
     samples = coherent_samples(rng, 1.0, 4_000)
-    result = mle_reconstruct(samples, 12, max_iter=500, tol=1e-10)
+    result = _mle_reconstruct(samples, 12, max_iter=500, tol=1e-10)
     assert not result.grouped and result.converged
     assert result.iterations == 7
     assert result.iterations <= 68 // 2
@@ -492,7 +506,7 @@ def test_grouped_case_takes_rank_one_steps():
     # grouped engine runs, and the rank-one candidate wins 5 of 35 steps
     trace = simulate_heterodyne(4.0, make_phase_ramp(25, 40), HeterodyneModel(), 2)
     samples = samples_from_trace(trace)
-    result = mle_reconstruct(samples, 12)
+    result = _mle_reconstruct(samples, 12)
     assert result.grouped and result.converged
     assert result.iterations == 35
     assert result.rank_one_steps == 5
@@ -510,7 +524,7 @@ class TestMLECertificate:
                 tags, rng.normal(math.sqrt(2.0) * np.cos(tags), math.sqrt(0.5)))
         else:
             samples = coherent_samples(rng, 1.0, 3_000)
-        result = mle_reconstruct(samples, 12, max_iter=500, tol=tol)
+        result = _mle_reconstruct(samples, 12, max_iter=500, tol=tol)
         assert result.grouped == grouped
         assert result.converged
         gap = independent_gap(samples, result.rho.matrix)
@@ -520,7 +534,7 @@ class TestMLECertificate:
     def test_unconverged_gap_reported(self):
         rng = np.random.default_rng(6)
         samples = coherent_samples(rng, 1.0, 2_000)
-        result = mle_reconstruct(samples, 12, max_iter=3, tol=1e-10)
+        result = _mle_reconstruct(samples, 12, max_iter=3, tol=1e-10)
         assert not result.converged
         assert result.gap > 1e-10
         assert result.gap == pytest.approx(independent_gap(samples, result.rho.matrix),
@@ -533,7 +547,7 @@ class TestMLECertificate:
         with pytest.warns(UserWarning, match="single quadrature"):  # 0 and pi: one quadrature
             samples = PhaseTaggedSamples(np.array([0.0, 0.0, math.pi, math.pi]),
                                          np.array([30.0, -30.0, 31.0, -29.0]))
-        result = mle_reconstruct(samples, 3, max_iter=500, tol=1e-10)
+        result = _mle_reconstruct(samples, 3, max_iter=500, tol=1e-10)
         assert not result.converged
         assert result.gap == math.inf
         assert result.iterations == 0
@@ -554,7 +568,7 @@ def test_mle_result_invariants(dim, grouped, xs):
         tags = np.mod(np.arange(n) * math.pi * (3.0 - math.sqrt(5.0)), TWO_PI)
     samples = PhaseTaggedSamples(tags, xs)
     tol = 1e-9
-    result = mle_reconstruct(samples, dim, max_iter=300, tol=tol)
+    result = _mle_reconstruct(samples, dim, max_iter=300, tol=tol)
     assert result.grouped == grouped
     mat = result.rho.matrix
     assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
@@ -568,20 +582,20 @@ def test_mle_result_invariants(dim, grouped, xs):
 class TestWigner:
     def test_vacuum_centre(self):
         axis = np.linspace(-6.0, 6.0, 121)
-        grid = wigner(ideal_coherent_state(0.0, 8), axis, axis)
+        grid = _wigner(_ideal_coherent_state(0.0, 8), axis, axis)
         assert grid.values[60, 60] == pytest.approx(1.0 / math.pi, abs=1e-6)
 
     def test_single_photon_negativity(self):
         mat = np.zeros((4, 4), dtype=complex)
         mat[1, 1] = 1.0
         axis = np.linspace(-6.0, 6.0, 121)
-        grid = wigner(DensityMatrix(mat), axis, axis)
+        grid = _wigner(DensityMatrix(mat), axis, axis)
         assert grid.values[60, 60] == pytest.approx(-1.0 / math.pi, abs=1e-6)
 
     def test_coherent_matches_analytic_gaussian(self):
         alpha = 1.0 + 0.5j
         axis = np.linspace(-5.0, 5.0, 81)
-        grid = wigner(ideal_coherent_state(alpha, 25), axis, axis)
+        grid = _wigner(_ideal_coherent_state(alpha, 25), axis, axis)
         gx, gp = np.meshgrid(axis, axis, indexing="ij")
         analytic = np.exp(-(gx - math.sqrt(2.0) * alpha.real) ** 2
                           - (gp - math.sqrt(2.0) * alpha.imag) ** 2) / math.pi
@@ -595,7 +609,7 @@ class TestWigner:
         mat /= np.trace(mat).real
         rho = DensityMatrix(mat)
         axis = np.linspace(-3.0, 3.0, 21)
-        grid = wigner(rho, axis, axis)
+        grid = _wigner(rho, axis, axis)
         gx, gp = np.meshgrid(axis, axis, indexing="ij")
         r_sq = gx ** 2 + gp ** 2
         oracle = np.zeros_like(gx, dtype=complex)
@@ -613,7 +627,7 @@ class TestWigner:
     def test_normalization_on_wide_grid(self):
         axis = np.linspace(-6.0, 6.0, 121)
         for alpha in (0.0, 1.0, 2.0):
-            grid = wigner(ideal_coherent_state(alpha, 25), axis, axis)
+            grid = _wigner(_ideal_coherent_state(alpha, 25), axis, axis)
             assert 0.98 <= grid.normalization() <= 1.001
 
     def test_bound_respected(self):
@@ -622,16 +636,16 @@ class TestWigner:
         raw = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
         mat = raw @ raw.conj().T
         mat /= np.trace(mat).real
-        grid = wigner(DensityMatrix(mat), axis, axis)
+        grid = _wigner(DensityMatrix(mat), axis, axis)
         assert np.abs(grid.values).max() <= 1.0 / math.pi + 1e-6
 
     @pytest.mark.parametrize("extent", [1e8, 1e200])
     def test_far_grid_is_finite(self, extent):
         # at dim 25 the Laguerre sums overflowed from about 1e8 on, and r^2
         # from 1.3e154 on; W is 0 wherever e^{-r^2} rounds to 0
-        rho = ideal_coherent_state(0.5, 25)
-        far = wigner(rho, [-extent, -1.0, 0.0, 1.0, extent], [-extent, 0.0, 0.5, extent])
-        near = wigner(rho, [-1.0, 0.0, 1.0], [0.0, 0.5])
+        rho = _ideal_coherent_state(0.5, 25)
+        far = _wigner(rho, [-extent, -1.0, 0.0, 1.0, extent], [-extent, 0.0, 0.5, extent])
+        near = _wigner(rho, [-1.0, 0.0, 1.0], [0.0, 0.5])
         np.testing.assert_allclose(far.values[1:4, 1:3], near.values, rtol=1e-12, atol=0.0)
         outside = far.values.copy()
         outside[1:4, 1:3] = 0.0
@@ -673,7 +687,7 @@ class TestFidelity:
         assert fidelity(DensityMatrix(zero), DensityMatrix(one)) == pytest.approx(0.0, abs=1e-12)
 
     def test_vacuum_versus_unit_coherent(self):
-        f = fidelity(ideal_coherent_state(0.0, 20), ideal_coherent_state(1.0, 20))
+        f = fidelity(_ideal_coherent_state(0.0, 20), _ideal_coherent_state(1.0, 20))
         assert f == pytest.approx(math.exp(-0.5), abs=1e-6)
 
     def test_symmetry(self):
@@ -688,23 +702,23 @@ class TestFidelity:
         a, b = 0.8, 1.3 + 0.4j
         overlap = math.exp(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2
                            + (np.conj(a) * b).real)
-        f = fidelity(ideal_coherent_state(a, 30), ideal_coherent_state(b, 30))
+        f = fidelity(_ideal_coherent_state(a, 30), _ideal_coherent_state(b, 30))
         assert f == pytest.approx(overlap, abs=1e-7)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            fidelity(ideal_coherent_state(0.0, 4), ideal_coherent_state(0.0, 5))
+            fidelity(_ideal_coherent_state(0.0, 4), _ideal_coherent_state(0.0, 5))
 
     @pytest.fixture(scope="class")
     def reconstruction(self):
         # a grouped-engine ML state, near pure, with eigenvalues down to rounding
         trace = simulate_heterodyne(4.0, make_phase_ramp(25, 40), HeterodyneModel(), 2)
-        return mle_reconstruct(samples_from_trace(trace), 12).rho
+        return _mle_reconstruct(samples_from_trace(trace), 12).rho
 
     def test_pure_reference_gives_overlap(self, reconstruction):
         # against |a><a| the root fidelity is sqrt(<a|rho|a>); summing the
         # square roots of rounding-level eigenvalues overstated it by 1.5e-8
-        reference = ideal_coherent_state(fit_coherent(reconstruction), 12)
+        reference = _ideal_coherent_state(_fit_coherent(reconstruction), 12)
         overlap = math.sqrt(np.trace(reconstruction.matrix @ reference.matrix).real)
         assert abs(fidelity(reconstruction, reference) - overlap) <= 1e-13
         assert abs(fidelity(reference, reconstruction) - overlap) <= 1e-13
@@ -786,8 +800,8 @@ class TestSamplesFromTrace:
         # a noiseless trace of amplitude A maps onto the coherent state A/2
         tr = self.trace(amp=4.0, n=128)
         samples = samples_from_trace(tr)
-        result = mle_reconstruct(samples, 25, max_iter=400, tol=1e-10)
-        alpha = fit_coherent(result.rho)
+        result = _mle_reconstruct(samples, 25, max_iter=400, tol=1e-10)
+        alpha = _fit_coherent(result.rho)
         assert abs(alpha - 2.0) < 0.05
 
 
@@ -822,14 +836,14 @@ class TestAnalyzeTomography:
     @pytest.mark.parametrize("points", [1001, 10_000_000])
     def test_huge_grid_raises_before_the_mle(self, monkeypatch, points):
         # a 10^7 x 10^7 grid used to run the whole MLE, then fail to allocate
-        monkeypatch.setattr(tomography, "mle_reconstruct", no_mle)
+        monkeypatch.setattr(tomography, "_mle_reconstruct", no_mle)
         with pytest.raises(ValidationError, match=f"^wigner_points = {points} is too large"):
             analyze_tomography(self.trace(), wigner_points=points)
 
     @pytest.mark.parametrize("extent, points", [(1e200, 31), (1.7e308, 2), (1e155, 2)])
     def test_cell_area_overflow_raises_before_the_mle(self, monkeypatch, extent, points):
         # the normalization sums W times the cell area, which overflows here
-        monkeypatch.setattr(tomography, "mle_reconstruct", no_mle)
+        monkeypatch.setattr(tomography, "_mle_reconstruct", no_mle)
         with pytest.raises(ValidationError,
                            match=re.escape(f"wigner_extent = {extent!r} is too large")):
             analyze_tomography(self.trace(), wigner_extent=extent, wigner_points=points)
@@ -837,12 +851,12 @@ class TestAnalyzeTomography:
     @pytest.mark.parametrize("extent, points", [(5e-324, 31), (1e-321, 1000)])
     def test_unresolved_axis_raises_before_the_mle(self, monkeypatch, extent, points):
         # np.linspace rounds some of the points together
-        monkeypatch.setattr(tomography, "mle_reconstruct", no_mle)
+        monkeypatch.setattr(tomography, "_mle_reconstruct", no_mle)
         with pytest.raises(ValidationError, match=re.escape(
                 f"wigner_points = {points} over +-wigner_extent = {extent!r} must have")):
             analyze_tomography(self.trace(), wigner_extent=extent, wigner_points=points)
 
     def test_largest_grid_reaches_the_mle(self, monkeypatch):
-        monkeypatch.setattr(tomography, "mle_reconstruct", no_mle)
+        monkeypatch.setattr(tomography, "_mle_reconstruct", no_mle)
         with pytest.raises(AssertionError, match="mle_reconstruct ran"):
             analyze_tomography(self.trace(), wigner_points=1000)

@@ -8,9 +8,9 @@ from hetasym import (
     QuadratureTrace,
     ValidationError,
     make_phase_ramp,
-    min_max_scale,
     simulate_heterodyne,
 )
+from hetasym.phase import _min_max_scale
 from hetasym.tomography import DensityMatrix, MLEResult, PhaseTaggedSamples, WignerGrid
 from hetasym.traces import readonly_float_array, spans_full_rotation
 
@@ -76,7 +76,7 @@ class TestQuadratureTrace:
         tr = QuadratureTrace([1.0], [2.0])
         with pytest.raises(ValidationError,
                            match="^min-max scaling requires at least 2 samples, trace has 1$"):
-            min_max_scale(tr)
+            _min_max_scale(tr)
 
 
 class TestReferenceSignalSpec:
