@@ -21,7 +21,7 @@ _EXPORTS = {
     "detector": ("HeterodyneModel", "simulate_heterodyne"),
     "errors": ("NumericalDomainError", "ValidationError"),
     "keyrate": ("KeyRateParams", "key_rate", "key_rate_curve", "max_distance"),
-    "phase": ("analyze_sweep", "wrap_phase"),
+    "phase": ("analyze_sweep",),
     "tomography": ("DensityMatrix", "analyze_tomography", "fidelity", "quadrature_projector",
                    "samples_from_trace"),
     "traces": ("QuadratureTrace", "make_phase_ramp"),

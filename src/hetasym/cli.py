@@ -73,12 +73,10 @@ def cmd_scale(config: RunConfig, input_path: str, out: str) -> int:
 
 
 def cmd_phase_deviation(config: RunConfig, input_path: str, out: str) -> int:
-    from .phase import wrap_phase
-
     sweep = _analyze_sweep(config, input_path)
     dropped = sweep.undefined_blocks_dropped
     write_table(out, "phase-deviation", config, ["theta_scaled", "delta_theta"],
-                sweep.theta_scaled, wrap_phase(sweep.theta_asym - sweep.theta_scaled),
+                sweep.theta_scaled, sweep.delta_theta,
                 comments=[("undefined_blocks_dropped", dropped)])
     if dropped:
         print(f"phase-deviation: dropped {dropped} undefined blocks", file=sys.stderr)

@@ -92,14 +92,14 @@ def _drift_phase_variance(linewidth_a: float, linewidth_b: float, pulse_separati
     non_negative("linewidth_a", linewidth_a)
     non_negative("linewidth_b", linewidth_b)
     non_negative("pulse_separation", pulse_separation)
-    return TWO_PI * (linewidth_a + linewidth_b) * pulse_separation
-
-
-def _detection_phase_variance(theta_scaled: np.ndarray, theta_asym: np.ndarray) -> float:
-    """Asymmetry-induced phase estimation error: population variance of the
-    wrapped difference between scaled (ideal-proxy) and asymmetric phase
-    estimates, two equal-length finite float arrays  [rad^2]."""
-    return float(np.var(wrap_phase(theta_scaled - theta_asym)))
+    # each product is taken first, so only a variance beyond float64 is inf,
+    # and a zero separation gives 0 even where the linewidth sum would be inf
+    v = TWO_PI * (linewidth_a * pulse_separation + linewidth_b * pulse_separation)
+    if v == math.inf:
+        raise ValidationError(f"the drift variance 2 pi (linewidth_a + linewidth_b) "
+                              f"pulse_separation = 2 pi ({linewidth_a!r} + {linewidth_b!r}) "
+                              f"{pulse_separation!r} overflows float64")
+    return v
 
 
 def _excess_noise_from_phase_variance(v_a: float, v: float) -> float:
@@ -109,19 +109,20 @@ def _excess_noise_from_phase_variance(v_a: float, v: float) -> float:
     For small v this is approximately v_a * v.
     """
     positive("v_a", v_a)
-    # v_drift overflows to inf or nan for huge linewidths, so the sum is checked here
+    # an infinite v would give the plausible-looking xi = 2 v_A
     non_negative("v", v)
     return 2.0 * v_a * -math.expm1(-v / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
 class SweepAnalysis:
-    """A swept trace's analysis: its min-max scaled copy, the block phases kept
-    in both traces, then the scale report's values, named and ordered as its keys."""
+    """A swept trace's analysis: its min-max scaled copy, the kept block phases theta_scaled
+    and delta_theta = wrap(theta_asym - theta_scaled), whose population variance is
+    v_det_rad2, then the scale report's values, named and ordered as its keys."""
 
     scaled: QuadratureTrace
     theta_scaled: np.ndarray
-    theta_asym: np.ndarray
+    delta_theta: np.ndarray
     span_x: float
     span_p: float
     asymmetry_percent: float
@@ -170,15 +171,16 @@ def analyze_sweep(trace: QuadratureTrace, block: int = RunConfig.block,
         raise ValidationError(f"too few defined phase blocks: {defined} of {keep.size} have "
                               "a phase before and after scaling, and the phase deviation "
                               "needs at least 2")
-    theta_scaled, theta_asym, dropped = theta_scaled[keep], theta_asym[keep], keep.size - defined
+    theta_scaled = theta_scaled[keep]
+    delta_theta = wrap_phase(theta_asym[keep] - theta_scaled)
     span_x = float(trace.x.max() - trace.x.min())
     span_p = float(trace.p.max() - trace.p.min())
     # the CLI holds no other reference: this frees the input before the budget's temporaries
     del trace
     asymmetry = _percent_difference(span_x, span_p)
-    v_det = _detection_phase_variance(theta_scaled, theta_asym)
+    v_det = float(np.var(delta_theta))
     xi_det = _excess_noise_from_phase_variance(v_a, v_det)
     v_drift = _drift_phase_variance(linewidth_a, linewidth_b, pulse_separation)
-    return SweepAnalysis(scaled, theta_scaled, theta_asym, span_x, span_p, asymmetry, dropped,
-                         v_det, xi_det, v_drift, v_drift + v_det,
+    return SweepAnalysis(scaled, theta_scaled, delta_theta, span_x, span_p, asymmetry,
+                         keep.size - defined, v_det, xi_det, v_drift, v_drift + v_det,
                          _excess_noise_from_phase_variance(v_a, v_drift + v_det))

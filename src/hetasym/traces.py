@@ -99,9 +99,16 @@ def spans_full_rotation(phases) -> bool:
     return float(gaps.max()) <= _MAX_SWEEP_GAP
 
 
+#: Most pulses in one sweep: ``simulate`` of 10**7 takes about 21 s and 730 MiB.
+_MAX_PULSES = 10**7
+
+
 def make_phase_ramp(n_phases: int, pulses_per_phase: int = RunConfig.pulses_per_phase) -> np.ndarray:
     """Per-pulse phases of a sweep over one full turn from 0: the n_phases
     points 2 pi k / n_phases, each repeated pulses_per_phase times."""
     n = integer_at_least("n_phases", n_phases, 2)
     pulses = integer_at_least("pulses_per_phase", pulses_per_phase, 1)
+    if n * pulses > _MAX_PULSES:
+        raise ValidationError(f"n_phases * pulses_per_phase = {n} * {pulses} is more than "
+                              f"{_MAX_PULSES} pulses")
     return np.repeat(TWO_PI * np.arange(n) / n, pulses)

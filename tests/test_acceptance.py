@@ -21,18 +21,17 @@ from hetasym import (
     make_phase_ramp,
     max_distance,
     simulate_heterodyne,
-    wrap_phase,
 )
 from hetasym.cli import main as cli_main
 from hetasym.detector import _gain_from_percent, _percent_difference
 from hetasym.phase import (
-    _detection_phase_variance,
     _estimate_phase,
     _excess_noise_from_phase_variance,
     _min_max_scale,
+    wrap_phase,
 )
 from hetasym.tomography import DensityMatrix, _ideal_coherent_state, _wigner
-from measured import MEASURED_LEVELS, MEASURED_XI_DET
+from measured import MEASURED_LEVELS, MEASURED_XI_DET, deviation_oracle, deviation_variance
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,8 +68,7 @@ def test_criterion_2_excess_noise_inversion_and_ordering():
     for percent in sorted(MEASURED_LEVELS):
         trace = noiseless_sweep(percent)
         scaled = _min_max_scale(trace)
-        variances.append(_detection_phase_variance(_estimate_phase(scaled),
-                                                  _estimate_phase(trace)))
+        variances.append(deviation_variance(_estimate_phase(scaled), _estimate_phase(trace)))
     assert all(a < b for a, b in zip(variances, variances[1:]))
     report(2, "round trips exact to 1e-12; sweep V_det strictly ordered: "
               + ", ".join(f"{v:.3e}" for v in variances))
@@ -120,21 +118,17 @@ def test_criterion_4_pure_state_holevo():
 
 def test_criterion_5_phase_deviation_structure():
     gain = _gain_from_percent(14.29)
-
-    def deviation(theta):
-        return wrap_phase(np.arctan2(np.sin(theta), gain * np.cos(theta)) - theta)
-
     # zeros at multiples of pi/2
     zeros = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
-    assert np.all(np.abs(deviation(zeros)) <= 1e-9)
+    assert np.all(np.abs(deviation_oracle(gain, zeros)) <= 1e-9)
     # odd symmetry about each zero
     offsets = np.linspace(0.01, math.pi / 4, 200)
     for zero in zeros:
-        assert np.max(np.abs(deviation(zero + offsets)
-                             + deviation(zero - offsets))) <= 1e-9
+        assert np.max(np.abs(deviation_oracle(gain, zero + offsets)
+                             + deviation_oracle(gain, zero - offsets))) <= 1e-9
     # extrema confined to (pi/8, 3pi/8) modulo pi/2
     theta = np.linspace(0.0, TWO_PI, 28801)
-    delta = deviation(theta)
+    delta = deviation_oracle(gain, theta)
     grad = np.diff(delta)
     extrema = theta[1:-1][np.sign(grad[:-1]) != np.sign(grad[1:])]
     assert extrema.size > 0
@@ -149,8 +143,8 @@ def test_criterion_5_phase_deviation_structure():
     # larger asymmetry deviates more
     gain_50 = _gain_from_percent(50.2)
     gain_33 = _gain_from_percent(33.77)
-    peak_50 = np.abs(wrap_phase(np.arctan2(np.sin(theta), gain_50 * np.cos(theta)) - theta)).max()
-    peak_33 = np.abs(wrap_phase(np.arctan2(np.sin(theta), gain_33 * np.cos(theta)) - theta)).max()
+    peak_50 = np.abs(deviation_oracle(gain_50, theta)).max()
+    peak_33 = np.abs(deviation_oracle(gain_33, theta)).max()
     assert peak_50 > peak_33
     report(5, f"peak at {peak_loc:.4f} rad (mod pi/2); "
               f"peak(50.2%) = {peak_50:.4f} > peak(33.77%) = {peak_33:.4f}")
@@ -161,7 +155,7 @@ def test_criterion_6_symmetrization_efficacy():
     for percent in MEASURED_LEVELS:
         trace = noiseless_sweep(percent)
         scaled = _min_max_scale(trace)
-        v_det = _detection_phase_variance(_estimate_phase(scaled), trace.phase_true)
+        v_det = deviation_variance(_estimate_phase(scaled), trace.phase_true)
         worst = max(worst, v_det)
         assert v_det <= 1e-6
     symmetric = noiseless_sweep(0.0)

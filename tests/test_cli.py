@@ -21,14 +21,15 @@ from hetasym import (
     QuadratureTrace,
     make_phase_ramp,
     simulate_heterodyne,
-    wrap_phase,
 )
 from hetasym.cli import main
 from hetasym.config import RunConfig, load_config, parse_config_text, render
 from hetasym.csvio import read_density_csv, read_trace_csv, write_density_csv, write_trace_csv
 from hetasym.errors import ValidationError
-from hetasym.phase import _drift_phase_variance, _excess_noise_from_phase_variance
+from hetasym.phase import _drift_phase_variance, _excess_noise_from_phase_variance, wrap_phase
 from hetasym.tomography import DensityMatrix
+from hetasym.traces import _MAX_PULSES
+from measured import deviation_oracle
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,6 +187,25 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: asymmetry_percent must be in [0, 200)")
         assert not out.exists()
 
+    # n_phases = 10**13 reached np.arange and ended in a MemoryError
+    # traceback; 2 phases of 5e6 + 1 pulses would allocate 80 MB first
+    @pytest.mark.parametrize("n_phases, pulses", [(10**13, 1), (2, _MAX_PULSES // 2 + 1)])
+    def test_pulse_count_above_the_cap_exit_2(self, tmp_path, monkeypatch, capsys, n_phases,
+                                              pulses):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the phase ramp was allocated")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        monkeypatch.setattr(np, "repeat", refuse)
+        monkeypatch.setenv("HETASYM_N_PHASES", str(n_phases))
+        monkeypatch.setenv("HETASYM_PULSES_PER_PHASE", str(pulses))
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: n_phases * pulses_per_phase = {n_phases} * {pulses} is more than "
+            f"{_MAX_PULSES} pulses\n")
+        assert not out.exists()
+
     def test_header_embeds_metadata(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", n_phases=100, seed=5)
         out = tmp_path / "t.csv"
@@ -240,7 +260,7 @@ class TestScale:
 
         gain = (200.0 - 33.77) / (200.0 + 33.77)
         fine = np.linspace(0.0, TWO_PI, 400_001)
-        delta = wrap_phase(np.arctan2(np.sin(fine), gain * np.cos(fine)) - fine)
+        delta = deviation_oracle(gain, fine)
         v_oracle = float(np.trapezoid(delta ** 2, fine) / TWO_PI)
         xi_oracle = 2.0 * 10.0 * (1.0 - math.exp(-v_oracle / 2.0))
         assert float(report["v_det_rad2"]) == pytest.approx(v_oracle, rel=0.05)
@@ -421,17 +441,38 @@ class TestScale:
 
     def test_overflowing_drift_budget_exit_2_on_both_commands(self, tmp_path, monkeypatch,
                                                               capsys):
-        # v_drift = 2 pi (1e308 + 1e308) 1e-6 overflows to inf
+        # v_drift = 2 pi (1e308 + 1e308) 1 overflows to inf; the budget
+        # rejected it as "v must be finite", naming none of the three keys
         raw = self.simulate(tmp_path, n_phases=400)
         for key, value in (("LINEWIDTH_A", "1e308"), ("LINEWIDTH_B", "1e308"),
-                           ("PULSE_SEPARATION", "1e-6")):
+                           ("PULSE_SEPARATION", "1.0")):
             monkeypatch.setenv(f"HETASYM_{key}", value)
         for command in ("scale", "phase-deviation"):
             capsys.readouterr()
             out = tmp_path / f"{command}.csv"
             assert run(command, raw, "--out", out) == 2
-            assert "error: v must be finite and >= 0, got inf" in capsys.readouterr().err
+            assert ("error: the drift variance 2 pi (linewidth_a + linewidth_b) pulse_separation "
+                    "= 2 pi (1e+308 + 1e+308) 1.0 overflows float64"
+                    in capsys.readouterr().err)
             assert not out.exists() and not out.with_suffix(".report.txt").exists()
+
+    # the linewidth sum 2e308 overflowed first: at the default
+    # pulse_separation = 0, inf * 0 gave v_drift nan, and at 1e-6 a
+    # representable 1.26e303 was rejected as inf; both commands exited 2 with
+    # a message that named no key
+    @pytest.mark.parametrize("pulse_separation, v_drift", [(0.0, 0.0),
+                                                           (1e-6, TWO_PI * 2e302)])
+    def test_huge_linewidths_with_a_representable_drift_exit_0(self, tmp_path, monkeypatch,
+                                                               pulse_separation, v_drift):
+        raw = self.simulate(tmp_path, n_phases=400)
+        monkeypatch.setenv("HETASYM_LINEWIDTH_A", "1e308")
+        monkeypatch.setenv("HETASYM_LINEWIDTH_B", "1e308")
+        monkeypatch.setenv("HETASYM_PULSE_SEPARATION", repr(pulse_separation))
+        assert run("scale", raw, "--out", tmp_path / "scaled.csv") == 0
+        report = read_report(tmp_path / "scaled.report.txt")
+        assert float(report["v_drift_rad2"]) == pytest.approx(v_drift, rel=1e-15)
+        assert all(math.isfinite(value) for value in numbers_in(tmp_path / "scaled.report.txt"))
+        assert run("phase-deviation", raw, "--out", tmp_path / "dev.csv") == 0
 
     def test_default_sweep_passes(self, tmp_path):
         raw = self.simulate(tmp_path)
@@ -483,6 +524,42 @@ class TestPhaseDeviation:
             _, delta = self.deviation_rows(out)
             peaks.append(np.abs(delta).max())
         assert peaks[1] > peaks[0]
+
+    def readme_chain_trace(self, tmp_path) -> tuple[Path, Path]:
+        """The trace and config of the README chain that tests/test_golden.py pins."""
+        cfg = write_config(tmp_path / "run.cfg", amplitude_sq=552.0, n_phases=2000,
+                           asymmetry_percent=14.29, seed=7)
+        raw = tmp_path / "raw.csv"
+        assert run("simulate", "--config", cfg, "--out", raw) == 0
+        return raw, cfg
+
+    def undefined_block_trace(self, tmp_path) -> tuple[Path, Path]:
+        """A noiseless 200-point sweep at x gain 0.8 after one block of two
+        samples at the origin, with block = 2: the first block has no phase."""
+        theta = np.arange(200) * TWO_PI / 200
+        raw = tmp_path / "raw.csv"
+        write_trace_csv(raw, QuadratureTrace(np.append([0.0, 0.0], 0.8 * np.cos(theta)),
+                                             np.append([0.0, 0.0], np.sin(theta))),
+                        "simulate", RunConfig())
+        return raw, write_config(tmp_path / "run.cfg", block=2)
+
+    # scale took v_det from wrap(theta_scaled - theta_asym) while
+    # phase-deviation wrote wrap(theta_asym - theta_scaled): on the README
+    # chain the variance of the written rows and v_det_rad2 differed in the
+    # last digit
+    @pytest.mark.parametrize("trace, dropped", [("readme_chain_trace", 0),
+                                                ("undefined_block_trace", 1)])
+    def test_v_det_is_the_variance_of_the_written_rows(self, tmp_path, trace, dropped):
+        raw, cfg = getattr(self, trace)(tmp_path)
+        assert run("scale", raw, "--config", cfg, "--out", tmp_path / "scaled.csv") == 0
+        assert run("phase-deviation", raw, "--config", cfg, "--out", tmp_path / "dev.csv") == 0
+        report = read_report(tmp_path / "scaled.report.txt")
+        assert report["undefined_blocks_dropped"] == str(dropped)
+        _, delta = self.deviation_rows(tmp_path / "dev.csv")
+        v_det = float(report["v_det_rad2"])
+        assert float(np.var(delta)) == v_det
+        assert float(report["xi_det_snu"]) == _excess_noise_from_phase_variance(
+            load_config(cfg).v_a, v_det)
 
     def test_undefined_blocks_dropped_with_count(self, tmp_path, capsys):
         # a 100-point sweep, dense enough for the coverage check, plus one

@@ -57,7 +57,7 @@ def test_benchmark_imports_resolve():
     "SweepAnalysis", "percent_difference", "detection_phase_variance", "drift_phase_variance",
     "estimate_phase", "excess_noise_from_phase_variance", "min_max_scale", "fit_coherent",
     "ideal_coherent_state", "mle_reconstruct", "wigner", "phase_variance_from_excess_noise",
-    "WignerGrid", "PhaseTaggedSamples", "no_such_name",
+    "WignerGrid", "PhaseTaggedSamples", "wrap_phase", "no_such_name",
 ])
 def test_unknown_or_removed_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):

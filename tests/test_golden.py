@@ -32,7 +32,7 @@ PIPELINE_SHA256 = {
     "scaled.csv":
         "90348539b9950e2c39f4b69b30fd978c07b2e7607db556e8112887065f9848a9",
     "scaled.report.txt":
-        "d858e4919e8c414f9007ad2a72a9476ae511ed819db789110b2f78ab6b7dabef",
+        "71fe1d5626d01be8a5c5c861a5022126f174da026a0c2f729098dfb08d0be517",
     "deviation.csv":
         "dc23cf4058f3da6bdffcc7bbc0f981e6bf00752608d166014b15c161245cb374",
     "rates.csv":

@@ -13,7 +13,6 @@ from hetasym import (
     analyze_sweep,
     make_phase_ramp,
     simulate_heterodyne,
-    wrap_phase,
 )
 from hetasym.cli import main
 from hetasym.config import RunConfig, render
@@ -21,13 +20,13 @@ from hetasym.csvio import read_trace_csv, write_trace_csv
 from hetasym.detector import _gain_from_percent
 from hetasym.phase import (
     SweepAnalysis,
-    _detection_phase_variance,
     _drift_phase_variance,
     _estimate_phase,
     _excess_noise_from_phase_variance,
     _min_max_scale,
+    wrap_phase,
 )
-from measured import MEASURED_LEVELS, MEASURED_XI_DET
+from measured import MEASURED_LEVELS, MEASURED_XI_DET, deviation_oracle, deviation_variance
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,11 +35,6 @@ def noiseless_sweep(gain_x: float, n: int = 4096, amplitude: float = 10.0) -> Qu
     theta = make_phase_ramp(n)
     return QuadratureTrace(gain_x * amplitude * np.cos(theta),
                            amplitude * np.sin(theta), theta)
-
-
-def deviation_oracle(gain: float, theta: np.ndarray) -> np.ndarray:
-    """Closed-form deviation of the asymmetric estimate from the true phase."""
-    return wrap_phase(np.arctan2(np.sin(theta), gain * np.cos(theta)) - theta)
 
 
 class TestWrapPhase:
@@ -187,6 +181,19 @@ class TestDriftVariance:
         with pytest.raises(ValidationError):
             _drift_phase_variance(-1.0, 0.0, 1.0)
 
+    def test_zero_separation_is_zero_drift(self):
+        # the linewidth sum 2e308 is beyond float64, and inf * 0 is nan
+        assert _drift_phase_variance(1e308, 1e308, 0.0) == 0.0
+
+    def test_representable_drift_of_an_unrepresentable_linewidth_sum(self):
+        assert _drift_phase_variance(1e308, 1e308, 1e-10) == pytest.approx(
+            TWO_PI * 2e298, rel=1e-15)
+
+    def test_overflow_names_the_three_keys(self):
+        with pytest.raises(ValidationError, match=r"^the drift variance 2 pi \(linewidth_a "
+                                                  r"\+ linewidth_b\) pulse_separation = "):
+            _drift_phase_variance(1e308, 0.0, 1.0)
+
     @pytest.mark.parametrize("args, name", [
         ((math.nan, 0.0, 1.0), "linewidth_a"), ((0.0, math.inf, 1.0), "linewidth_b"),
         ((1.0, 0.0, math.nan), "pulse_separation"), ((1.0, 0.0, math.inf), "pulse_separation"),
@@ -199,21 +206,21 @@ class TestDriftVariance:
 class TestDetectionVariance:
     def test_identical_phases(self):
         theta = np.linspace(-3, 3, 50)
-        assert _detection_phase_variance(theta, theta) == 0.0
+        assert deviation_variance(theta, theta) == 0.0
 
     def test_wrap_invariance(self):
         base = np.array([math.pi - 0.1, -math.pi + 0.1, 0.5, -0.5])
         other = np.zeros(4)
-        assert _detection_phase_variance(base, other) == pytest.approx(
-            _detection_phase_variance(base - TWO_PI, other), rel=1e-12)
+        assert deviation_variance(base, other) == pytest.approx(
+            deviation_variance(base - TWO_PI, other), rel=1e-12)
 
     def test_matches_quadrature_oracle(self):
         # The deviation is arg(1 + eps e^{-2i theta}) with eps = (1 - g) / (1 + g)
         # = asymmetry / 200, whose Fourier series gives v_det = 1/2 Li2(eps^2)
         # exactly.  A dense trapezoid rule over one period checks that closed
-        # form; v_det of a noiseless full sweep, from phase_true and from the
-        # min-max scaled trace alike, must equal it to rounding (measured
-        # worst 1.0e-14 relative)
+        # form; v_det of a noiseless full sweep, from phase_true and (through
+        # analyze_sweep) from the min-max scaled trace alike, must equal it to
+        # rounding (measured worst 1.0e-14 relative)
         fine = np.linspace(0.0, TWO_PI, 1_000_001)
         for percent in MEASURED_LEVELS:
             gain = _gain_from_percent(percent)
@@ -225,17 +232,16 @@ class TestDetectionVariance:
                 closed, rel=1e-6)
 
             tr = noiseless_sweep(gain)
-            est_asym = _estimate_phase(tr)
-            for reference in (tr.phase_true, _estimate_phase(_min_max_scale(tr))):
-                v_det = _detection_phase_variance(reference, est_asym)
-                assert v_det == pytest.approx(closed, rel=1e-13)
+            assert deviation_variance(tr.phase_true, _estimate_phase(tr)) == pytest.approx(
+                closed, rel=1e-13)
+            assert analyze_sweep(tr).v_det_rad2 == pytest.approx(closed, rel=1e-13)
 
     def test_strictly_ordered_in_asymmetry(self):
         values = []
         for pct in (2.25, 4.55, 14.29, 19.51, 33.77):
             gain = _gain_from_percent(pct)
             tr = noiseless_sweep(gain)
-            values.append(_detection_phase_variance(tr.phase_true, _estimate_phase(tr)))
+            values.append(deviation_variance(tr.phase_true, _estimate_phase(tr)))
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -342,7 +348,7 @@ class TestSymmetrizationEfficacy:
             tr = noiseless_sweep(gain)
             scaled = _min_max_scale(tr)
             est = _estimate_phase(scaled)
-            assert _detection_phase_variance(est, tr.phase_true) <= 1e-6
+            assert deviation_variance(est, tr.phase_true) <= 1e-6
 
     def test_identity_on_symmetric_sweep(self):
         tr = noiseless_sweep(1.0)
@@ -362,8 +368,8 @@ class TestAnalyzeSweep:
         return trace, raw
 
     def test_partial_sweep_raises_the_cli_message(self, tmp_path, capsys):
-        # 0.4 pi of a turn: _min_max_scale, _estimate_phase and
-        # _detection_phase_variance read 40.34 % and xi_det 0.081 from it
+        # 0.4 pi of a turn: the stages of analyze_sweep read 40.34 % and
+        # xi_det 0.081 from it
         trace, raw = self.write_sweep(tmp_path, make_phase_ramp(10_000)[:2000])
         assert main(["scale", str(raw), "--out", str(tmp_path / "scaled.csv")]) == 2
         with pytest.raises(ValidationError, match="not cover a full rotation") as raised:
@@ -383,6 +389,7 @@ class TestAnalyzeSweep:
                   if not line.startswith("#")]
         sweep = analyze_sweep(read_trace_csv(raw), block=2, v_a=12.0, **drift)
         names = [field.name for field in fields(SweepAnalysis)]
-        assert [key for key, _ in report] == names[names.index("theta_asym") + 1:]
+        assert names[:3] == ["scaled", "theta_scaled", "delta_theta"]
+        assert [key for key, _ in report] == names[3:]
         assert [value for _, value in report] == [render(getattr(sweep, key))
                                                   for key, _ in report]

@@ -12,7 +12,7 @@ from hetasym import (
 )
 from hetasym.phase import _min_max_scale
 from hetasym.tomography import DensityMatrix, MLEResult, PhaseTaggedSamples, WignerGrid
-from hetasym.traces import readonly_float_array, spans_full_rotation
+from hetasym.traces import _MAX_PULSES, readonly_float_array, spans_full_rotation
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,6 +40,16 @@ class TestMakePhaseRamp:
     def test_rejects_bad_arguments(self, n):
         with pytest.raises(ValidationError):
             make_phase_ramp(n)
+
+    def test_pulse_cap_is_inclusive(self, monkeypatch):
+        # at the cap the ramp is built; np.repeat is stubbed so that nothing
+        # of the 80 MB it would take is allocated
+        sizes = []
+        monkeypatch.setattr(np, "repeat", lambda values, pulses: sizes.append(values.size * pulses))
+        make_phase_ramp(2, _MAX_PULSES // 2)
+        assert sizes == [_MAX_PULSES]
+        with pytest.raises(ValidationError, match="^n_phases \\* pulses_per_phase = 2 \\* "):
+            make_phase_ramp(2, _MAX_PULSES // 2 + 1)
 
 
 class TestQuadratureTrace:
