@@ -53,6 +53,15 @@ def cmd_simulate(config: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
+def _side_path(out: str, suffix: str) -> Path:
+    """--out with a trailing .csv dropped and suffix appended: scaled.csv gives
+    scaled.report.txt, tomo gives tomo.rho.csv and run.1 gives run.1.report.txt."""
+    path = Path(out)
+    if not path.name:  # "" and "/" name a directory, not a file
+        raise ValidationError(f"--out {out!r} names no file")
+    return path.with_name((path.stem if path.suffix == ".csv" else path.name) + suffix)
+
+
 def _analyze_sweep(config: RunConfig, input_path: str):
     """analyze_sweep of the trace at input_path, at the config's values."""
     from .phase import analyze_sweep
@@ -65,7 +74,7 @@ def cmd_scale(config: RunConfig, input_path: str, out: str) -> int:
     sweep = _analyze_sweep(config, input_path)
     write_trace_csv(out, sweep.scaled, "scale", config,
                     comments=[("source", Path(input_path).name)])
-    report_path = Path(out).with_suffix(".report.txt")
+    report_path = _side_path(out, ".report.txt")
     write_report(report_path, "scale", config, sweep.report())
     print(f"scale: asymmetry {sweep.asymmetry_percent:.2f}%, v_det {sweep.v_det_rad2:.6e} "
           f"rad^2, xi_det {sweep.xi_det_snu:.6f} SNU -> {out}, {report_path}")
@@ -120,15 +129,13 @@ def cmd_keyrate_sweep(config: RunConfig, out: str) -> int:
 def cmd_tomography(config: RunConfig, input_path: str, out: str) -> int:
     from .tomography import analyze_tomography
 
+    rho_path, wig_path, report_path = (_side_path(out, suffix)
+                                       for suffix in (".rho.csv", ".wigner.csv", ".report.txt"))
     analysis = analyze_tomography(read_trace_csv(input_path), config.dim,
                                   config.use_true_phase, config.block, config.amplitude_scale,
                                   config.max_iter, config.tol, config.wigner_extent,
                                   config.wigner_points)
     result = analysis.result
-    out_base = Path(out)
-    rho_path = out_base.with_suffix(".rho.csv")
-    wig_path = out_base.with_suffix(".wigner.csv")
-    report_path = out_base.with_suffix(".report.txt")
     write_density_csv(rho_path, result.rho, "tomography", config)
     write_wigner_csv(wig_path, analysis.grid, "tomography", config)
     write_report(report_path, "tomography", config, analysis.report())

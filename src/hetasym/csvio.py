@@ -188,12 +188,11 @@ def read_density_csv(path: str | Path) -> DensityMatrix:
 def write_wigner_csv(path: str | Path, grid: WignerGrid, command: str, config: RunConfig) -> None:
     import numpy as np
 
-    # each axis value is rendered once and its string repeated over the grid;
-    # an object array holds one pointer a cell, not a fixed-width copy of the string
-    x_cells, p_cells = (np.array([render(v) for v in axis], dtype=object)
-                        for axis in (grid.x_axis, grid.p_axis))
-    write_table(path, command, config, ["x", "p", "w"], np.repeat(x_cells, p_cells.size),
-                np.tile(p_cells, x_cells.size), grid.values.ravel())
+    # each axis value is rendered once and its string repeated over the grid, as
+    # both x and p; an object array holds one pointer a cell, not a fixed-width copy
+    cells = np.array([render(v) for v in grid.axis], dtype=object)
+    write_table(path, command, config, ["x", "p", "w"], np.repeat(cells, cells.size),
+                np.tile(cells, cells.size), grid.values.ravel())
 
 
 def write_report(path: str | Path, command: str, config: RunConfig,

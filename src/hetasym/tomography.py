@@ -116,21 +116,6 @@ class PhaseTaggedSamples:
                 raise ValidationError(f"phase tag {value!r} rad is beyond 2**53 in magnitude, "
                                       "where float64 cannot resolve a phase")
         _check_quadratures(x, _MAX_SAMPLE, " as sqrt(2) x by the grouped MLE engine")
-        distinct = _distinct(theta)
-        # x at theta + pi is -x at theta, so tags that agree modulo pi all
-        # measure one quadrature
-        folded = np.mod(distinct - distinct[0], math.pi)
-        if distinct.max() - distinct.min() < math.pi:
-            warnings.warn(
-                "phase tags span less than pi: reconstruction is not informationally complete",
-                stacklevel=2,
-            )
-        elif np.all(np.minimum(folded, math.pi - folded) <= _SAME_QUADRATURE_TOL):
-            warnings.warn(
-                "phase tags are all equal modulo pi, so they measure a single quadrature: "
-                "reconstruction is not informationally complete",
-                stacklevel=2,
-            )
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "x", x)
 
@@ -345,6 +330,18 @@ class _GroupedEngine:
 
 
 def _make_engine(samples: PhaseTaggedSamples, dim: int):
+    """The MLE engine for samples at dim.  Warns when the tags name fewer than dim
+    quadratures modulo pi (x at theta + pi is -x at theta; one starts at each circular
+    gap above _SAME_QUADRATURE_TOL): only from dim on do the quadrature distributions
+    fix a state of dim Fock levels (Leonhardt & Munroe, Phys. Rev. A 54, 3682 (1996))."""
+    tags = _distinct(samples.theta)
+    folded = np.sort(np.mod(tags, math.pi))
+    gaps = np.diff(folded, append=folded[0] + math.pi)
+    quadratures = int(np.count_nonzero(gaps > _SAME_QUADRATURE_TOL))
+    if quadratures < dim:
+        warnings.warn(f"phase tags measure {quadratures} distinct quadratures modulo pi, fewer "
+                      f"than dim = {dim}: the reconstruction is not informationally complete",
+                      stacklevel=3)
     # Grouping pays once tags repeat a few times.  Grouped / dense time of
     # the whole reconstruction (engine build included, tol 1e-10, both
     # engines taking the same 5-267 iterations), range over two passes on a
@@ -359,9 +356,9 @@ def _make_engine(samples: PhaseTaggedSamples, dim: int):
     # The grouped engine wins from 3 repeats at every dim, up to the 33,333
     # tags of n = 1e5, so the tag count needs no cap: its tables grow like
     # tags x dim, below the samples x (2 dim - 1) table.
-    if _distinct(samples.theta).size * 3 <= samples.n:
-        return _GroupedEngine(samples, dim), True
-    return _DenseEngine(samples, dim), False
+    if tags.size * 3 <= samples.n:
+        return _GroupedEngine(samples, dim)
+    return _DenseEngine(samples, dim)
 
 
 class _Anderson:
@@ -497,7 +494,7 @@ def _mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = RunC
     max_iter = integer_at_least("max_iter", max_iter, 0)
     positive("tol", tol)
 
-    engine, grouped = _make_engine(samples, dim)
+    engine = _make_engine(samples, dim)
 
     def certificate(probs):
         """(R, lambda_max(R), gap, top eigenvector of R) at the state with
@@ -596,7 +593,7 @@ def _mle_reconstruct(samples: PhaseTaggedSamples, dim: int, max_iter: int = RunC
         iterations=len(history) - 1,
         log_likelihood=np.asarray(history),
         floored=int((probs < PROBABILITY_FLOOR).sum()),
-        grouped=grouped,
+        grouped=isinstance(engine, _GroupedEngine),
         gap=gap,
         rank_one_steps=rank_one_steps,
     )
@@ -663,49 +660,42 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def _check_axis(axis: np.ndarray, what: str) -> None:
     """Raise ValidationError naming what unless axis has at least 2 points, strictly
-    increasing: the rule for each axis of a WignerGrid."""
+    increasing: the rule for the axis of a WignerGrid."""
     if axis.size < 2 or not np.all(np.diff(axis) > 0):
         raise ValidationError(f"{what} must have at least 2 points, strictly increasing")
 
 
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
-    """W(x, p) sampled on a rectangular grid; values[i, j] = W(x_axis[i],
-    p_axis[j]).  Convention: hbar = 1, vacuum variance 1/2, so the vacuum
-    peaks at 1/pi and |W| <= 1/pi for every state."""
+    """W(x, p) sampled on a square grid, one axis for both x and p;
+    values[i, j] = W(axis[i], axis[j]).  Convention: hbar = 1, vacuum
+    variance 1/2, so the vacuum peaks at 1/pi and |W| <= 1/pi for every state."""
 
-    x_axis: np.ndarray
-    p_axis: np.ndarray
+    axis: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        x_axis = readonly_float_array(self.x_axis, "x_axis")
-        p_axis = readonly_float_array(self.p_axis, "p_axis")
+        axis = readonly_float_array(self.axis, "axis")
         values = np.array(self.values, dtype=np.float64, copy=True)
-        _check_axis(x_axis, "x_axis")
-        _check_axis(p_axis, "p_axis")
-        if values.shape != (x_axis.size, p_axis.size):
+        _check_axis(axis, "axis")
+        if values.shape != (axis.size, axis.size):
             raise ValidationError(
-                f"values shape {values.shape} does not match axes "
-                f"({x_axis.size}, {p_axis.size})"
-            )
+                f"values shape {values.shape} does not match the axis ({axis.size}, {axis.size})")
         if not np.all(np.isfinite(values)):
             raise ValidationError("Wigner values contain non-finite entries")
         if np.abs(values).max() > 1.0 / math.pi + _WIGNER_BOUND_TOL:
             raise ValidationError("Wigner values exceed the 1/pi bound beyond tolerance")
         values.setflags(write=False)
-        object.__setattr__(self, "x_axis", x_axis)
-        object.__setattr__(self, "p_axis", p_axis)
+        object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "values", values)
 
     def normalization(self) -> float:
         """Riemann sum of W over the grid; ~1 when the grid covers the state."""
-        dx = float(np.mean(np.diff(self.x_axis)))
-        dp = float(np.mean(np.diff(self.p_axis)))
-        return float(self.values.sum() * dx * dp)
+        step = float(np.mean(np.diff(self.axis)))
+        return float(self.values.sum() * step * step)
 
 
-def _wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
+def _wigner(rho: DensityMatrix, axis) -> WignerGrid:
     """Wigner function of a Fock-basis density matrix.
 
     Evaluates the Fock expansion
@@ -721,10 +711,9 @@ def _wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
     r^2, and Horner's rule in z combines the diagonals over the grid.  W is
     0 without a sum wherever e^{-r^2} rounds to 0, so far grids stay finite.
     """
-    x_axis = np.asarray(x_axis, dtype=np.float64)
-    p_axis = np.asarray(p_axis, dtype=np.float64)
+    axis = np.asarray(axis, dtype=np.float64)
     dim = rho.dim
-    grid_x, grid_p = np.meshgrid(x_axis, p_axis, indexing="ij")
+    grid_x, grid_p = np.meshgrid(axis, axis, indexing="ij")
     with np.errstate(over="ignore"):  # an r^2 that overflows is inf, and far out
         r_sq = grid_x * grid_x + grid_p * grid_p
     # e^{-r^2} < 2^-1075 rounds to 0 from r^2 = 1075 ln 2 on, and so does W
@@ -765,7 +754,7 @@ def _wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
         total = total * z + coefs[k, inverse]
     values = np.zeros(grid_x.shape)
     values[near] = total.real
-    return WignerGrid(x_axis, p_axis, values)
+    return WignerGrid(axis, values)
 
 
 def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = RunConfig.use_true_phase,
@@ -871,5 +860,5 @@ def analyze_tomography(trace: QuadratureTrace, dim: int = RunConfig.dim,
     result = _mle_reconstruct(samples, dim, max_iter=max_iter, tol=tol)
     alpha_fit = _fit_coherent(result.rho)
     fid_sqrt = fidelity(result.rho, _ideal_coherent_state(alpha_fit, result.rho.dim))
-    return TomographyAnalysis(result, _wigner(result.rho, axis, axis), alpha_fit, fid_sqrt,
+    return TomographyAnalysis(result, _wigner(result.rho, axis), alpha_fit, fid_sqrt,
                               2 * trace.n - samples.n)  # samples_from_trace: two per shot

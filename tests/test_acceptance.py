@@ -203,11 +203,11 @@ def test_criterion_7_tomography_desk_scale():
 def test_criterion_8_wigner_sanity():
     axis = np.linspace(-6.0, 6.0, 241)
     centre = 120
-    vacuum = _wigner(_ideal_coherent_state(0.0, 10), axis, axis)
+    vacuum = _wigner(_ideal_coherent_state(0.0, 10), axis)
     assert abs(vacuum.values[centre, centre] - 1.0 / math.pi) <= 1e-6
     single = np.zeros((10, 10), dtype=complex)
     single[1, 1] = 1.0
-    photon = _wigner(DensityMatrix(single), axis, axis)
+    photon = _wigner(DensityMatrix(single), axis)
     assert abs(photon.values[centre, centre] + 1.0 / math.pi) <= 1e-6
     norms = []
     for grid in (vacuum, photon):

@@ -233,6 +233,15 @@ class TestScale:
         assert run("simulate", "--config", cfg, "--out", out) == 0
         return out
 
+    def test_dotted_out_names_keep_their_reports(self, tmp_path):
+        # the report path was Path(out).with_suffix(".report.txt"), so
+        # --out run.1 and --out run.2 both wrote run.report.txt
+        raw = self.simulate(tmp_path)
+        for out in ("run.1", "run.2"):
+            assert run("scale", raw, "--out", tmp_path / out) == 0
+        assert sorted(path.name for path in tmp_path.glob("run*")) == [
+            "run.1", "run.1.report.txt", "run.2", "run.2.report.txt"]
+
     def test_symmetric_input_is_identity(self, tmp_path):
         raw = self.simulate(tmp_path, n_phases=5000, amplitude_sq=552.0)
         out = tmp_path / "scaled.csv"
@@ -1105,6 +1114,49 @@ class TestTomography:
         trace = simulate_heterodyne(4.0, make_phase_ramp(25, 40), HeterodyneModel(), 1)
         write_trace_csv(raw, trace, "simulate", RunConfig())
         return raw
+
+    @pytest.mark.parametrize("out, prefix", [("t.v1", "t.v1"), ("out.csv", "out"),
+                                             ("tomo", "tomo")])
+    def test_side_files_drop_a_trailing_csv_only(self, tmp_path, out, prefix):
+        # --out t.v1 wrote t.rho.csv, t.wigner.csv and t.report.txt
+        cfg = write_config(tmp_path / "tomo.cfg", dim=12, wigner_points=11)
+        raw = self.weak_trace(tmp_path)
+        assert run("tomography", raw, "--config", cfg, "--out", tmp_path / out) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["raw.csv", "tomo.cfg", f"{prefix}.rho.csv", f"{prefix}.wigner.csv",
+             f"{prefix}.report.txt"])
+
+    @pytest.mark.parametrize("out", ["", "/"])
+    def test_out_naming_no_file_exit_2_before_the_mle(self, tmp_path, monkeypatch, capsys, out):
+        # Path.with_suffix raised ValueError after the MLE: a traceback, exit 1
+        def no_mle(*args, **kwargs):
+            raise AssertionError("mle_reconstruct ran")
+
+        raw = self.weak_trace(tmp_path)
+        monkeypatch.setattr("hetasym.tomography._mle_reconstruct", no_mle)
+        assert run("tomography", raw, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: --out {out!r} names no file\n"
+
+    def test_two_quadratures_warn_on_stderr(self, tmp_path):
+        # a 4-point sweep tags theta and theta - pi/2, which name 2 quadratures
+        # modulo pi; this exited 0 with converged = true, a root fidelity of
+        # 0.998 and nothing on stderr
+        raw = tmp_path / "raw.csv"
+        sim = write_config(tmp_path / "sim.cfg", amplitude_sq=4.0, n_phases=4,
+                           pulses_per_phase=500, seed=1)
+        assert run("simulate", "--config", sim, "--out", raw) == 0
+        cfg = write_config(tmp_path / "tomo.cfg", dim=14, wigner_points=11)
+        src = str(Path(hetasym.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONWARNINGS", None)
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom hetasym.cli import main\nsys.exit(main())",
+             "tomography", str(raw), "--config", str(cfg), "--out", str(tmp_path / "tomo")],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert ("UserWarning: phase tags measure 2 distinct quadratures modulo pi, fewer than "
+                "dim = 14: the reconstruction is not informationally complete") in result.stderr
 
     def test_dim_hint_names_the_smallest_accepted_dim(self, tmp_path, capsys):
         # the fitted |alpha| is 0.984 at dim 10: dims 8-10 keep too little of

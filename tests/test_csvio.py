@@ -130,10 +130,9 @@ def write_side(path, writer: str, side: int) -> str:
         head.append("row,col,re,im")
     elif writer == "wigner":
         axis = np.arange(side) * 0.5
-        grid = WignerGrid(axis, axis + 0.1, rng.uniform(-0.3, 0.3, (side, side)))
+        grid = WignerGrid(axis, rng.uniform(-0.3, 0.3, (side, side)))
         write_wigner_csv(path, grid, "test", config)
-        columns = [np.repeat(grid.x_axis, side), np.tile(grid.p_axis, side),
-                   grid.values.ravel()]
+        columns = [np.repeat(grid.axis, side), np.tile(grid.axis, side), grid.values.ravel()]
         head.append("x,p,w")
     else:  # write_table called directly, as the phase-deviation and keyrate-sweep commands do
         columns = [np.linspace(0.0, 1.0, n).tolist(), rng.standard_normal(n)]
@@ -187,7 +186,7 @@ def test_trace_writer_memory_is_bounded(tmp_path):
 
 def test_wigner_writer_memory_is_bounded(tmp_path):
     axis = np.linspace(-6.0, 6.0, 400)
-    grid = WignerGrid(axis, axis, np.zeros((axis.size, axis.size)))
+    grid = WignerGrid(axis, np.zeros((axis.size, axis.size)))
     tracemalloc.start()
     try:
         write_wigner_csv(tmp_path / "big.wigner.csv", grid, "tomography", RunConfig())

@@ -43,7 +43,7 @@ WRITER_SHA256 = {
     "rho.csv":
         "ac04e6b28c448c08443cd07011acba9dc479771370c82b32b574e027264e5cd7",
     "wigner.csv":
-        "ea28ddad7924e4b318130ba1c9e7f26ef549101bb7734781db01800fd5ef876f",
+        "ad5c53224a96d7040f2cc3b71ad601030f85cb9c14e2186b782f4de7d1460f1c",
 }
 
 
@@ -101,10 +101,9 @@ def test_density_and_wigner_writers_pinned(tmp_path):
         [0.03j, -0.02 - 0.07j, 0.2],
     ]))
     # rational arithmetic only, so the values are the same on every host
-    x_axis = np.arange(-3, 4) * 0.5
-    p_axis = np.arange(-2, 3) * 0.25 + 0.1
-    xx, pp = np.meshgrid(x_axis, p_axis, indexing="ij")
-    grid = WignerGrid(x_axis, p_axis, 0.25 * (1.0 - xx * xx) / (1.0 + xx * xx + pp * pp))
+    axis = np.arange(-3, 4) * 0.5
+    xx, pp = np.meshgrid(axis, axis, indexing="ij")
+    grid = WignerGrid(axis, 0.25 * (1.0 - xx * xx) / (1.0 + xx * xx + pp * pp))
     config = RunConfig()
     write_density_csv(tmp_path / "rho.csv", rho, "tomography", config)
     write_wigner_csv(tmp_path / "wigner.csv", grid, "tomography", config)

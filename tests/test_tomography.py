@@ -1,5 +1,9 @@
+import importlib.util
 import math
 import re
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from hetasym import (
 )
 from hetasym import tomography
 from hetasym.cli import main
-from hetasym.config import RunConfig, render
+from hetasym.config import RunConfig, parse_config_text, render
 from hetasym.csvio import read_density_csv, read_trace_csv, write_trace_csv
 from hetasym.tomography import (
     MAX_QUADRATURE,
@@ -314,17 +318,18 @@ class TestMLEReconstruct:
 
     @pytest.mark.parametrize("uniform", [True, False])
     def test_grouped_and_dense_paths_agree(self, uniform):
+        # 25 ramp phases measure 25 quadratures modulo pi, enough for dim 25
         rng = np.random.default_rng(9)
         if uniform:
-            tags = np.repeat(make_phase_ramp(16), 64)
+            tags = np.repeat(make_phase_ramp(25), 64)
         else:
-            ramp = make_phase_ramp(16)
+            ramp = make_phase_ramp(25)
             tags = np.concatenate([np.repeat(ramp, 48), np.repeat(ramp[::2], 64)])
         xs = rng.normal(np.sqrt(2.0) * np.cos(tags), math.sqrt(0.5))
         samples = PhaseTaggedSamples(tags, xs)
         for dim in (10, 25):
-            engine, grouped = _make_engine(samples, dim)
-            assert grouped and isinstance(engine, _GroupedEngine)
+            engine = _make_engine(samples, dim)
+            assert isinstance(engine, _GroupedEngine)
             dense = _DenseEngine(samples, dim)
             rho = np.eye(dim, dtype=complex) / dim
             for _ in range(3):
@@ -340,26 +345,21 @@ class TestMLEReconstruct:
     def test_distinct_tags_use_dense_path(self):
         rng = np.random.default_rng(10)
         samples = coherent_samples(rng, 0.5, 400)
-        _, grouped = _make_engine(samples, 6)
-        assert not grouped
+        assert isinstance(_make_engine(samples, 6), _DenseEngine)
 
     def test_two_repeats_per_tag_use_dense_path(self):
         # below the measured crossover of 3 repeats the dense engine is faster
         tags = np.repeat(make_phase_ramp(16), 2)
         samples = PhaseTaggedSamples(tags, np.zeros(tags.size))
-        _, grouped = _make_engine(samples, 6)
-        assert not grouped
+        assert isinstance(_make_engine(samples, 6), _DenseEngine)
         samples = PhaseTaggedSamples(np.repeat(tags[::2], 3), np.zeros(48))
-        _, grouped = _make_engine(samples, 6)
-        assert grouped
+        assert isinstance(_make_engine(samples, 6), _GroupedEngine)
 
     def test_probability_floor_diagnostic(self):
         # samples far outside the Fock window underflow and hit the floor
-        tags = np.array([0.0, 0.0])
-        xs = np.array([30.0, -30.0])
-        with pytest.warns(UserWarning):  # two identical tags span < pi
-            samples = PhaseTaggedSamples(tags, xs)
-        result = _mle_reconstruct(samples, 2, max_iter=2, tol=1e-12)
+        samples = PhaseTaggedSamples(np.array([0.0, 0.0]), np.array([30.0, -30.0]))
+        with pytest.warns(UserWarning, match="1 distinct quadratures"):  # one tag
+            result = _mle_reconstruct(samples, 2, max_iter=2, tol=1e-12)
         assert result.floored > 0
 
     # a sample whose square overflows is an input error, not a floored
@@ -373,7 +373,8 @@ class TestMLEReconstruct:
         tags = np.repeat(make_phase_ramp(40), repeats)
         xs = np.zeros(tags.size)
         xs[7] = x_max
-        assert _make_engine(PhaseTaggedSamples(tags, np.zeros(tags.size)), 3)[1] == grouped
+        engine = _make_engine(PhaseTaggedSamples(tags, np.zeros(tags.size)), 3)
+        assert isinstance(engine, _GroupedEngine) == grouped
         with pytest.raises(ValidationError, match="overflows float64 when squared"):
             _mle_reconstruct(PhaseTaggedSamples(tags, xs), 3, max_iter=5)
 
@@ -513,18 +514,134 @@ def test_grouped_case_takes_rank_one_steps():
     assert independent_gap(samples, result.rho.matrix) <= 1e-10
 
 
+def coefficient_rank(tags, dim: int) -> int:
+    """Rank of the linear map from a Hermitian rho to the grouped engine's
+    per-tag coefficients c_t: dim^2 exactly when the quadrature
+    distributions at these tags fix rho."""
+    engine = _GroupedEngine(PhaseTaggedSamples(tags, np.zeros(len(tags))), dim)
+    basis = []
+    for a in range(dim):
+        for b in range(a, dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[a, b] = 1.0
+            basis.append(unit + unit.T)
+            if a != b:
+                basis.append(1j * (unit - unit.T))
+    return int(np.linalg.matrix_rank(
+        np.stack([engine._tag_coefficients(m).ravel() for m in basis])))
+
+
+def completeness_warnings(tags, dim: int) -> list[str]:
+    """The UserWarnings of building samples at tags and reconstructing at dim."""
+    rng = np.random.default_rng(len(tags))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        samples = PhaseTaggedSamples(tags, rng.normal(0.0, math.sqrt(0.5), len(tags)))
+        _mle_reconstruct(samples, dim, max_iter=0)
+    return [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def complete_runs() -> dict:
+    """Config of each benchmark tomography, at full and smoke size, and of the
+    README quick start: each names at least dim quadratures."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclass looks its module up
+    spec.loader.exec_module(workloads)
+    runs = {}
+    for size, table in (("full", workloads.FULL), ("smoke", workloads.TINY)):
+        for name, workload in table.items():
+            if "tomography" in workload.commands:
+                entries = {**workload.simulate, **workload.analysis}
+                runs[f"{size}-{name}"] = parse_config_text(
+                    "".join(f"{key} = {value}\n" for key, value in entries.items()))
+    configs = re.findall(r"^cat > (?:run|tomo)\.cfg <<EOF\n(.*?)^EOF$",
+                         README.read_text(encoding="utf-8"), re.S | re.M)
+    runs["readme"] = parse_config_text("".join(configs))
+    return runs
+
+
+COMPLETE_RUNS = complete_runs()
+
+
+class TestInformationalCompleteness:
+    @pytest.mark.parametrize("dim", [3, 5, 8])
+    def test_rank_oracle(self, dim):
+        # rho is fixed by its quadrature distributions exactly when the tags
+        # name at least dim quadratures modulo pi, and the MLE warns exactly
+        # when it is not
+        for m in range(1, dim + 2):
+            k = np.arange(m)
+            # m evenly spaced quadratures; every other tag moved on by pi,
+            # which measures the same quadrature, so the tags span 2 pi
+            tags = np.repeat(math.pi * k / m + math.pi * (k % 2), 3)
+            complete = coefficient_rank(tags, dim) == dim * dim
+            assert complete == (m >= dim), m
+            caught = completeness_warnings(tags, dim)
+            assert caught == ([] if complete else [
+                f"phase tags measure {m} distinct quadratures modulo pi, fewer than "
+                f"dim = {dim}: the reconstruction is not informationally complete"]), m
+
+    @pytest.mark.parametrize("dim, rank", [(3, 8), (5, 16)])
+    def test_two_quadratures_of_three_tags_warn(self, dim, rank):
+        # 0 and pi measure one quadrature: the tags span pi, and used to pass
+        tags = np.repeat([0.0, math.pi / 2.0, math.pi], 200)
+        assert coefficient_rank(tags, dim) == rank
+        caught = completeness_warnings(tags, dim)
+        assert len(caught) == 1 and f"2 distinct quadratures modulo pi, fewer than dim = {dim}" \
+            in caught[0]
+
+    def test_partial_sweep_of_60_quadratures_does_not_warn(self):
+        # theta in [0, 1.5] rad and theta - pi/2 span less than pi, yet name 60
+        # quadratures; this used to warn "span less than pi"
+        theta = np.linspace(0.0, 1.5, 30)
+        tags = np.repeat(np.concatenate([theta, theta - math.pi / 2.0]), 4)
+        assert coefficient_rank(tags, 12) == 144
+        assert completeness_warnings(tags, 12) == []
+
+    @pytest.mark.parametrize("tags, count", [
+        ([0.0, 1e-10, math.pi / 3.0, 2.0 * math.pi / 3.0], 3),
+        ([0.0, math.pi - 1e-10, math.pi / 3.0, 2.0 * math.pi / 3.0 + 2.0 * math.pi], 3),
+        ([0.0, 1e-8, math.pi / 3.0, 2.0 * math.pi / 3.0], 4),
+    ])
+    def test_tags_within_tolerance_modulo_pi_are_one_quadrature(self, tags, count):
+        caught = completeness_warnings(np.array(tags), 5)
+        assert len(caught) == 1 and f"measure {count} distinct quadratures" in caught[0]
+
+    @pytest.mark.parametrize("name", sorted(COMPLETE_RUNS))
+    def test_benchmark_and_quick_start_do_not_warn(self, name):
+        config = COMPLETE_RUNS[name]
+        phases = make_phase_ramp(config.n_phases, config.pulses_per_phase)
+        trace = simulate_heterodyne(config.amplitude_sq, phases,
+                                    HeterodyneModel(config.asymmetry_percent), config.seed)
+        samples = samples_from_trace(trace, config.use_true_phase, config.block,
+                                     config.amplitude_scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            _make_engine(samples, config.dim)
+
+
 class TestMLECertificate:
     @pytest.mark.parametrize("grouped", [True, False])
     @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
     def test_converged_means_certified_gap(self, grouped, tol):
         rng = np.random.default_rng(31)
         if grouped:
+            # 20 ramp phases measure 10 quadratures modulo pi, fewer than dim:
+            # the likelihood is certified, though it does not fix the state
             tags = np.repeat(make_phase_ramp(20), 150)
             samples = PhaseTaggedSamples(
                 tags, rng.normal(math.sqrt(2.0) * np.cos(tags), math.sqrt(0.5)))
+            with pytest.warns(UserWarning, match="10 distinct quadratures .* dim = 12"):
+                result = _mle_reconstruct(samples, 12, max_iter=500, tol=tol)
         else:
             samples = coherent_samples(rng, 1.0, 3_000)
-        result = _mle_reconstruct(samples, 12, max_iter=500, tol=tol)
+            result = _mle_reconstruct(samples, 12, max_iter=500, tol=tol)
         assert result.grouped == grouped
         assert result.converged
         gap = independent_gap(samples, result.rho.matrix)
@@ -544,10 +661,10 @@ class TestMLECertificate:
         # every probability underflows, so no step can raise the likelihood
         # and the optimality bound does not hold: a stalled iteration must
         # not be reported as convergence
-        with pytest.warns(UserWarning, match="single quadrature"):  # 0 and pi: one quadrature
-            samples = PhaseTaggedSamples(np.array([0.0, 0.0, math.pi, math.pi]),
-                                         np.array([30.0, -30.0, 31.0, -29.0]))
-        result = _mle_reconstruct(samples, 3, max_iter=500, tol=1e-10)
+        samples = PhaseTaggedSamples(np.array([0.0, 0.0, math.pi, math.pi]),
+                                     np.array([30.0, -30.0, 31.0, -29.0]))
+        with pytest.warns(UserWarning, match="1 distinct quadratures"):  # 0 and pi: one quadrature
+            result = _mle_reconstruct(samples, 3, max_iter=500, tol=1e-10)
         assert not result.converged
         assert result.gap == math.inf
         assert result.iterations == 0
@@ -582,20 +699,20 @@ def test_mle_result_invariants(dim, grouped, xs):
 class TestWigner:
     def test_vacuum_centre(self):
         axis = np.linspace(-6.0, 6.0, 121)
-        grid = _wigner(_ideal_coherent_state(0.0, 8), axis, axis)
+        grid = _wigner(_ideal_coherent_state(0.0, 8), axis)
         assert grid.values[60, 60] == pytest.approx(1.0 / math.pi, abs=1e-6)
 
     def test_single_photon_negativity(self):
         mat = np.zeros((4, 4), dtype=complex)
         mat[1, 1] = 1.0
         axis = np.linspace(-6.0, 6.0, 121)
-        grid = _wigner(DensityMatrix(mat), axis, axis)
+        grid = _wigner(DensityMatrix(mat), axis)
         assert grid.values[60, 60] == pytest.approx(-1.0 / math.pi, abs=1e-6)
 
     def test_coherent_matches_analytic_gaussian(self):
         alpha = 1.0 + 0.5j
         axis = np.linspace(-5.0, 5.0, 81)
-        grid = _wigner(_ideal_coherent_state(alpha, 25), axis, axis)
+        grid = _wigner(_ideal_coherent_state(alpha, 25), axis)
         gx, gp = np.meshgrid(axis, axis, indexing="ij")
         analytic = np.exp(-(gx - math.sqrt(2.0) * alpha.real) ** 2
                           - (gp - math.sqrt(2.0) * alpha.imag) ** 2) / math.pi
@@ -609,7 +726,7 @@ class TestWigner:
         mat /= np.trace(mat).real
         rho = DensityMatrix(mat)
         axis = np.linspace(-3.0, 3.0, 21)
-        grid = _wigner(rho, axis, axis)
+        grid = _wigner(rho, axis)
         gx, gp = np.meshgrid(axis, axis, indexing="ij")
         r_sq = gx ** 2 + gp ** 2
         oracle = np.zeros_like(gx, dtype=complex)
@@ -627,7 +744,7 @@ class TestWigner:
     def test_normalization_on_wide_grid(self):
         axis = np.linspace(-6.0, 6.0, 121)
         for alpha in (0.0, 1.0, 2.0):
-            grid = _wigner(_ideal_coherent_state(alpha, 25), axis, axis)
+            grid = _wigner(_ideal_coherent_state(alpha, 25), axis)
             assert 0.98 <= grid.normalization() <= 1.001
 
     def test_bound_respected(self):
@@ -636,7 +753,7 @@ class TestWigner:
         raw = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
         mat = raw @ raw.conj().T
         mat /= np.trace(mat).real
-        grid = _wigner(DensityMatrix(mat), axis, axis)
+        grid = _wigner(DensityMatrix(mat), axis)
         assert np.abs(grid.values).max() <= 1.0 / math.pi + 1e-6
 
     @pytest.mark.parametrize("extent", [1e8, 1e200])
@@ -644,18 +761,18 @@ class TestWigner:
         # at dim 25 the Laguerre sums overflowed from about 1e8 on, and r^2
         # from 1.3e154 on; W is 0 wherever e^{-r^2} rounds to 0
         rho = _ideal_coherent_state(0.5, 25)
-        far = _wigner(rho, [-extent, -1.0, 0.0, 1.0, extent], [-extent, 0.0, 0.5, extent])
-        near = _wigner(rho, [-1.0, 0.0, 1.0], [0.0, 0.5])
-        np.testing.assert_allclose(far.values[1:4, 1:3], near.values, rtol=1e-12, atol=0.0)
+        far = _wigner(rho, [-extent, -1.0, 0.0, 0.5, 1.0, extent])
+        near = _wigner(rho, [-1.0, 0.0, 0.5, 1.0])
+        np.testing.assert_allclose(far.values[1:5, 1:5], near.values, rtol=1e-12, atol=0.0)
         outside = far.values.copy()
-        outside[1:4, 1:3] = 0.0
+        outside[1:5, 1:5] = 0.0
         assert not np.any(outside)
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
-            WignerGrid(np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.zeros((2, 2)))
+            WignerGrid(np.array([1.0, 0.0]), np.zeros((2, 2)))
         with pytest.raises(ValidationError):
-            WignerGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros((3, 2)))
+            WignerGrid(np.array([0.0, 1.0]), np.zeros((3, 2)))
 
     @pytest.mark.parametrize("value, message", [
         (math.nan, "non-finite entries"), (1.0 / math.pi + 2e-6, "1/pi bound"),
@@ -663,7 +780,7 @@ class TestWigner:
     def test_rejects_bad_values(self, value, message):
         axis = np.array([0.0, 1.0])
         with pytest.raises(ValidationError, match=message):
-            WignerGrid(axis, axis, np.full((2, 2), value))
+            WignerGrid(axis, np.full((2, 2), value))
 
 
 class TestFidelity:
@@ -793,8 +910,10 @@ class TestSamplesFromTrace:
         PhaseTaggedSamples(np.array([0.0, 1.0, 2.0, math.copysign(2.0**53, tag)]), np.zeros(4))
 
     def test_narrow_span_warns(self):
-        with pytest.warns(UserWarning):
-            PhaseTaggedSamples(np.array([0.0, 0.1]), np.array([0.5, 0.5]))
+        samples = PhaseTaggedSamples(np.array([0.0, 0.1]), np.array([0.5, 0.5]))
+        # two tags 0.1 rad apart name two quadratures, fewer than dim
+        with pytest.warns(UserWarning, match="2 distinct quadratures .* fewer than dim = 3"):
+            _mle_reconstruct(samples, 3, max_iter=2)
 
     def test_coherent_identity_end_to_end(self):
         # a noiseless trace of amplitude A maps onto the coherent state A/2

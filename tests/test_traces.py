@@ -164,7 +164,7 @@ ARRAY_HOLDERS = {
     "QuadratureTrace": lambda: QuadratureTrace([1.0, 2.0], [3.0, 4.0]),
     "PhaseTaggedSamples": lambda: PhaseTaggedSamples([0.0, 1.0, 2.0, 3.2], [0.1] * 4),
     "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2.0),
-    "WignerGrid": lambda: WignerGrid([0.0, 1.0], [0.0, 1.0], np.zeros((2, 2))),
+    "WignerGrid": lambda: WignerGrid([0.0, 1.0], np.zeros((2, 2))),
     "MLEResult": lambda: MLEResult(DensityMatrix(np.eye(2) / 2.0), True, 1,
                                    np.array([-1.0, -0.5]), 0, False, 0.0, 0),
 }
