@@ -67,7 +67,7 @@ def _analyze_sweep(config: RunConfig, input_path: str):
     from .phase import analyze_sweep
 
     return analyze_sweep(read_trace_csv(input_path), config.block, config.v_a,
-                         config.linewidth_a, config.linewidth_b, config.pulse_separation)
+                         config.v_drift_rad2)
 
 
 def cmd_scale(config: RunConfig, input_path: str, out: str) -> int:

@@ -9,7 +9,6 @@ is not a key is an error too.  The command line sets no values.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import sys
@@ -40,9 +39,7 @@ class RunConfig:
     # phase alignment / noise budget
     v_a: float = 10.0
     block: int = 1
-    linewidth_a: float = 0.0
-    linewidth_b: float = 0.0
-    pulse_separation: float = 0.0
+    v_drift_rad2: float = 0.0  # laser drift 2 pi (dv_A + dv_B) |t_R - t_S|
 
     # key rate
     beta: float = 0.93
@@ -81,6 +78,9 @@ class RunConfig:
         return [(f.name, render(getattr(self, f.name))) for f in fields(self)]
 
     def config_hash(self) -> str:
+        # imported here: it loads OpenSSL, and only commands that write a file need it
+        import hashlib
+
         digest = hashlib.sha256()
         for key, value in self.resolved_items():
             digest.update(f"{key} = {value}\n".encode("utf-8"))

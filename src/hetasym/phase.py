@@ -86,22 +86,6 @@ def _min_max_scale(trace: QuadratureTrace) -> QuadratureTrace:
     return QuadratureTrace(scaled, trace.p, trace.phase_true)
 
 
-def _drift_phase_variance(linewidth_a: float, linewidth_b: float, pulse_separation: float) -> float:
-    """Inherent phase drift between the two free-running lasers:
-    2 pi (dv_A + dv_B) |t_R - t_S|  [rad^2]."""
-    non_negative("linewidth_a", linewidth_a)
-    non_negative("linewidth_b", linewidth_b)
-    non_negative("pulse_separation", pulse_separation)
-    # each product is taken first, so only a variance beyond float64 is inf,
-    # and a zero separation gives 0 even where the linewidth sum would be inf
-    v = TWO_PI * (linewidth_a * pulse_separation + linewidth_b * pulse_separation)
-    if v == math.inf:
-        raise ValidationError(f"the drift variance 2 pi (linewidth_a + linewidth_b) "
-                              f"pulse_separation = 2 pi ({linewidth_a!r} + {linewidth_b!r}) "
-                              f"{pulse_separation!r} overflows float64")
-    return v
-
-
 def _excess_noise_from_phase_variance(v_a: float, v: float) -> float:
     """Excess noise a phase-error variance v [rad^2] imprints on quantum
     signals of modulation variance v_a:  2 v_A (1 - exp(-v/2))  [SNU].
@@ -129,7 +113,6 @@ class SweepAnalysis:
     undefined_blocks_dropped: int
     v_det_rad2: float
     xi_det_snu: float
-    v_drift_rad2: float
     v_total_rad2: float
     xi_total_snu: float
 
@@ -139,17 +122,18 @@ class SweepAnalysis:
 
 
 def analyze_sweep(trace: QuadratureTrace, block: int = RunConfig.block,
-                  v_a: float = RunConfig.v_a, linewidth_a: float = RunConfig.linewidth_a,
-                  linewidth_b: float = RunConfig.linewidth_b,
-                  pulse_separation: float = RunConfig.pulse_separation) -> SweepAnalysis:
+                  v_a: float = RunConfig.v_a,
+                  v_drift_rad2: float = RunConfig.v_drift_rad2) -> SweepAnalysis:
     """The analysis behind ``hetasym scale`` and ``phase-deviation``: min-max scale a swept
-    trace, compare its block phases with the scaled copy's, and take the phase-noise budget.
+    trace, compare its block phases with the scaled copy's, and take the phase-noise budget:
+    v_det plus the lasers' drift v_drift_rad2 = 2 pi (dv_A + dv_B) |t_R - t_S|.
     The sweep (``phase_true``, else the defined block phases) must cover a full rotation
     densely, or its spans misstate the asymmetry.  A block with no phase in either trace is
     dropped from both, and at least two blocks must remain."""
     # imported here: tomography loads this module for estimated tags, and no detector
     from .detector import _percent_difference
 
+    non_negative("v_drift_rad2", v_drift_rad2)
     theta_asym = _estimate_phase(trace, block)
     if trace.phase_true is not None:
         phases, what = trace.phase_true, "phase_true does"
@@ -180,7 +164,7 @@ def analyze_sweep(trace: QuadratureTrace, block: int = RunConfig.block,
     asymmetry = _percent_difference(span_x, span_p)
     v_det = float(np.var(delta_theta))
     xi_det = _excess_noise_from_phase_variance(v_a, v_det)
-    v_drift = _drift_phase_variance(linewidth_a, linewidth_b, pulse_separation)
+    v_total = v_drift_rad2 + v_det
     return SweepAnalysis(scaled, theta_scaled, delta_theta, span_x, span_p, asymmetry,
-                         keep.size - defined, v_det, xi_det, v_drift, v_drift + v_det,
-                         _excess_noise_from_phase_variance(v_a, v_drift + v_det))
+                         keep.size - defined, v_det, xi_det, v_total,
+                         _excess_noise_from_phase_variance(v_a, v_total))

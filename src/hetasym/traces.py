@@ -25,9 +25,15 @@ TWO_PI = 2.0 * math.pi
 
 
 def readonly_float_array(values, name: str) -> np.ndarray:
-    """values as a read-only float64 copy; raises unless it is 1-D and
-    finite."""
-    arr = np.array(values, dtype=np.float64, copy=True)
+    """values as a read-only float64 array; raises unless it is 1-D and
+    finite.  A read-only float64 ndarray that owns its data is returned as it
+    is, so traces derived from a trace share its arrays; anything else is
+    copied, since a writeable array or its views could change under it."""
+    if (type(values) is np.ndarray and values.dtype == np.float64 and values.base is None
+            and not values.flags.writeable):
+        arr = values
+    else:
+        arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

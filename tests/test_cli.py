@@ -26,7 +26,7 @@ from hetasym.cli import main
 from hetasym.config import RunConfig, load_config, parse_config_text, render
 from hetasym.csvio import read_density_csv, read_trace_csv, write_density_csv, write_trace_csv
 from hetasym.errors import ValidationError
-from hetasym.phase import _drift_phase_variance, _excess_noise_from_phase_variance, wrap_phase
+from hetasym.phase import _excess_noise_from_phase_variance, wrap_phase
 from hetasym.tomography import DensityMatrix
 from hetasym.traces import _MAX_PULSES
 from measured import deviation_oracle
@@ -277,14 +277,14 @@ class TestScale:
 
     def test_drift_budget_in_report(self, tmp_path):
         raw = self.simulate(tmp_path, n_phases=2000)
-        drift = {"linewidth_a": 1500.0, "linewidth_b": 2500.0, "pulse_separation": 3e-6}
-        cfg = write_config(tmp_path / "drift.cfg", v_a=12.0, **drift)
+        cfg = write_config(tmp_path / "drift.cfg", v_a=12.0, v_drift_rad2=0.0754)
         assert run("scale", raw, "--config", cfg, "--out", tmp_path / "scaled.csv") == 0
+        text = (tmp_path / "scaled.report.txt").read_text()
+        # the config header is the one line that states the drift
+        assert [line for line in text.splitlines() if "v_drift_rad2" in line] == [
+            "# config: v_drift_rad2 = 0.0754"]
         report = read_report(tmp_path / "scaled.report.txt")
-        v_drift = _drift_phase_variance(*drift.values())
-        assert v_drift > 0.0
-        v_total = v_drift + float(report["v_det_rad2"])
-        assert report["v_drift_rad2"] == render(v_drift)
+        v_total = 0.0754 + float(report["v_det_rad2"])
         assert report["v_total_rad2"] == render(v_total)
         assert report["xi_total_snu"] == render(_excess_noise_from_phase_variance(12.0, v_total))
 
@@ -436,52 +436,26 @@ class TestScale:
         assert not out.exists() and not (tmp_path / "out.report.txt").exists()
 
     # phase-deviation exited 0 with these before it ran the whole analysis
-    @pytest.mark.parametrize("key, value", [("v_a", "0"), ("linewidth_a", "-1.0")])
+    @pytest.mark.parametrize("key, value, message", [
+        ("v_a", "0", "error: v_a must be positive and finite, got 0.0"),
+        ("v_drift_rad2", "-1.0", "error: v_drift_rad2 must be finite and >= 0, got -1.0"),
+        ("v_drift_rad2", "nan", "error: config key v_drift_rad2: cannot parse 'nan' as float"),
+        ("v_drift_rad2", "inf", "error: config key v_drift_rad2: cannot parse 'inf' as float"),
+    ], ids=["v_a-0", "v_drift_rad2--1.0", "v_drift_rad2-nan", "v_drift_rad2-inf"])
     def test_bad_budget_key_exit_2_on_both_commands(self, tmp_path, monkeypatch, capsys,
-                                                    key, value):
+                                                    key, value, message):
         raw = self.simulate(tmp_path, n_phases=400)
-        monkeypatch.setenv(f"HETASYM_{key.upper()}", value)
-        for command in ("scale", "phase-deviation"):
-            capsys.readouterr()
-            out = tmp_path / f"{command}.csv"
-            assert run(command, raw, "--out", out) == 2
-            assert f"error: {key} must be" in capsys.readouterr().err
-            assert not out.exists() and not out.with_suffix(".report.txt").exists()
-
-    def test_overflowing_drift_budget_exit_2_on_both_commands(self, tmp_path, monkeypatch,
-                                                              capsys):
-        # v_drift = 2 pi (1e308 + 1e308) 1 overflows to inf; the budget
-        # rejected it as "v must be finite", naming none of the three keys
-        raw = self.simulate(tmp_path, n_phases=400)
-        for key, value in (("LINEWIDTH_A", "1e308"), ("LINEWIDTH_B", "1e308"),
-                           ("PULSE_SEPARATION", "1.0")):
-            monkeypatch.setenv(f"HETASYM_{key}", value)
-        for command in ("scale", "phase-deviation"):
-            capsys.readouterr()
-            out = tmp_path / f"{command}.csv"
-            assert run(command, raw, "--out", out) == 2
-            assert ("error: the drift variance 2 pi (linewidth_a + linewidth_b) pulse_separation "
-                    "= 2 pi (1e+308 + 1e+308) 1.0 overflows float64"
-                    in capsys.readouterr().err)
-            assert not out.exists() and not out.with_suffix(".report.txt").exists()
-
-    # the linewidth sum 2e308 overflowed first: at the default
-    # pulse_separation = 0, inf * 0 gave v_drift nan, and at 1e-6 a
-    # representable 1.26e303 was rejected as inf; both commands exited 2 with
-    # a message that named no key
-    @pytest.mark.parametrize("pulse_separation, v_drift", [(0.0, 0.0),
-                                                           (1e-6, TWO_PI * 2e302)])
-    def test_huge_linewidths_with_a_representable_drift_exit_0(self, tmp_path, monkeypatch,
-                                                               pulse_separation, v_drift):
-        raw = self.simulate(tmp_path, n_phases=400)
-        monkeypatch.setenv("HETASYM_LINEWIDTH_A", "1e308")
-        monkeypatch.setenv("HETASYM_LINEWIDTH_B", "1e308")
-        monkeypatch.setenv("HETASYM_PULSE_SEPARATION", repr(pulse_separation))
-        assert run("scale", raw, "--out", tmp_path / "scaled.csv") == 0
-        report = read_report(tmp_path / "scaled.report.txt")
-        assert float(report["v_drift_rad2"]) == pytest.approx(v_drift, rel=1e-15)
-        assert all(math.isfinite(value) for value in numbers_in(tmp_path / "scaled.report.txt"))
-        assert run("phase-deviation", raw, "--out", tmp_path / "dev.csv") == 0
+        cfg = write_config(tmp_path / "budget.cfg", **{key: value})
+        for source in ("file", "environment"):
+            if source == "environment":
+                monkeypatch.setenv(f"HETASYM_{key.upper()}", value)
+            config = ["--config", cfg] if source == "file" else []
+            for command in ("scale", "phase-deviation"):
+                capsys.readouterr()
+                out = tmp_path / f"{command}.csv"
+                assert run(command, raw, *config, "--out", out) == 2
+                assert message in capsys.readouterr().err, source
+                assert not out.exists() and not out.with_suffix(".report.txt").exists()
 
     def test_default_sweep_passes(self, tmp_path):
         raw = self.simulate(tmp_path)
@@ -1317,9 +1291,11 @@ class TestTomography:
 
 # keys that once existed: the sweep takes xi_det from xi_det_values and
 # distances from its grid, asymmetry_percent sets the gains, noise_var is
-# the sum of the two noise variances, and the throughput keys changed no output
+# the sum of the two noise variances, the throughput keys changed no output,
+# and v_drift_rad2 is the one number the two linewidths and the separation made
 REMOVED_KEYS = ["xi_det", "distance_km", "jobs", "baud", "frame_ratio", "gain_x", "gain_p",
-                "convention", "shot_noise_var", "elec_noise_var"]
+                "convention", "shot_noise_var", "elec_noise_var",
+                "linewidth_a", "linewidth_b", "pulse_separation"]
 
 
 class TestErrorPaths:
@@ -1433,7 +1409,8 @@ def test_csv_commands_do_not_import_numpy_ma(tmp_path):
     # --version and keyrate-sweep load no numpy at all, the trace commands
     # no tomography or key-rate code, and fidelity no detector, phase or
     # key-rate code; and np.unique without return_counts imports numpy.ma (10-16 ms a
-    # command), which scale, phase-deviation and fidelity must not load
+    # command), which scale, phase-deviation and fidelity must not load; only the
+    # config hash of a written file needs hashlib, which loads OpenSSL
     cfg = write_config(tmp_path / "run.cfg", n_phases=200, amplitude_sq=552.0,
                        asymmetry_percent=14.29)
     assert run("simulate", "--config", cfg, "--out", tmp_path / "raw.csv") == 0
@@ -1441,7 +1418,7 @@ def test_csv_commands_do_not_import_numpy_ma(tmp_path):
     write_density_csv(tmp_path / "rho.csv", rho, "tomography", RunConfig())
     trace_code = {"hetasym.tomography", "hetasym.keyrate"}
     not_loaded = {
-        ("--version",): {"numpy"},
+        ("--version",): {"numpy", "hashlib"},
         ("keyrate-sweep", "--out", "rates.csv"): {"numpy"},
         ("simulate", "--config", "run.cfg", "--out", "again.csv"): trace_code,
         ("scale", "raw.csv", "--config", "run.cfg", "--out", "scaled.csv"):
@@ -1449,7 +1426,7 @@ def test_csv_commands_do_not_import_numpy_ma(tmp_path):
         ("phase-deviation", "raw.csv", "--config", "run.cfg", "--out", "dev.csv"):
             trace_code | {"numpy.ma"},
         ("fidelity", "rho.csv", "rho.csv"):
-            {"hetasym.detector", "hetasym.keyrate", "hetasym.phase", "numpy.ma"},
+            {"hetasym.detector", "hetasym.keyrate", "hetasym.phase", "numpy.ma", "hashlib"},
     }
     for argv, names in not_loaded.items():
         assert modules_loaded_by(tmp_path, *argv) & names == set(), argv

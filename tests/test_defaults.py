@@ -64,7 +64,7 @@ PAIRS = {
                                  _estimate_phase, "block"),
     **{f"analyze_sweep.{key}": pair(default_of(analyze_sweep, key), getattr(CONFIG, key),
                                     analyze_sweep, key)
-       for key in ("block", "v_a", "linewidth_a", "linewidth_b", "pulse_separation")},
+       for key in ("block", "v_a", "v_drift_rad2")},
     **{f"analyze_tomography.{key}": pair(default_of(analyze_tomography, key),
                                          getattr(CONFIG, key), analyze_tomography, key)
        for key in ("dim", "use_true_phase", "block", "amplitude_scale", "max_iter", "tol",

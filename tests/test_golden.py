@@ -28,22 +28,22 @@ from hetasym.tomography import DensityMatrix, WignerGrid
 
 PIPELINE_SHA256 = {
     "raw.csv":
-        "2096ea7def06f6c76f937a2cc414f6783f4fee68cdf4c442b4d9f5ab48329e4a",
+        "e42d4c672ba5a4df7ddd77a203d362a30a7b7286d93c17153d6916dce00eba07",
     "scaled.csv":
-        "90348539b9950e2c39f4b69b30fd978c07b2e7607db556e8112887065f9848a9",
+        "b1821821fdcf1f5a3f7beaab4ec0e84037cfe11e3b47314f2ca359a2f887ef12",
     "scaled.report.txt":
-        "71fe1d5626d01be8a5c5c861a5022126f174da026a0c2f729098dfb08d0be517",
+        "2d9b746b9e64e14e5652c79eef6a21d0da56e3bba91d2d8f5db48ae76d066048",
     "deviation.csv":
-        "dc23cf4058f3da6bdffcc7bbc0f981e6bf00752608d166014b15c161245cb374",
+        "512b1e6ffab92aebe1ae2ed5fa21602eeac5a22e20d04bb2d787272528b344cd",
     "rates.csv":
-        "283e2a4b8869f216ce913b826a296ef91f82d683454cb089eb16a846b52797cc",
+        "1d9037bbb69375371c6580dbaade01a2f6b7c642f41b9981b4ee500e06307ac8",
 }
 
 WRITER_SHA256 = {
     "rho.csv":
-        "ac04e6b28c448c08443cd07011acba9dc479771370c82b32b574e027264e5cd7",
+        "4637de826e394a35a54ddf7de95902c4489ec9d0cff791b996b39b642bacd648",
     "wigner.csv":
-        "ad5c53224a96d7040f2cc3b71ad601030f85cb9c14e2186b782f4de7d1460f1c",
+        "7cb63bbe9389aa8b48b3e5e4e21f15a14bd8cf903e5b0a9954f29b85761fca07",
 }
 
 

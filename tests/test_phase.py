@@ -20,7 +20,6 @@ from hetasym.csvio import read_trace_csv, write_trace_csv
 from hetasym.detector import _gain_from_percent
 from hetasym.phase import (
     SweepAnalysis,
-    _drift_phase_variance,
     _estimate_phase,
     _excess_noise_from_phase_variance,
     _min_max_scale,
@@ -166,41 +165,28 @@ class TestMinMaxScale:
 
 
 class TestDriftVariance:
-    def test_zero_linewidth(self):
-        assert _drift_phase_variance(0.0, 0.0, 1e-3) == 0.0
+    """The laser drift v_drift_rad2 is one number that analyze_sweep adds to v_det."""
 
-    def test_direct_evaluation(self):
-        assert _drift_phase_variance(100.0, 100.0, 1e-6) == pytest.approx(
-            TWO_PI * 200.0 * 1e-6, rel=1e-12)
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return simulate_heterodyne(552.0, make_phase_ramp(400), HeterodyneModel(14.29), 3)
 
-    def test_linearity(self):
-        full = _drift_phase_variance(100.0, 100.0, 1e-6)
-        assert _drift_phase_variance(100.0, 0.0, 1e-6) == pytest.approx(full / 2.0, rel=1e-12)
+    def test_direct_evaluation(self, trace):
+        # two 100 kHz lasers 10 ns apart: 2 pi (1e5 + 1e5) 1e-8 rad^2
+        v_drift = TWO_PI * 2e5 * 1e-8
+        sweep = analyze_sweep(trace, v_a=12.0, v_drift_rad2=v_drift)
+        assert sweep.v_total_rad2 == v_drift + sweep.v_det_rad2
+        assert sweep.xi_total_snu == _excess_noise_from_phase_variance(12.0, sweep.v_total_rad2)
+        assert analyze_sweep(trace, v_a=12.0).v_total_rad2 == sweep.v_det_rad2
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            _drift_phase_variance(-1.0, 0.0, 1.0)
+    def test_rejects_negative(self, trace):
+        with pytest.raises(ValidationError, match="^v_drift_rad2 must be finite and >= 0"):
+            analyze_sweep(trace, v_drift_rad2=-1.0)
 
-    def test_zero_separation_is_zero_drift(self):
-        # the linewidth sum 2e308 is beyond float64, and inf * 0 is nan
-        assert _drift_phase_variance(1e308, 1e308, 0.0) == 0.0
-
-    def test_representable_drift_of_an_unrepresentable_linewidth_sum(self):
-        assert _drift_phase_variance(1e308, 1e308, 1e-10) == pytest.approx(
-            TWO_PI * 2e298, rel=1e-15)
-
-    def test_overflow_names_the_three_keys(self):
-        with pytest.raises(ValidationError, match=r"^the drift variance 2 pi \(linewidth_a "
-                                                  r"\+ linewidth_b\) pulse_separation = "):
-            _drift_phase_variance(1e308, 0.0, 1.0)
-
-    @pytest.mark.parametrize("args, name", [
-        ((math.nan, 0.0, 1.0), "linewidth_a"), ((0.0, math.inf, 1.0), "linewidth_b"),
-        ((1.0, 0.0, math.nan), "pulse_separation"), ((1.0, 0.0, math.inf), "pulse_separation"),
-    ])
-    def test_rejects_non_finite(self, args, name):
-        with pytest.raises(ValidationError, match=f"^{name} must"):
-            _drift_phase_variance(*args)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, trace, value):
+        with pytest.raises(ValidationError, match="^v_drift_rad2 must be finite and >= 0"):
+            analyze_sweep(trace, v_drift_rad2=value)
 
 
 class TestDetectionVariance:
@@ -292,7 +278,7 @@ class TestExcessNoiseConversion:
 
     @pytest.mark.parametrize("v", [-0.1, math.nan, math.inf])
     def test_rejects_variance(self, v):
-        # an overflowed drift variance reaches the budget as inf or nan
+        # an infinite v would give the plausible-looking xi = 2 v_A
         with pytest.raises(ValidationError, match="^v must"):
             _excess_noise_from_phase_variance(10.0, v)
 
@@ -378,7 +364,7 @@ class TestAnalyzeSweep:
 
     def test_report_is_the_result_fields(self, tmp_path):
         _, raw = self.write_sweep(tmp_path, make_phase_ramp(2000))
-        drift = {"linewidth_a": 1500.0, "linewidth_b": 2500.0, "pulse_separation": 3e-6}
+        drift = {"v_drift_rad2": 0.0754}
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in
                                {"block": 2, "v_a": 12.0, **drift}.items()), encoding="utf-8")

@@ -73,6 +73,11 @@ class TestQuadratureTrace:
             QuadratureTrace([1.0, np.nan], [3.0, 4.0])
         with pytest.raises(ValidationError):
             QuadratureTrace([1.0, 2.0], [np.inf, 4.0])
+        # an array that would be shared, not copied, is checked all the same
+        shared = np.array([1.0, np.nan])
+        shared.setflags(write=False)
+        with pytest.raises(ValidationError, match="^x contains non-finite values"):
+            QuadratureTrace(shared, [3.0, 4.0])
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
@@ -81,6 +86,23 @@ class TestQuadratureTrace:
     def test_rejects_two_dimensional(self):
         with pytest.raises(ValidationError, match=r"^x must be one-dimensional, got shape \(1, 2\)"):
             readonly_float_array([[1.0, 2.0]], "x")
+
+    def test_derived_trace_shares_the_arrays_it_keeps(self):
+        tr = QuadratureTrace([0.0, 1.0, 2.0], [-3.0, 0.0, 3.0], [0.1, 0.2, 0.3])
+        scaled = _min_max_scale(tr)
+        assert scaled.p is tr.p and scaled.phase_true is tr.phase_true
+
+    def test_writeable_input_and_read_only_views_are_copied(self):
+        values = np.array([1.0, 2.0, 3.0])
+        copied = readonly_float_array(values, "x")
+        values[0] = 5.0
+        assert copied is not values and copied[0] == 1.0
+        view = values[:]
+        view.setflags(write=False)
+        assert readonly_float_array(view, "x") is not view
+        owned = values.copy()
+        owned.setflags(write=False)
+        assert readonly_float_array(owned, "x") is owned
 
     def test_require_samples_guard(self):
         tr = QuadratureTrace([1.0], [2.0])
