@@ -91,4 +91,7 @@ def simulate_heterodyne(amplitude_sq: float, phases, det: HeterodyneModel,
     n_p = noise_std * rng.standard_normal(theta.size)
     x = _gain_from_percent(det.asymmetry_percent) * (amp * np.cos(theta) + n_x)
     p = amp * np.sin(theta + det.hybrid_phase_error) + n_p
+    # read-only, so the trace keeps these arrays instead of copying them
+    x.setflags(write=False)
+    p.setflags(write=False)
     return QuadratureTrace(x, p, phase_true=theta)

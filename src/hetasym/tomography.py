@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import NumericalDomainError, ValidationError, integer_at_least, positive
-from .traces import QuadratureTrace, _distinct, readonly_float_array
+from .traces import QuadratureTrace, _circular_gaps, _distinct, readonly_float_array
 
 #: Divisor taking SNU quadratures (vacuum variance 1) to the internal
 #: convention (vacuum variance 1/2).
@@ -257,14 +257,12 @@ class _GroupedEngine:
     k = m - n of rho, rotated by the tables cos(k t) and sin(k t).  Groups
     are bucketed by size so each bucket runs as one batched matmul;
     probabilities come back in engine-internal (bucket-major) order, which
-    the iteration treats as a bag, so no scatter-back is needed.
+    the iteration treats as a bag, so no scatter-back is needed.  tags and
+    counts are np.unique(samples.theta, return_counts=True).
     """
 
-    def __init__(self, samples: PhaseTaggedSamples, dim: int):
-        tags, inverse, counts = np.unique(samples.theta, return_inverse=True,
-                                          return_counts=True)
-        order = np.argsort(inverse, kind="stable")
-        xs_sorted = samples.x[order]
+    def __init__(self, samples: PhaseTaggedSamples, dim: int, tags, counts):
+        xs_sorted = samples.x[np.argsort(samples.theta, kind="stable")]
         offsets = np.concatenate([[0], np.cumsum(counts)])
         self.buckets = []
         for size in _distinct(counts):
@@ -334,10 +332,8 @@ def _make_engine(samples: PhaseTaggedSamples, dim: int):
     quadratures modulo pi (x at theta + pi is -x at theta; one starts at each circular
     gap above _SAME_QUADRATURE_TOL): only from dim on do the quadrature distributions
     fix a state of dim Fock levels (Leonhardt & Munroe, Phys. Rev. A 54, 3682 (1996))."""
-    tags = _distinct(samples.theta)
-    folded = np.sort(np.mod(tags, math.pi))
-    gaps = np.diff(folded, append=folded[0] + math.pi)
-    quadratures = int(np.count_nonzero(gaps > _SAME_QUADRATURE_TOL))
+    tags, counts = np.unique(samples.theta, return_counts=True)
+    quadratures = int(np.count_nonzero(_circular_gaps(tags, math.pi) > _SAME_QUADRATURE_TOL))
     if quadratures < dim:
         warnings.warn(f"phase tags measure {quadratures} distinct quadratures modulo pi, fewer "
                       f"than dim = {dim}: the reconstruction is not informationally complete",
@@ -357,7 +353,7 @@ def _make_engine(samples: PhaseTaggedSamples, dim: int):
     # tags of n = 1e5, so the tag count needs no cap: its tables grow like
     # tags x dim, below the samples x (2 dim - 1) table.
     if tags.size * 3 <= samples.n:
-        return _GroupedEngine(samples, dim)
+        return _GroupedEngine(samples, dim, tags, counts)
     return _DenseEngine(samples, dim)
 
 
@@ -801,6 +797,9 @@ def samples_from_trace(trace: QuadratureTrace, use_true_phase: bool = RunConfig.
         tags, x_int, p_int = tags[keep], x_int[keep], p_int[keep]
     theta_all = np.concatenate([tags, tags - math.pi / 2.0])
     x_all = np.concatenate([x_int, p_int])
+    # read-only, so the samples keep these arrays instead of copying them
+    theta_all.setflags(write=False)
+    x_all.setflags(write=False)
     return PhaseTaggedSamples(theta_all, x_all)
 
 

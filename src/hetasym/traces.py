@@ -84,6 +84,13 @@ def _distinct(values) -> np.ndarray:
     return np.unique(values, return_counts=True)[0]
 
 
+def _circular_gaps(phases, period: float) -> np.ndarray:
+    """Gaps between neighbouring distinct phases folded into one period, the
+    last wrapping round to the first; no phases give no gaps."""
+    points = _distinct(np.mod(phases, period))
+    return np.diff(points, append=points[:1] + period)
+
+
 #: Widest circular gap between neighbouring sweep points that min-max can
 #: use.  Every phase lies within g/2 of a sweep point, so each quadrature
 #: extreme A cos(theta - theta_max) is reached to within A (1 - cos(g/2)).
@@ -98,11 +105,8 @@ def spans_full_rotation(phases) -> bool:
     circular gap between neighbours wider than ``_MAX_SWEEP_GAP``.  Repeats
     of a phase point (several pulses per phase) do not count as extra
     points, and no phases cover nothing."""
-    points = _distinct(np.mod(phases, TWO_PI))
-    if points.size == 0:
-        return False
-    gaps = np.diff(points, append=points[0] + TWO_PI)
-    return float(gaps.max()) <= _MAX_SWEEP_GAP
+    gaps = _circular_gaps(phases, TWO_PI)
+    return gaps.size > 0 and float(gaps.max()) <= _MAX_SWEEP_GAP
 
 
 #: Most pulses in one sweep: ``simulate`` of 10**7 takes about 21 s and 730 MiB.

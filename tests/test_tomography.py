@@ -428,7 +428,8 @@ def test_rank_one_kernel_matches_probabilities(grouped, dim, seed):
     if grouped:
         ramp = make_phase_ramp(7) + rng.uniform(-math.pi, math.pi)
         tags = np.repeat(ramp, rng.integers(20, 40, 7))  # several bucket sizes
-        engine = _GroupedEngine(PhaseTaggedSamples(tags, rng.normal(0.0, 1.5, tags.size)), dim)
+        engine = _GroupedEngine(PhaseTaggedSamples(tags, rng.normal(0.0, 1.5, tags.size)), dim,
+                                *np.unique(tags, return_counts=True))
     else:
         tags = rng.uniform(-math.pi, TWO_PI, 200)
         engine = _DenseEngine(PhaseTaggedSamples(tags, rng.normal(0.0, 1.5, tags.size)), dim)
@@ -518,7 +519,8 @@ def coefficient_rank(tags, dim: int) -> int:
     """Rank of the linear map from a Hermitian rho to the grouped engine's
     per-tag coefficients c_t: dim^2 exactly when the quadrature
     distributions at these tags fix rho."""
-    engine = _GroupedEngine(PhaseTaggedSamples(tags, np.zeros(len(tags))), dim)
+    engine = _GroupedEngine(PhaseTaggedSamples(tags, np.zeros(len(tags))), dim,
+                            *np.unique(tags, return_counts=True))
     basis = []
     for a in range(dim):
         for b in range(a, dim):
