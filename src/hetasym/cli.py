@@ -66,8 +66,7 @@ def _analyze_sweep(config: RunConfig, input_path: str):
     """analyze_sweep of the trace at input_path, at the config's values."""
     from .phase import analyze_sweep
 
-    return analyze_sweep(read_trace_csv(input_path), config.block, config.v_a,
-                         config.v_drift_rad2)
+    return analyze_sweep(read_trace_csv(input_path), config.block, config.v_a)
 
 
 def cmd_scale(config: RunConfig, input_path: str, out: str) -> int:

@@ -39,7 +39,6 @@ class RunConfig:
     # phase alignment / noise budget
     v_a: float = 10.0
     block: int = 1
-    v_drift_rad2: float = 0.0  # laser drift 2 pi (dv_A + dv_B) |t_R - t_S|
 
     # key rate
     beta: float = 0.93

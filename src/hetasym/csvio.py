@@ -141,6 +141,11 @@ def read_trace_csv(path: str | Path) -> QuadratureTrace:
     for required in ("index", "x", "p"):
         if required not in columns:
             raise ValidationError(f"{path}: missing column {required!r}")
+    # a misspelt phase_true would otherwise read as a trace with no tags
+    unknown = [name for name in header if name not in ("index", "x", "p", "phase_true")]
+    if unknown:
+        raise ValidationError(f"{path}: unknown column {unknown[0]!r} (a trace has index, "
+                              "x, p and an optional phase_true)")
     n = data.shape[0]
     if not np.array_equal(data[:, columns["index"]], np.arange(n)):
         raise ValidationError(f"{path}: index column is not 0..{n - 1} in order")

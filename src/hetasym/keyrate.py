@@ -28,12 +28,12 @@ CLAMP_TOL = 1e-9
 CUTOFF_SEARCH_KM = 1000.0
 CUTOFF_RESOLUTION_KM = 0.01
 _CUTOFF_MARCH_STEPS = 4096
-#: The rate is accurate to about 1e-15 bits/symbol (against a 60-digit
-#: oracle), so where I(A;B), an upper bound on the rate, is below this
-#: [bits/symbol] a non-positive rate is rounding, not a cutoff: without
-#: excess noise the float rate first turns negative near 727 km, where the
-#: exact rate is 7.5e-15.
-_RESOLVED_INFO_BITS = 1e-12
+#: The chain's error [bits/symbol]: away from T = 1 the rate is within it of
+#: a 60-digit oracle (tests/test_keyrate.py measures 6.0e-15).  A rate above
+#: it is surely positive and one below -RATE_ERROR surely negative;
+#: max_distance reports a cutoff only where the rate goes from one to the
+#: other within CUTOFF_RESOLUTION_KM.
+RATE_ERROR = 2e-14
 
 
 def _transmittance(alpha_db_per_km: float, distance_km: float) -> float:
@@ -223,14 +223,19 @@ def key_rate_curve(params: KeyRateParams, distances) -> list[float]:
 
 
 def max_distance(params: KeyRateParams) -> float:
-    """Largest distance with a positive key rate, bisection-refined to
-    CUTOFF_RESOLUTION_KM.  Returns 0.0 when no key is possible even back to
-    back, and math.inf when the rate stays positive at every probe up to
-    CUTOFF_SEARCH_KM (no cutoff within the search grid) or first reads
-    non-positive where I(A;B) < _RESOLVED_INFO_BITS (too small to resolve).
+    """Largest distance with a surely positive key rate (above RATE_ERROR),
+    bisection-refined to CUTOFF_RESOLUTION_KM.  Returns 0.0 when no key is
+    sure even back to back, and math.inf when the rate is surely positive at
+    every probe up to CUTOFF_SEARCH_KM, or is not surely negative
+    CUTOFF_RESOLUTION_KM past the last surely positive distance, where
+    rounding could hide its sign change.
     """
     chain = _chain_inputs(params)
-    if _rate_terms(params, 0.0, chain)[-1] <= 0.0:
+
+    def positive_at(d: float) -> bool:
+        return _rate_terms(params, d, chain)[-1] > RATE_ERROR
+
+    if not positive_at(0.0):
         return 0.0
 
     # march to bracket the FIRST sign change (the achievable range is the
@@ -239,18 +244,15 @@ def max_distance(params: KeyRateParams) -> float:
     # there keeps lossy fibre clear of distances where T underflows
     for i in range(1, _CUTOFF_MARCH_STEPS + 1):
         d = CUTOFF_SEARCH_KM * i / _CUTOFF_MARCH_STEPS
-        _, info, _, _, rate = _rate_terms(params, d, chain)
-        if rate <= 0.0:
-            if info < _RESOLVED_INFO_BITS:
-                return math.inf
+        if not positive_at(d):
             lo, hi = CUTOFF_SEARCH_KM * (i - 1) / _CUTOFF_MARCH_STEPS, d
             break
     else:
         return math.inf
     while hi - lo > CUTOFF_RESOLUTION_KM:
         mid = 0.5 * (lo + hi)
-        if _rate_terms(params, mid, chain)[-1] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        lo, hi = (mid, hi) if positive_at(mid) else (lo, mid)
+    # the sign change lies within CUTOFF_RESOLUTION_KM above lo only if the
+    # rate is surely negative there
+    resolved = _rate_terms(params, lo + CUTOFF_RESOLUTION_KM, chain)[-1] < -RATE_ERROR
+    return lo if resolved else math.inf

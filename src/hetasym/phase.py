@@ -116,8 +116,6 @@ class SweepAnalysis:
     undefined_blocks_dropped: int
     v_det_rad2: float
     xi_det_snu: float
-    v_total_rad2: float
-    xi_total_snu: float
 
     def report(self) -> list[tuple[str, object]]:
         """(key, value) of each report value: every field after the phases."""
@@ -125,18 +123,15 @@ class SweepAnalysis:
 
 
 def analyze_sweep(trace: QuadratureTrace, block: int = RunConfig.block,
-                  v_a: float = RunConfig.v_a,
-                  v_drift_rad2: float = RunConfig.v_drift_rad2) -> SweepAnalysis:
+                  v_a: float = RunConfig.v_a) -> SweepAnalysis:
     """The analysis behind ``hetasym scale`` and ``phase-deviation``: min-max scale a swept
-    trace, compare its block phases with the scaled copy's, and take the phase-noise budget:
-    v_det plus the lasers' drift v_drift_rad2 = 2 pi (dv_A + dv_B) |t_R - t_S|.
-    The sweep (``phase_true``, else the defined block phases) must cover a full rotation
-    densely, or its spans misstate the asymmetry.  A block with no phase in either trace is
-    dropped from both, and at least two blocks must remain."""
+    trace, compare its block phases with the scaled copy's, and turn the variance v_det of
+    their deviation into excess noise.  The sweep (``phase_true``, else the defined block
+    phases) must cover a full rotation densely, or its spans misstate the asymmetry.  A block
+    with no phase in either trace is dropped from both, and at least two blocks must remain."""
     # imported here: tomography loads this module for estimated tags, and no detector
     from .detector import _percent_difference
 
-    non_negative("v_drift_rad2", v_drift_rad2)
     theta_asym = _estimate_phase(trace, block)
     if trace.phase_true is not None:
         phases, what = trace.phase_true, "phase_true does"
@@ -164,10 +159,7 @@ def analyze_sweep(trace: QuadratureTrace, block: int = RunConfig.block,
     span_p = float(trace.p.max() - trace.p.min())
     # the CLI holds no other reference: this frees the input before the budget's temporaries
     del trace
-    asymmetry = _percent_difference(span_x, span_p)
     v_det = float(np.var(delta_theta))
-    xi_det = _excess_noise_from_phase_variance(v_a, v_det)
-    v_total = v_drift_rad2 + v_det
-    return SweepAnalysis(scaled, theta_scaled, delta_theta, span_x, span_p, asymmetry,
-                         keep.size - defined, v_det, xi_det, v_total,
-                         _excess_noise_from_phase_variance(v_a, v_total))
+    return SweepAnalysis(scaled, theta_scaled, delta_theta, span_x, span_p,
+                         _percent_difference(span_x, span_p), keep.size - defined, v_det,
+                         _excess_noise_from_phase_variance(v_a, v_det))

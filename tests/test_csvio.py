@@ -213,6 +213,7 @@ class TestStrictTraceReader:
         ("index,x,p\n0,1.0,oops\n", "malformed"),                            # not a number
         ("index,x\n0,1.0\n", "missing column 'p'"),
         ("index,x,p,x\n0,1.0,2.0,9.0\n1,3.0,4.0,8.0\n", "duplicate column 'x'"),
+        ("index,x,p,phase\n0,1.0,2.0,0.5\n", "unknown column 'phase'"),       # misspelt tag
         ("# comment only\n", "no data rows"),
         ("index,x,p\n", "no data rows"),
         ("index,x,p\n# no samples\n\n", "no data rows"),

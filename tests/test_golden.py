@@ -28,22 +28,22 @@ from hetasym.tomography import DensityMatrix, WignerGrid
 
 PIPELINE_SHA256 = {
     "raw.csv":
-        "e42d4c672ba5a4df7ddd77a203d362a30a7b7286d93c17153d6916dce00eba07",
+        "e8868b36c168f05178681dbc4fe90816874ef1c1a650903a1e7255d789ff8626",
     "scaled.csv":
-        "b1821821fdcf1f5a3f7beaab4ec0e84037cfe11e3b47314f2ca359a2f887ef12",
+        "8a41cb4c1ecc35e460a972ecc931d7b774a8458fcb5ef9a42bb3457f3e61129c",
     "scaled.report.txt":
-        "2d9b746b9e64e14e5652c79eef6a21d0da56e3bba91d2d8f5db48ae76d066048",
+        "83fc4e7e0847c072d257a5f0864452bdcad5445034d798326d8c90fee40c08e8",
     "deviation.csv":
-        "512b1e6ffab92aebe1ae2ed5fa21602eeac5a22e20d04bb2d787272528b344cd",
+        "a8998059a24a042fe74cd79605cfcdef665bdf9b6ec779d903f59d10f8c7a4a0",
     "rates.csv":
-        "1d9037bbb69375371c6580dbaade01a2f6b7c642f41b9981b4ee500e06307ac8",
+        "167e3736f73b024ef1a64fb2a8f1f3d833064adf7fcb3e6eb23b698ba8d5661e",
 }
 
 WRITER_SHA256 = {
     "rho.csv":
-        "4637de826e394a35a54ddf7de95902c4489ec9d0cff791b996b39b642bacd648",
+        "c4faacada88ccccdcb9ea777d7e1e1a7e0cd4c9cd845925f7bab093eb654f201",
     "wigner.csv":
-        "7cb63bbe9389aa8b48b3e5e4e21f15a14bd8cf903e5b0a9954f29b85761fca07",
+        "1cff4d6c471ed5bdd34fd9c267b2b1f4473e8fcbba6ab48777fe9bc01528de80",
 }
 
 

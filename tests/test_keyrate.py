@@ -21,6 +21,7 @@ from hetasym.config import RunConfig
 from hetasym.keyrate import (
     CUTOFF_RESOLUTION_KM,
     CUTOFF_SEARCH_KM,
+    RATE_ERROR,
     _chi_het,
     _g_entropy,
     _holevo_bound,
@@ -420,9 +421,16 @@ def _worst_oracle_error(params: KeyRateParams, distances) -> float:
 
 
 # Worst |rate - rate_oracle| next to T = 1 (measured: 4.7e-12 bits/symbol,
-# set by the rounding of T alone at v_a = 1e4) and elsewhere (measured: 6.0e-15)
+# set by the rounding of T alone at v_a = 1e4); elsewhere it is RATE_ERROR
+# (measured: 6.0e-15), against which max_distance resolves a cutoff
 NEAR_T1_ERROR = 1e-11
-RATE_ERROR = 2e-14
+
+# (xi_line, xi_det, whether max_distance must resolve the cutoff): the default
+# sweep, then xi_det = 0 over three tiny xi_line, where the float rate next to
+# the sign change is 1e-15 to 6e-15 bits/symbol, below RATE_ERROR, and
+# max_distance used to miss the sign change by up to 0.112 km
+CUTOFF_CASES = {repr(xi): (RunConfig.xi_line, xi, True) for xi in RunConfig().xi_det_list()}
+CUTOFF_CASES.update({f"xi_line={xi!r}": (xi, 0.0, False) for xi in (5e-14, 1e-13, 1e-12)})
 
 
 class TestOracle:
@@ -449,11 +457,12 @@ class TestOracle:
             distances = [cutoff * i / 20 for i in range(21)]
             assert _worst_oracle_error(params, distances) <= RATE_ERROR
 
-    @pytest.mark.parametrize("xi_det", RunConfig().xi_det_list())
-    def test_cutoff_below_first_oracle_sign_change(self, xi_det):
+    @pytest.mark.parametrize("xi_line, xi_det, resolved", CUTOFF_CASES.values(),
+                             ids=list(CUTOFF_CASES))
+    def test_cutoff_below_first_oracle_sign_change(self, xi_line, xi_det, resolved):
         config = RunConfig()
         params = KeyRateParams(
-            v_a=config.v_a, beta=config.beta, xi_line=config.xi_line, xi_det=xi_det,
+            v_a=config.v_a, beta=config.beta, xi_line=xi_line, xi_det=xi_det,
             eta=config.eta, v_elec=config.v_elec, alpha_db_per_km=config.alpha_db_per_km)
         lo, hi = 0.0, 1.0
         while rate_oracle(params, hi) > 0:
@@ -462,7 +471,10 @@ class TestOracle:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if rate_oracle(params, mid) > 0 else (lo, mid)
         cutoff = max_distance(params)
-        assert hi - CUTOFF_RESOLUTION_KM <= cutoff <= lo
+        # inf: the rate is not surely negative one resolution step past the
+        # last distance where it is surely positive
+        if resolved or cutoff != math.inf:
+            assert hi - CUTOFF_RESOLUTION_KM <= cutoff <= lo
 
 
 # Two computed rates in a property can each be off by NEAR_T1_ERROR

@@ -164,31 +164,6 @@ class TestMinMaxScale:
             _min_max_scale(QuadratureTrace([1.0], [0.0]))
 
 
-class TestDriftVariance:
-    """The laser drift v_drift_rad2 is one number that analyze_sweep adds to v_det."""
-
-    @pytest.fixture(scope="class")
-    def trace(self):
-        return simulate_heterodyne(552.0, make_phase_ramp(400), HeterodyneModel(14.29), 3)
-
-    def test_direct_evaluation(self, trace):
-        # two 100 kHz lasers 10 ns apart: 2 pi (1e5 + 1e5) 1e-8 rad^2
-        v_drift = TWO_PI * 2e5 * 1e-8
-        sweep = analyze_sweep(trace, v_a=12.0, v_drift_rad2=v_drift)
-        assert sweep.v_total_rad2 == v_drift + sweep.v_det_rad2
-        assert sweep.xi_total_snu == _excess_noise_from_phase_variance(12.0, sweep.v_total_rad2)
-        assert analyze_sweep(trace, v_a=12.0).v_total_rad2 == sweep.v_det_rad2
-
-    def test_rejects_negative(self, trace):
-        with pytest.raises(ValidationError, match="^v_drift_rad2 must be finite and >= 0"):
-            analyze_sweep(trace, v_drift_rad2=-1.0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_rejects_non_finite(self, trace, value):
-        with pytest.raises(ValidationError, match="^v_drift_rad2 must be finite and >= 0"):
-            analyze_sweep(trace, v_drift_rad2=value)
-
-
 class TestDetectionVariance:
     def test_identical_phases(self):
         theta = np.linspace(-3, 3, 50)
@@ -364,16 +339,14 @@ class TestAnalyzeSweep:
 
     def test_report_is_the_result_fields(self, tmp_path):
         _, raw = self.write_sweep(tmp_path, make_phase_ramp(2000))
-        drift = {"v_drift_rad2": 0.0754}
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{key} = {value}\n" for key, value in
-                               {"block": 2, "v_a": 12.0, **drift}.items()), encoding="utf-8")
+        cfg.write_text("block = 2\nv_a = 12.0\n", encoding="utf-8")
         assert main(["scale", str(raw), "--config", str(cfg),
                      "--out", str(tmp_path / "scaled.csv")]) == 0
         report = [line.split(" = ", 1) for line in
                   (tmp_path / "scaled.report.txt").read_text().splitlines()
                   if not line.startswith("#")]
-        sweep = analyze_sweep(read_trace_csv(raw), block=2, v_a=12.0, **drift)
+        sweep = analyze_sweep(read_trace_csv(raw), block=2, v_a=12.0)
         names = [field.name for field in fields(SweepAnalysis)]
         assert names[:3] == ["scaled", "theta_scaled", "delta_theta"]
         assert [key for key, _ in report] == names[3:]
